@@ -197,7 +197,8 @@ def parse_config(data):
         raise ConfigError(
             f"schema_version must be {_SCHEMA_VERSION}, "
             f"got {data.get('schema_version')!r}")
-    if not isinstance(data.get("seed"), int):
+    seed = data.get("seed")
+    if not isinstance(seed, int) or isinstance(seed, bool):
         raise ConfigError("seed must be an integer")
     pipeline = data.get("pipeline")
     if not isinstance(pipeline, list) or not pipeline:
@@ -543,7 +544,7 @@ def fock_stage(params, thr, seed):
     g = 0.5 * rng.normal(size=(M, M))
     fvec = rng.normal(size=M)
     exact_ok = None
-    if space.dim <= 200:
+    if space.dim <= fockexact._EXACT_DIM_CAP:
         exact_ok = fockexact.verify_exact_identities(M, cap, seed=seed)
 
     identities = []

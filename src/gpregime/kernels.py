@@ -23,7 +23,8 @@ profiles, with (-Delta)^ = 4 pi^2 p^2.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import simpson
@@ -359,33 +360,46 @@ def _moment_lookup(p_nodes, vals, power):
     every point. A spline through node values of the cumulative would
     instead lose the intra-panel oscillation of the band profile, whose
     rectified residue converges only slowly; the closed form does not.
+    On the segment from u with value b and slope m the moment from u to
+    u + t is a polynomial in t without constant term; its coefficients
+    are tabulated per segment and evaluated by Horner's rule.
     """
     h = p_nodes[1] - p_nodes[0]
     p0, pend = p_nodes[0], p_nodes[-1]
-    u0 = p_nodes[:-1]
-    b0 = vals[:-1]
+    u = p_nodes[:-1]
+    b = vals[:-1]
     m = np.diff(vals) / h
-
-    def _segment(u, b, mm, t):
-        if power == 1:
-            return (b * (u * t + 0.5 * t * t)
-                    + mm * (0.5 * u * t * t + t ** 3 / 3.0))
-        return (b * (u ** 3 * t + 1.5 * u * u * t * t + u * t ** 3
-                     + 0.25 * t ** 4)
-                + mm * (0.5 * u ** 3 * t * t + u * u * t ** 3
-                        + 0.75 * u * t ** 4 + 0.2 * t ** 5))
-
-    if power not in (1, 3):
+    if power == 1:
+        # b (u t + t^2/2) + m (u t^2/2 + t^3/3)
+        coef = (b * u, 0.5 * (b + m * u), m / 3.0)
+    elif power == 3:
+        # b (u^3 t + 3/2 u^2 t^2 + u t^3 + t^4/4)
+        #   + m (u^3 t^2/2 + u^2 t^3 + 3/4 u t^4 + t^5/5)
+        u2 = u * u
+        coef = (b * u2 * u, 1.5 * b * u2 + 0.5 * m * u2 * u,
+                b * u + m * u2, 0.25 * b + 0.75 * m * u, 0.2 * m)
+    else:
         raise InvalidParameterError(f"unsupported moment power {power}")
-    table = np.concatenate([[0.0], np.cumsum(_segment(u0, b0, m, h))])
+
+    def _segment(k, t):
+        acc = coef[-1][k]
+        for c in coef[-2::-1]:
+            acc = acc * t + c[k]
+        return acc * t
+
+    table = np.concatenate([[0.0], np.cumsum(_segment(slice(None), h))])
 
     def lookup(x):
         x = np.clip(x, p0, pend)
-        k = np.clip(np.floor((x - p0) / h).astype(int), 0, u0.size - 1)
+        k = np.clip(np.floor((x - p0) / h).astype(int), 0, u.size - 1)
         t = x - (p0 + k * h)
-        return table[k] + _segment(u0[k], b0[k], m[k], t)
+        return table[k] + _segment(k, t)
 
     return lookup
+
+
+# Cap on the (s rows x band nodes) block of one convolution, in elements.
+_CONV_BLOCK_ELEMS = 1_000_000
 
 
 def _band_convolve(p_nodes, a_vals, b_vals, s_grid, kind):
@@ -405,7 +419,8 @@ def _band_convolve(p_nodes, a_vals, b_vals, s_grid, kind):
     t = cutoff + s; node quadrature smears that s-wide layer over a full
     panel, an O(h) bias. The layer is therefore integrated on a refined
     subgrid (the moment tables are exact at arbitrary points) and the
-    node rule is kept only beyond it.
+    node rule is kept only beyond it. Rows of s are processed in blocks
+    so the temporaries stay bounded for long bands.
     """
     h = p_nodes[1] - p_nodes[0]
     p0 = p_nodes[0]
@@ -419,36 +434,39 @@ def _band_convolve(p_nodes, a_vals, b_vals, s_grid, kind):
     def inner_eval(s2, t2):
         lo = np.abs(s2 - t2)
         hi = s2 + t2
-        d1 = m1(hi) - m1(lo)
         if kind == "plain":
-            return d1
+            return m1(hi) - m1(lo)
         d3 = m3(hi) - m3(lo)
         if kind == "grad":
+            d1 = m1(hi) - m1(lo)
             return -2.0 * np.pi ** 2 * ((s2 ** 2 - t2 ** 2) * d1 - d3)
         return 16.0 * np.pi ** 4 * t2 ** 2 * d3
 
     s_flat = np.asarray(s_grid, dtype=float)
-    s = s_flat[:, None]
-    t = p_nodes[None, :]
-    integrand = t * a_vals * inner_eval(s, t)
-
+    ta = p_nodes * a_vals
     pos = s_flat > 0.0
     out = np.zeros_like(s_flat)
-    if p0 > 0.0 and np.any(pos):
+    # m_rows[i] outer nodes of row i go to the refined subgrid
+    m_rows = np.zeros(s_flat.shape, dtype=int)
+    if p0 > 0.0:
         m_max = p_nodes.size - 3 - (p_nodes.size - 3) % 2
         m_rows = 2 * np.ceil((s_flat + 2.0 * h) / (2.0 * h)).astype(int)
         m_rows = np.clip(m_rows, 2, max(m_max, 2))
-        for m in np.unique(m_rows[pos]):
-            rows = pos & (m_rows == m)
-            suffix = simpson(integrand[rows, m:], dx=h, axis=1)
-            n_fine = max(64, 8 * int(m))
-            t_f = np.linspace(p0, p0 + m * h, n_fine + 1)
-            a_f = np.interp(t_f, p_nodes, a_vals)
-            inner_f = inner_eval(s_flat[rows][:, None], t_f[None, :])
-            fine = simpson(t_f * a_f * inner_f, dx=m * h / n_fine, axis=1)
-            out[rows] = suffix + fine
-    elif np.any(pos):
-        out[pos] = simpson(integrand[pos], dx=h, axis=1)
+    step = max(1, _CONV_BLOCK_ELEMS // p_nodes.size)
+    for m in np.unique(m_rows[pos]):
+        idx = np.nonzero(pos & (m_rows == m))[0]
+        for lo in range(0, idx.size, step):
+            rows = idx[lo:lo + step]
+            s_rows = s_flat[rows][:, None]
+            integrand = ta * inner_eval(s_rows, p_nodes[None, :])
+            out[rows] = simpson(integrand[:, m:], dx=h, axis=1)
+            if m:
+                n_fine = max(64, 8 * int(m))
+                t_f = np.linspace(p0, p0 + m * h, n_fine + 1)
+                a_f = np.interp(t_f, p_nodes, a_vals)
+                inner_f = inner_eval(s_rows, t_f[None, :])
+                out[rows] += simpson(t_f * a_f * inner_f, dx=m * h / n_fine,
+                                     axis=1)
 
     if kind == "plain":
         w0 = np.ones_like(p_nodes)
@@ -471,15 +489,6 @@ def _pairing(K, ahat, bhat, s_grid):
 # eta and nu norms
 # ---------------------------------------------------------------------------
 
-def _state_transforms(state, s_grid):
-    """Pair transforms of phi^2 and |phi'|^2 on the s grid."""
-    h = state.h
-    phi2hat = radial_fourier(state.phi ** 2, h, s_grid)
-    dphi = np.gradient(state.phi, h, edge_order=2)
-    g2hat = radial_fourier(dphi ** 2, h, s_grid)
-    return phi2hat, g2hat
-
-
 def _laplacian_phi(state):
     """Delta phi on the full grid from the minimizer's own stencil."""
     n_int = state.u.size
@@ -490,22 +499,88 @@ def _laplacian_phi(state):
     return lap
 
 
-def _row_sup(k, K0, phi2hat, s_grid):
-    """sup_x of the row norm sqrt((F^2 conv phi^2)(x))."""
-    h_s = s_grid[1] - s_grid[0]
-    conv = radial_fourier_inverse(K0 * phi2hat, h_s, k.state.grid)
-    return float(np.sqrt(np.clip(conv, 0.0, None).max()))
+class _Spectra:
+    """Pair transforms of phi^2, |phi'|^2 and (Delta phi)^2 on the s grid.
+
+    Each is built on first use. They depend on the condensate only, so
+    sweep_kernels builds one instance for all its rows.
+    """
+
+    def __init__(self, state, s_max=_S_MAX, n_s=_N_S):
+        self.state = state
+        self.s_grid = np.linspace(0.0, s_max, n_s)
+
+    def _transform(self, vals):
+        return radial_fourier(vals, self.state.h, self.s_grid)
+
+    @cached_property
+    def phi2hat(self):
+        return self._transform(self.state.phi ** 2)
+
+    @cached_property
+    def g2hat(self):
+        return self._transform(
+            np.gradient(self.state.phi, self.state.h, edge_order=2) ** 2)
+
+    @cached_property
+    def lap2hat(self):
+        return self._transform(_laplacian_phi(self.state) ** 2)
+
+
+class _BandWork:
+    """Objects of one band profile on the s grid, each built on first use.
+
+    These are the self-convolutions K0, K2, K4 ("plain", "grad", "lap")
+    at full and half resolution, and the row supremum. eta_H and nu_H of
+    one sweep row share their band, so one instance serves eta_norms,
+    nu_norms and hyperbolic of that row; a public routine called on its
+    own builds its own and drops it on return.
+    """
+
+    def __init__(self, k, spectra):
+        self.p_nodes, self.fhat = k.p_nodes, k.fhat
+        self.spectra = spectra
+        self._convs = {}
+
+    def conv(self, kind, half=False):
+        """Band self-convolution; half takes every other band and s node."""
+        if (kind, half) not in self._convs:
+            sl = slice(None, None, 2 if half else 1)
+            f = self.fhat[sl]
+            self._convs[kind, half] = _band_convolve(
+                self.p_nodes[sl], f, f, self.spectra.s_grid[sl], kind)
+        return self._convs[kind, half]
+
+    @cached_property
+    def row_sup(self):
+        """sup_x of the row norm sqrt((F^2 conv phi^2)(x))."""
+        sp = self.spectra
+        conv = radial_fourier_inverse(self.conv("plain") * sp.phi2hat,
+                                      sp.s_grid[1] - sp.s_grid[0],
+                                      sp.state.grid)
+        return float(np.sqrt(np.clip(conv, 0.0, None).max()))
+
+
+def _band_work(k, s_max, n_s):
+    """Fresh band work for k on the s grid linspace(0, s_max, n_s)."""
+    return _BandWork(k, _Spectra(k.state, s_max, n_s))
 
 
 def _factor_sup(k):
-    """sup_r |F(r)| over a window resolving the cutoff oscillation."""
+    """sup_r |F(r)| over a window resolving the cutoff oscillation.
+
+    F is evaluated on each of two uniform radius grids, a fine one over
+    thirty cutoff wavelengths and a coarse one over [0, 8]; the larger
+    maximum wins, a tie going to the smaller radius.
+    """
     P = k.cutoff_momentum
-    fine = np.linspace(0.0, min(30.0 / P, 8.0), 4097)
-    coarse = np.linspace(0.0, 8.0, 801)
-    r = np.unique(np.concatenate([fine, coarse]))
-    vals = np.abs(k.factor(r))
-    i = int(np.argmax(vals))
-    return float(vals[i]), float(r[i])
+    best = (-1.0, 0.0)
+    for r in (np.linspace(0.0, min(30.0 / P, 8.0), 4097),
+              np.linspace(0.0, 8.0, 801)):
+        vals = np.abs(k.factor(r))
+        i = int(np.argmax(vals))
+        best = max(best, (float(vals[i]), -float(r[i])))
+    return best[0], -best[1]
 
 
 @dataclass(frozen=True)
@@ -531,15 +606,18 @@ class EtaNormReport:
     N: float
 
 
-def _eta_quadratures(k, p_nodes, fhat, s_grid, phi2hat, g2hat):
-    K0 = _band_convolve(p_nodes, fhat, fhat, s_grid, "plain")
-    K2 = _band_convolve(p_nodes, fhat, fhat, s_grid, "grad")
+def _eta_quadratures(work, half):
+    sl = slice(None, None, 2 if half else 1)
+    sp = work.spectra
+    s_grid, phi2hat, g2hat = sp.s_grid[sl], sp.phi2hat[sl], sp.g2hat[sl]
+    K0 = work.conv("plain", half)
+    K2 = work.conv("grad", half)
     l2sq = _pairing(K0, phi2hat, phi2hat, s_grid)
     t_a = _pairing(K0, g2hat, phi2hat, s_grid)
     t_b = 0.5 * _pairing(4.0 * np.pi ** 2 * s_grid ** 2 * K0,
                          phi2hat, phi2hat, s_grid)
     t_c = _pairing(K2, phi2hat, phi2hat, s_grid)
-    return K0, l2sq, (t_a, t_b, t_c)
+    return l2sq, (t_a, t_b, t_c)
 
 
 def eta_norms(k, s_max=_S_MAX, n_s=_N_S):
@@ -551,21 +629,20 @@ def eta_norms(k, s_max=_S_MAX, n_s=_N_S):
     rerun of every quadrature serves as the convergence certificate; the
     call fails rather than returning an uncertified number.
     """
-    s_grid = np.linspace(0.0, s_max, n_s)
+    return _eta_norms(k, _band_work(k, s_max, n_s))
+
+
+def _eta_norms(k, work):
     if not np.any(k.fhat):
         return EtaNormReport(l2=0.0, grad_l2=0.0, row_sup=0.0,
                              pointwise_ratio=0.0, f_sup=0.0, f_argmax=0.0,
                              grad_parts=(0.0, 0.0, 0.0), defect=0.0,
                              cutoff_momentum=k.cutoff_momentum, ell=k.ell,
                              N=k.N)
-    phi2hat, g2hat = _state_transforms(k.state, s_grid)
-    K0, l2sq, parts = _eta_quadratures(k, k.p_nodes, k.fhat, s_grid,
-                                       phi2hat, g2hat)
+    l2sq, parts = _eta_quadratures(work, half=False)
     gradsq = sum(parts)
 
-    sc = s_grid[::2]
-    _, l2sq_c, parts_c = _eta_quadratures(k, k.p_nodes[::2], k.fhat[::2],
-                                          sc, phi2hat[::2], g2hat[::2])
+    l2sq_c, parts_c = _eta_quadratures(work, half=True)
     defect = max(abs(l2sq - l2sq_c) / l2sq, abs(gradsq - sum(parts_c)) / gradsq)
     if not np.isfinite(defect) or defect > _DEFECT_TOL:
         raise SolverFailureError(
@@ -574,7 +651,7 @@ def eta_norms(k, s_max=_S_MAX, n_s=_N_S):
     f_sup, f_argmax = _factor_sup(k)
     return EtaNormReport(
         l2=float(np.sqrt(l2sq)), grad_l2=float(np.sqrt(gradsq)),
-        row_sup=_row_sup(k, K0, phi2hat, s_grid),
+        row_sup=work.row_sup,
         pointwise_ratio=float(f_sup / k.N), f_sup=f_sup, f_argmax=f_argmax,
         grad_parts=tuple(float(t) for t in parts), defect=float(defect),
         cutoff_momentum=k.cutoff_momentum, ell=k.ell, N=k.N)
@@ -602,6 +679,10 @@ class NuNormReport:
 
 def nu_norms(k, s_max=_S_MAX, n_s=_N_S):
     """Norms of the field kernel; the factor norm is a plain band integral."""
+    return _nu_norms(k, _band_work(k, s_max, n_s))
+
+
+def _nu_norms(k, work):
     h = k.p_nodes[1] - k.p_nodes[0]
     if not np.any(k.fhat):
         return NuNormReport(l2=0.0, row_sup=0.0, col_sup_ratio=0.0,
@@ -615,14 +696,11 @@ def nu_norms(k, s_max=_S_MAX, n_s=_N_S):
     if not np.isfinite(defect) or defect > _DEFECT_TOL:
         raise SolverFailureError(
             f"kernel quadrature not converged: defect {defect:.3e}")
-    s_grid = np.linspace(0.0, s_max, n_s)
-    phi2hat, _ = _state_transforms(k.state, s_grid)
-    K0 = _band_convolve(k.p_nodes, k.fhat, k.fhat, s_grid, "plain")
     slices = k.p_nodes ** 2 * np.abs(k.fhat)
     i = int(np.argmax(slices))
     l2 = float(np.sqrt(fsq))
     return NuNormReport(
-        l2=l2, row_sup=_row_sup(k, K0, phi2hat, s_grid), col_sup_ratio=l2,
+        l2=l2, row_sup=work.row_sup, col_sup_ratio=l2,
         sup_p2_slice=float(slices[i]), argmax_p=float(k.p_nodes[i]),
         defect=float(defect), cutoff_momentum=k.cutoff_momentum, ell=k.ell,
         N=k.N)
@@ -660,6 +738,10 @@ def build_hN(sol, state, s_max=_S_MAX, n_s=_N_S):
     k_N is the well-supported transform of V w evaluated at p / N, which
     is smooth there, so no oscillatory quadrature is needed.
     """
+    return _build_hN(sol, state, _Spectra(state, s_max, n_s))
+
+
+def _build_hN(sol, state, spectra):
     N = sol.N_param
     fvals, _fp, h_well, r0 = sol.segments[0]
     r_well = r0 + np.arange(fvals.size) * h_well
@@ -667,7 +749,7 @@ def build_hN(sol, state, s_max=_S_MAX, n_s=_N_S):
     int_vw = 4.0 * np.pi * simpson(vw * r_well ** 2, dx=h_well)
     kernel_l1 = 4.0 * np.pi * simpson(np.abs(vw) * r_well ** 2, dx=h_well)
 
-    s_grid = np.linspace(0.0, s_max, n_s)
+    s_grid = spectra.s_grid
     q = s_grid / N
     pos = q > 0.0
     safe = np.where(pos, q, 1.0)
@@ -676,8 +758,7 @@ def build_hN(sol, state, s_max=_S_MAX, n_s=_N_S):
     khat = np.where(pos, 2.0 / safe * (4.0 * fine - coarse) / 3.0, int_vw)
 
     h_s = s_grid[1] - s_grid[0]
-    phi2hat = radial_fourier(state.phi ** 2, state.h, s_grid)
-    conv = radial_fourier_inverse(khat * phi2hat, h_s, state.grid)
+    conv = radial_fourier_inverse(khat * spectra.phi2hat, h_s, state.grid)
     values = conv * state.phi
     limit = int_vw * state.phi ** 3
     r = state.grid
@@ -739,21 +820,18 @@ class HyperbolicKernels:
     lap_r_norm: float
 
 
-def _lap_eta_bound(k, s_grid, phi2hat, g2hat):
+def _lap_eta_bound(work):
     """Triangle bound on the one-slot Laplacian's HS norm.
 
     Delta_1 [phi F phi] = (Delta phi) F phi + 2 grad phi . grad F phi
     + phi (Delta F) phi; the outer terms are exact pairings and the cross
     term is dominated by the product of moduli.
     """
-    lap = _laplacian_phi(k.state)
-    lap2hat = radial_fourier(lap ** 2, k.state.h, s_grid)
-    K0 = _band_convolve(k.p_nodes, k.fhat, k.fhat, s_grid, "plain")
-    K2 = _band_convolve(k.p_nodes, k.fhat, k.fhat, s_grid, "grad")
-    K4 = _band_convolve(k.p_nodes, k.fhat, k.fhat, s_grid, "lap")
-    t_weight = _pairing(K0, lap2hat, phi2hat, s_grid)
-    t_cross = 4.0 * _pairing(K2, g2hat, phi2hat, s_grid)
-    t_factor = _pairing(K4, phi2hat, phi2hat, s_grid)
+    sp = work.spectra
+    t_weight = _pairing(work.conv("plain"), sp.lap2hat, sp.phi2hat, sp.s_grid)
+    t_cross = 4.0 * _pairing(work.conv("grad"), sp.g2hat, sp.phi2hat,
+                             sp.s_grid)
+    t_factor = _pairing(work.conv("lap"), sp.phi2hat, sp.phi2hat, sp.s_grid)
     parts = tuple(float(np.sqrt(max(t, 0.0)))
                   for t in (t_weight, t_cross, t_factor))
     return sum(parts), parts
@@ -768,8 +846,12 @@ def hyperbolic(k, tol=1e-12, norms=None, s_max=_S_MAX, n_s=_N_S):
     the corresponding series bounds; gradient and Laplacian bounds chain
     one slot derivative through ||D eta|| ||eta||^(m-1).
     """
+    return _hyperbolic(k, tol, norms, _band_work(k, s_max, n_s))
+
+
+def _hyperbolic(k, tol, norms, work):
     if norms is None:
-        norms = eta_norms(k, s_max=s_max, n_s=n_s)
+        norms = _eta_norms(k, work)
     l2 = norms.l2
     if l2 == 0.0:
         empty = SeriesKernel(base=k, powers=(), coefficients=(), norm_bound=0.0)
@@ -804,9 +886,7 @@ def hyperbolic(k, tol=1e-12, norms=None, s_max=_S_MAX, n_s=_N_S):
     chain_odd = float(np.sum(l2 ** (2 * ks) * odd_c))
     chain_even = float(np.sum(l2 ** (2 * ks - 1) * even_c))
 
-    s_grid = np.linspace(0.0, s_max, n_s)
-    phi2hat, g2hat = _state_transforms(k.state, s_grid)
-    lap_bound, lap_parts = _lap_eta_bound(k, s_grid, phi2hat, g2hat)
+    lap_bound, lap_parts = _lap_eta_bound(work)
 
     p_k = SeriesKernel(base=k, powers=tuple(2 * j + 1 for j in ks),
                        coefficients=tuple(odd_c), norm_bound=p_norm)
@@ -1068,16 +1148,21 @@ def sweep_kernels(potential, state, alpha=4.0, beta=2.0,
     if tuples is None:
         tuples = default_sweep_tuples(alpha, ells, potential.support_radius)
     rows = []
+    # One set of condensate transforms for the sweep; per row one band,
+    # shared by eta_H and nu_H (they differ only in the left weight), and
+    # one set of its convolutions.
+    spectra = _Spectra(state)
     for ell, N in tuples:
         sol = solve_neumann(potential, ell, N, n_pts)
         G = build_G(sol)
         cut = make_cutoffs(ell, alpha, beta)
         eta = build_eta_H(G, state, cut)
-        nu = build_nu_H(G, state, cut)
-        en = eta_norms(eta)
-        nn = nu_norms(nu)
-        hy = hyperbolic(eta, tol=tol, norms=en)
-        hn = build_hN(sol, state)
+        nu = replace(eta, name="nu_H", left_weight="one")
+        work = _BandWork(eta, spectra)
+        en = _eta_norms(eta, work)
+        nn = _nu_norms(nu, work)
+        hy = _hyperbolic(eta, tol, en, work)
+        hn = _build_hN(sol, state, spectra)
         rows.append({
             "ell": float(ell), "N": float(N), "big_ell": float(ell * N),
             "alpha": float(alpha), "beta": float(beta),

@@ -109,9 +109,15 @@ class InteractionPotential:
 
 
 def _wrap_interaction(profile, kind, params):
+    bad = np.flatnonzero(~(profile.samples >= 0.0))
+    if bad.size:
+        i = int(bad[0])
+        raise InvalidParameterError(
+            f"interaction must be nonnegative: sample {i} at r = "
+            f"{profile.grid[i]:g} is {profile.samples[i]:g}")
     R = profile.support_radius
     h = profile.grid[1] - profile.grid[0] if profile.grid.size > 1 else 1.0
-    l3 = (4.0 * np.pi * max(radial_moment(profile.samples ** 3, h, 2), 0.0)) ** (1.0 / 3.0)
+    l3 = (4.0 * np.pi * radial_moment(profile.samples ** 3, h, 2)) ** (1.0 / 3.0)
     return InteractionPotential(profile, R, l3, kind=kind, params=params)
 
 

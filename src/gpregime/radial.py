@@ -6,7 +6,14 @@ uniform radial grids, so this module concentrates the shared machinery:
 - a Filon-type quadrature for integrals of the form  int f(r) sin(w r) dr
   and  int f(r) cos(w r) dr  whose cost and accuracy are independent of the
   oscillation frequency w (the integrand's smooth factor is interpolated
-  piecewise linearly; the oscillation is integrated exactly),
+  piecewise linearly; the oscillation is integrated exactly). The shape of
+  the frequency grid picks how the sums over nodes are evaluated:
+  frequencies in arithmetic progression (three or more) go through a
+  Bluestein chirp-z transform on scipy.fft, O((n + m) log(n + m)) with
+  every phase reduced in cycles at long-double precision; any other grid
+  (the geometric ones of the scattering and decay transforms) goes through
+  dense node x frequency blocks, as do the frequencies of a progression
+  whose phase stays below one radian over the window,
 - the unitary radial Fourier transform  F[w](p) = (2/p) int w(r) r sin(2 pi p r) dr
   with the convention  (-Delta) <-> 4 pi^2 p^2,  which is its own inverse,
 - a two-center reduction of the 3D convolution of radial functions,
@@ -17,6 +24,7 @@ even so Simpson and Richardson halving both apply.
 """
 
 import numpy as np
+import scipy.fft
 from scipy.integrate import simpson, cumulative_simpson
 from scipy.interpolate import CubicSpline
 
@@ -28,6 +36,10 @@ _SERIES_SWITCH = 1e-3
 
 # Cap on the (n_freq x n_nodes) broadcast block, in elements.
 _CHUNK_ELEMS = 4_000_000
+
+# 2 pi to long-double precision: phase coefficients are formed in cycles
+# from it, so their own rounding stays far below one ulp of the phase.
+_TWO_PI = 2 * np.longdouble("3.14159265358979323846264338327950288")
 
 
 def uniform_grid(rmax, n):
@@ -58,28 +70,109 @@ def _filon_weights(omega, h):
     return a, b
 
 
+def _progression(omega):
+    """(first, step) if omega is an arithmetic progression of >= 3 values."""
+    if omega.ndim != 1 or omega.size < 3:
+        return None
+    first = omega[0]
+    step = (omega[-1] - first) / (omega.size - 1)
+    dev = np.max(np.abs(omega - (first + step * np.arange(omega.size))))
+    # a few ulps of the largest frequency: what linspace and a scale leave
+    if not dev <= 8.0 * np.finfo(float).eps * np.max(np.abs(omega)):
+        return None
+    return first, step
+
+
+def _cycles(coef, k):
+    """Fractional part of coef * k, in cycles, for integer-valued k >= 0.
+
+    coef (a long double) splits into a head with few enough bits that
+    head * k is exact in double precision and a tail whose product errs
+    far below one ulp of the phase; each part is reduced before the sum.
+    """
+    bits = 53 - max(int(np.max(k)).bit_length(), 1)
+    mant, expo = np.frexp(float(coef))
+    head = np.ldexp(np.round(np.ldexp(mant, bits)), expo - bits)
+    tail = float(coef - np.longdouble(head))
+    big = head * k
+    ph = (big - np.round(big)) + tail * k
+    return ph - np.round(ph)
+
+
+def _expi(cycles):
+    return np.exp(2j * np.pi * cycles)
+
+
+def _chirp_sums(c, h, x0, first, step, m):
+    """Z[r, j] = sum_i c[r, i] exp(i w_j mid_i) by Bluestein's chirp-z.
+
+    w_j = first + j step for j < m and mid_i = x0 + (i + 1/2) h. Writing
+    j i = (j^2 + i^2 - (j - i)^2) / 2 turns the sum into one convolution
+    with a chirp, done by FFT. Every phase is formed in cycles and reduced
+    mod 1 before exp, so a phase of 1e7 radians keeps full accuracy.
+    """
+    n = c.shape[-1]
+    x0, h = np.longdouble(x0), np.longdouble(h)
+    nu0 = np.longdouble(first) / _TWO_PI
+    dnu = np.longdouble(step) / _TWO_PI
+    beta = dnu * h / 2
+    i = np.arange(n, dtype=float)
+    j = np.arange(m, dtype=float)
+    lag = np.arange(1 - n, m, dtype=float)
+    const = nu0 * x0
+    const = float(const - np.round(const))
+    pre = _expi(_cycles(nu0 * h / 2, 2.0 * i + 1.0) + _cycles(beta, i * i))
+    post = _expi(const + _cycles(dnu * (x0 + h / 2), j) + _cycles(beta, j * j))
+    size = scipy.fft.next_fast_len(n + m - 1)
+    chirp = np.zeros(size, dtype=complex)
+    chirp[lag.astype(int)] = _expi(-_cycles(beta, lag * lag))
+    spec = scipy.fft.fft(c * pre, size, axis=-1) * scipy.fft.fft(chirp)
+    return scipy.fft.ifft(spec, axis=-1)[:, :m] * post
+
+
 def _filon_core(f, h, omega, kind, x0=0.0):
-    """Shared evaluation loop for filon_sin / filon_cos."""
+    """Shared evaluation loop for filon_sin / filon_cos.
+
+    An arithmetic progression of frequencies goes through the chirp-z sums
+    in O((n + m) log(n + m)); any other grid through dense blocks. Dense
+    blocks also take the frequencies of a progression whose phase stays
+    below one radian over the whole window: there a sine sum is far
+    smaller than sum |f| h, and only the dense sum keeps it to relative
+    accuracy (callers divide it by the frequency).
+    """
     f = np.asarray(f, dtype=float)
     if f.ndim != 1 or f.size < 3:
         raise InvalidDomainError("samples must be a 1D array on >= 2 intervals")
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     n = f.size - 1
-    mid = x0 + (np.arange(n) + 0.5) * h
     c0 = 0.5 * (f[:-1] + f[1:])
     c1 = (f[1:] - f[:-1]) / h
     a, b = _filon_weights(omega, h)
 
     out = np.empty(omega.shape, dtype=float)
+    first, stop = 0, omega.size  # the dense range of frequencies
+    prog = _progression(omega)
+    if prog is not None:
+        low = np.nonzero(np.abs(omega) * max(abs(x0), abs(x0 + n * h)) < 1.0)[0]
+        if low.size < omega.size:
+            z0, z1 = _chirp_sums(np.stack([c0, c1]), h, x0, *prog, omega.size)
+            if kind == "sin":
+                out[:] = a * z0.imag + b * z1.real
+            else:
+                out[:] = a * z0.real - b * z1.imag
+            # |omega| < c cuts one run out of a progression
+            first, stop = (low[0], low[-1] + 1) if low.size else (0, 0)
+
+    mid = x0 + (np.arange(n) + 0.5) * h
     step = max(1, _CHUNK_ELEMS // max(n, 1))
-    for lo in range(0, omega.size, step):
-        w = omega[lo:lo + step, None]
-        ph = w * mid[None, :]
+    for lo in range(first, stop, step):
+        hi = min(lo + step, stop)
+        ph = omega[lo:hi, None] * mid[None, :]
         s, c = np.sin(ph), np.cos(ph)
         if kind == "sin":
-            out[lo:lo + step] = a[lo:lo + step] * (s @ c0) + b[lo:lo + step] * (c @ c1)
+            out[lo:hi] = a[lo:hi] * (s @ c0) + b[lo:hi] * (c @ c1)
         else:
-            out[lo:lo + step] = a[lo:lo + step] * (c @ c0) - b[lo:lo + step] * (s @ c1)
+            out[lo:hi] = a[lo:hi] * (c @ c0) - b[lo:hi] * (s @ c1)
     return out
 
 

@@ -113,6 +113,9 @@ class TestConfig:
         raw["seed"] = "7"
         with pytest.raises(ConfigError, match="seed"):
             cli.parse_config(raw)
+        raw["seed"] = True
+        with pytest.raises(ConfigError, match="seed"):
+            cli.parse_config(raw)
 
     def test_pipeline_nonempty_unique_known(self):
         raw = cli.default_config()
@@ -414,6 +417,44 @@ class TestCommandLine:
         cfgp.write_text(json.dumps(raw))
         assert cli.main(["run", "--config", str(cfgp)]) == 2
         assert "scatter" in capsys.readouterr().err
+
+    def test_negative_interaction_exits_2(self, tmp_path, capsys):
+        # V = -1 on [0, 1.5] once clamped to the zero potential and passed
+        # every scatter entry as trivial; it breaks a standing assumption.
+        grid = np.linspace(0.0, 1.5, 64)
+        raw = cli.default_config()
+        raw["pipeline"] = ["scatter"]
+        raw["stages"] = {"scatter": {"potential": {
+            "kind": "custom", "parameters": {},
+            "profile": {"grid": grid.tolist(),
+                        "samples": [-1.0] * grid.size,
+                        "tail": {"kind": "zero", "radius": 1.5}}}}}
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(raw))
+        code = cli.main(["run", "--config", str(cfgp),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "nonnegative" in capsys.readouterr().err
+
+    def test_boolean_seed_exits_2(self, tmp_path, capsys):
+        cfgp = tmp_path / "cfg.json"
+        raw = cli.default_config()
+        raw["seed"] = True
+        cfgp.write_text(json.dumps(raw))
+        assert cli.main(["run", "--config", str(cfgp)]) == 2
+        assert "seed" in capsys.readouterr().err
+
+    def test_import_leaves_scipy_signal_out(self):
+        # scipy.signal costs most of a second at start-up; the chirp-z sums
+        # run on scipy.fft, which the package loads anyway.
+        import subprocess
+        import sys
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys, gpregime.cli; "
+                "assert 'scipy.fft' in sys.modules; "
+                "assert 'scipy.signal' not in sys.modules, 'scipy.signal'")
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
     def test_bad_sweep_exits_2(self, capsys):
         assert cli.main(["scatter", "--sweep", "bogus"]) == 2

@@ -26,8 +26,14 @@ from gpregime.errors import (
 )
 from gpregime.gp import minimize_gp
 from gpregime.kernels import (
+    _BandWork,
+    _Spectra,
     _band_convolve,
+    _build_hN,
+    _eta_norms,
+    _hyperbolic,
     _moment_lookup,
+    _nu_norms,
     build_G,
     build_eta_H,
     build_gaussian_lowpass,
@@ -325,6 +331,35 @@ class TestNuNorms:
         rep = nu_norms(build_nu_H(Gz, state, cuts))
         assert rep.l2 == 0.0
         assert rep.row_sup == 0.0
+
+
+class TestSharedBand:
+    """sweep_kernels builds each band object once per row; every routine
+    must return what it returns when called on its own."""
+
+    def test_shared_work_gives_the_standalone_reports(self, G64, state, cuts,
+                                                      eta64, eta64_report):
+        nu = dataclasses.replace(eta64, name="nu_H", left_weight="one")
+        alone_nu = build_nu_H(G64, state, cuts)
+        assert repr(nu) == repr(alone_nu)
+        assert np.array_equal(nu.p_nodes, alone_nu.p_nodes)
+        assert np.array_equal(nu.fhat, alone_nu.fhat)
+        assert nu.state is alone_nu.state
+        spectra = _Spectra(state)
+        work = _BandWork(eta64, spectra)
+        en = _eta_norms(eta64, work)
+        nn = _nu_norms(nu, work)
+        hy = _hyperbolic(eta64, 1e-12, en, work)
+        assert en == eta64_report
+        assert nn == nu_norms(alone_nu)
+        assert nn.row_sup == en.row_sup
+        alone = hyperbolic(eta64, norms=eta64_report)
+        for f in dataclasses.fields(hy):
+            if f.name not in ("base", "sinh_k", "cosh_minus_id", "p_k"):
+                assert getattr(hy, f.name) == getattr(alone, f.name), f.name
+        sol = G64.sol
+        assert (_build_hN(sol, state, spectra).values
+                == build_hN(sol, state).values).all()
 
 
 class TestCubicKernel:

@@ -120,6 +120,19 @@ def test_json_round_trip():
     assert np.array_equal(t2.profile.grid, trap.profile.grid)
 
 
+def test_custom_interaction_rejects_negative_samples():
+    grid = np.linspace(0.0, 1.5, 32)
+    samples = np.ones_like(grid)
+    samples[5] = -1e-3
+    d = {"kind": "custom", "parameters": {},
+         "profile": {"grid": grid.tolist(), "samples": samples.tolist(),
+                     "tail": {"kind": "zero", "radius": 1.5}}}
+    with pytest.raises(InvalidParameterError, match="sample 5"):
+        InteractionPotential.from_dict(d)
+    d["profile"]["samples"] = np.abs(samples).tolist()
+    assert InteractionPotential.from_dict(d).l3_norm > 0.0
+
+
 def test_profile_rejects_bad_grids():
     with pytest.raises(InvalidDomainError):
         RadialProfile(np.array([0.0, 1.0]), np.array([1.0, 1.0]))

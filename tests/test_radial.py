@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from gpregime import radial
 from gpregime.radial import (
     uniform_grid,
     filon_sin,
@@ -157,3 +158,99 @@ def test_domain_validation():
     with pytest.raises(InvalidParameterError):
         r, h = uniform_grid(1.0, 10)
         radial_fourier(np.ones_like(r), h, np.array([-0.5]))
+
+
+# ---------------------------------------------------------------------------
+# chirp-z sums on uniform frequency grids
+# ---------------------------------------------------------------------------
+
+def _dense_filon(f, h, omega, kind, x0=0.0):
+    """The dense node x frequency evaluation, written out in one block."""
+    n = f.size - 1
+    mid = x0 + (np.arange(n) + 0.5) * h
+    c0 = 0.5 * (f[:-1] + f[1:])
+    c1 = (f[1:] - f[:-1]) / h
+    a, b = radial._filon_weights(omega, h)
+    ph = omega[:, None] * mid[None, :]
+    s, c = np.sin(ph), np.cos(ph)
+    if kind == "sin":
+        return a * (s @ c0) + b * (c @ c1)
+    return a * (c @ c0) - b * (s @ c1)
+
+
+_FILON = {"sin": filon_sin, "cos": filon_cos}
+
+
+@pytest.mark.parametrize("kind", ["sin", "cos"])
+@pytest.mark.parametrize("x0", [0.0, 0.7])
+@pytest.mark.parametrize("omega0", [0.0, 3.1])
+@pytest.mark.parametrize("n, m", [(400, 57), (64, 900)])
+def test_chirp_matches_dense_on_uniform_grids(kind, x0, omega0, n, m):
+    # omega0 = 0 puts the first frequencies on the series side of the
+    # weight switch and below one radian of phase (dense there).
+    h = 0.01
+    p = x0 + np.arange(n + 1) * h
+    f = np.exp(-p) * np.cos(7.0 * p) + 0.3
+    omega = omega0 + np.linspace(0.0, 60.0, m)
+    assert radial._progression(omega) is not None
+    got = _FILON[kind](f, h, omega, x0=x0)
+    want = _dense_filon(f, h, omega, kind, x0)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.sum(np.abs(f)) * h
+
+
+@pytest.mark.parametrize("omega0", [0.0, 3.1])
+@pytest.mark.parametrize("n, m", [(400, 57), (64, 900)])
+def test_chirp_sums_match_direct_sums(omega0, n, m):
+    # the chirp-z sums alone, including the low-phase frequencies that
+    # filon_sin and filon_cos hand to the dense blocks
+    h, x0 = 0.01, 0.7
+    c = np.random.default_rng(n).normal(size=(2, n))
+    step = 60.0 / (m - 1)
+    got = radial._chirp_sums(c, h, x0, omega0, step, m)
+    omega = omega0 + step * np.arange(m)
+    mid = x0 + (np.arange(n) + 0.5) * h
+    want = c @ np.exp(1j * mid[:, None] * omega[None, :])
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.sum(np.abs(c))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                    reason="long double is no wider than double here")
+def test_chirp_wide_phase_against_long_double():
+    # A band of 32,768 intervals from the cutoff P = 4096 to 327,680,
+    # transformed at radii r in [0, 8]: phases reach 1.6e7 radians. The
+    # inputs are dyadic, so the long-double reference sees the exact
+    # frequencies and nodes the program does; it is checked on a sample
+    # of the 805 frequencies to keep the test short. Noise samples weigh
+    # the far end of the band, where the phases are largest, as much as
+    # the near end and leave no smooth cancellation: the sums land at
+    # 2e-19 of sum |f| h, while phase coefficients rounded to double
+    # precision put them near 2e-15.
+    n, P, pmax = 32768, 4096.0, 327680.0
+    h = (pmax - P) / n
+    f = np.random.default_rng(1).normal(size=n + 1)
+    omega = np.arange(805) / 16.0  # 2 pi r for r up to 7.998
+    got = filon_sin(f, h, omega, x0=P)
+
+    sample = np.r_[0:805:23, 804]
+    ld = np.longdouble
+    fl = f.astype(ld)
+    c0 = (fl[:-1] + fl[1:]) / 2
+    c1 = (fl[1:] - fl[:-1]) / ld(h)
+    mid = ld(P) + (np.arange(n, dtype=ld) + ld(0.5)) * ld(h)
+    a, b = radial._filon_weights(omega, h)
+    want = np.array([ld(a[j]) * np.sum(c0 * np.sin(ld(omega[j]) * mid))
+                     + ld(b[j]) * np.sum(c1 * np.cos(ld(omega[j]) * mid))
+                     for j in sample])
+    err = np.max(np.abs(got[sample] - want.astype(float)))
+    assert err <= 1e-16 * np.sum(np.abs(f)) * h
+
+
+def test_geometric_grid_keeps_the_dense_path_bit_for_bit():
+    h, x0 = 0.01, 0.3
+    p = x0 + np.arange(501) * h
+    f = np.exp(-p) * np.sin(3.0 * p)
+    omega = np.geomspace(0.05, 400.0, 241)
+    assert radial._progression(omega) is None
+    for kind in ("sin", "cos"):
+        got = _FILON[kind](f, h, omega, x0=x0)
+        assert np.array_equal(got, _dense_filon(f, h, omega, kind, x0))
