@@ -220,6 +220,8 @@ def parse_config(data):
             if key not in _STAGE_KEYS[stage]:
                 raise ConfigError(
                     f"unknown key {key!r} in stage {stage!r}")
+    if "fock" in stages:
+        _fock_params(stages["fock"])
     thresholds = data.get("thresholds", {})
     if not isinstance(thresholds, dict):
         raise ConfigError("thresholds must be an object")
@@ -526,15 +528,32 @@ def kernels_entries(report, thr):
     return entries
 
 
-def fock_stage(params, thr, seed):
-    """Identity and growth suites on the truncated space."""
-    M = int(params.get("modes", 3))
-    cap = int(params.get("ncap", 4))
-    caps = tuple(int(c) for c in params.get("caps", (2, 3, 4, 5, 6)))
-    suites = list(params.get("suites", _FOCK_SUITES))
+def _fock_params(params):
+    """(modes, ncap, caps, suites) of a fock stage; bad values raise."""
+    def positive(name, value):
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise ConfigError(
+                f"fock {name} must be a positive integer, got {value!r}")
+        return value
+
+    caps = params.get("caps", [2, 3, 4, 5, 6])
+    if not isinstance(caps, list) or not caps:
+        raise ConfigError(
+            f"fock caps must be a non-empty list of integers, got {caps!r}")
+    suites = params.get("suites", list(_FOCK_SUITES))
+    if not isinstance(suites, list):
+        raise ConfigError(f"fock suites must be a list, got {suites!r}")
     for s in suites:
         if s not in _FOCK_SUITES:
             raise ConfigError(f"unknown fock suite {s!r}")
+    return (positive("modes", params.get("modes", 3)),
+            positive("ncap", params.get("ncap", 4)),
+            tuple(positive("caps entry", c) for c in caps), list(suites))
+
+
+def fock_stage(params, thr, seed):
+    """Identity and growth suites on the truncated space."""
+    M, cap, caps, suites = _fock_params(params)
     space = fock.build_fock_space(M, cap)
     rng = np.random.default_rng(seed)
     e = rng.normal(size=(M, M))
@@ -969,7 +988,6 @@ def build_parser():
     p = sub.add_parser("run", help="full pipeline under one config")
     p.add_argument("--config", help="config JSON (defaults when omitted)")
     p.add_argument("--out", help="artifact directory")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_run)
     return parser
 

@@ -12,11 +12,19 @@ the energy identity
 holds to roundoff for every state in the top sector. Generator
 exponentials use dense scaling-and-squaring; growth lemmas are checked
 as generalized-eigenvalue ratios swept over the particle cap.
+
+The builders and the identity checks are written once, against a
+NumberSystem: FLOAT (scipy.sparse CSR) here, exact radicals in
+gpregime.fockexact. Each identity is a named defect operator that is
+zero in exact arithmetic; the float checks reduce it by its largest
+entry, the exact check by a zero test.
 """
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, sqrt
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -29,7 +37,6 @@ from .errors import (
 )
 
 _EXPM_DIM_CAP = 5000
-_UNITARY_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -66,10 +73,6 @@ class FockSpace:
         return np.array([k for k, n in enumerate(self.basis)
                          if sum(n) == total], dtype=int)
 
-    def excitation_indices(self, mode0=0):
-        return np.array([k for k, n in enumerate(self.basis)
-                         if n[mode0] == 0], dtype=int)
-
 
 def build_fock_space(M, N_cap):
     if M < 1:
@@ -85,40 +88,62 @@ def build_fock_space(M, N_cap):
 
 
 # ---------------------------------------------------------------------------
-# operators
+# number systems and the ladder algebra
 # ---------------------------------------------------------------------------
+
+class NumberSystem(NamedTuple):
+    """The entry arithmetic the builders run in.
+
+    sqrt maps a nonnegative int or Fraction to an entry; matrix builds a
+    matrix from (values, rows, cols, shape). Its matrices support @, +,
+    -, * and / by a scalar, and .T, which is all the builders use.
+    """
+
+    sqrt: Callable
+    matrix: Callable
+
+
+def _csr(vals, rows, cols, shape):
+    return sparse.csr_matrix((np.asarray(vals, dtype=float), (rows, cols)),
+                             shape=shape)
+
+
+FLOAT = NumberSystem(sqrt=sqrt, matrix=_csr)
+
+
+def _diag(ns, vals):
+    return ns.matrix(vals, range(len(vals)), range(len(vals)),
+                     (len(vals), len(vals)))
+
 
 @dataclass(frozen=True)
 class FockOperator:
-    """Sparse operator on a FockSpace with bookkeeping flags.
-
-    number_offset is the change in total occupation the operator
-    induces, or None when the matrix mixes different offsets.
-    """
+    """Sparse float operator on a FockSpace."""
 
     space: FockSpace
     matrix: sparse.csr_matrix = field(repr=False)
-    hermitian: bool
-    number_offset: object = None
 
 
-def hermiticity_defect(op):
-    d = op.matrix - op.matrix.conj().T
-    return 0.0 if d.nnz == 0 else float(np.max(np.abs(d.data)))
+class Ladder(NamedTuple):
+    """Plain and truncation-modified ladder matrices for one mode."""
+
+    a: object
+    a_dag: object
+    b: object
+    b_dag: object
 
 
-def number_offset_of(space, mat):
-    """The unique total-occupation shift of a matrix, or None if mixed."""
-    coo = sparse.coo_matrix(mat)
-    if coo.nnz == 0:
-        return 0
-    totals = space.number_diag()
-    shifts = np.unique(totals[coo.row] - totals[coo.col])
-    return int(shifts[0]) if shifts.size == 1 else None
-
-
-def _lowering(space, i):
-    rows, cols, vals = [], [], []
+def _ladder(space, i, ns):
+    """a has entries sqrt(n_i); b = sqrt((N - NUM)/N) a has entries
+    sqrt(n_i (N - t + 1)/N), t the total occupation of the column."""
+    if not 0 <= i < space.M:
+        raise InvalidParameterError(
+            f"mode {i} outside 0..{space.M - 1}")
+    if space.N_cap < 1:
+        raise InvalidParameterError(
+            "ladder operators need a positive particle cap")
+    N, shape = space.N_cap, (space.dim, space.dim)
+    rows, cols, a, b = [], [], [], []
     for col, n in enumerate(space.basis):
         if n[i] == 0:
             continue
@@ -126,66 +151,82 @@ def _lowering(space, i):
         m[i] -= 1
         rows.append(space.index[tuple(m)])
         cols.append(col)
-        vals.append(np.sqrt(n[i]))
-    return sparse.csr_matrix((vals, (rows, cols)),
-                             shape=(space.dim, space.dim))
-
-
-@dataclass(frozen=True)
-class Ladder:
-    """Plain and truncation-modified ladder matrices for one mode."""
-
-    a: sparse.csr_matrix = field(repr=False)
-    a_dag: sparse.csr_matrix = field(repr=False)
-    b: sparse.csr_matrix = field(repr=False)
-    b_dag: sparse.csr_matrix = field(repr=False)
+        a.append(ns.sqrt(n[i]))
+        b.append(ns.sqrt(Fraction(n[i] * (N - sum(n) + 1), N)))
+    return Ladder(a=ns.matrix(a, rows, cols, shape),
+                  a_dag=ns.matrix(a, cols, rows, shape),
+                  b=ns.matrix(b, rows, cols, shape),
+                  b_dag=ns.matrix(b, cols, rows, shape))
 
 
 def build_ladder(space, i):
-    if not 0 <= i < space.M:
-        raise InvalidParameterError(
-            f"mode {i} outside 0..{space.M - 1}")
-    if space.N_cap < 1:
-        raise InvalidParameterError(
-            "ladder operators need a positive particle cap")
-    a = _lowering(space, i)
-    depletion = sparse.diags(
-        np.sqrt(np.clip((space.N_cap - space.number_diag())
-                        / space.N_cap, 0.0, None)))
-    b = depletion @ a
-    return Ladder(a=a, a_dag=a.T.tocsr(), b=b.tocsr(),
-                  b_dag=b.T.tocsr())
+    return _ladder(space, i, FLOAT)
 
 
-def number_op(space):
-    return FockOperator(space=space,
-                        matrix=sparse.diags(space.number_diag()).tocsr(),
-                        hermitian=True, number_offset=0)
+@dataclass(frozen=True)
+class Algebra:
+    """Per-mode ladders, number operator and identity of one space in
+    one number system, built once and shared by the builders."""
+
+    space: FockSpace
+    ns: NumberSystem = field(repr=False)
+    a: tuple = field(repr=False)
+    a_dag: tuple = field(repr=False)
+    b: tuple = field(repr=False)
+    b_dag: tuple = field(repr=False)
+    num: object = field(repr=False)
+    eye: object = field(repr=False)
+
+    @property
+    def zero(self):
+        return self.ns.matrix([], [], [], (self.space.dim, self.space.dim))
 
 
-def dGamma(space, A):
-    """Second quantization of a one-body matrix."""
-    A = np.asarray(A, dtype=float)
-    if A.shape != (space.M, space.M):
-        raise InvalidParameterError(
-            f"one-body matrix must be {space.M}x{space.M}")
-    ladders = [build_ladder(space, i) for i in range(space.M)]
-    out = sparse.csr_matrix((space.dim, space.dim))
-    for i in range(space.M):
-        for j in range(space.M):
-            if A[i, j] != 0.0:
-                out = out + A[i, j] * (ladders[i].a_dag @ ladders[j].a)
-    return FockOperator(space=space, matrix=out.tocsr(),
-                        hermitian=bool(np.allclose(A, A.T)),
-                        number_offset=0)
+def algebra(space, ns):
+    a, a_dag, b, b_dag = zip(*(_ladder(space, i, ns)
+                               for i in range(space.M)))
+    return Algebra(space=space, ns=ns, a=a, a_dag=a_dag, b=b, b_dag=b_dag,
+                   num=_diag(ns, [sum(n) for n in space.basis]),
+                   eye=_diag(ns, [1] * space.dim))
 
 
-# ---------------------------------------------------------------------------
-# commutator identities
-# ---------------------------------------------------------------------------
+def _combo(alg, coeffs, mats):
+    """sum_i coeffs_i mats_i."""
+    return sum((m * c for c, m in zip(coeffs, mats) if c), alg.zero)
 
-def _comm(X, Y):
-    return X @ Y - Y @ X
+
+def _bilinear(alg, left, right, c):
+    """sum_ij c_ij left_i right_j."""
+    out = alg.zero
+    for i, j in zip(*np.nonzero(c)):
+        out = out + (left[i] @ right[j]) * c[i, j]
+    return out
+
+
+def _cubic(alg, c):
+    """sum_xyz c_xyz b*_x a*_y a_z."""
+    out = alg.zero
+    for x, y, z in zip(*np.nonzero(c)):
+        out = out + (alg.b_dag[x] @ alg.a_dag[y] @ alg.a[z]) * c[x, y, z]
+    return out
+
+
+def _two_body(alg, v):
+    """(1/2) sum v_ijkl a*_i a*_j a_l a_k."""
+    out = alg.zero
+    for i, j in np.ndindex(v.shape[:2]):
+        left = alg.a_dag[i] @ alg.a_dag[j]
+        for k, l in zip(*np.nonzero(v[i, j])):
+            out = out + (left @ alg.a[l] @ alg.a[k]) * (v[i, j, k, l] / 2)
+    return out
+
+
+def _excited(c, m0):
+    """c with every entry that has an index m0 set to zero."""
+    c = c.copy()
+    for axis in range(c.ndim):
+        np.moveaxis(c, axis, 0)[m0] = 0
+    return c
 
 
 def _max_abs(mat):
@@ -193,41 +234,8 @@ def _max_abs(mat):
     return 0.0 if mat.nnz == 0 else float(np.max(np.abs(mat.data)))
 
 
-def verify_b_commutators(space, seed=0):
-    """Max deviation over the modified-ladder commutator identities.
-
-    Checks [b_i, b*_j] = (1 - NUM/N) delta_ij - a*_j a_i / N,
-    [b_i, b_j] = 0, [b_i, a*_j a_k] = delta_ij b_k, [b_i, NUM] = b_i,
-    and a random contraction of the mixed identity.
-    """
-    N = space.N_cap
-    lad = [build_ladder(space, i) for i in range(space.M)]
-    eye = sparse.identity(space.dim, format="csr")
-    num = sparse.diags(space.number_diag()).tocsr()
-    worst = 0.0
-    for i in range(space.M):
-        for j in range(space.M):
-            lhs = _comm(lad[i].b, lad[j].b_dag)
-            rhs = -(lad[j].a_dag @ lad[i].a) / N
-            if i == j:
-                rhs = rhs + (eye - num / N)
-            worst = max(worst, _max_abs(lhs - rhs))
-            worst = max(worst, _max_abs(_comm(lad[i].b, lad[j].b)))
-            for k in range(space.M):
-                lhs = _comm(lad[i].b, lad[j].a_dag @ lad[k].a)
-                rhs = lad[k].b if i == j else None
-                diff = lhs - rhs if rhs is not None else lhs
-                worst = max(worst, _max_abs(diff))
-        worst = max(worst, _max_abs(_comm(lad[i].b, num) - lad[i].b))
-    # contracted form: [b(f), a*(g) a(h)] = <f, g> b(h)
-    rng = np.random.default_rng(seed)
-    f, g, h = rng.normal(size=(3, space.M))
-    bf = sum(f[i] * lad[i].b for i in range(space.M))
-    ag = sum(g[i] * lad[i].a_dag for i in range(space.M))
-    ah = sum(h[i] * lad[i].a for i in range(space.M))
-    bh = sum(h[i] * lad[i].b for i in range(space.M))
-    worst = max(worst, _max_abs(_comm(bf, ag @ ah) - float(f @ g) * bh))
-    return worst
+def _comm(X, Y):
+    return X @ Y - Y @ X
 
 
 # ---------------------------------------------------------------------------
@@ -242,84 +250,41 @@ class ExcitationMap:
     mode0: int
     matrix: sparse.csr_matrix = field(repr=False)
     sector: np.ndarray = field(repr=False)
-    image: np.ndarray = field(repr=False)
 
 
-def build_UN(space, mode0=0):
+def _un(space, ns, mode0):
+    """The relabeling matrix (dim x top-sector size) and the sector."""
     if not 0 <= mode0 < space.M:
         raise InvalidParameterError(f"condensate mode {mode0} out of range")
     if space.N_cap < 1:
         raise InvalidParameterError("relabeling needs at least one particle")
     sector = space.sector_indices(space.N_cap)
-    image = space.excitation_indices(mode0)
-    rows, cols = [], []
-    for col, k in enumerate(sector):
+    rows = []
+    for k in sector:
         n = list(space.basis[k])
         n[mode0] = 0
         rows.append(space.index[tuple(n)])
-        cols.append(col)
-    mat = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)),
-                            shape=(space.dim, sector.size))
-    return ExcitationMap(space=space, mode0=mode0, matrix=mat,
-                         sector=sector, image=image)
+    return _embedding(space, ns, rows), sector
+
+
+def _embedding(space, ns, rows):
+    """The 0/1 matrix sending coordinate c to basis state rows[c]."""
+    return ns.matrix([1] * len(rows), rows, range(len(rows)),
+                     (space.dim, len(rows)))
+
+
+def _gamma(space, ns, mode0):
+    return _diag(ns, [int(n[mode0] == 0) for n in space.basis])
+
+
+def build_UN(space, mode0=0):
+    U, sector = _un(space, FLOAT, mode0)
+    return ExcitationMap(space=space, mode0=mode0, matrix=U, sector=sector)
 
 
 def gamma_projector(space, mode0=0):
     """Second-quantized projection onto states with an empty condensate."""
-    diag = np.array([1.0 if n[mode0] == 0 else 0.0 for n in space.basis])
-    return FockOperator(space=space, matrix=sparse.diags(diag).tocsr(),
-                        hermitian=True, number_offset=0)
-
-
-def verify_un(space, mode0=0):
-    """Max deviation over unitarity and the four conjugation relations.
-
-    Each relation compares U X U* for a condensate bilinear X, read off
-    the top sector, against its excitation-space image sandwiched by the
-    empty-condensate projector.
-    """
-    un = build_UN(space, mode0)
-    U = un.matrix
-    N = space.N_cap
-    lad = [build_ladder(space, i) for i in range(space.M)]
-    a0, a0d = lad[mode0].a, lad[mode0].a_dag
-    P = gamma_projector(space, mode0).matrix
-    eye_s = sparse.identity(un.sector.size, format="csr")
-    eye = sparse.identity(space.dim, format="csr")
-    num = sparse.diags(space.number_diag()).tocsr()
-    sel = sparse.csr_matrix(
-        (np.ones(un.sector.size), (un.sector, np.arange(un.sector.size))),
-        shape=(space.dim, un.sector.size))
-
-    def conj(op):
-        return U @ (sel.T @ op @ sel) @ U.T
-
-    worst = _max_abs(U.T @ U - eye_s)
-    worst = max(worst, _max_abs(U @ U.T - P))
-    worst = max(worst, _max_abs(conj(a0d @ a0)
-                                - P @ (N * eye - num) @ P))
-    sqrtN = np.sqrt(N)
-    for p in range(space.M):
-        if p == mode0:
-            continue
-        worst = max(worst, _max_abs(conj(lad[p].a_dag @ a0)
-                                    - sqrtN * (P @ lad[p].b_dag @ P)))
-        worst = max(worst, _max_abs(conj(a0d @ lad[p].a)
-                                    - sqrtN * (P @ lad[p].b @ P)))
-        for q in range(space.M):
-            if q == mode0:
-                continue
-            hop = lad[p].a_dag @ lad[q].a
-            worst = max(worst, _max_abs(conj(hop) - P @ hop @ P))
-    # the pure condensate relabels to the bare vacuum
-    pure_full = space.index[tuple(N if i == mode0 else 0
-                                  for i in range(space.M))]
-    pure = np.zeros(un.sector.size)
-    pure[int(np.flatnonzero(un.sector == pure_full)[0])] = 1.0
-    vac = np.zeros(space.dim)
-    vac[space.index[(0,) * space.M]] = 1.0
-    worst = max(worst, float(np.max(np.abs(U @ pure - vac))))
-    return worst
+    return FockOperator(space=space, matrix=_gamma(space, FLOAT, mode0))
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +298,8 @@ class CoefficientSet:
     h is the one-body matrix, v the two-body tensor with bosonic
     symmetries v_ijkl = v_jikl = v_ijlk = v_klij (real case), eta the
     symmetric pair-kernel matrix, nu and g the field-kernel and lowpass
-    coefficient matrices. mode0 names the condensate mode.
+    coefficient matrices. mode0 names the condensate mode. Entries are
+    floats, or Fractions in object arrays for exact arithmetic.
     """
 
     mode0: int
@@ -376,134 +342,68 @@ def make_random_coefficients(M, seed=0, mode0=0, scale=1.0):
     return CoefficientSet(mode0=mode0, h=h, v=v, eta=eta, nu=nu, g=g)
 
 
-def build_HN(coeff, space):
-    """dGamma(h) + (1/2) sum v_ijkl a*_i a*_j a_l a_k on the full basis."""
-    validate_coefficients(coeff, space.M)
-    lad = [build_ladder(space, i) for i in range(space.M)]
-    out = dGamma(space, coeff.h).matrix
-    for i in range(space.M):
-        for j in range(space.M):
-            left = lad[i].a_dag @ lad[j].a_dag
-            for k in range(space.M):
-                for l in range(space.M):
-                    c = coeff.v[i, j, k, l]
-                    if c != 0.0:
-                        out = out + 0.5 * c * (left @ lad[l].a @ lad[k].a)
-    return FockOperator(space=space, matrix=out.tocsr(), hermitian=True,
-                        number_offset=0)
+def _hn(alg, coeff):
+    return _bilinear(alg, alg.a_dag, alg.a, coeff.h) + _two_body(alg, coeff.v)
 
 
-def build_LN(coeff, space):
+def _ln(alg, coeff):
     """The five-piece decomposition of the relabeled Hamiltonian.
 
     Assembled directly from the coefficients by the exact substitution
     rules for condensate pairs, with every square-root weight kept in
     operator form, so the comparison with the conjugated Hamiltonian is
-    an identity rather than an expansion.
+    an identity rather than an expansion. Sums over the excited modes
+    are sums over coefficients with their condensate entries zeroed.
     """
+    N, m0, h, v = alg.space.N_cap, coeff.mode0, coeff.h, coeff.v
+    N0 = alg.eye * N - alg.num
+    N0m1 = N0 - alg.eye
+    L0 = N0 * h[m0, m0] + (N0 @ N0m1) * (v[m0, m0, m0, m0] / 2)
+    X1 = (_combo(alg, _excited(h[:, m0], m0), alg.b_dag)
+          + _combo(alg, _excited(v[:, m0, m0, m0], m0), alg.b_dag) @ N0m1
+          ) * alg.ns.sqrt(N)
+    L2 = (_bilinear(alg, alg.a_dag, alg.a,
+                    _excited(h - 2 * v[:, m0, :, m0], m0))
+          + _bilinear(alg, alg.b_dag, alg.b,
+                      _excited(2 * N * v[:, m0, :, m0], m0)))
+    pair = _bilinear(alg, alg.b_dag, alg.b_dag,
+                     _excited(N * v[:, :, m0, m0] / 2, m0))
+    X3 = _cubic(alg, _excited(v[:, :, :, m0], m0)) * alg.ns.sqrt(N)
+    return {"L0": L0, "L1": X1 + X1.T, "L2": L2 + pair + pair.T,
+            "L3": X3 + X3.T, "L4": _two_body(alg, _excited(v, m0))}
+
+
+def build_HN(coeff, space):
+    """H_N = sum h_ij a*_i a_j + (1/2) sum v_ijkl a*_i a*_j a_l a_k."""
     validate_coefficients(coeff, space.M)
-    M, N = space.M, space.N_cap
-    m0 = coeff.mode0
-    h, v = coeff.h, coeff.v
-    lad = [build_ladder(space, i) for i in range(space.M)]
-    eye = sparse.identity(space.dim, format="csr")
-    num = sparse.diags(space.number_diag()).tocsr()
-    N0 = N * eye - num
-    sqrtN = np.sqrt(N)
-    exc = [p for p in range(M) if p != m0]
-    zero = sparse.csr_matrix((space.dim, space.dim))
-
-    L0 = h[m0, m0] * N0 + 0.5 * v[m0, m0, m0, m0] * (N0 @ (N0 - eye))
-
-    X1 = zero
-    for p in exc:
-        X1 = X1 + sqrtN * h[p, m0] * lad[p].b_dag
-        X1 = X1 + sqrtN * v[p, m0, m0, m0] * (lad[p].b_dag @ (N0 - eye))
-    L1 = X1 + X1.T
-
-    L2 = zero
-    pair = zero
-    for p in exc:
-        for q in exc:
-            hop = lad[p].a_dag @ lad[q].a
-            L2 = L2 + (h[p, q] - 2.0 * v[p, m0, q, m0]) * hop
-            L2 = L2 + 2.0 * N * v[p, m0, q, m0] * (lad[p].b_dag @ lad[q].b)
-            pair = pair + 0.5 * N * v[p, q, m0, m0] * (lad[p].b_dag
-                                                       @ lad[q].b_dag)
-    L2 = L2 + pair + pair.T
-
-    X3 = zero
-    for p in exc:
-        for q in exc:
-            for r in exc:
-                c = v[p, q, r, m0]
-                if c != 0.0:
-                    X3 = X3 + sqrtN * c * (lad[p].b_dag
-                                           @ lad[q].a_dag @ lad[r].a)
-    L3 = X3 + X3.T
-
-    L4 = zero
-    for p in exc:
-        for q in exc:
-            left = lad[p].a_dag @ lad[q].a_dag
-            for r in exc:
-                for s in exc:
-                    c = v[p, q, r, s]
-                    if c != 0.0:
-                        L4 = L4 + 0.5 * c * (left @ lad[s].a @ lad[r].a)
-
-    pieces = {"L0": L0, "L1": L1, "L2": L2, "L3": L3, "L4": L4}
-    return {name: FockOperator(space=space, matrix=mat.tocsr(),
-                               hermitian=True, number_offset=None)
-            for name, mat in pieces.items()}
+    return FockOperator(space=space,
+                        matrix=_hn(algebra(space, FLOAT), coeff))
 
 
-def verify_energy_identity(coeff, space, n_states=20, seed=0):
-    """Max relative defect of <psi, H psi> = <U psi, G L G U psi>."""
-    H = build_HN(coeff, space).matrix
-    L = sum(op.matrix for op in build_LN(coeff, space).values())
-    un = build_UN(space, coeff.mode0)
-    G = gamma_projector(space, coeff.mode0).matrix
-    GLG = G @ L @ G
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    scale = max(_max_abs(H), 1.0)
-    for _ in range(n_states):
-        psi = rng.normal(size=un.sector.size)
-        psi /= np.linalg.norm(psi)
-        full = np.zeros(space.dim)
-        full[un.sector] = psi
-        lhs = float(full @ (H @ full))
-        up = un.matrix @ psi
-        rhs = float(up @ (GLG @ up))
-        worst = max(worst, abs(lhs - rhs) / scale)
-    return worst
+def build_LN(coeff, space):
+    """The pieces L0..L4 of the relabeled Hamiltonian, by name."""
+    validate_coefficients(coeff, space.M)
+    return {name: FockOperator(space=space, matrix=mat)
+            for name, mat in _ln(algebra(space, FLOAT), coeff).items()}
 
 
-# ---------------------------------------------------------------------------
-# generators and exponentials
-# ---------------------------------------------------------------------------
-
-def build_B(space, eta):
+def _pair_generator(alg, eta):
     """Pair generator (1/2) sum eta_ij (b*_i b*_j - b_i b_j).
 
     Assembled as X - X.T from the creation half, so antisymmetry is
     exact at the floating-point level, not up to rounding.
     """
-    eta = np.asarray(eta, dtype=float)
-    if eta.shape != (space.M, space.M) or not np.allclose(
-            eta, eta.T, atol=1e-13):
+    M = alg.space.M
+    if eta.shape != (M, M) or not np.allclose(eta, eta.T, atol=1e-13):
         raise InvalidParameterError("pair generator needs a symmetric matrix")
-    lad = [build_ladder(space, i) for i in range(space.M)]
-    X = sparse.csr_matrix((space.dim, space.dim))
-    for i in range(space.M):
-        for j in range(space.M):
-            c = eta[i, j]
-            if c != 0.0:
-                X = X + 0.5 * c * (lad[i].b_dag @ lad[j].b_dag)
-    out = X - X.T
-    return FockOperator(space=space, matrix=out.tocsr(), hermitian=False,
-                        number_offset=None)
+    X = _bilinear(alg, alg.b_dag, alg.b_dag, eta / 2)
+    return X - X.T
+
+
+def build_B(space, eta):
+    eta = np.asarray(eta, dtype=float)
+    return FockOperator(space=space,
+                        matrix=_pair_generator(algebra(space, FLOAT), eta))
 
 
 def build_A(space, nu, g, mode0=0):
@@ -512,21 +412,142 @@ def build_A(space, nu, g, mode0=0):
     g = np.asarray(g, dtype=float)
     if nu.shape != (space.M, space.M) or g.shape != (space.M, space.M):
         raise InvalidParameterError("coefficient matrices must be MxM")
-    lad = [build_ladder(space, i) for i in range(space.M)]
-    out = sparse.csr_matrix((space.dim, space.dim))
-    for x in range(space.M):
-        for y in range(space.M):
-            if nu[x, y] == 0.0:
-                continue
-            for z in range(space.M):
-                c = nu[x, y] * g[x, z]
-                if c != 0.0:
-                    term = lad[x].b_dag @ lad[y].a_dag @ lad[z].a
-                    out = out + c * (term - term.T)
-    out = out / np.sqrt(space.N_cap)
-    return FockOperator(space=space, matrix=out.tocsr(), hermitian=False,
-                        number_offset=None)
+    X = _cubic(algebra(space, FLOAT), nu[:, :, None] * g[:, None, :])
+    return FockOperator(space=space, matrix=(X - X.T) / sqrt(space.N_cap))
 
+
+# ---------------------------------------------------------------------------
+# the identities, each a named defect operator
+# ---------------------------------------------------------------------------
+
+def ladder_defects(alg, f, g, h):
+    """Defects of the ladder commutators, as (name, operator) pairs.
+
+    ccr_low_sector: [a_i, a*_j] = delta_ij on states below the cap.
+    b_commutators: [b_i, b*_j] = (1 - NUM/N) delta_ij - a*_j a_i / N,
+    [b_i, b_j] = 0, [b_i, a*_j a_k] = delta_ij b_k, [b_i, NUM] = b_i,
+    and the contraction [b(f), a*(g) a(h)] = <f, g> b(h).
+    """
+    space, N = alg.space, alg.space.N_cap
+    a, a_dag, b, b_dag = alg.a, alg.a_dag, alg.b, alg.b_dag
+    below = _diag(alg.ns, [int(sum(n) < N) for n in space.basis])
+    for i in range(space.M):
+        for j in range(space.M):
+            ccr = _comm(a[i], a_dag[j])
+            rhs = (a_dag[j] @ a[i]) / -N
+            if i == j:
+                ccr = ccr - alg.eye
+                rhs = rhs + (alg.eye - alg.num / N)
+            yield "ccr_low_sector", ccr @ below
+            yield "b_commutators", _comm(b[i], b_dag[j]) - rhs
+            yield "b_commutators", _comm(b[i], b[j])
+            for k in range(space.M):
+                d = _comm(b[i], a_dag[j] @ a[k])
+                yield "b_commutators", d - b[k] if i == j else d
+        yield "b_commutators", _comm(b[i], alg.num) - b[i]
+    hop = _combo(alg, g, a_dag) @ _combo(alg, h, a)
+    yield "b_commutators", (_comm(_combo(alg, f, b), hop)
+                            - _combo(alg, h, b) * (f @ g))
+
+
+def un_defects(alg, mode0):
+    """Defects of Gamma and of the relabeling map U.
+
+    Each conjugation compares U X U* for a condensate bilinear X, read
+    off the top sector, against its excitation-space image sandwiched by
+    Gamma; the pure condensate relabels to the bare vacuum.
+    """
+    space, ns, N = alg.space, alg.ns, alg.space.N_cap
+    U, sector = _un(space, ns, mode0)
+    sel = _embedding(space, ns, sector)
+    G = _gamma(space, ns, mode0)
+    yield "gamma_idempotent", G @ G - G
+    yield "gamma_number_commute", _comm(G, alg.num)
+    yield "un_isometry", U.T @ U - _diag(ns, [1] * sector.size)
+    yield "un_range_projector", U @ U.T - G
+
+    def conj(op):
+        return U @ (sel.T @ op @ sel) @ U.T
+
+    a0, a0d = alg.a[mode0], alg.a_dag[mode0]
+    yield "un_conjugations", (conj(a0d @ a0)
+                              - G @ (alg.eye * N - alg.num) @ G)
+    for p in range(space.M):
+        if p == mode0:
+            continue
+        for X, Y in ((alg.a_dag[p] @ a0, alg.b_dag[p]),
+                     (a0d @ alg.a[p], alg.b[p])):
+            yield "un_conjugations", conj(X) - (G @ Y @ G) * ns.sqrt(N)
+        for q in range(space.M):
+            if q != mode0:
+                hop = alg.a_dag[p] @ alg.a[q]
+                yield "un_conjugations", conj(hop) - G @ hop @ G
+    pure = space.index[tuple(N if i == mode0 else 0 for i in range(space.M))]
+    col = int(np.flatnonzero(sector == pure)[0])
+    yield "un_conjugations", (U @ ns.matrix([1], [col], [0], (sector.size, 1))
+                              - ns.matrix([1], [0], [0], (space.dim, 1)))
+
+
+def _energy_sides(alg, coeff):
+    """H on the top sector and U* L U, with L the sum of L0..L4.
+
+    Gamma U = U (un_range_projector), so U* L U = U* Gamma L Gamma U.
+    """
+    U, sector = _un(alg.space, alg.ns, coeff.mode0)
+    sel = _embedding(alg.space, alg.ns, sector)
+    L = sum(_ln(alg, coeff).values(), alg.zero)
+    return sel.T @ _hn(alg, coeff) @ sel, U.T @ L @ U
+
+
+def generator_defects(alg, eta):
+    """B from both halves is antisymmetric and steps NUM by two."""
+    B = (_bilinear(alg, alg.b_dag, alg.b_dag, eta / 2)
+         - _bilinear(alg, alg.b, alg.b, eta / 2))
+    yield "pair_generator_antisymmetric", B + B.T
+    yield "pair_generator_number_step", (_comm(alg.num, _comm(alg.num, B))
+                                         - B * 4)
+
+
+def identity_defects(alg, coeff):
+    """Every identity of the algebra as (name, defect operator) pairs."""
+    yield from ladder_defects(alg, coeff.nu[0], coeff.g[0], coeff.h[0])
+    yield from un_defects(alg, coeff.mode0)
+    H, ULU = _energy_sides(alg, coeff)
+    yield "energy_identity", H - ULU
+    yield from generator_defects(alg, coeff.eta)
+
+
+def verify_b_commutators(space, seed=0):
+    """Max deviation over ladder_defects, contracted with random vectors."""
+    f, g, h = np.random.default_rng(seed).normal(size=(3, space.M))
+    return max(_max_abs(d)
+               for _, d in ladder_defects(algebra(space, FLOAT), f, g, h))
+
+
+def verify_un(space, mode0=0):
+    """Max deviation over un_defects: unitarity and the conjugations."""
+    return max(_max_abs(d)
+               for _, d in un_defects(algebra(space, FLOAT), mode0))
+
+
+def verify_energy_identity(coeff, space, n_states=20, seed=0):
+    """Max relative defect of <psi, H psi> = <U psi, G L G U psi>."""
+    validate_coefficients(coeff, space.M)
+    H, ULU = _energy_sides(algebra(space, FLOAT), coeff)
+    defect = H - ULU
+    scale = max(_max_abs(H), 1.0)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_states):
+        psi = rng.normal(size=defect.shape[0])
+        psi /= np.linalg.norm(psi)
+        worst = max(worst, abs(float(psi @ (defect @ psi))) / scale)
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# generator exponentials and the growth lemmas as eigenvalue sweeps
+# ---------------------------------------------------------------------------
 
 def exp_generator(op):
     """Unitary exponential of an antisymmetric generator."""
@@ -548,10 +569,6 @@ def exp_generator(op):
             f"exponential lost unitarity: defect {defect:.2e}")
     return Q
 
-
-# ---------------------------------------------------------------------------
-# growth lemmas as eigenvalue sweeps
-# ---------------------------------------------------------------------------
 
 def _growth_ratio(space, gen_matrix, n):
     """Largest eigenvalue of the conjugated-number ratio operator."""
@@ -602,30 +619,21 @@ def verify_A_number_growth(M, nu, g, k, t_grid=(-1.0, -0.5, 0.5, 1.0),
         raise InvalidParameterError(f"power {k} outside -2..2")
     nu = np.asarray(nu, dtype=float)
     g = np.asarray(g, dtype=float)
-    reports = []
-    for t in t_grid:
-        ratios = []
-        for cap in caps:
-            space = build_fock_space(M, cap)
-            A = build_A(space, nu, g, mode0)
-            ratios.append(_growth_ratio(space, t * A.matrix, k))
-        reports.append(GrowthReport(
-            n=k, caps=tuple(caps), ratios=tuple(ratios),
-            sup=float(max(ratios)),
-            generator_norm=float(abs(t) * np.linalg.norm(nu)
-                                 * np.linalg.norm(g))))
-    return tuple(reports)
+    ratios = [[] for _ in t_grid]
+    for cap in caps:
+        space = build_fock_space(M, cap)
+        A = build_A(space, nu, g, mode0)
+        for row, t in zip(ratios, t_grid):
+            row.append(_growth_ratio(space, t * A.matrix, k))
+    return tuple(GrowthReport(
+        n=k, caps=tuple(caps), ratios=tuple(row), sup=float(max(row)),
+        generator_norm=float(abs(t) * np.linalg.norm(nu) * np.linalg.norm(g)))
+        for row, t in zip(ratios, t_grid))
 
 
 # ---------------------------------------------------------------------------
 # the conjugation remainder
 # ---------------------------------------------------------------------------
-
-def _b_vector(space, f):
-    lad = [build_ladder(space, i) for i in range(space.M)]
-    b = sum(float(f[i]) * lad[i].b for i in range(space.M))
-    return b, lad
-
 
 @dataclass(frozen=True)
 class RemainderReport:
@@ -648,12 +656,10 @@ def compute_d_eta(space, eta, f, n=0):
     """
     eta = np.asarray(eta, dtype=float)
     f = np.asarray(f, dtype=float)
-    if not np.allclose(eta, eta.T, atol=1e-13):
-        raise InvalidParameterError("pair matrix must be symmetric")
-    B = build_B(space, eta)
-    bmat = sparse.csr_matrix(B.matrix).copy()
+    alg = algebra(space, FLOAT)
+    bmat = _pair_generator(alg, eta)
     bmat.eliminate_zeros()
-    bf, lad = _b_vector(space, f)
+    bf = _combo(alg, f, alg.b)
     if bmat.nnz == 0:
         d = sparse.csr_matrix((space.dim, space.dim))
     else:
@@ -662,8 +668,8 @@ def compute_d_eta(space, eta, f, n=0):
         cosh_f = V @ (np.cosh(w) * (V.T @ f))
         sinh_f = V @ (np.sinh(w) * (V.T @ f))
         conj = Q.T @ bf.toarray() @ Q
-        bc = sum(float(cosh_f[i]) * lad[i].b for i in range(space.M))
-        bs = sum(float(sinh_f[i]) * lad[i].b_dag for i in range(space.M))
+        bc = _combo(alg, cosh_f, alg.b)
+        bs = _combo(alg, sinh_f, alg.b_dag)
         d = sparse.csr_matrix(conj - bc.toarray() - bs.toarray())
     shifted = space.number_diag() + 1.0
     fn = float(np.linalg.norm(f))
@@ -672,11 +678,9 @@ def compute_d_eta(space, eta, f, n=0):
     weighted = (np.diag(shifted ** (n / 2.0)) @ d.toarray()
                 @ np.diag(shifted ** (-(n + 3) / 2.0))) / fn
     ratio = float(np.linalg.norm(weighted, 2))
-    op = FockOperator(space=space, matrix=d.tocsr(), hermitian=False,
-                      number_offset=None)
-    return op, RemainderReport(cap=space.N_cap, n=n, ratio=ratio,
-                               d_norm=float(
-                                   np.linalg.norm(d.toarray(), 2)))
+    return FockOperator(space=space, matrix=d), RemainderReport(
+        cap=space.N_cap, n=n, ratio=ratio,
+        d_norm=float(np.linalg.norm(d.toarray(), 2)))
 
 
 def sweep_d_eta(M, eta_unit, scale, f, n=0, caps=(2, 3, 4, 5, 6)):

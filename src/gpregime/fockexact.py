@@ -1,14 +1,16 @@
-"""Exact-rational verification of the truncated ladder algebra.
+"""Exact arithmetic for the truncated ladder algebra.
 
-Matrix entries live in the ring of rational combinations of square
-roots of square-free integers. Products of the modified ladder
-operators stay inside that ring, so every identity in the float
-module has an exact counterpart here and the checks are zero tests,
-not tolerance tests. Entry arithmetic is pure Python; spaces are
-capped at dimension 200.
+This module owns a number system: matrix entries live in the ring of
+rational combinations of square roots of square-free integers, held in
+dict-of-keys matrices. Products of the modified ladder operators stay
+inside that ring, so the builders and the identity list of
+gpregime.fock, run in this number system, turn each identity into a
+zero test, not a tolerance test. Entry arithmetic is pure Python;
+spaces are capped at dimension 200.
 """
 
 from collections import defaultdict
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -16,7 +18,13 @@ from math import comb
 import numpy as np
 
 from .errors import InvalidParameterError, ResourceLimitError
-from .fock import build_fock_space
+from .fock import (
+    NumberSystem,
+    algebra,
+    build_fock_space,
+    identity_defects,
+    make_random_coefficients,
+)
 
 _EXACT_DIM_CAP = 200
 
@@ -109,63 +117,58 @@ class Rad:
 # sparse matrices over the radical ring
 # ---------------------------------------------------------------------------
 
-def _clean(m):
-    return {k: v for k, v in m.items() if not v.is_zero}
+class RadMatrix:
+    """Dict-of-keys matrix over Rad; zero entries are never stored."""
+
+    __slots__ = ("entries",)
+
+    def __init__(self, entries):
+        self.entries = {k: v for k, v in entries.items() if not v.is_zero}
+
+    @classmethod
+    def build(cls, vals, rows, cols, shape):
+        """NumberSystem.matrix: shape is implied by the entries."""
+        return cls({(r, c): v if isinstance(v, Rad) else Rad.of(v)
+                    for v, r, c in zip(vals, rows, cols)})
+
+    @property
+    def is_zero(self):
+        return not self.entries
+
+    @property
+    def T(self):
+        return RadMatrix({(c, r): v for (r, c), v in self.entries.items()})
+
+    def __add__(self, other):
+        out = dict(self.entries)
+        for k, v in other.entries.items():
+            out[k] = out[k] + v if k in out else v
+        return RadMatrix(out)
+
+    def __sub__(self, other):
+        return self + other * -1
+
+    def __mul__(self, c):
+        return RadMatrix({k: v * c for k, v in self.entries.items()})
+
+    def __truediv__(self, q):
+        return self * (1 / Fraction(q))
+
+    def __matmul__(self, other):
+        rows = defaultdict(list)
+        for (r, c), v in other.entries.items():
+            rows[r].append((c, v))
+        out = {}
+        for (r, k), va in self.entries.items():
+            for c, vb in rows.get(k, ()):
+                prod = va * vb
+                key = (r, c)
+                out[key] = out[key] + prod if key in out else prod
+        return RadMatrix(out)
 
 
-def mat_add(A, B):
-    out = dict(A)
-    for k, v in B.items():
-        out[k] = out[k] + v if k in out else v
-    return _clean(out)
+EXACT = NumberSystem(sqrt=Rad.sqrt, matrix=RadMatrix.build)
 
-
-def mat_neg(A):
-    return {k: -v for k, v in A.items()}
-
-
-def mat_sub(A, B):
-    return mat_add(A, mat_neg(B))
-
-
-def mat_scale(A, c):
-    if isinstance(c, (int, Fraction)):
-        c = Rad.of(c)
-    return _clean({k: v * c for k, v in A.items()})
-
-
-def mat_mul(A, B):
-    rows = defaultdict(list)
-    for (r, c), v in B.items():
-        rows[r].append((c, v))
-    out = {}
-    for (r, k), va in A.items():
-        for c, vb in rows.get(k, ()):
-            prod = va * vb
-            key = (r, c)
-            out[key] = out[key] + prod if key in out else prod
-    return _clean(out)
-
-
-def mat_T(A):
-    return {(c, r): v for (r, c), v in A.items()}
-
-
-def mat_iszero(A):
-    return not _clean(A)
-
-
-def mat_eye(dim):
-    return {(k, k): Rad.of(1) for k in range(dim)}
-
-
-def mat_comm(A, B):
-    return mat_sub(mat_mul(A, B), mat_mul(B, A))
-
-
-# ---------------------------------------------------------------------------
-# exact operators
-# ---------------------------------------------------------------------------
 
 def exact_space(M, N_cap):
     dim = comb(M + N_cap, M)
@@ -175,282 +178,28 @@ def exact_space(M, N_cap):
     return build_fock_space(M, N_cap)
 
 
-def build_exact_ladders(space):
-    """Per-mode dicts with exact a, a*, b, b* matrices."""
-    if space.N_cap < 1:
-        raise InvalidParameterError(
-            "ladder operators need a positive particle cap")
-    N = space.N_cap
-    out = []
-    for i in range(space.M):
-        a, b = {}, {}
-        for col, n in enumerate(space.basis):
-            if n[i] == 0:
-                continue
-            m = list(n)
-            m[i] -= 1
-            row = space.index[tuple(m)]
-            a[(row, col)] = Rad.sqrt(n[i])
-            t = sum(n)
-            b[(row, col)] = Rad.sqrt(Fraction(n[i] * (N - t + 1), N))
-        out.append({"a": a, "a_dag": mat_T(a), "b": b, "b_dag": mat_T(b)})
-    return out
-
-
-def exact_number(space):
-    return {(k, k): Rad.of(sum(n)) for k, n in enumerate(space.basis)
-            if sum(n) > 0}
-
-
-def exact_gamma(space, mode0=0):
-    return {(k, k): Rad.of(1) for k, n in enumerate(space.basis)
-            if n[mode0] == 0}
-
-
-def exact_un_matrix(space, mode0=0):
-    sector = space.sector_indices(space.N_cap)
-    out = {}
-    for col, k in enumerate(sector):
-        n = list(space.basis[k])
-        n[mode0] = 0
-        out[(space.index[tuple(n)], col)] = Rad.of(1)
-    return out, sector
-
-
 def make_exact_coefficients(M, seed=0, mode0=0):
-    """Random rational h, v, eta with the symmetries imposed exactly."""
-    rng = np.random.default_rng(seed)
+    """make_random_coefficients rounded to Fractions of denominator <= 6.
 
-    def frac():
-        return Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7)))
+    Equal floats round to equal Fractions, so the symmetries, which the
+    float set has exactly, carry over.
+    """
+    coeff = make_random_coefficients(M, seed=seed, mode0=mode0)
+    rational = np.vectorize(lambda x: Fraction(x).limit_denominator(6),
+                            otypes=[object])
+    return replace(coeff, **{k: rational(getattr(coeff, k))
+                             for k in ("h", "v", "eta", "nu", "g")})
 
-    h = [[Fraction(0)] * M for _ in range(M)]
-    eta = [[Fraction(0)] * M for _ in range(M)]
-    for i in range(M):
-        for j in range(i, M):
-            h[i][j] = h[j][i] = frac()
-            eta[i][j] = eta[j][i] = frac()
-    v = {}
-    for i in range(M):
-        for j in range(M):
-            for k in range(M):
-                for l in range(M):
-                    key = min((i, j, k, l), (j, i, k, l), (i, j, l, k),
-                              (j, i, l, k), (k, l, i, j), (l, k, i, j),
-                              (k, l, j, i), (l, k, j, i))
-                    if key not in v:
-                        v[key] = frac()
-    def vv(i, j, k, l):
-        key = min((i, j, k, l), (j, i, k, l), (i, j, l, k),
-                  (j, i, l, k), (k, l, i, j), (l, k, i, j),
-                  (k, l, j, i), (l, k, j, i))
-        return v[key]
-    return {"mode0": mode0, "h": h, "v": vv, "eta": eta}
-
-
-def build_exact_HN(coeff, space, lad=None):
-    lad = lad or build_exact_ladders(space)
-    h, vv = coeff["h"], coeff["v"]
-    M = space.M
-    out = {}
-    half = Fraction(1, 2)
-    for i in range(M):
-        for j in range(M):
-            if h[i][j]:
-                out = mat_add(out, mat_scale(
-                    mat_mul(lad[i]["a_dag"], lad[j]["a"]), h[i][j]))
-    for i in range(M):
-        for j in range(M):
-            left = mat_mul(lad[i]["a_dag"], lad[j]["a_dag"])
-            for k in range(M):
-                for l in range(M):
-                    c = vv(i, j, k, l)
-                    if c:
-                        out = mat_add(out, mat_scale(
-                            mat_mul(left, mat_mul(lad[l]["a"], lad[k]["a"])),
-                            half * c))
-    return out
-
-
-def build_exact_LN(coeff, space, lad=None):
-    """Exact counterpart of the five-piece decomposition."""
-    lad = lad or build_exact_ladders(space)
-    M, N = space.M, space.N_cap
-    m0 = coeff["mode0"]
-    h, vv = coeff["h"], coeff["v"]
-    exc = [p for p in range(M) if p != m0]
-    eye = mat_eye(space.dim)
-    N0 = mat_sub(mat_scale(eye, N), exact_number(space))
-    N0m1 = mat_sub(N0, eye)
-    sqrtN = Rad.sqrt(N)
-    half = Fraction(1, 2)
-
-    L0 = mat_add(mat_scale(N0, h[m0][m0]),
-                 mat_scale(mat_mul(N0, N0m1), half * vv(m0, m0, m0, m0)))
-
-    X1 = {}
-    for p in exc:
-        X1 = mat_add(X1, mat_scale(
-            mat_scale(lad[p]["b_dag"], h[p][m0]), sqrtN))
-        X1 = mat_add(X1, mat_scale(
-            mat_scale(mat_mul(lad[p]["b_dag"], N0m1), vv(p, m0, m0, m0)),
-            sqrtN))
-    L1 = mat_add(X1, mat_T(X1))
-
-    L2, pair = {}, {}
-    for p in exc:
-        for q in exc:
-            hop = mat_mul(lad[p]["a_dag"], lad[q]["a"])
-            L2 = mat_add(L2, mat_scale(hop, h[p][q] - 2 * vv(p, m0, q, m0)))
-            L2 = mat_add(L2, mat_scale(
-                mat_mul(lad[p]["b_dag"], lad[q]["b"]),
-                2 * N * vv(p, m0, q, m0)))
-            pair = mat_add(pair, mat_scale(
-                mat_mul(lad[p]["b_dag"], lad[q]["b_dag"]),
-                half * N * vv(p, q, m0, m0)))
-    L2 = mat_add(L2, mat_add(pair, mat_T(pair)))
-
-    X3 = {}
-    for p in exc:
-        for q in exc:
-            for r in exc:
-                c = vv(p, q, r, m0)
-                if c:
-                    X3 = mat_add(X3, mat_scale(mat_scale(
-                        mat_mul(lad[p]["b_dag"],
-                                mat_mul(lad[q]["a_dag"], lad[r]["a"])),
-                        c), sqrtN))
-    L3 = mat_add(X3, mat_T(X3))
-
-    L4 = {}
-    for p in exc:
-        for q in exc:
-            left = mat_mul(lad[p]["a_dag"], lad[q]["a_dag"])
-            for r in exc:
-                for s in exc:
-                    c = vv(p, q, r, s)
-                    if c:
-                        L4 = mat_add(L4, mat_scale(
-                            mat_mul(left, mat_mul(lad[s]["a"], lad[r]["a"])),
-                            half * c))
-    return {"L0": L0, "L1": L1, "L2": L2, "L3": L3, "L4": L4}
-
-
-def build_exact_B(eta, space, lad=None):
-    lad = lad or build_exact_ladders(space)
-    half = Fraction(1, 2)
-    out = {}
-    for i in range(space.M):
-        for j in range(space.M):
-            c = eta[i][j]
-            if c:
-                out = mat_add(out, mat_scale(mat_sub(
-                    mat_mul(lad[i]["b_dag"], lad[j]["b_dag"]),
-                    mat_mul(lad[i]["b"], lad[j]["b"])), half * c))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# the zero-tolerance identity suite
-# ---------------------------------------------------------------------------
 
 def verify_exact_identities(M, N_cap, seed=0, mode0=0):
-    """Run every ladder identity in exact arithmetic.
+    """Run every identity of fock.identity_defects in exact arithmetic.
 
-    Returns a dict of identity name -> bool, True meaning the defect
-    is exactly zero in the radical ring.
+    Returns a dict of identity name -> bool, True meaning every defect
+    of that name is exactly zero in the radical ring.
     """
-    space = exact_space(M, N_cap)
-    lad = build_exact_ladders(space)
-    num = exact_number(space)
-    eye = mat_eye(space.dim)
-    N = space.N_cap
+    alg = algebra(exact_space(M, N_cap), EXACT)
     results = {}
-
-    # canonical commutators on the sub-space that never touches the cap
-    low = {k for k, n in enumerate(space.basis) if sum(n) <= N - 1}
-    ok = True
-    for i in range(M):
-        for j in range(M):
-            diff = mat_comm(lad[i]["a"], lad[j]["a_dag"])
-            if i == j:
-                diff = mat_sub(diff, eye)
-            ok = ok and not any(c in low for (_, c) in _clean(diff))
-    results["ccr_low_sector"] = ok
-
-    ok = True
-    invN = Fraction(1, N)
-    for i in range(M):
-        for j in range(M):
-            lhs = mat_comm(lad[i]["b"], lad[j]["b_dag"])
-            rhs = mat_scale(mat_mul(lad[j]["a_dag"], lad[i]["a"]), -invN)
-            if i == j:
-                rhs = mat_add(rhs, mat_sub(eye, mat_scale(num, invN)))
-            ok = ok and mat_iszero(mat_sub(lhs, rhs))
-            ok = ok and mat_iszero(mat_comm(lad[i]["b"], lad[j]["b"]))
-            for k in range(M):
-                lhs = mat_comm(lad[i]["b"],
-                               mat_mul(lad[j]["a_dag"], lad[k]["a"]))
-                if i == j:
-                    lhs = mat_sub(lhs, lad[k]["b"])
-                ok = ok and mat_iszero(lhs)
-        ok = ok and mat_iszero(mat_sub(mat_comm(lad[i]["b"], num),
-                                       lad[i]["b"]))
-    results["b_commutators"] = ok
-
-    gamma = exact_gamma(space, mode0)
-    results["gamma_idempotent"] = mat_iszero(
-        mat_sub(mat_mul(gamma, gamma), gamma))
-    results["gamma_number_commute"] = mat_iszero(mat_comm(gamma, num))
-
-    U, sector = exact_un_matrix(space, mode0)
-    Ut = mat_T(U)
-    sel = {(k, col): Rad.of(1) for col, k in enumerate(sector)}
-    selT = mat_T(sel)
-    results["un_isometry"] = mat_iszero(
-        mat_sub(mat_mul(Ut, U), mat_eye(sector.size)))
-    results["un_range_projector"] = mat_iszero(
-        mat_sub(mat_mul(U, Ut), gamma))
-
-    def conj(op):
-        return mat_mul(U, mat_mul(mat_mul(selT, mat_mul(op, sel)), Ut))
-
-    a0, a0d = lad[mode0]["a"], lad[mode0]["a_dag"]
-    ok = mat_iszero(mat_sub(
-        conj(mat_mul(a0d, a0)),
-        mat_mul(gamma, mat_mul(mat_sub(mat_scale(eye, N), num), gamma))))
-    for p in range(M):
-        if p == mode0:
-            continue
-        ok = ok and mat_iszero(mat_sub(
-            conj(mat_mul(lad[p]["a_dag"], a0)),
-            mat_scale(mat_mul(gamma, mat_mul(lad[p]["b_dag"], gamma)),
-                      Rad.sqrt(N))))
-        ok = ok and mat_iszero(mat_sub(
-            conj(mat_mul(a0d, lad[p]["a"])),
-            mat_scale(mat_mul(gamma, mat_mul(lad[p]["b"], gamma)),
-                      Rad.sqrt(N))))
-        for q in range(M):
-            if q == mode0:
-                continue
-            hop = mat_mul(lad[p]["a_dag"], lad[q]["a"])
-            ok = ok and mat_iszero(mat_sub(
-                conj(hop), mat_mul(gamma, mat_mul(hop, gamma))))
-    results["un_conjugations"] = ok
-
     coeff = make_exact_coefficients(M, seed=seed, mode0=mode0)
-    H = build_exact_HN(coeff, space, lad)
-    L = {}
-    for piece in build_exact_LN(coeff, space, lad).values():
-        L = mat_add(L, piece)
-    H_sector = mat_mul(selT, mat_mul(H, sel))
-    results["energy_identity"] = mat_iszero(
-        mat_sub(H_sector, mat_mul(Ut, mat_mul(L, U))))
-
-    B = build_exact_B(coeff["eta"], space, lad)
-    results["pair_generator_antisymmetric"] = mat_iszero(
-        mat_add(B, mat_T(B)))
-    results["pair_generator_number_step"] = all(
-        abs(sum(space.basis[r]) - sum(space.basis[c])) == 2
-        for (r, c) in B)
+    for name, defect in identity_defects(alg, coeff):
+        results[name] = results.get(name, True) and defect.is_zero
     return results

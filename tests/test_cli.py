@@ -444,6 +444,31 @@ class TestCommandLine:
         assert cli.main(["run", "--config", str(cfgp)]) == 2
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [
+        ("caps", []), ("caps", [2, "3"]), ("caps", 4), ("modes", "x"),
+        ("modes", True), ("modes", 0), ("ncap", -1), ("ncap", 2.5),
+        ("suites", "ccr"), ("suites", ["ccr", "warp"])])
+    def test_bad_fock_params_exit_2_before_any_stage(
+            self, tmp_path, capsys, monkeypatch, key, value):
+        ran = []
+        monkeypatch.setattr(cli, "gp_stage", lambda *a: ran.append("gp"))
+        raw = cli.default_config()
+        raw["pipeline"] = ["gp", "fock"]
+        raw["stages"]["gp"]["a0"] = 0.2
+        raw["stages"]["fock"][key] = value
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(raw))
+        assert cli.main(["run", "--config", str(cfgp)]) == 2
+        err = capsys.readouterr().err
+        assert "fock" in err and "Traceback" not in err
+        assert ran == []
+
+    def test_run_has_no_format_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--format", "csv"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
+
     def test_import_leaves_scipy_signal_out(self):
         # scipy.signal costs most of a second at start-up; the chirp-z sums
         # run on scipy.fft, which the package loads anyway.

@@ -83,7 +83,8 @@ class TestSpace:
         top = sp23.sector_indices(3)
         assert all(sum(sp23.basis[k]) == 3 for k in top)
         assert top.size == 4
-        exc = sp23.excitation_indices(0)
+        # the excitation sub-basis is the image of the relabeling map
+        exc = np.flatnonzero(dense(fock.build_UN(sp23, 0).matrix).any(axis=1))
         assert all(sp23.basis[k][0] == 0 for k in exc)
         assert exc.size == 4
 
@@ -147,10 +148,15 @@ class TestLadders:
 
     def test_number_offsets(self, sp23):
         lad = fock.build_ladder(sp23, 0)
-        assert fock.number_offset_of(sp23, lad.a) == -1
-        assert fock.number_offset_of(sp23, lad.a_dag) == 1
-        assert fock.number_offset_of(sp23, lad.b) == -1
-        assert fock.number_offset_of(sp23, lad.b_dag @ lad.b) == 0
+        totals = sp23.number_diag()
+
+        def offsets(mat):
+            coo = sparse.coo_matrix(mat)
+            return set(totals[coo.row] - totals[coo.col])
+
+        assert offsets(lad.a) == offsets(lad.b) == {-1}
+        assert offsets(lad.a_dag) == {1}
+        assert offsets(lad.b_dag @ lad.b) == {0}
 
     def test_invalid_mode_and_empty_cap(self, sp23):
         with pytest.raises(InvalidParameterError):
@@ -159,11 +165,13 @@ class TestLadders:
             fock.build_ladder(fock.build_fock_space(2, 0), 0)
 
     def test_dgamma_identity_is_number(self, sp34):
-        num = fock.dGamma(sp34, np.eye(3))
-        np.testing.assert_allclose(dense(num.matrix),
-                                   np.diag(sp34.number_diag()),
+        # the one-body part of H_N with h = 1 is the number operator
+        coeff = fock.CoefficientSet(mode0=0, h=np.eye(3), v=np.zeros((3,) * 4),
+                                    eta=np.zeros((3, 3)), nu=np.zeros((3, 3)),
+                                    g=np.zeros((3, 3)))
+        num = dense(fock.build_HN(coeff, sp34).matrix)
+        np.testing.assert_allclose(num, np.diag(sp34.number_diag()),
                                    atol=1e-14)
-        assert num.hermitian
 
     def test_b_commutator_identities(self, sp23):
         assert fock.verify_b_commutators(sp23) < 1e-13
@@ -282,9 +290,10 @@ class TestEnergyIdentity:
 
     def test_pieces_are_hermitian(self, sp34):
         coeff = fock.make_random_coefficients(3, seed=6)
-        for op in fock.build_LN(coeff, sp34).values():
-            assert fock.hermiticity_defect(op) < 1e-12
-        assert fock.hermiticity_defect(fock.build_HN(coeff, sp34)) < 1e-12
+        ops = [*fock.build_LN(coeff, sp34).values(),
+               fock.build_HN(coeff, sp34)]
+        for op in ops:
+            assert abs(op.matrix - op.matrix.T).max() < 1e-12
 
     def test_invalid_tensor_rejected(self, sp34):
         import dataclasses
@@ -380,6 +389,28 @@ class TestCubicGenerator:
             assert np.isfinite(rep.sup)
             assert max(rep.ratios) / min(rep.ratios) < 1.6
 
+    def test_generator_built_once_per_cap(self, nug, monkeypatch):
+        # A does not depend on t: one build per cap, and each (t, cap)
+        # ratio equals the one a single-t, single-cap sweep gives
+        t_grid, caps = (-1.0, 0.0, 0.5), (2, 3)
+        calls = []
+        build = fock.build_A
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].N_cap)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(fock, "build_A", counted)
+        reps = fock.verify_A_number_growth(3, *nug, 2, t_grid=t_grid,
+                                           caps=caps)
+        assert calls == list(caps)
+        for rep, t in zip(reps, t_grid):
+            ref = [fock.verify_A_number_growth(3, *nug, 2, t_grid=(t,),
+                                               caps=(c,))[0].ratios[0]
+                   for c in caps]
+            assert rep.ratios == tuple(ref)
+        assert reps[1].ratios == (1.0, 1.0)
+
     def test_growth_trivial_at_zero_scaling(self, nug):
         reps = fock.verify_A_number_growth(3, *nug, 1, t_grid=(0.0,))
         assert reps[0].ratios == (1.0,) * 5
@@ -451,13 +482,13 @@ class TestExponentialGuards:
         sp = fock.build_fock_space(7, 8)
         assert sp.dim > 5000
         op = fock.FockOperator(space=sp,
-                               matrix=sparse.csr_matrix((sp.dim, sp.dim)),
-                               hermitian=False)
+                               matrix=sparse.csr_matrix((sp.dim, sp.dim)))
         with pytest.raises(ResourceLimitError):
             fock.exp_generator(op)
 
     def test_non_antisymmetric_rejected(self, sp23):
-        op = fock.number_op(sp23)
+        op = fock.FockOperator(
+            space=sp23, matrix=sparse.diags(sp23.number_diag()).tocsr())
         with pytest.raises(InvalidParameterError):
             fock.exp_generator(op)
 
@@ -481,12 +512,35 @@ class TestExactArithmetic:
     def test_float_view_matches(self):
         assert float(fockexact.Rad.sqrt(2)) == pytest.approx(np.sqrt(2))
 
-    def test_exact_ladders_match_float(self, sp23):
-        exact = fockexact.build_exact_ladders(sp23)
-        lad = fock.build_ladder(sp23, 1)
-        bd = dense(lad.b)
-        for (r, c), v in exact[1]["b"].items():
-            assert float(v) == pytest.approx(bd[r, c], rel=1e-15)
+    @given(M=st.integers(1, 3), cap=st.integers(1, 4))
+    @settings(max_examples=25, deadline=None)
+    def test_exact_ladders_match_float(self, M, cap):
+        space = fock.build_fock_space(M, cap)
+        exact = fock.algebra(space, fockexact.EXACT)
+        for i in range(M):
+            lad = fock.build_ladder(space, i)
+            for name in ("a", "a_dag", "b", "b_dag"):
+                want = dense(getattr(lad, name))
+                got = np.zeros_like(want)
+                for (r, c), v in getattr(exact, name)[i].entries.items():
+                    got[r, c] = float(v)
+                np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+    @given(M=st.integers(1, 3), cap=st.integers(1, 4), seed=st.integers(0, 99))
+    @settings(max_examples=25, deadline=None)
+    def test_one_identity_list_for_both_number_systems(self, M, cap, seed):
+        space = fock.build_fock_space(M, cap)
+        floats = list(fock.identity_defects(
+            fock.algebra(space, fock.FLOAT),
+            fock.make_random_coefficients(M, seed=seed)))
+        exacts = list(fock.identity_defects(
+            fock.algebra(space, fockexact.EXACT),
+            fockexact.make_exact_coefficients(M, seed=seed)))
+        assert [n for n, _ in floats] == [n for n, _ in exacts]
+        for name, d in floats:
+            assert abs(d).max() <= 1e-12, name
+        for name, d in exacts:
+            assert d.is_zero, name
 
     @pytest.mark.parametrize("M,cap", [(1, 1), (2, 3), (3, 3), (3, 4)])
     def test_all_identities_exactly_zero(self, M, cap):
