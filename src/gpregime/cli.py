@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from copy import deepcopy
 from dataclasses import dataclass, field
@@ -42,7 +43,6 @@ from .scattering import (
 )
 
 _SCHEMA_VERSION = 1
-_STAGES = ("scatter", "gp", "kernels", "fock")
 _FOCK_SUITES = ("ccr", "un", "ln", "bgrowth", "agrowth", "deta")
 
 # Documented defaults; every threshold can be overridden in the config.
@@ -69,12 +69,6 @@ _DEFAULT_THRESHOLDS = {
     "remainder_spread": 3.0,
 }
 
-_STAGE_KEYS = {
-    "scatter": {"potential", "ell", "n", "sweep_nl", "n_pts"},
-    "gp": {"trap", "a0", "tol"},
-    "kernels": {"alpha", "beta", "ells", "tol"},
-    "fock": {"modes", "ncap", "suites", "caps"},
-}
 _TOP_KEYS = {"schema_version", "seed", "pipeline", "stages", "thresholds"}
 
 
@@ -217,11 +211,11 @@ def parse_config(data):
         if not isinstance(params, dict):
             raise ConfigError(f"stage {stage!r} parameters must be an object")
         for key in params:
-            if key not in _STAGE_KEYS[stage]:
+            if key not in _STAGES[stage].keys:
                 raise ConfigError(
                     f"unknown key {key!r} in stage {stage!r}")
-    if "fock" in stages:
-        _fock_params(stages["fock"])
+        if _STAGES[stage].check is not None:
+            _STAGES[stage].check(params)
     thresholds = data.get("thresholds", {})
     if not isinstance(thresholds, dict):
         raise ConfigError("thresholds must be an object")
@@ -231,45 +225,30 @@ def parse_config(data):
     # DAG: every stage must find its upstream outputs earlier in the list
     seen = set()
     for stage in pipeline:
-        if stage == "kernels":
-            for need in ("scatter", "gp"):
-                if need not in seen:
-                    raise ConfigError(
-                        f"stage 'kernels' references '{need}' which does "
-                        "not run before it")
-        if stage == "gp":
-            a0 = stages.get("gp", {}).get("a0", "from:scatter")
-            if a0 == "from:scatter" and "scatter" not in seen:
+        for need in _STAGES[stage].needs(stages.get(stage, {})):
+            if need not in seen:
                 raise ConfigError(
-                    "stage 'gp' references 'scatter' which does not run "
-                    "before it; give an explicit a0 or reorder")
+                    f"stage {stage!r} references {need!r} which does not "
+                    "run before it")
         seen.add(stage)
     return RunConfig(raw=data)
-
-
-def serialize_config(cfg):
-    """Inverse of parse_config: returns the exact dict that was parsed."""
-    return deepcopy(cfg.raw)
 
 
 # ---------------------------------------------------------------------------
 # stage executors
 # ---------------------------------------------------------------------------
 
-def _scatter_row(rep, ell):
+def _scatter_row(rep, ell, N):
     row = dataclasses.asdict(rep)
-    row["ell"] = float(ell)
-    row["N"] = float(rep.radius / ell)
-    row["big_ell"] = float(rep.radius)
+    row.update({"ell": float(ell), "N": float(N),
+                "big_ell": float(rep.radius)})
     return row
 
 
-def _trivial_scatter_row(sol, ell):
-    keys = [f.name for f in dataclasses.fields(LemmaScatteringReport)]
-    row = {k: 0.0 for k in keys}
-    row.update({"radius": float(sol.radius), "ell": float(ell),
-                "N": float(sol.N_param), "big_ell": float(sol.radius)})
-    return row
+def _zero_lemma(radius=0.0):
+    """The lemma report of the zero interaction: every quantity is 0."""
+    zeros = {f.name: 0.0 for f in dataclasses.fields(LemmaScatteringReport)}
+    return LemmaScatteringReport(**{**zeros, "radius": float(radius)})
 
 
 def scatter_stage(potential, params, threads=1):
@@ -285,22 +264,16 @@ def scatter_stage(potential, params, threads=1):
 
     def one(nl):
         sol = solve_neumann(potential, ell, nl / ell, n_pts)
-        return _trivial_scatter_row(sol, ell) if trivial \
-            else _scatter_row(verify_lemma_scattering(sol, ref), ell)
+        if trivial:
+            return _scatter_row(_zero_lemma(sol.radius), ell, sol.N_param)
+        rep = verify_lemma_scattering(sol, ref)
+        return _scatter_row(rep, ell, rep.radius / ell)
 
     rows = _pooled_map(one, sweep_nl, threads)
-    if trivial:
-        lemma = {"i": {"ratio": 0.0, "deviation": 0.0},
-                 "ii": {"weighted_defect": 0.0},
-                 "iii": {"sup_w_weighted": 0.0, "sup_wp_weighted": 0.0,
-                         "volume_moment": 0.0,
-                         "volume_moment_weighted": 0.0},
-                 "iv": {"sup_p2_what": 0.0}}
-    else:
-        lemma = verify_lemma_scattering(base, ref).to_dict()
-        lemma.pop("a0", None)
-        lemma.pop("lambda_ell", None)
-        lemma.pop("radius", None)
+    lemma = (_zero_lemma() if trivial
+             else verify_lemma_scattering(base, ref)).to_dict()
+    for key in ("a0", "lambda_ell", "radius"):
+        del lemma[key]
     report = {
         "potential": potential.to_dict(),
         "a0": float(ref.a0),
@@ -551,6 +524,19 @@ def _fock_params(params):
             tuple(positive("caps entry", c) for c in caps), list(suites))
 
 
+# Each suite's exact-mode identity, and the results of
+# fockexact.verify_exact_identities that must all hold for it to pass.
+_EXACT_KEYS = {
+    "ccr": ("modified-commutators-exact", ("ccr_low_sector", "b_commutators")),
+    "un": ("excitation-map-conjugations-exact",
+           ("un_isometry", "un_range_projector", "un_conjugations",
+            "gamma_idempotent", "gamma_number_commute")),
+    "ln": ("excitation-energy-identity-exact", ("energy_identity",)),
+    "bgrowth": ("quadratic-growth-exact",
+                ("pair_generator_antisymmetric", "pair_generator_number_step")),
+}
+
+
 def fock_stage(params, thr, seed):
     """Identity and growth suites on the truncated space."""
     M, cap, caps, suites = _fock_params(params)
@@ -575,24 +561,20 @@ def fock_stage(params, thr, seed):
                            "pass": bool(deviation <= tol),
                            "trivial": trivial})
 
+    def add_exact(suite):
+        if exact_ok is not None:
+            name, keys = _EXACT_KEYS[suite]
+            add(name, 0.0 if all(exact_ok[k] for k in keys) else 1.0, 0.0)
+
     if "ccr" in suites:
         add("modified-commutators-float",
             fock.verify_b_commutators(space, seed=seed),
             thr["fock_float_tol"])
-        if exact_ok is not None:
-            add("modified-commutators-exact",
-                0.0 if (exact_ok["ccr_low_sector"]
-                        and exact_ok["b_commutators"]) else 1.0, 0.0)
+        add_exact("ccr")
     if "un" in suites:
         add("excitation-map-conjugations-float", fock.verify_un(space, 0),
             thr["fock_float_tol"])
-        if exact_ok is not None:
-            add("excitation-map-conjugations-exact",
-                0.0 if (exact_ok["un_isometry"]
-                        and exact_ok["un_range_projector"]
-                        and exact_ok["un_conjugations"]
-                        and exact_ok["gamma_idempotent"]
-                        and exact_ok["gamma_number_commute"]) else 1.0, 0.0)
+        add_exact("un")
     if "ln" in suites:
         worst = 0.0
         tuples = [(2, 3), (3, 3), (3, 4)]
@@ -605,9 +587,7 @@ def fock_stage(params, thr, seed):
                 coeff, sp, n_states=20, seed=seed))
         add("excitation-energy-identity", worst,
             thr["energy_identity_tol"])
-        if exact_ok is not None:
-            add("excitation-energy-identity-exact",
-                0.0 if exact_ok["energy_identity"] else 1.0, 0.0)
+        add_exact("ln")
     if "bgrowth" in suites:
         table = {}
         spread_ok, sups = True, []
@@ -629,6 +609,7 @@ def fock_stage(params, thr, seed):
             0.0)
         add("quadratic-growth-trivial",
             max(abs(r - 1.0) for r in zero.ratios), 0.0, trivial=True)
+        add_exact("bgrowth")
     if "agrowth" in suites:
         table = {}
         spread_ok = True
@@ -691,11 +672,83 @@ def fock_entries(report, thr):
            merged("excitation-energy-identity", "excitation-energy-identity",
                   "excitation-energy-identity-exact"),
            merged("quadratic-growth", "quadratic-growth",
-                  "quadratic-growth-trivial"),
+                  "quadratic-growth-trivial", "quadratic-growth-exact"),
            merged("cubic-growth", "cubic-growth", "cubic-growth-trivial"),
            merged("field-remainder-scaling", "field-remainder-scaling",
                   "field-remainder-trivial")]
     return [e for e in out if e is not None]
+
+
+# ---------------------------------------------------------------------------
+# stage registry
+# ---------------------------------------------------------------------------
+
+def _build_scatter(params, ctx):
+    pot = InteractionPotential.from_dict(params["potential"]) \
+        if "potential" in params else make_square_well(2.0, 1.0, 512)
+    ctx["potential"] = pot
+    return scatter_stage(pot, params, threads=ctx["threads"])
+
+
+def _build_gp(params, ctx):
+    trap = TrapPotential.from_dict(params["trap"]) \
+        if "trap" in params else make_trap("harmonic", 800, 8.0)
+    a0 = params.get("a0", "from:scatter")
+    if a0 == "from:scatter":
+        a0 = ctx["reports"]["scatter"]["a0"]
+    report, ctx["state"] = gp_stage(trap, float(a0), params, ctx["thr"])
+    return report
+
+
+# A stage as `run` and its subcommand both see it:
+#   keys     its config keys
+#   needs    params -> the stages that must run before it
+#   build    (params, ctx) -> report; ctx brings the thresholds, seed,
+#            thread count and earlier reports, and takes out the
+#            potential and the GP state
+#   entries  (report, thresholds) -> bundle entries
+#   table    report -> (rows, columns) of its CSV, or None
+#   check    params -> None, raising ConfigError on bad values, or None
+# Builders call the stage functions through this module's globals, so
+# replacing one of those reaches every caller.
+_Stage = namedtuple("_Stage", "keys needs build entries table check",
+                    defaults=(None, None))
+
+_STAGES = {
+    "scatter": _Stage(
+        {"potential", "ell", "n", "sweep_nl", "n_pts"}, lambda params: (),
+        _build_scatter, scatter_entries, lambda rep: (rep["sweep"], None)),
+    "gp": _Stage(
+        {"trap", "a0", "tol"},
+        lambda params: ("scatter",)
+        if params.get("a0", "from:scatter") == "from:scatter" else (),
+        _build_gp, gp_entries),
+    "kernels": _Stage(
+        {"alpha", "beta", "ells", "tol"}, lambda params: ("scatter", "gp"),
+        lambda params, ctx: kernels_stage(ctx["potential"], ctx["state"],
+                                          params),
+        kernels_entries, lambda rep: (rep["rows"], None)),
+    "fock": _Stage(
+        {"modes", "ncap", "suites", "caps"}, lambda params: (),
+        lambda params, ctx: fock_stage(params, ctx["thr"], ctx["seed"]),
+        fock_entries,
+        lambda rep: (rep["identities"],
+                     ["id", "max_deviation", "tolerance", "pass", "trivial"]),
+        _fock_params),
+}
+
+
+def _context(thr, seed, **objects):
+    return {"thr": thr, "seed": seed, "threads": thread_count(),
+            "reports": {}, **objects}
+
+
+def _run_stage(name, params, ctx):
+    """Build one stage in ctx; returns its report and bundle entries."""
+    stage = _STAGES[name]
+    report = stage.build(params, ctx)
+    ctx["reports"][name] = report
+    return report, stage.entries(report, ctx["thr"])
 
 
 # ---------------------------------------------------------------------------
@@ -734,43 +787,18 @@ class LemmaReportBundle:
 def run(config):
     """Execute the configured pipeline and assemble the lemma bundle."""
     cfg = config if isinstance(config, RunConfig) else parse_config(config)
-    thr = cfg.thresholds
-    threads = thread_count()
-    reports, entries = {}, []
-    ctx = {}
-    for stage in cfg.pipeline:
-        params = cfg.stage_params(stage)
+    ctx = _context(cfg.thresholds, cfg.seed)
+    entries = []
+    for name in cfg.pipeline:
         try:
-            if stage == "scatter":
-                pot = InteractionPotential.from_dict(params["potential"]) \
-                    if "potential" in params else make_square_well(2.0, 1.0,
-                                                                   512)
-                rep = scatter_stage(pot, params, threads=threads)
-                ctx["potential"] = pot
-                entries.extend(scatter_entries(rep, thr))
-            elif stage == "gp":
-                trap = TrapPotential.from_dict(params["trap"]) \
-                    if "trap" in params else make_trap("harmonic", 800, 8.0)
-                a0 = params.get("a0", "from:scatter")
-                if a0 == "from:scatter":
-                    a0 = reports["scatter"]["a0"]
-                rep, state = gp_stage(trap, float(a0), params, thr)
-                ctx["state"] = state
-                entries.extend(gp_entries(rep, thr))
-            elif stage == "kernels":
-                rep = kernels_stage(ctx["potential"], ctx["state"], params)
-                entries.extend(kernels_entries(rep, thr))
-            elif stage == "fock":
-                rep = fock_stage(params, thr, cfg.seed)
-                entries.extend(fock_entries(rep, thr))
+            entries.extend(_run_stage(name, cfg.stage_params(name), ctx)[1])
         except GPRegimeError as exc:
-            raise type(exc)(f"stage {stage!r} aborted: {exc}") from exc
-        reports[stage] = rep
+            raise type(exc)(f"stage {name!r} aborted: {exc}") from exc
     ids = [e["id"] for e in entries]
     if len(set(ids)) != len(ids):
         raise ConfigError("duplicate lemma entries in bundle")
-    return LemmaReportBundle(entries=tuple(entries), stage_reports=reports,
-                             seed=cfg.seed)
+    return LemmaReportBundle(entries=tuple(entries),
+                             stage_reports=ctx["reports"], seed=cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -796,24 +824,15 @@ def _write_csv(path, rows, columns=None):
                              for k, v in row.items()})
 
 
-def _csv_sibling(path):
-    stem, _ = os.path.splitext(path)
-    return stem + ".csv"
-
-
-def _emit(report, out, fmt, table_rows=None, table_cols=None):
-    """Write the JSON report and, when a table exists, its CSV sibling."""
+def _emit(report, out, table=None):
+    """Write the JSON report to out and its (rows, columns) table, if
+    any, to the .csv sibling; with no out, print the report."""
     if out is None:
         print(json.dumps(report, indent=2, sort_keys=True))
         return
-    if fmt == "csv" and table_rows is not None:
-        _write_csv(out, table_rows, table_cols)
-        _write_json(_csv_sibling(out) if out.endswith(".json")
-                    else os.path.splitext(out)[0] + ".json", report)
-    else:
-        _write_json(out, report)
-        if table_rows is not None:
-            _write_csv(_csv_sibling(out), table_rows, table_cols)
+    _write_json(out, report)
+    if table is not None:
+        _write_csv(os.path.splitext(out)[0] + ".csv", *table)
 
 
 # ---------------------------------------------------------------------------
@@ -841,33 +860,33 @@ def _parse_sweep_arg(text, allowed):
         raise ConfigError(f"bad sweep values in {text!r}")
 
 
-def cmd_scatter(args):
-    pot = InteractionPotential.from_dict(
-        _load_json(args.potential, "potential")) if args.potential \
-        else make_square_well(2.0, 1.0, 512)
-    params = {"ell": args.ell, "n": args.n}
-    if args.sweep:
-        _, vals = _parse_sweep_arg(args.sweep, ["nl"])
-        params["sweep_nl"] = vals
-    report = scatter_stage(pot, params, threads=thread_count())
-    entries = scatter_entries(report, _DEFAULT_THRESHOLDS)
+def _stage_command(name, params, out, seed=0, profile=None, **objects):
+    """Run one stage alone and emit its report with the entries added;
+    profile(ctx) gives the CSV of a stage without a table."""
+    ctx = _context(_DEFAULT_THRESHOLDS, seed, **objects)
+    report, entries = _run_stage(name, params, ctx)
     report["entries"] = entries
-    _emit(report, args.out, args.format, table_rows=report["sweep"])
+    table = _STAGES[name].table
+    _emit(report, out, table(report) if table else profile and profile(ctx))
     return 0 if all(e["pass"] for e in entries) else 1
+
+
+def cmd_scatter(args):
+    params = {"ell": args.ell, "n": args.n}
+    if args.potential:
+        params["potential"] = _load_json(args.potential, "potential")
+    if args.sweep:
+        params["sweep_nl"] = _parse_sweep_arg(args.sweep, ["nl"])[1]
+    return _stage_command("scatter", params, args.out)
 
 
 def cmd_gp(args):
-    trap = TrapPotential.from_dict(_load_json(args.trap, "trap")) \
-        if args.trap else make_trap("harmonic", 800, 8.0)
-    report, state = gp_stage(trap, args.a0, {"tol": args.tol},
-                             _DEFAULT_THRESHOLDS)
-    entries = gp_entries(report, _DEFAULT_THRESHOLDS)
-    report["entries"] = entries
-    phi_rows = [{"r": float(r), "phi": float(p)}
-                for r, p in zip(state.grid, state.phi)]
-    _emit(report, args.out, args.format, table_rows=phi_rows,
-          table_cols=["r", "phi"])
-    return 0 if all(e["pass"] for e in entries) else 1
+    params = {"a0": args.a0, "tol": args.tol}
+    if args.trap:
+        params["trap"] = _load_json(args.trap, "trap")
+    return _stage_command("gp", params, args.out, profile=lambda ctx: (
+        [{"r": float(r), "phi": float(p)}
+         for r, p in zip(ctx["state"].grid, ctx["state"].phi)], ["r", "phi"]))
 
 
 def cmd_kernels(args):
@@ -883,24 +902,17 @@ def cmd_kernels(args):
                         tol=float(gr.get("tol", 1e-11)))
     params = {"alpha": args.alpha, "beta": args.beta}
     if args.sweep:
-        _, vals = _parse_sweep_arg(args.sweep, ["ell"])
-        params["ells"] = vals
-    report = kernels_stage(pot, state, params)
-    entries = kernels_entries(report, _DEFAULT_THRESHOLDS)
-    report["entries"] = entries
-    _emit(report, args.out, args.format, table_rows=report["rows"])
-    return 0 if all(e["pass"] for e in entries) else 1
+        params["ells"] = _parse_sweep_arg(args.sweep, ["ell"])[1]
+    return _stage_command("kernels", params, args.out, potential=pot,
+                          state=state)
 
 
 def cmd_fock(args):
-    suites = []
-    for chunk in args.suite or ["ccr,un,ln,bgrowth,agrowth,deta"]:
-        suites.extend(s for s in chunk.split(",") if s)
-    params = {"modes": args.modes, "ncap": args.ncap, "suites": suites}
-    report = fock_stage(params, _DEFAULT_THRESHOLDS, args.seed)
-    _emit(report, args.out, args.format, table_rows=report["identities"],
-          table_cols=["id", "max_deviation", "tolerance", "pass", "trivial"])
-    return 0 if all(i["pass"] for i in report["identities"]) else 1
+    params = {"modes": args.modes, "ncap": args.ncap}
+    if args.suite:
+        params["suites"] = [s for chunk in args.suite
+                            for s in chunk.split(",") if s]
+    return _stage_command("fock", params, args.out, seed=args.seed)
 
 
 def cmd_run(args):
@@ -919,19 +931,11 @@ def cmd_run(args):
                      "trivial": e.get("trivial", False)}
                     for e in bundle.entries],
                    columns=["id", "pass", "trivial"])
-        for stage, rep in bundle.stage_reports.items():
-            _write_json(os.path.join(out_dir, f"{stage}.json"), rep)
-            if stage == "scatter":
-                _write_csv(os.path.join(out_dir, "scatter.csv"),
-                           rep["sweep"])
-            elif stage == "kernels":
-                _write_csv(os.path.join(out_dir, "kernels.csv"),
-                           rep["rows"])
-            elif stage == "fock":
-                _write_csv(os.path.join(out_dir, "fock.csv"),
-                           rep["identities"],
-                           columns=["id", "max_deviation", "tolerance",
-                                    "pass", "trivial"])
+        for name, rep in bundle.stage_reports.items():
+            _write_json(os.path.join(out_dir, f"{name}.json"), rep)
+            if _STAGES[name].table is not None:
+                _write_csv(os.path.join(out_dir, f"{name}.csv"),
+                           *_STAGES[name].table(rep))
     else:
         print(json.dumps(bundle.to_dict(timestamp=stamp), indent=2,
                          sort_keys=True))
@@ -948,53 +952,45 @@ def build_parser():
         description="Desk-scale checks for dilute-gas correlation numerics")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("scatter", help="zero-energy and ball-problem sweep")
+    def command(name, func, text, out=None):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--out", help=out)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("scatter", cmd_scatter, "zero-energy and ball-problem sweep")
     p.add_argument("--potential", help="potential JSON file")
     p.add_argument("--ell", type=float, default=0.5)
     p.add_argument("--n", type=float, default=64.0)
     p.add_argument("--sweep", help="nl=25,50,100,...")
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=cmd_scatter)
 
-    p = sub.add_parser("gp", help="minimizer, spectrum, decay constants")
+    p = command("gp", cmd_gp, "minimizer, spectrum, decay constants")
     p.add_argument("--trap", help="trap JSON file")
     p.add_argument("--a0", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-11)
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=cmd_gp)
 
-    p = sub.add_parser("kernels", help="cutoff kernel norms and slopes")
+    p = command("kernels", cmd_kernels, "cutoff kernel norms and slopes")
     p.add_argument("--scatter", required=True, help="scatter report JSON")
     p.add_argument("--gp", required=True, help="gp report JSON")
     p.add_argument("--alpha", type=float, default=4.0)
     p.add_argument("--beta", type=float, default=2.0)
     p.add_argument("--sweep", help="ell=0.5,0.25,0.125")
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=cmd_kernels)
 
-    p = sub.add_parser("fock", help="truncated operator-algebra suites")
+    p = command("fock", cmd_fock, "truncated operator-algebra suites")
     p.add_argument("--modes", type=int, default=3)
     p.add_argument("--ncap", type=int, default=4)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--suite", action="append",
-                   help="comma list from ccr,un,ln,bgrowth,agrowth,deta")
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=cmd_fock)
+                   help="comma list from " + ",".join(_FOCK_SUITES))
 
-    p = sub.add_parser("run", help="full pipeline under one config")
+    p = command("run", cmd_run, "full pipeline under one config",
+                out="artifact directory")
     p.add_argument("--config", help="config JSON (defaults when omitted)")
-    p.add_argument("--out", help="artifact directory")
-    p.set_defaults(func=cmd_run)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         thread_count()
         return args.func(args)

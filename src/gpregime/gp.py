@@ -196,32 +196,6 @@ def minimize_gp(trap, a0, r_max=None, n_pts=None, tol=1e-11, max_iter=5000,
         u=u, h=float(h), v_nodes=v_nodes, energy_trace=tuple(trace))
 
 
-def el_residual(state, trap=None, phi=None):
-    """Euler-Lagrange residual in L^2(d^3x) of phi against the discrete
-    operator of the state's grid.
-
-    With phi omitted this measures self-consistency of the minimizer and
-    sits at solver tolerance. Injecting an analytic phi measures the
-    discretization error of the stencil instead, which shrinks at fourth
-    order under grid refinement.
-    """
-    r_int = state.grid[1:-1]
-    h = state.h
-    v = state.v_nodes if trap is None else trap(r_int)
-    if phi is None:
-        u = state.u
-    else:
-        u = np.asarray(phi, dtype=float)[1:-1] * r_int
-        u = u / np.sqrt(4.0 * np.pi * h * np.sum(u * u))
-    kin = kinetic_band(u.size, h)
-    c = 8.0 * np.pi * state.a0
-    hu = band_matvec(kin, u) + v * u + c * u ** 3 / r_int ** 2
-    w_norm = 4.0 * np.pi * h
-    eps = w_norm * float(u @ hu)
-    res = hu - eps * u
-    return float(np.sqrt(w_norm * float(res @ res)))
-
-
 # ---------------------------------------------------------------------------
 # linearization spectrum
 # ---------------------------------------------------------------------------
@@ -372,25 +346,3 @@ def fourier_decay(state, p_grid=None):
     return FourierDecayReport(
         p=p_grid, phat=phat, sup_weighted=float(weighted[k]),
         argmax_p=float(p_grid[k]), slope_resolved=slope, floor=float(floor))
-
-
-@dataclass(frozen=True)
-class VextPhiReport:
-    """Pointwise and L^2 size of V_ext phi for the interaction estimates."""
-
-    sup_vphi: float
-    argmax_r: float
-    int_v2_phi2: float
-
-
-def vext_phi_bound(state, trap):
-    """sup_r V(r) |phi(r)| and int V^2 phi^2 d^3x on the state's grid."""
-    r = state.grid
-    v = trap(r)
-    prod = v * np.abs(state.phi)
-    k = int(np.argmax(prod))
-    r_int = r[1:-1]
-    integral = 4.0 * np.pi * state.h * float(
-        np.sum(trap(r_int) ** 2 * state.u ** 2))
-    return VextPhiReport(sup_vphi=float(prod[k]), argmax_r=float(r[k]),
-                         int_v2_phi2=float(integral))

@@ -13,10 +13,7 @@ integrals through the identity
 where Khat is a weighted self-convolution of the band profile. Those
 convolutions are computed from cumulative moment tables that start exactly
 at the cutoff node, so the sharp indicator never crosses a quadrature
-panel. Operator powers and the cross-gradient functional have no radial
-reduction and are evaluated on a coarse lattice restricted to the bulk of
-phi; the lattice is honest only while the node spacing resolves 1/cutoff,
-which confines those operations to moderate cutoffs by design.
+panel.
 
 Convention: fhat(p) = int f(x) exp(-2 pi i p.x) dx, self-inverse on radial
 profiles, with (-Delta)^ = 4 pi^2 p^2.
@@ -28,12 +25,11 @@ from functools import cached_property
 
 import numpy as np
 from scipy.integrate import simpson
-from scipy.interpolate import CubicSpline
 
 from .errors import (InvalidParameterError, InvalidRegimeError,
-                     ResourceLimitError, SolverFailureError)
+                     SolverFailureError)
 from .gp import band_matvec, kinetic_band
-from .radial import filon_cos, filon_sin, radial_fourier, radial_fourier_inverse
+from .radial import filon_sin, radial_fourier, radial_fourier_inverse
 from .scattering import _transform_segments, fourier_w, fourier_w_ode, solve_neumann
 
 # Pair transforms of condensate weights are dead beyond s ~ 2 for the
@@ -121,7 +117,7 @@ def build_G(sol):
 
 @dataclass(frozen=True)
 class GaussianLowpass:
-    """Low-pass profile g_L(p) = exp(-(ell^beta p)^2) and its inverse.
+    """Norms of the low-pass profile g_L(p) = exp(-(ell^beta p)^2).
 
     The position-space profile is an exact Gaussian, so both norms have
     closed forms; the quadrature values certify the sampled profile.
@@ -133,15 +129,6 @@ class GaussianLowpass:
     l1_quad: float
     l2_quad: float
     l2_closed: float
-
-    def hat(self, p):
-        p = np.asarray(p, dtype=float)
-        return np.exp(-(self.sigma * p) ** 2)
-
-    def position(self, r):
-        r = np.asarray(r, dtype=float)
-        amp = (np.sqrt(np.pi) / self.sigma) ** 3
-        return amp * np.exp(-(np.pi * r / self.sigma) ** 2)
 
 
 def build_gaussian_lowpass(ell, beta):
@@ -223,27 +210,6 @@ def _factor_values(p_nodes, fhat, r):
     return np.where(r > 1e-9, 2.0 / safe * vals, at_zero)
 
 
-def _factor_derivative(p_nodes, fhat, r):
-    """Radial derivative of the band profile's inverse transform.
-
-    F'(r) = -F(r)/r + (4 pi / r) int fhat p^2 cos(2 pi p r) dp; near zero
-    the two O(1/r) pieces cancel and the linear Taylor term takes over.
-    """
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    h = p_nodes[1] - p_nodes[0]
-    g2 = fhat * p_nodes ** 2
-    omega = 2.0 * np.pi * r
-    fine = filon_cos(g2, h, omega, x0=p_nodes[0])
-    coarse = filon_cos(g2[::2], 2.0 * h, omega, x0=p_nodes[0])
-    cosint = (4.0 * fine - coarse) / 3.0
-    fvals = _factor_values(p_nodes, fhat, r)
-    curv = -(16.0 * np.pi ** 3 / 3.0) * simpson(fhat * p_nodes ** 4, dx=h)
-    r_lin = 1e-4 / p_nodes[-1]
-    safe = np.where(r > r_lin, r, 1.0)
-    direct = -fvals / safe + 4.0 * np.pi / safe * cosint
-    return np.where(r > r_lin, direct, curv * r)
-
-
 @dataclass(frozen=True, eq=False)
 class FactorizedKernel:
     """Kernel u(x) F(x - y) v(y) with a band-limited radial factor.
@@ -267,10 +233,6 @@ class FactorizedKernel:
     def cutoff_momentum(self):
         return float(self.p_nodes[0])
 
-    @property
-    def params(self):
-        return {"ell": self.ell, "alpha": self.alpha, "N": self.N}
-
     def hat_factor(self, p):
         """Momentum profile, zero outside the sampled band."""
         p = np.asarray(p, dtype=float)
@@ -278,26 +240,6 @@ class FactorizedKernel:
 
     def factor(self, r):
         return _factor_values(self.p_nodes, self.fhat, r)
-
-    def factor_derivative(self, r):
-        return _factor_derivative(self.p_nodes, self.fhat, r)
-
-    def weight(self, side, r):
-        kind = self.left_weight if side == "left" else self.right_weight
-        r = np.asarray(r, dtype=float)
-        if kind == "one":
-            return np.ones_like(r)
-        return np.interp(r, self.state.grid, self.state.phi, right=0.0)
-
-    def value(self, x, y):
-        """Kernel values at point pairs; x, y are (..., 3) arrays."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        d = np.linalg.norm(x - y, axis=-1)
-        rx = np.linalg.norm(x, axis=-1)
-        ry = np.linalg.norm(y, axis=-1)
-        return (self.factor(d) * self.weight("left", rx)
-                * self.weight("right", ry))
 
 
 def _band_nodes(G, cut, n_momentum=None):
@@ -778,34 +720,15 @@ def _build_hN(sol, state, spectra):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SeriesKernel:
-    """Truncated power series in the factorized kernel.
-
-    powers[i] is the kernel power of the i-th retained term and
-    coefficients[i] its inverse-factorial weight; norm_bound is the
-    submultiplicative Hilbert-Schmidt bound on the whole sum.
-    """
-
-    base: object = field(repr=False)
-    powers: tuple
-    coefficients: tuple
-    norm_bound: float
-
-
-@dataclass(frozen=True)
 class HyperbolicKernels:
-    """sinh / cosh remainders of the pair kernel as certified series.
+    """Norm bounds of the sinh / cosh remainders of the pair kernel.
 
-    sinh_k = eta + p_k and cosh_minus_id = r_eta hold by construction:
-    the series for sinh_k is the elementwise union of the base term and
-    p_k's terms. The tail dropped beyond series_depth is bounded by
+    p_k = sinh(eta) - eta and r_eta = cosh(eta) - id are power series in
+    eta; p_norm and r_norm are their submultiplicative Hilbert-Schmidt
+    bounds. The tail dropped beyond series_depth is bounded by
     eta_l2^(2 depth) / (2 depth)!, kept below the requested tolerance.
     """
 
-    base: object = field(repr=False)
-    sinh_k: SeriesKernel
-    cosh_minus_id: SeriesKernel
-    p_k: SeriesKernel
     series_depth: int
     tail_bound: float
     eta_l2: float
@@ -838,7 +761,7 @@ def _lap_eta_bound(work):
 
 
 def hyperbolic(k, tol=1e-12, norms=None, s_max=_S_MAX, n_s=_N_S):
-    """Certified series for sinh, cosh - id, and sinh - eta.
+    """Certified norm bounds of the series sinh - eta and cosh - id.
 
     Requires the HS norm of the base kernel below 1; the depth is the
     smallest d with eta_l2^(2d) / (2d)! < tol, which dominates the whole
@@ -854,11 +777,7 @@ def _hyperbolic(k, tol, norms, work):
         norms = _eta_norms(k, work)
     l2 = norms.l2
     if l2 == 0.0:
-        empty = SeriesKernel(base=k, powers=(), coefficients=(), norm_bound=0.0)
-        sinh_k = SeriesKernel(base=k, powers=(1,), coefficients=(1.0,),
-                              norm_bound=0.0)
         return HyperbolicKernels(
-            base=k, sinh_k=sinh_k, cosh_minus_id=empty, p_k=empty,
             series_depth=0, tail_bound=0.0, eta_l2=0.0, grad_eta_l2=0.0,
             lap_eta_bound=0.0, lap_eta_parts=(0.0, 0.0, 0.0), p_norm=0.0,
             r_norm=0.0, grad_p_norm=0.0, lap_p_norm=0.0, grad_r_norm=0.0,
@@ -888,15 +807,7 @@ def _hyperbolic(k, tol, norms, work):
 
     lap_bound, lap_parts = _lap_eta_bound(work)
 
-    p_k = SeriesKernel(base=k, powers=tuple(2 * j + 1 for j in ks),
-                       coefficients=tuple(odd_c), norm_bound=p_norm)
-    sinh_k = SeriesKernel(base=k, powers=(1,) + p_k.powers,
-                          coefficients=(1.0,) + p_k.coefficients,
-                          norm_bound=l2 + p_norm)
-    r_k = SeriesKernel(base=k, powers=tuple(2 * j for j in ks),
-                       coefficients=tuple(even_c), norm_bound=r_norm)
     return HyperbolicKernels(
-        base=k, sinh_k=sinh_k, cosh_minus_id=r_k, p_k=p_k,
         series_depth=int(depth), tail_bound=float(tail), eta_l2=float(l2),
         grad_eta_l2=float(norms.grad_l2), lap_eta_bound=float(lap_bound),
         lap_eta_parts=lap_parts, p_norm=p_norm, r_norm=r_norm,
@@ -904,199 +815,6 @@ def _hyperbolic(k, tol, norms, work):
         lap_p_norm=float(lap_bound * chain_odd),
         grad_r_norm=float(norms.grad_l2 * chain_even),
         lap_r_norm=float(lap_bound * chain_even))
-
-
-# ---------------------------------------------------------------------------
-# coarse-lattice operations
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class CoarseLattice:
-    """Cubic nodes restricted to the ball where phi carries its mass."""
-
-    points: np.ndarray = field(repr=False)
-    radii: np.ndarray = field(repr=False)
-    spacing: float
-    box: float
-    dv: float
-
-
-def _build_lattice(box, spacing, max_points):
-    if box <= 0.0 or spacing <= 0.0:
-        raise InvalidParameterError("box and spacing must be positive")
-    m = int(np.floor(box / spacing + 1e-12))
-    axis = np.arange(-m, m + 1) * spacing
-    n_side = axis.size
-    est = int(np.ceil(np.pi / 6.0 * n_side ** 3)) + n_side ** 2
-    if est > 4 * max_points:
-        raise ResourceLimitError(
-            f"coarse lattice would hold ~{est} nodes, budget {max_points}")
-    gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
-    pts = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
-    radii = np.linalg.norm(pts, axis=1)
-    keep = radii <= box + 1e-12
-    pts, radii = pts[keep], radii[keep]
-    if pts.shape[0] > max_points:
-        raise ResourceLimitError(
-            f"coarse lattice needs {pts.shape[0]} nodes, budget {max_points}")
-    return CoarseLattice(points=pts, radii=radii, spacing=float(spacing),
-                         box=float(box), dv=float(spacing ** 3))
-
-
-def _factor_table(k, r_max, spacing):
-    """Fine radial tables of F and F' for lattice evaluation."""
-    h_tab = min(spacing, 1.0 / max(k.cutoff_momentum, 1.0)) / 16.0
-    r_tab = np.arange(int(np.ceil(r_max / h_tab)) + 2) * h_tab
-    f_tab = k.factor(r_tab)
-    fp_tab = k.factor_derivative(r_tab)
-    return CubicSpline(r_tab, f_tab), CubicSpline(r_tab, fp_tab)
-
-
-def _lattice_distance(pts, radii):
-    d2 = radii[:, None] ** 2 + radii[None, :] ** 2 - 2.0 * pts @ pts.T
-    return np.sqrt(np.clip(d2, 0.0, None))
-
-
-def _lattice_matrix(k, lat):
-    """Dense kernel matrix on the lattice (weights included)."""
-    f_spl, _ = _factor_table(k, 2.0 * lat.box + lat.spacing, lat.spacing)
-    d = _lattice_distance(lat.points, lat.radii)
-    wl = k.weight("left", lat.radii)
-    wr = k.weight("right", lat.radii)
-    return f_spl(d) * wl[:, None] * wr[None, :]
-
-
-@dataclass(frozen=True)
-class PowerBoundReport:
-    """Sampled Cauchy-Schwarz certificate for an operator power.
-
-    Every sampled entry of the n-th power is compared against
-    ||eta_x|| ||eta_y|| ||eta||^(n-2), all four quantities evaluated with
-    the same lattice measure, so the inequality is exact up to roundoff.
-    """
-
-    n: int
-    max_ratio: float
-    sample_count: int
-    lattice_points: int
-    spacing: float
-    box: float
-    frobenius: float
-    trivial: bool
-
-
-def eta_power_bound(k, n, sample_pts=100, box=2.0, spacing=0.24,
-                    max_points=4000, seed=0):
-    """Check |eta^n(x, y)| <= ||eta_x|| ||eta_y|| ||eta||^(n-2) on a lattice."""
-    if n < 2:
-        raise InvalidParameterError(f"power must be >= 2, got {n}")
-    lat = _build_lattice(box, spacing, max_points)
-    a = _lattice_matrix(k, lat)
-    size = lat.points.shape[0]
-    row = np.sqrt(np.sum(a * a, axis=1) * lat.dv)
-    fro = float(np.sqrt(np.sum(a * a) * lat.dv ** 2))
-    mat = a
-    for _ in range(n - 1):
-        mat = (mat @ a) * lat.dv
-    rng = np.random.default_rng(seed)
-    i = rng.integers(0, size, sample_pts)
-    j = rng.integers(0, size, sample_pts)
-    denom = row[i] * row[j] * fro ** (n - 2)
-    num = np.abs(mat[i, j])
-    if fro == 0.0:
-        return PowerBoundReport(n=int(n), max_ratio=0.0,
-                                sample_count=int(sample_pts),
-                                lattice_points=size, spacing=lat.spacing,
-                                box=lat.box, frobenius=0.0, trivial=True)
-    ratios = num / np.where(denom > 0.0, denom, 1.0)
-    return PowerBoundReport(n=int(n), max_ratio=float(ratios.max()),
-                            sample_count=int(sample_pts),
-                            lattice_points=size, spacing=lat.spacing,
-                            box=lat.box, frobenius=fro, trivial=False)
-
-
-@dataclass(frozen=True)
-class SeriesPointwiseReport:
-    """Sampled pointwise ratios |p_k(x, y)| / (phi(x) phi(y))."""
-
-    max_ratio: float
-    sample_count: int
-    lattice_points: int
-    trivial: bool
-
-
-def series_pointwise(hk, sample_pts=100, box=2.0, spacing=0.24,
-                     max_points=4000, seed=0):
-    """Evaluate the remainder series entrywise on a lattice and take ratios."""
-    k = hk.base
-    lat = _build_lattice(box, spacing, max_points)
-    a = _lattice_matrix(k, lat)
-    if not np.any(a):
-        return SeriesPointwiseReport(max_ratio=0.0, sample_count=sample_pts,
-                                     lattice_points=lat.points.shape[0],
-                                     trivial=True)
-    total = np.zeros_like(a)
-    mat = a
-    power = 1
-    for pw, c in zip(hk.p_k.powers, hk.p_k.coefficients):
-        while power < pw:
-            mat = (mat @ a) * lat.dv
-            power += 1
-        total += c * mat
-    phi = k.weight("right", lat.radii)
-    rng = np.random.default_rng(seed)
-    i = rng.integers(0, lat.points.shape[0], sample_pts)
-    j = rng.integers(0, lat.points.shape[0], sample_pts)
-    denom = phi[i] * phi[j]
-    floor = 1e-8 * np.max(phi) ** 2  # below this the weight is pure roundoff
-    keep = denom > floor
-    ratios = np.abs(total[i, j])[keep] / denom[keep]
-    return SeriesPointwiseReport(max_ratio=float(ratios.max()),
-                                 sample_count=int(keep.sum()),
-                                 lattice_points=lat.points.shape[0],
-                                 trivial=False)
-
-
-@dataclass(frozen=True)
-class CrossGradientReport:
-    """Squared HS norm of the gradient-overlap operator."""
-
-    value: float
-    lattice_points: int
-    spacing: float
-    box: float
-
-
-def cross_gradient_hs(k, box=1.8, spacing=0.24, max_points=4000):
-    """int dy dz |int dx grad_x eta(y; x) . grad_x eta(z; x)|^2 on a lattice.
-
-    The integrand couples gradients in the inner slot across two outer
-    points, which no radial identity untangles; the lattice is the
-    designed evaluation device, and the spacing must resolve the factor's
-    oscillation scale 1/cutoff for the value to mean anything.
-    """
-    lat = _build_lattice(box, spacing, max_points)
-    f_spl, fp_spl = _factor_table(k, 2.0 * lat.box + lat.spacing, lat.spacing)
-    pts, radii = lat.points, lat.radii
-    d = _lattice_distance(pts, radii)
-    pos = d > 0.0
-    g1 = np.where(pos, fp_spl(d) / np.where(pos, d, 1.0), 0.0)
-    g0 = f_spl(d)
-    phi = k.weight("right", radii)
-    dphi = np.interp(radii, k.state.grid,
-                     np.gradient(k.state.phi, k.state.h, edge_order=2),
-                     right=0.0)
-    rpos = radii > 0.0
-    slope = np.where(rpos, dphi / np.where(rpos, radii, 1.0), 0.0)
-    m = np.zeros((radii.size, radii.size))
-    for c in range(3):
-        diff_c = pts[None, :, c] - pts[:, None, c]
-        b = phi[:, None] * (g1 * diff_c * phi[None, :]
-                            + g0 * (slope * pts[:, c])[None, :])
-        m += (b @ b.T) * lat.dv
-    value = float(np.sum(m * m) * lat.dv ** 2)
-    return CrossGradientReport(value=value, lattice_points=radii.size,
-                               spacing=lat.spacing, box=lat.box)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,7 @@ uniform radial grids, so this module concentrates the shared machinery:
   whose phase stays below one radian over the window,
 - the unitary radial Fourier transform  F[w](p) = (2/p) int w(r) r sin(2 pi p r) dr
   with the convention  (-Delta) <-> 4 pi^2 p^2,  which is its own inverse,
-- a two-center reduction of the 3D convolution of radial functions,
-- small integration helpers (Simpson moments, cumulative integrals).
+- Simpson moments  int w(r) r^k dr.
 
 Grids are r_j = j * h for j = 0..n; pass the number of intervals n, keep it
 even so Simpson and Richardson halving both apply.
@@ -25,8 +24,7 @@ even so Simpson and Richardson halving both apply.
 
 import numpy as np
 import scipy.fft
-from scipy.integrate import simpson, cumulative_simpson
-from scipy.interpolate import CubicSpline
+from scipy.integrate import simpson
 
 from .errors import InvalidDomainError, InvalidParameterError
 
@@ -236,65 +234,3 @@ def radial_moment(w, h, k):
     w = np.asarray(w, dtype=float)
     r = np.arange(w.size) * h
     return float(simpson(w * r ** k, dx=h))
-
-
-def cumulative_radial(g, h):
-    """T(x) = int_0^x t g(t) dt on the grid nodes."""
-    g = np.asarray(g, dtype=float)
-    t = np.arange(g.size) * h
-    return cumulative_simpson(t * g, dx=h, initial=0.0)
-
-
-def radial_convolve(f, g, h, r_out):
-    """3D convolution (f * g)(|x|) of radial functions, reduced to 1D.
-
-    Uses the two-center formula
-        (f * g)(r) = (2 pi / r) int_0^inf s f(s) [ int_{|r-s|}^{r+s} t g(t) dt ] ds
-    with the inner integral taken from a cumulative table. Both inputs sit on
-    the same grid; g is treated as constant-zero past its last node, so the
-    cumulative table saturates there (fine for decayed or compact g).
-    The r -> 0 limit 4 pi int s^2 f g ds is taken for entries with r = 0.
-    """
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if f.shape != g.shape:
-        raise InvalidDomainError("f and g must share one radial grid")
-    r_out = np.atleast_1d(np.asarray(r_out, dtype=float))
-    s = np.arange(f.size) * h
-    tbl = cumulative_radial(g, h)
-    grid_end = s[-1]
-    spline = CubicSpline(s, tbl)
-
-    def lookup(x):
-        # the table saturates past the grid end (g treated as zero there)
-        return spline(np.clip(x, 0.0, grid_end))
-
-    out = np.empty(r_out.shape, dtype=float)
-    zero = r_out == 0.0
-    if np.any(zero):
-        out[zero] = 4.0 * np.pi * simpson(s * s * f * g, dx=h)
-    idx = np.nonzero(~zero)[0]
-    step = max(1, _CHUNK_ELEMS // max(f.size, 1))
-    for lo in range(0, idx.size, step):
-        sel = idx[lo:lo + step]
-        rr = r_out[sel][:, None]
-        inner = lookup(rr + s[None, :]) - lookup(np.abs(rr - s[None, :]))
-        vals = simpson(s[None, :] * f[None, :] * inner, dx=h, axis=1)
-        out[sel] = 2.0 * np.pi * vals / r_out[sel]
-    if np.any(r_out > grid_end) and abs(g[-1]) > 0:
-        # harmless when g has decayed; flag only the clearly wrong case
-        raise InvalidDomainError("output radius beyond grid with undecayed g")
-    return out
-
-
-def gauss_legendre_panel(a, b, npanel, order=8):
-    """Composite Gauss-Legendre nodes/weights on [a, b] split into npanel panels."""
-    if b <= a:
-        raise InvalidDomainError(f"empty interval [{a}, {b}]")
-    x0, w0 = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(a, b, npanel + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    nodes = (mid[:, None] + half * x0[None, :]).ravel()
-    weights = np.broadcast_to(half * w0, (npanel, order)).ravel().copy()
-    return nodes, weights

@@ -25,7 +25,7 @@ from .errors import (
     SolverFailureError,
 )
 from .potentials import RadialProfile, InteractionPotential
-from .radial import filon_sin, radial_moment
+from .radial import filon_sin
 
 _MIN_PTS = 512
 _RICHARDSON_TOL = 1e-9
@@ -394,72 +394,6 @@ def solve_neumann(potential, ell, N_param, n_pts=4096):
     n_tail = max(n_pts & ~1, 512)
     return _assemble_neumann(potential, ell, N_param, lam, u_well, v_well, h,
                              n_tail, (mism_final, rich))
-
-
-# ---------------------------------------------------------------------------
-# rescaled problem on the small ball
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class RescaledScattering:
-    """The Neumann state carried to the ball of radius ell.
-
-    f_N_ell(x) = f_ell(N x) solves (-Delta + N^2 V(N x)/2) f = N^2 lam chi f
-    weakly on R^3, with f identically 1 outside the ball. residual is the
-    worst weak-form pairing against a family of smooth interior bumps,
-    normalized per unit test mass.
-    """
-
-    f_N_ell: RadialProfile
-    chi_ell: RadialProfile
-    lambda_scaled: float
-    residual: float
-    per_test: tuple
-
-
-def _bump(x, center, width):
-    t = (x - center) / width
-    inside = np.abs(t) < 1.0
-    tt = np.where(inside, t, 0.0)
-    val = np.where(inside, np.exp(1.0 - 1.0 / (1.0 - tt ** 2)), 0.0)
-    grad = val * (-2.0 * tt / (1.0 - tt ** 2) ** 2) / width
-    return val, grad
-
-
-def rescale(sol):
-    """Carry a Neumann solution to unit density scale and check it weakly."""
-    N = sol.N_param
-    ell = sol.ell
-    lam_sc = N ** 2 * sol.lambda_ell
-
-    x_grid = sol.r_grid / N
-    f_N = RadialProfile(x_grid, sol.f,
-                        {"kind": "constant", "value": 1.0, "radius": float(ell)})
-    chi_grid = np.linspace(0.0, ell, 33)
-    chi = RadialProfile(chi_grid, np.ones(33), {"kind": "zero", "radius": float(ell)})
-
-    per_test = []
-    centers = np.array([0.15, 0.3, 0.45, 0.6, 0.75, 0.9]) * ell
-    width = 0.12 * ell
-    for c in centers:
-        total = 0.0
-        mass = 0.0
-        for (fvals, fpvals, h, r0) in sol.segments:
-            x = (r0 + np.arange(fvals.size) * h) / N
-            hx = h / N
-            psi, dpsi = _bump(x, c, width)
-            if not np.any(psi > 0):
-                continue
-            vr = sol.potential(x * N)
-            fp_x = fpvals * N  # d/dx of f(Nx)
-            integrand = (fp_x * dpsi + (0.5 * N ** 2 * vr - lam_sc)
-                         * fvals * psi) * x ** 2
-            total += simpson(integrand, dx=hx)
-            mass += simpson(psi * x ** 2, dx=hx)
-        per_test.append(abs(total) / max(mass, 1e-300))
-    residual = float(max(per_test))
-    return RescaledScattering(f_N_ell=f_N, chi_ell=chi, lambda_scaled=float(lam_sc),
-                              residual=residual, per_test=tuple(per_test))
 
 
 # ---------------------------------------------------------------------------

@@ -92,7 +92,7 @@ class TestConfig:
     def test_default_parses_and_round_trips(self):
         raw = cli.default_config()
         cfg = cli.parse_config(raw)
-        assert cli.serialize_config(cfg) == raw
+        assert cfg.raw == raw
         assert cfg.seed == 7
         assert cfg.pipeline == ("scatter", "gp", "kernels", "fock")
 
@@ -463,11 +463,66 @@ class TestCommandLine:
         assert "fock" in err and "Traceback" not in err
         assert ran == []
 
-    def test_run_has_no_format_option(self, capsys):
+    @pytest.mark.parametrize("argv", [
+        ["run"], ["scatter"], ["gp", "--a0", "0.1"],
+        ["kernels", "--scatter", "s.json", "--gp", "g.json"], ["fock"]],
+        ids=lambda argv: argv[0])
+    def test_run_has_no_format_option(self, capsys, argv):
+        # --out names the JSON report; the table is always its .csv sibling
         with pytest.raises(SystemExit) as exc:
-            cli.main(["run", "--format", "csv"])
+            cli.main(argv + ["--format", "csv"])
         assert exc.value.code == 2
         assert "--format" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage,argv,params", [
+        ("fock", ["--modes", "2", "--ncap", "2"], {"modes": 2, "ncap": 2}),
+        ("scatter", ["--sweep", "nl=25,50,100"],
+         {"sweep_nl": [25.0, 50.0, 100.0]})], ids=["fock", "scatter"])
+    def test_subcommand_and_run_write_one_table(self, tmp_path, stage, argv,
+                                                params):
+        sub = tmp_path / "sub.json"
+        assert cli.main([stage] + argv + ["--out", str(sub)]) == 0
+        raw = cli.default_config()
+        raw["pipeline"] = [stage]
+        raw["stages"] = {stage: params}
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(raw))
+        assert cli.main(["run", "--config", str(cfgp),
+                         "--out", str(tmp_path / "arts")]) == 0
+        assert ((tmp_path / "sub.csv").read_bytes()
+                == (tmp_path / "arts" / f"{stage}.csv").read_bytes())
+
+    def test_fock_stage_reads_every_exact_identity(self, monkeypatch):
+        read, returned = set(), set()
+        real = cli.fockexact.verify_exact_identities
+
+        class Recorder(dict):
+            def __getitem__(self, key):
+                read.add(key)
+                return super().__getitem__(key)
+
+        def recording(*args, **kwargs):
+            out = real(*args, **kwargs)
+            returned.update(out)
+            return Recorder(out)
+
+        monkeypatch.setattr(cli.fockexact, "verify_exact_identities",
+                            recording)
+        rep = cli.fock_stage({"modes": 2, "ncap": 2},
+                             cli._DEFAULT_THRESHOLDS, 7)
+        assert rep["exact_mode"] and returned
+        assert read == returned
+
+    def test_failing_exact_number_step_fails_fock(self, monkeypatch):
+        real = cli.fockexact.verify_exact_identities
+
+        def broken(*args, **kwargs):
+            return dict(real(*args, **kwargs),
+                        pair_generator_number_step=False)
+
+        monkeypatch.setattr(cli.fockexact, "verify_exact_identities", broken)
+        assert cli.main(["fock", "--modes", "2", "--ncap", "2",
+                         "--suite", "bgrowth"]) == 1
 
     def test_import_leaves_scipy_signal_out(self):
         # scipy.signal costs most of a second at start-up; the chirp-z sums
@@ -489,14 +544,6 @@ class TestCommandLine:
         monkeypatch.setenv("GPREGIME_THREADS", "many")
         assert cli.main(["fock", "--modes", "2", "--ncap", "2"]) == 2
         assert "GPREGIME_THREADS" in capsys.readouterr().err
-
-    def test_csv_format_primary(self, tmp_path):
-        out = tmp_path / "phi.csv"
-        code = cli.main(["gp", "--a0", "0.1", "--format", "csv",
-                         "--out", str(out)])
-        assert code == 0
-        assert out.read_text().startswith("r,phi")
-        assert (tmp_path / "phi.json").exists()
 
     def test_csv_floats_round_trip(self, tmp_path):
         out = tmp_path / "s.json"

@@ -13,11 +13,9 @@ import pytest
 
 from gpregime.errors import InvalidParameterError
 from gpregime.gp import (
-    el_residual,
     fourier_decay,
     hgp_spectrum,
     minimize_gp,
-    vext_phi_bound,
     verify_decay,
 )
 from gpregime.potentials import make_trap
@@ -66,15 +64,6 @@ class TestNoninteracting:
         assert abs(spec.gap - 4.0) < 1e-3
         assert abs(spec.values[2] - 8.0) < 1e-2
         assert spec.ground_overlap > 1.0 - 1e-8
-
-    def test_trap_weighted_profile_closed_forms(self, free_state, trap):
-        rep = vext_phi_bound(free_state, trap)
-        # the sup is taken over nodes, so it sits (h/2)^2 |f''| below the
-        # continuum maximum
-        assert rep.sup_vphi == pytest.approx(2.0 * np.exp(-1.0) * np.pi ** -0.75,
-                                             rel=5e-5)
-        assert rep.argmax_r == pytest.approx(np.sqrt(2.0), abs=0.02)
-        assert rep.int_v2_phi2 == pytest.approx(15.0 / 4.0, rel=1e-7)
 
 
 class TestInteracting:
@@ -128,20 +117,6 @@ class TestQuartic:
         spec = hgp_spectrum(state, k=3)
         assert abs(spec.values[0]) <= 1e-6 * spec.values[1]
         assert spec.gap > 0
-
-
-class TestResidualDiagnostics:
-    def test_injected_gaussian_refines_at_fourth_order(self, trap):
-        coarse = minimize_gp(trap, 0.0, r_max=10.0, n_pts=400)
-        fine = minimize_gp(trap, 0.0, r_max=10.0, n_pts=800)
-        rc = el_residual(coarse, phi=gaussian_phi(coarse.grid))
-        rf = el_residual(fine, phi=gaussian_phi(fine.grid))
-        assert 10.0 < rc / rf < 24.0
-
-    def test_solved_state_beats_injected_analytic(self, free_state):
-        injected = el_residual(free_state, phi=gaussian_phi(free_state.grid))
-        assert injected < 1e-6  # fourth-order stencil on an exact profile
-        assert el_residual(free_state) < 0.01 * injected
 
 
 class TestDecay:

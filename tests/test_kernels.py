@@ -7,8 +7,7 @@ pi^4 (s^4 + 2 s^2 + 15). The factorized kernels are cross-checked
 against the Fourier-split identity F(r) = G(r) - lowpass(G)(r) and a
 Plancherel balance between the momentum band and the position tail.
 Scaling laws in the box scale are measured on the fixed-cutoff-fraction
-sweep; lattice diagnostics are held to their exact matrix inequalities
-rather than to lattice-resolution-limited values.
+sweep.
 """
 
 import dataclasses
@@ -21,7 +20,6 @@ from scipy.integrate import simpson
 from gpregime.errors import (
     InvalidParameterError,
     InvalidRegimeError,
-    ResourceLimitError,
     SolverFailureError,
 )
 from gpregime.gp import minimize_gp
@@ -39,14 +37,11 @@ from gpregime.kernels import (
     build_gaussian_lowpass,
     build_hN,
     build_nu_H,
-    cross_gradient_hs,
     default_sweep_tuples,
     eta_norms,
-    eta_power_bound,
     hyperbolic,
     make_cutoffs,
     nu_norms,
-    series_pointwise,
     sweep_kernels,
 )
 from gpregime.potentials import make_square_well, make_trap
@@ -245,25 +240,6 @@ class TestFactorized:
         assert float(eta64.hat_factor(mid)) == pytest.approx(
             float(G64.hat(np.array([mid]))[0]), rel=1e-3)
 
-    def test_value_factorizes(self, eta64, state):
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=(5, 3))
-        y = rng.normal(size=(5, 3))
-        d = np.linalg.norm(x - y, axis=-1)
-        rx = np.linalg.norm(x, axis=-1)
-        ry = np.linalg.norm(y, axis=-1)
-        want = (eta64.factor(d) * eta64.weight("left", rx)
-                * eta64.weight("right", ry))
-        assert np.allclose(eta64.value(x, y), want, rtol=1e-12)
-
-    def test_field_kernel_left_weight_is_flat(self, G64, state, cuts):
-        nu = build_nu_H(G64, state, cuts)
-        r = np.linspace(0.0, 5.0, 11)
-        assert np.all(nu.weight("left", r) == 1.0)
-        assert np.allclose(nu.weight("right", r),
-                           np.interp(r, state.grid, state.phi,
-                                     right=0.0), rtol=1e-12)
-
 
 class TestEtaNorms:
     def test_zero_potential_gives_zero_kernel(self, zero_well, state, cuts):
@@ -354,9 +330,7 @@ class TestSharedBand:
         assert nn == nu_norms(alone_nu)
         assert nn.row_sup == en.row_sup
         alone = hyperbolic(eta64, norms=eta64_report)
-        for f in dataclasses.fields(hy):
-            if f.name not in ("base", "sinh_k", "cosh_minus_id", "p_k"):
-                assert getattr(hy, f.name) == getattr(alone, f.name), f.name
+        assert hy == alone
         sol = G64.sol
         assert (_build_hN(sol, state, spectra).values
                 == build_hN(sol, state).values).all()
@@ -395,13 +369,6 @@ class TestHyperbolic:
         assert hk.p_norm == pytest.approx(want_p, rel=1e-12)
         assert hk.r_norm == pytest.approx(want_r, rel=1e-12)
 
-    def test_sinh_is_base_plus_remainder(self, eta64):
-        hk = hyperbolic(eta64)
-        assert hk.sinh_k.powers[0] == 1
-        assert hk.sinh_k.coefficients[0] == 1.0
-        assert tuple(hk.sinh_k.powers[1:]) == tuple(hk.p_k.powers)
-        assert np.allclose(hk.sinh_k.coefficients[1:], hk.p_k.coefficients)
-
     def test_depth_shrinks_with_loose_tolerance(self, eta64):
         tight = hyperbolic(eta64, tol=1e-14)
         loose = hyperbolic(eta64, tol=1e-4)
@@ -432,81 +399,6 @@ class TestHyperbolic:
         assert hk.p_norm == 0.0
         assert hk.r_norm == 0.0
         assert hk.series_depth == 0
-
-
-class TestLatticeBounds:
-    def test_power_ratio_obeys_submultiplicativity(self, well, state):
-        sol = solve_neumann(well, 0.7, 50)
-        eta = build_eta_H(build_G(sol), state, make_cutoffs(0.7, 2.0, 1.0))
-        for n in (2, 3):
-            rep = eta_power_bound(eta, n)
-            assert rep.max_ratio <= 1.0 + 1e-9
-            assert not rep.trivial
-
-    def test_power_bound_deterministic(self, well, state):
-        sol = solve_neumann(well, 0.7, 50)
-        eta = build_eta_H(build_G(sol), state, make_cutoffs(0.7, 2.0, 1.0))
-        a = eta_power_bound(eta, 2, seed=7)
-        b = eta_power_bound(eta, 2, seed=7)
-        assert a.max_ratio == b.max_ratio
-
-    def test_zero_kernel_flags_trivial(self, zero_well, state, cuts):
-        Gz = build_G(solve_neumann(zero_well, 0.5, 64))
-        eta = build_eta_H(Gz, state, cuts)
-        assert eta_power_bound(eta, 2).trivial
-
-    def test_lattice_budget_enforced(self, eta64):
-        with pytest.raises(ResourceLimitError):
-            eta_power_bound(eta64, 2, max_points=10)
-
-    def test_power_needs_at_least_two(self, eta64):
-        with pytest.raises(InvalidParameterError):
-            eta_power_bound(eta64, 1)
-
-    def test_series_pointwise_stays_small(self, eta64):
-        rep = series_pointwise(hyperbolic(eta64))
-        assert not rep.trivial
-        assert 0.0 < rep.max_ratio < 1.0
-
-    def test_series_pointwise_trivial_at_zero(self, zero_well, state, cuts):
-        Gz = build_G(solve_neumann(zero_well, 0.5, 64))
-        rep = series_pointwise(hyperbolic(build_eta_H(Gz, state, cuts)))
-        assert rep.trivial
-        assert rep.max_ratio == 0.0
-
-
-class TestCrossGradient:
-    def test_zero_kernel_gives_zero(self, zero_well, state, cuts):
-        Gz = build_G(solve_neumann(zero_well, 0.5, 64))
-        rep = cross_gradient_hs(build_eta_H(Gz, state, cuts))
-        assert rep.value == 0.0
-
-    def test_finite_and_positive(self, well, state):
-        sol = solve_neumann(well, 0.75, 50)
-        eta = build_eta_H(build_G(sol), state, make_cutoffs(0.75, 1.0, 0.5))
-        rep = cross_gradient_hs(eta)
-        assert np.isfinite(rep.value)
-        assert rep.value > 0.0
-        assert rep.lattice_points > 1000
-
-    def test_decay_in_box_scale(self, well, state):
-        ells = (0.75, 0.625, 0.5)
-        vals = []
-        for ell in ells:
-            sol = solve_neumann(well, ell, 50)
-            eta = build_eta_H(build_G(sol), state,
-                              make_cutoffs(ell, 1.0, 0.5))
-            vals.append(cross_gradient_hs(eta).value)
-        # lattice bias cancels partially in ratios; the trend must beat
-        # the base rate minus a resolution allowance
-        assert loglog_slope(ells, vals) >= 1.0 - 0.5
-
-    def test_adjacent_resolutions_agree_coarsely(self, well, state):
-        sol = solve_neumann(well, 0.75, 50)
-        eta = build_eta_H(build_G(sol), state, make_cutoffs(0.75, 1.0, 0.5))
-        a = cross_gradient_hs(eta, spacing=0.24).value
-        b = cross_gradient_hs(eta, spacing=0.22).value
-        assert max(a, b) / min(a, b) < 1.6
 
 
 class TestSweep:

@@ -17,8 +17,6 @@ from gpregime.radial import (
     radial_fourier,
     radial_fourier_inverse,
     radial_moment,
-    radial_convolve,
-    gauss_legendre_panel,
 )
 from gpregime.errors import InvalidDomainError, InvalidParameterError
 
@@ -117,39 +115,6 @@ def test_moments_against_closed_forms():
     assert_allclose(radial_moment(w, h, 4), 3 * np.sqrt(np.pi) / 8, rtol=1e-10)
 
 
-def test_gaussian_convolution_closed_form():
-    # exp(-alpha|x|^2) * exp(-beta|x|^2) convolve to a Gaussian with known
-    # amplitude (pi/(alpha+beta))^{3/2} and width alpha beta/(alpha+beta)
-    alpha, beta = 1.0, 2.5
-    r, h = uniform_grid(10.0, 4096)
-    f = np.exp(-alpha * r ** 2)
-    g = np.exp(-beta * r ** 2)
-    r_out = np.array([0.0, 0.35, 1.0, 2.0])
-    got = radial_convolve(f, g, h, r_out)
-    amp = (np.pi / (alpha + beta)) ** 1.5
-    want = amp * np.exp(-(alpha * beta / (alpha + beta)) * r_out ** 2)
-    assert_allclose(got, want, rtol=3e-6)
-
-
-def test_convolution_is_symmetric_in_arguments():
-    r, h = uniform_grid(9.0, 2048)
-    f = np.exp(-r ** 2)
-    g = 1.0 / (1.0 + r ** 4)
-    r_out = np.array([0.2, 1.1, 3.0])
-    assert_allclose(
-        radial_convolve(f, g, h, r_out),
-        radial_convolve(g, f, h, r_out),
-        rtol=1e-6,
-    )
-
-
-def test_gauss_legendre_panel_integrates_polynomial_exactly():
-    nodes, weights = gauss_legendre_panel(0.0, 2.0, npanel=3, order=6)
-    # order-6 Gauss is exact through degree 11
-    val = float(weights @ nodes ** 9)
-    assert_allclose(val, 2.0 ** 10 / 10, rtol=1e-13)
-
-
 def test_domain_validation():
     with pytest.raises(InvalidDomainError):
         uniform_grid(-1.0, 100)
@@ -163,6 +128,7 @@ def test_domain_validation():
 # ---------------------------------------------------------------------------
 # chirp-z sums on uniform frequency grids
 # ---------------------------------------------------------------------------
+
 
 def _dense_filon(f, h, omega, kind, x0=0.0):
     """The dense node x frequency evaluation, written out in one block."""

@@ -21,7 +21,6 @@ from gpregime.scattering import (
     ball_indicator_hat,
     fourier_w,
     fourier_w_ode,
-    rescale,
     solve_neumann,
     solve_zero_energy,
     verify_lemma_scattering,
@@ -165,22 +164,6 @@ class TestNeumann:
             solve_neumann(well, 0.5, 100, n_pts=64)
         with pytest.raises(InvalidDomainError):
             solve_neumann(well, 0.5, 1)
-
-
-class TestRescale:
-    def test_weak_residual_below_eigenvalue_scale(self, neu100):
-        res = rescale(neu100)
-        lam_sc = 100.0 ** 2 * neu100.lambda_ell
-        assert res.lambda_scaled == pytest.approx(lam_sc)
-        assert res.residual < 1e-6 * lam_sc
-
-    def test_rescaled_profile_and_indicator(self, neu100):
-        res = rescale(neu100)
-        ell = neu100.ell
-        assert res.f_N_ell(ell) == pytest.approx(1.0, abs=1e-12)
-        assert res.f_N_ell(2 * ell) == 1.0
-        assert res.chi_ell(0.99 * ell) == 1.0
-        assert res.chi_ell(1.01 * ell) == 0.0
 
 
 class TestFourier:
