@@ -12,11 +12,11 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
 from copy import deepcopy
 from dataclasses import dataclass, field
 
@@ -30,12 +30,14 @@ from .errors import (
 )
 from .gp import fourier_decay, hgp_spectrum, minimize_gp, verify_decay
 from .potentials import (
+    INTERACTION_KINDS,
     InteractionPotential,
     TrapPotential,
     make_square_well,
     make_trap,
 )
 from .scattering import (
+    _MIN_PTS,
     LemmaScatteringReport,
     solve_neumann,
     solve_zero_energy,
@@ -70,25 +72,6 @@ _DEFAULT_THRESHOLDS = {
 }
 
 _TOP_KEYS = {"schema_version", "seed", "pipeline", "stages", "thresholds"}
-
-
-def thread_count():
-    """Worker cap from GPREGIME_THREADS, defaulting to sequential."""
-    raw = os.environ.get("GPREGIME_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"GPREGIME_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise ConfigError(f"GPREGIME_THREADS must be positive, got {n}")
-    return n
-
-
-def _pooled_map(fn, items, threads):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -251,13 +234,49 @@ def _zero_lemma(radius=0.0):
     return LemmaScatteringReport(**{**zeros, "radius": float(radius)})
 
 
-def scatter_stage(potential, params, threads=1):
-    """Zero-energy reference plus the ball-problem sweep."""
-    ell = float(params.get("ell", 0.5))
-    n = float(params.get("n", 64))
-    n_pts = int(params.get("n_pts", 4096))
-    sweep_nl = [float(v) for v in
-                params.get("sweep_nl", [25.0, 50.0, 100.0, 200.0, 400.0])]
+def _scatter_params(params):
+    """(ell, n, n_pts, sweep_nl) of a scatter stage; bad values raise."""
+    def number(name, value):
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not math.isfinite(value):
+            raise ConfigError(
+                f"scatter {name} must be a finite number, got {value!r}")
+        return value
+
+    pot = params.get("potential")
+    if pot is not None and (not isinstance(pot, dict)
+                            or pot.get("kind") not in INTERACTION_KINDS):
+        raise ConfigError(
+            f"scatter potential must be an object with kind in "
+            f"{list(INTERACTION_KINDS)}, got {pot!r}")
+    ell = number("ell", params.get("ell", 0.5))
+    if not 0.0 < ell < 1.0:
+        raise ConfigError(f"scatter ell must lie in (0, 1), got {ell!r}")
+    n = number("n", params.get("n", 64))
+    if n <= 0:
+        raise ConfigError(f"scatter n must be positive, got {n!r}")
+    n_pts = number("n_pts", params.get("n_pts", 4096))
+    if n_pts < _MIN_PTS or n_pts != int(n_pts):
+        raise ConfigError(
+            f"scatter n_pts must be an integer >= {_MIN_PTS}, got {n_pts!r}")
+    sweep = params.get("sweep_nl", [25.0, 50.0, 100.0, 200.0, 400.0])
+    if not isinstance(sweep, list) or not sweep:
+        raise ConfigError(
+            f"scatter sweep_nl must be a non-empty list, got {sweep!r}")
+    for v in sweep:
+        if number("sweep_nl entry", v) <= 0:
+            raise ConfigError(
+                f"scatter sweep_nl entries must be positive, got {v!r}")
+    return float(ell), float(n), int(n_pts), [float(v) for v in sweep]
+
+
+def scatter_stage(potential, params):
+    """Zero-energy reference plus the ball-problem sweep.
+
+    Returns the report and the Neumann solution at (ell, n), which the
+    kernels sweep can reuse.
+    """
+    ell, n, n_pts, sweep_nl = _scatter_params(params)
     ref = solve_zero_energy(potential)
     trivial = ref.a0 == 0.0
     base = solve_neumann(potential, ell, n, n_pts)
@@ -269,7 +288,7 @@ def scatter_stage(potential, params, threads=1):
         rep = verify_lemma_scattering(sol, ref)
         return _scatter_row(rep, ell, rep.radius / ell)
 
-    rows = _pooled_map(one, sweep_nl, threads)
+    rows = [one(nl) for nl in sweep_nl]
     lemma = (_zero_lemma() if trivial
              else verify_lemma_scattering(base, ref)).to_dict()
     for key in ("a0", "lambda_ell", "radius"):
@@ -287,7 +306,7 @@ def scatter_stage(potential, params, threads=1):
         "sweep": rows,
         "trivial": trivial,
     }
-    return report
+    return report, base
 
 
 def scatter_entries(report, thr):
@@ -431,13 +450,13 @@ def gp_entries(report, thr):
     return entries
 
 
-def kernels_stage(potential, state, params):
+def kernels_stage(potential, state, params, solved=None):
     alpha = float(params.get("alpha", 4.0))
     beta = float(params.get("beta", 2.0))
     ells = [float(v) for v in params.get("ells", [0.5, 0.25, 0.125])]
     tol = float(params.get("tol", 1e-12))
     rep = kernels.sweep_kernels(potential, state, alpha=alpha, beta=beta,
-                                ells=ells, tol=tol)
+                                ells=ells, tol=tol, solved=solved)
     return {"alpha": alpha, "beta": beta,
             "tuples": [[float(ell), float(n)] for ell, n in rep.tuples],
             "rows": [dict(r) for r in rep.rows]}
@@ -687,7 +706,8 @@ def _build_scatter(params, ctx):
     pot = InteractionPotential.from_dict(params["potential"]) \
         if "potential" in params else make_square_well(2.0, 1.0, 512)
     ctx["potential"] = pot
-    return scatter_stage(pot, params, threads=ctx["threads"])
+    report, ctx["neumann"] = scatter_stage(pot, params)
+    return report
 
 
 def _build_gp(params, ctx):
@@ -703,9 +723,10 @@ def _build_gp(params, ctx):
 # A stage as `run` and its subcommand both see it:
 #   keys     its config keys
 #   needs    params -> the stages that must run before it
-#   build    (params, ctx) -> report; ctx brings the thresholds, seed,
-#            thread count and earlier reports, and takes out the
-#            potential and the GP state
+#   build    (params, ctx) -> report; ctx brings the thresholds, seed
+#            and earlier reports, and takes out the potential, the
+#            Neumann solution at the scatter stage's (ell, n) and the
+#            GP state
 #   entries  (report, thresholds) -> bundle entries
 #   table    report -> (rows, columns) of its CSV, or None
 #   check    params -> None, raising ConfigError on bad values, or None
@@ -717,7 +738,8 @@ _Stage = namedtuple("_Stage", "keys needs build entries table check",
 _STAGES = {
     "scatter": _Stage(
         {"potential", "ell", "n", "sweep_nl", "n_pts"}, lambda params: (),
-        _build_scatter, scatter_entries, lambda rep: (rep["sweep"], None)),
+        _build_scatter, scatter_entries, lambda rep: (rep["sweep"], None),
+        _scatter_params),
     "gp": _Stage(
         {"trap", "a0", "tol"},
         lambda params: ("scatter",)
@@ -726,7 +748,7 @@ _STAGES = {
     "kernels": _Stage(
         {"alpha", "beta", "ells", "tol"}, lambda params: ("scatter", "gp"),
         lambda params, ctx: kernels_stage(ctx["potential"], ctx["state"],
-                                          params),
+                                          params, ctx.get("neumann")),
         kernels_entries, lambda rep: (rep["rows"], None)),
     "fock": _Stage(
         {"modes", "ncap", "suites", "caps"}, lambda params: (),
@@ -739,8 +761,7 @@ _STAGES = {
 
 
 def _context(thr, seed, **objects):
-    return {"thr": thr, "seed": seed, "threads": thread_count(),
-            "reports": {}, **objects}
+    return {"thr": thr, "seed": seed, "reports": {}, **objects}
 
 
 def _run_stage(name, params, ctx):
@@ -992,7 +1013,6 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        thread_count()
         return args.func(args)
     except GPRegimeError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -861,8 +861,13 @@ class KernelSweepReport:
 
 def sweep_kernels(potential, state, alpha=4.0, beta=2.0,
                   ells=(0.5, 0.25, 0.125), tuples=None, tol=1e-12,
-                  n_pts=4096):
-    """Solve, build, and measure every kernel across a box-scale sweep."""
+                  n_pts=4096, solved=None):
+    """Solve, build, and measure every kernel across a box-scale sweep.
+
+    solved is an optional NeumannSolution computed earlier, such as the
+    scatter stage's; a row whose potential, (ell, N) and n_pts it matches
+    uses it instead of solving again. N is compared as a float.
+    """
     if tuples is None:
         tuples = default_sweep_tuples(alpha, ells, potential.support_radius)
     rows = []
@@ -871,7 +876,11 @@ def sweep_kernels(potential, state, alpha=4.0, beta=2.0,
     # one set of its convolutions.
     spectra = _Spectra(state)
     for ell, N in tuples:
-        sol = solve_neumann(potential, ell, N, n_pts)
+        if solved is not None and solved.potential is potential and (
+                solved.ell, solved.N_param, solved.n_pts) == (ell, N, n_pts):
+            sol = solved
+        else:
+            sol = solve_neumann(potential, ell, N, n_pts)
         G = build_G(sol)
         cut = make_cutoffs(ell, alpha, beta)
         eta = build_eta_H(G, state, cut)

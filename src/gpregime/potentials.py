@@ -79,6 +79,10 @@ def _monomial_profile(coeff, power, r_max, n_pts):
                          {"kind": "monomial", "coeff": float(coeff), "power": int(power)})
 
 
+# the kinds InteractionPotential.from_dict reads
+INTERACTION_KINDS = ("square_well", "custom")
+
+
 @dataclass(frozen=True)
 class InteractionPotential:
     """Compactly supported nonnegative radial pair interaction."""
@@ -101,6 +105,9 @@ class InteractionPotential:
 
     @classmethod
     def from_dict(cls, d):
+        if d["kind"] not in INTERACTION_KINDS:
+            raise InvalidParameterError(
+                f"unknown interaction kind {d['kind']!r}")
         if d["kind"] == "square_well":
             return make_square_well(d["parameters"]["V0"], d["parameters"]["R"],
                                     d["grid"]["n_pts"])

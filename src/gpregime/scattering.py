@@ -7,6 +7,13 @@ equation has an exact propagator (linear for lam = 0, a rotation for lam > 0)
 that carries the state to any radius without discretization error. This keeps
 large Neumann balls cheap: the cost is set by the well, not by the domain.
 
+Inside the well the equation is linear, so each fixed RK4 step is a 2x2
+matrix and crossing the well is their ordered product, evaluated as a tree
+reduction; the sampled trajectory is the prefix scan of the same matrices.
+Both run as a few vectorized passes rather than a loop over steps, which
+makes a single mismatch evaluation cheap enough for the Neumann eigenvalue
+to be found by brentq.
+
 Normalizations: the zero-energy solution has f -> 1 at infinity, so its tail
 is u = r - a0 and a0 is the scattering length. The Neumann minimizer on the
 ball of radius L = N * ell is normalized to f(L) = 1, with eigenvalue lam
@@ -18,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import simpson
+from scipy.optimize import brentq
 
 from .errors import (
     InvalidDomainError,
@@ -29,6 +37,7 @@ from .radial import filon_sin
 
 _MIN_PTS = 512
 _RICHARDSON_TOL = 1e-9
+_BRACKET_RTOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -44,6 +53,33 @@ def _well_tables(potential, n_steps):
     return h, potential(nodes), potential(mids)
 
 
+def _step_matrices(v_nodes, v_mids, h, lam):
+    """Each RK4 step of u'' = (V/2 - lam) u as a 2x2 map, shape (n, m, 2, 2).
+
+    On y = (u, u'), y' = A y with A = [[0, 1], [q, 0]] and q = V/2 - lam.
+    With a, b, c the values of q at the step's left node, midpoint and
+    right node, RK4's stages are linear in y:
+        K1 = A(a),  K2 = A(b) (I + h/2 K1),  K3 = A(b) (I + h/2 K2),
+        K4 = A(c) (I + h K3),
+    and one step is y -> (I + h/6 (K1 + 2 K2 + 2 K3 + K4)) y, written out
+    entry by entry below.
+    """
+    a = 0.5 * v_nodes[:-1, None] - lam
+    b = 0.5 * v_mids[:, None] - lam
+    c = 0.5 * v_nodes[1:, None] - lam
+    half = 0.5 * h
+    ha = 1.0 + half * half * a
+    hb = 1.0 + half * half * b
+    hhb = 1.0 + h * half * b
+    s = h / 6.0
+    M = np.empty(a.shape + (2, 2))
+    M[..., 0, 0] = 1.0 + s * h * (a + b + b * ha)
+    M[..., 0, 1] = s * (3.0 + 2.0 * hb + hhb)
+    M[..., 1, 0] = s * (a + 2.0 * b * (1.0 + ha) + c * hhb)
+    M[..., 1, 1] = 1.0 + s * h * (2.0 * b + c * hb)
+    return M
+
+
 def _integrate_well(v_nodes, v_mids, h, lam, store=False):
     """RK4 for u'' = (V/2 - lam) u from u(0)=0, u'(0)=1, batched over lam.
 
@@ -51,35 +87,30 @@ def _integrate_well(v_nodes, v_mids, h, lam, store=False):
     trajectories (n+1, m) when store is set. The fixed step is exact-grid
     aligned with the potential tables, so no interpolation happens inside
     the stepper.
+
+    The equation is linear, so the n steps are n 2x2 matrices and the
+    state at R is their ordered product applied to (0, 1). The product is
+    taken as a tree reduction, pairing neighbouring matrices in
+    ceil(log2 n) vectorized passes; the stored trajectory is the
+    inclusive prefix scan of the same matrices (Hillis-Steele, log2 n
+    passes). Both agree with stepping the state one step at a time up to
+    the order in which rounding falls.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    n = v_mids.size
-    u = np.zeros_like(lam)
-    v = np.ones_like(lam)
+    M = _step_matrices(v_nodes, v_mids, h, lam)
     if store:
-        traj_u = np.empty((n + 1, lam.size))
-        traj_v = np.empty((n + 1, lam.size))
-        traj_u[0], traj_v[0] = u, v
-    half = 0.5 * h
-    for i in range(n):
-        q1 = 0.5 * v_nodes[i] - lam
-        q2 = 0.5 * v_mids[i] - lam
-        q4 = 0.5 * v_nodes[i + 1] - lam
-        k1u = v
-        k1v = q1 * u
-        k2u = v + half * k1v
-        k2v = q2 * (u + half * k1u)
-        k3u = v + half * k2v
-        k3v = q2 * (u + half * k2u)
-        k4u = v + h * k3v
-        k4v = q4 * (u + h * k3u)
-        u = u + (h / 6.0) * (k1u + 2.0 * (k2u + k3u) + k4u)
-        v = v + (h / 6.0) * (k1v + 2.0 * (k2v + k3v) + k4v)
-        if store:
-            traj_u[i + 1], traj_v[i + 1] = u, v
-    if store:
-        return u, v, traj_u, traj_v
-    return u, v
+        d = 1
+        while d < M.shape[0]:
+            M[d:] = M[d:] @ M[:-d]
+            d *= 2
+        # column 1 of each prefix product is the image of (u, u') = (0, 1)
+        traj_u = np.concatenate([np.zeros((1, lam.size)), M[..., 0, 1]])
+        traj_v = np.concatenate([np.ones((1, lam.size)), M[..., 1, 1]])
+        return traj_u[-1], traj_v[-1], traj_u, traj_v
+    while M.shape[0] > 1:
+        odd = M[-1:] if M.shape[0] % 2 else M[:0]
+        M = np.concatenate([M[1::2] @ M[0:-1:2], odd])
+    return M[0, :, 0, 1], M[0, :, 1, 1]
 
 
 def _free_tail(uR, vR, lam, dr):
@@ -231,6 +262,7 @@ class NeumannSolution:
     potential: InteractionPotential
     ell: float
     N_param: float
+    n_pts: int
     radius: float
     lambda_ell: float
     r_grid: np.ndarray
@@ -251,8 +283,8 @@ class NeumannSolution:
         return tuple((1.0 - fvals, h, r0) for (fvals, _fp, h, r0) in self.segments)
 
 
-def _assemble_neumann(potential, ell, N_param, lam, u_well, v_well, h_well,
-                      n_tail, defect_pair):
+def _assemble_neumann(potential, ell, N_param, n_pts, lam, u_well, v_well,
+                      h_well, n_tail, defect_pair):
     R = potential.support_radius
     L = ell * N_param
     h_tail = (L - R) / n_tail
@@ -301,9 +333,9 @@ def _assemble_neumann(potential, ell, N_param, lam, u_well, v_well, h_well,
     mism, rich = defect_pair
     return NeumannSolution(
         potential=potential, ell=float(ell), N_param=float(N_param),
-        radius=float(L), lambda_ell=float(lam), r_grid=r_grid, f=f, fp=fp,
-        w=w, wp=wp, f_ell=f_ell, w_ell=w_ell, int_Vf=float(int_Vf),
-        int_w=float(int_w), segments=segments,
+        n_pts=int(n_pts), radius=float(L), lambda_ell=float(lam),
+        r_grid=r_grid, f=f, fp=fp, w=w, wp=wp, f_ell=f_ell, w_ell=w_ell,
+        int_Vf=float(int_Vf), int_w=float(int_w), segments=segments,
         neumann_defect=float(mism), richardson_defect=float(rich))
 
 
@@ -314,18 +346,21 @@ def _trivial_neumann(potential, ell, N_param, n_pts):
     h_well = R / n_well
     u_well = np.arange(n_well + 1) * h_well
     v_well = np.ones(n_well + 1)
-    return _assemble_neumann(potential, ell, N_param, 0.0, u_well, v_well,
-                             h_well, max(n_pts, 512), (0.0, 0.0))
+    return _assemble_neumann(potential, ell, N_param, n_pts, 0.0, u_well,
+                             v_well, h_well, max(n_pts, 512), (0.0, 0.0))
 
 
 def solve_neumann(potential, ell, N_param, n_pts=4096):
     """Lowest Neumann state on the ball of radius N * ell, via shooting.
 
-    The eigenvalue is bracketed by sign changes of the boundary mismatch
-    u'(L) - u(L)/L and pinned down by repeated subdivision of the bracket;
-    every mismatch evaluation integrates only the well and crosses the free
-    region with the exact propagator. The returned state has no interior
-    zeros and satisfies f(L) = 1 exactly.
+    A batched probe of 56 eigenvalues brackets the first sign change of
+    the boundary mismatch u'(L) - u(L)/L, and brentq narrows that bracket
+    to 1e-12 relative width; every mismatch evaluation integrates only the
+    well and crosses the free region with the exact propagator. The well
+    state at the eigenvalue is then integrated at two resolutions and
+    Richardson extrapolated, under the same certificate as the zero-energy
+    problem. The returned state has no interior zeros and satisfies
+    f(L) = 1 exactly.
     """
     if not (0.0 < ell < 1.0):
         raise InvalidParameterError(f"ell must lie in (0, 1), got {ell}")
@@ -359,23 +394,9 @@ def solve_neumann(potential, ell, N_param, n_pts=4096):
             "no sign change of the Neumann mismatch in the probe range; "
             f"residual range [{mism.min():.3e}, {mism.max():.3e}]")
     i = sign_flip[0]
-    lo, hi = lam_probe[i], lam_probe[i + 1]
-    m_lo, m_hi = mism[i], mism[i + 1]
-
-    for _ in range(12):
-        if hi - lo <= 1e-10 * hi:
-            break
-        grid = np.linspace(lo, hi, 34)
-        mg = _neumann_mismatch(vn, vm, h, grid, R, L)
-        flips = np.nonzero((mg[:-1] > 0) & (mg[1:] <= 0))[0]
-        if flips.size == 0:
-            raise SolverFailureError(
-                f"bracket lost during refinement; residual {mg[0]:.3e}")
-        j = flips[0]
-        lo, hi = grid[j], grid[j + 1]
-        m_lo, m_hi = mg[j], mg[j + 1]
-
-    lam = lo if m_lo == m_hi else lo + (hi - lo) * m_lo / (m_lo - m_hi)
+    lam = brentq(lambda x: _neumann_mismatch(vn, vm, h, x, R, L)[0],
+                 lam_probe[i], lam_probe[i + 1], xtol=1e-300,
+                 rtol=_BRACKET_RTOL)
 
     lam_arr = np.array([lam])
     hf, vnf, vmf = _well_tables(potential, 2 * n_well)
@@ -392,8 +413,8 @@ def solve_neumann(potential, ell, N_param, n_pts=4096):
     mism_final = float(vL[0] - uL[0] / L) / max(abs(float(uL[0]) / L), 1e-300)
 
     n_tail = max(n_pts & ~1, 512)
-    return _assemble_neumann(potential, ell, N_param, lam, u_well, v_well, h,
-                             n_tail, (mism_final, rich))
+    return _assemble_neumann(potential, ell, N_param, n_pts, lam, u_well,
+                             v_well, h, n_tail, (mism_final, rich))
 
 
 # ---------------------------------------------------------------------------

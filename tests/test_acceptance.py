@@ -96,7 +96,7 @@ def test_criterion_02_eigenvalue_rate(ref, neumann_sweep):
     dev = [abs(s.lambda_ell * s.radius ** 3 / (3.0 * ref.a0) - 1.0)
            for s in sols]
     slope = _loglog_slope(big_l, dev)
-    ok = abs(slope - (-1.0)) <= 0.15 and elapsed < 10.0
+    ok = abs(slope - (-1.0)) <= 0.15 and elapsed < 2.5
     _verdict(2, ok, f"deviation slope {slope:.3f} (want -1.0 +- 0.15), "
                     f"sweep {elapsed:.1f} s")
 

@@ -177,26 +177,6 @@ class TestConfig:
         assert cfg.stage_params("scatter")["ell"] == 0.5
 
 
-class TestThreadCount:
-    def test_default_sequential(self, monkeypatch):
-        monkeypatch.delenv("GPREGIME_THREADS", raising=False)
-        assert cli.thread_count() == 1
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("GPREGIME_THREADS", "4")
-        assert cli.thread_count() == 4
-
-    def test_non_integer_rejected(self, monkeypatch):
-        monkeypatch.setenv("GPREGIME_THREADS", "many")
-        with pytest.raises(ConfigError, match="GPREGIME_THREADS"):
-            cli.thread_count()
-
-    def test_nonpositive_rejected(self, monkeypatch):
-        monkeypatch.setenv("GPREGIME_THREADS", "0")
-        with pytest.raises(ConfigError):
-            cli.thread_count()
-
-
 # ---------------------------------------------------------------------------
 # bundle assembly
 # ---------------------------------------------------------------------------
@@ -309,20 +289,14 @@ class TestZeroPotential:
 class TestScatterStage:
     def test_report_shape(self):
         pot = make_square_well(2.0, 1.0, 512)
-        rep = cli.scatter_stage(pot, {"ell": 0.5, "n": 64,
-                                      "sweep_nl": [25.0, 50.0, 100.0]})
+        rep, base = cli.scatter_stage(pot, {"ell": 0.5, "n": 64,
+                                            "sweep_nl": [25.0, 50.0, 100.0]})
+        assert (base.ell, base.N_param) == (0.5, 64.0)
+        assert rep["lambda_ell"] == base.lambda_ell
         assert rep["a0"] == pytest.approx(1.0 - np.tanh(1.0), rel=1e-6)
         assert {"i", "ii", "iii", "iv"} <= set(rep["lemma30"])
         assert len(rep["sweep"]) == 3
         assert all(r["big_ell"] == r["N"] * r["ell"] for r in rep["sweep"])
-
-    def test_threads_do_not_change_rows(self):
-        pot = make_square_well(2.0, 1.0, 512)
-        params = {"ell": 0.5, "n": 64, "sweep_nl": [25.0, 50.0, 100.0]}
-        seq = cli.scatter_stage(pot, params, threads=1)
-        par = cli.scatter_stage(pot, params, threads=3)
-        assert json.dumps(seq, sort_keys=True) == json.dumps(par,
-                                                             sort_keys=True)
 
 
 class TestGpStage:
@@ -463,6 +437,27 @@ class TestCommandLine:
         assert "fock" in err and "Traceback" not in err
         assert ran == []
 
+    @pytest.mark.parametrize("key,value", [
+        ("ell", "abc"), ("ell", True), ("ell", 1.0), ("n", float("nan")),
+        ("n", -64), ("n_pts", 100), ("n_pts", 4096.5), ("sweep_nl", 0),
+        ("sweep_nl", []), ("sweep_nl", [25.0, float("inf")]),
+        ("sweep_nl", [25.0, -50.0]), ("potential", {"kind": "abc"}),
+        ("potential", "square_well")])
+    def test_bad_scatter_params_exit_2_before_any_stage(
+            self, tmp_path, capsys, monkeypatch, key, value):
+        ran = []
+        monkeypatch.setattr(cli, "gp_stage", lambda *a: ran.append("gp"))
+        raw = cli.default_config()
+        raw["pipeline"] = ["gp", "scatter"]
+        raw["stages"]["gp"]["a0"] = 0.2
+        raw["stages"]["scatter"][key] = value
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(raw))
+        assert cli.main(["run", "--config", str(cfgp)]) == 2
+        err = capsys.readouterr().err
+        assert f"scatter {key}" in err and "Traceback" not in err
+        assert ran == []
+
     @pytest.mark.parametrize("argv", [
         ["run"], ["scatter"], ["gp", "--a0", "0.1"],
         ["kernels", "--scatter", "s.json", "--gp", "g.json"], ["fock"]],
@@ -539,11 +534,6 @@ class TestCommandLine:
     def test_bad_sweep_exits_2(self, capsys):
         assert cli.main(["scatter", "--sweep", "bogus"]) == 2
         assert "sweep" in capsys.readouterr().err
-
-    def test_bad_thread_env_exits_2(self, monkeypatch, capsys):
-        monkeypatch.setenv("GPREGIME_THREADS", "many")
-        assert cli.main(["fock", "--modes", "2", "--ncap", "2"]) == 2
-        assert "GPREGIME_THREADS" in capsys.readouterr().err
 
     def test_csv_floats_round_trip(self, tmp_path):
         out = tmp_path / "s.json"

@@ -336,6 +336,22 @@ class TestSharedBand:
                 == build_hN(sol, state).values).all()
 
 
+class TestSweepReuse:
+    def test_matching_solution_is_reused(self, well, state, sol64, sweep,
+                                         monkeypatch):
+        calls = []
+        real = solve_neumann
+        monkeypatch.setattr("gpregime.kernels.solve_neumann",
+                            lambda *a: calls.append(a) or real(*a))
+        rep = sweep_kernels(well, state, tuples=((0.5, 64),), solved=sol64)
+        assert calls == []
+        assert rep.rows[0] == sweep.rows[0]
+        # another resolution is another solve
+        finer = solve_neumann(well, 0.5, 64, n_pts=8192)
+        sweep_kernels(well, state, tuples=((0.5, 64),), solved=finer)
+        assert calls == [(well, 0.5, 64, 4096)]
+
+
 class TestCubicKernel:
     def test_concentration_limit(self, well, state):
         gaps = [build_hN(solve_neumann(well, 0.5, N), state).limit_gap

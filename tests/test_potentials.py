@@ -113,6 +113,8 @@ def test_json_round_trip():
     assert np.array_equal(again.profile.grid, well.profile.grid)
     assert np.array_equal(again.profile.samples, well.profile.samples)
     assert again.l3_norm == well.l3_norm
+    with pytest.raises(InvalidParameterError, match="interaction kind"):
+        InteractionPotential.from_dict(dict(well.to_dict(), kind="abc"))
 
     trap = make_trap("quartic", 128, 9.0)
     t2 = type(trap).from_dict(trap.to_dict())

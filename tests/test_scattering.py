@@ -9,7 +9,7 @@ below trusts the solver to certify itself.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from gpregime.errors import (
@@ -18,6 +18,9 @@ from gpregime.errors import (
 )
 from gpregime.potentials import make_square_well
 from gpregime.scattering import (
+    _integrate_well,
+    _neumann_mismatch,
+    _well_tables,
     ball_indicator_hat,
     fourier_w,
     fourier_w_ode,
@@ -64,6 +67,78 @@ def exact_neumann_lambda(V0, R, L):
     a0 = R - np.tanh(np.sqrt(V0 / 2.0) * R) / np.sqrt(V0 / 2.0)
     guess = 3.0 * a0 / L ** 3
     return brentq(mismatch, 0.2 * guess, 5.0 * guess, xtol=1e-300, rtol=1e-15)
+
+
+def sequential_rk4(v_nodes, v_mids, h, lam):
+    """RK4 for u'' = (V/2 - lam) u stepped one step at a time.
+
+    The reference for the integrator's matrix product and scan: same
+    nodes, midpoints and stages. Returns the node trajectories of u and
+    u', shape (n+1, m).
+    """
+    u = np.zeros_like(lam)
+    v = np.ones_like(lam)
+    traj_u, traj_v = [u], [v]
+    half = 0.5 * h
+    for i in range(v_mids.size):
+        q1 = 0.5 * v_nodes[i] - lam
+        q2 = 0.5 * v_mids[i] - lam
+        q4 = 0.5 * v_nodes[i + 1] - lam
+        k1u = v
+        k1v = q1 * u
+        k2u = v + half * k1v
+        k2v = q2 * (u + half * k1u)
+        k3u = v + half * k2v
+        k3v = q2 * (u + half * k2u)
+        k4u = v + h * k3v
+        k4v = q4 * (u + h * k3u)
+        u = u + (h / 6.0) * (k1u + 2.0 * (k2u + k3u) + k4u)
+        v = v + (h / 6.0) * (k1v + 2.0 * (k2v + k3v) + k4v)
+        traj_u.append(u)
+        traj_v.append(v)
+    return np.array(traj_u), np.array(traj_v)
+
+
+class TestWellIntegrator:
+    # Step counts: odd, even, powers of two and not; lam batches hold 0,
+    # values above max V/2 = v0/2 (oscillating u) and single entries.
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.one_of(st.integers(1, 300),
+                       st.sampled_from([1023, 1024, 1025, 2048, 3000])),
+           v0=st.floats(0.0, 10.0),
+           lam=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 8.0)),
+                        min_size=1, max_size=6))
+    @example(n=1024, v0=2.0, lam=[0.0])
+    @example(n=1025, v0=6.0, lam=[0.0, 0.5, 7.5])
+    @example(n=1, v0=3.0, lam=[4.0])
+    def test_product_and_scan_match_sequential_steps(self, n, v0, lam):
+        R = 1.5
+        h = R / n
+        V = lambda r: v0 * (1.0 - (r / R) ** 2) ** 2
+        vn = V(np.arange(n + 1) * h)
+        vm = V((np.arange(n) + 0.5) * h)
+        lam = np.array(lam)
+        ref_u, ref_v = sequential_rk4(vn, vm, h, lam)
+        # relative to each lam's trajectory scale: u crosses zero when
+        # lam > max V/2, where a pointwise relative error means nothing
+        su = np.max(np.abs(ref_u), axis=0)
+        sv = np.max(np.abs(ref_v), axis=0)
+        uR, vR = _integrate_well(vn, vm, h, lam)
+        assert np.all(np.abs(uR - ref_u[-1]) <= 1e-12 * su)
+        assert np.all(np.abs(vR - ref_v[-1]) <= 1e-12 * sv)
+        uR, vR, tu, tv = _integrate_well(vn, vm, h, lam, store=True)
+        assert tu.shape == tv.shape == (n + 1, lam.size)
+        assert np.all(np.abs(tu - ref_u) <= 1e-12 * su)
+        assert np.all(np.abs(tv - ref_v) <= 1e-12 * sv)
+        assert np.array_equal(uR, tu[-1]) and np.array_equal(vR, tv[-1])
+
+    def test_eigenvalue_sits_on_a_sign_change(self, well, neu_sweep):
+        # solve_neumann's well grid at its default n_pts = 4096
+        h, vn, vm = _well_tables(well, 1024)
+        for sol in neu_sweep.values():
+            lam = sol.lambda_ell * (1.0 + np.array([-1e-10, 1e-10]))
+            m = _neumann_mismatch(vn, vm, h, lam, 1.0, sol.radius)
+            assert m[0] > 0.0 >= m[1]
 
 
 class TestZeroEnergy:
