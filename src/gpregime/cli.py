@@ -234,21 +234,34 @@ def _zero_lemma(radius=0.0):
     return LemmaScatteringReport(**{**zeros, "radius": float(radius)})
 
 
+def _number(stage, name, value):
+    """value if it is a finite, non-bool number; else a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise ConfigError(
+            f"{stage} {name} must be a finite number, got {value!r}")
+    return value
+
+
 def _scatter_params(params):
     """(ell, n, n_pts, sweep_nl) of a scatter stage; bad values raise."""
     def number(name, value):
-        if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                or not math.isfinite(value):
-            raise ConfigError(
-                f"scatter {name} must be a finite number, got {value!r}")
-        return value
+        return _number("scatter", name, value)
 
     pot = params.get("potential")
     if pot is not None and (not isinstance(pot, dict)
-                            or pot.get("kind") not in INTERACTION_KINDS):
+                            or not isinstance(pot.get("kind"), str)
+                            or pot["kind"] not in INTERACTION_KINDS):
         raise ConfigError(
             f"scatter potential must be an object with kind in "
             f"{list(INTERACTION_KINDS)}, got {pot!r}")
+    fields = INTERACTION_KINDS[pot["kind"]] if pot is not None else {}
+    for part, keys in fields.items():
+        if not isinstance(pot.get(part), dict) \
+                or any(k not in pot[part] for k in keys):
+            raise ConfigError(
+                f"scatter potential {part} of a {pot['kind']} must be an "
+                f"object with keys {list(keys)}, got {pot.get(part)!r}")
     ell = number("ell", params.get("ell", 0.5))
     if not 0.0 < ell < 1.0:
         raise ConfigError(f"scatter ell must lie in (0, 1), got {ell!r}")
@@ -450,11 +463,29 @@ def gp_entries(report, thr):
     return entries
 
 
+def _kernels_params(params):
+    """(alpha, beta, ells, tol) of a kernels stage; bad values raise."""
+    alpha = _number("kernels", "alpha", params.get("alpha", 4.0))
+    beta = _number("kernels", "beta", params.get("beta", 2.0))
+    tol = _number("kernels", "tol", params.get("tol", 1e-12))
+    if not 0.0 < beta < alpha:
+        raise ConfigError(
+            f"kernels needs 0 < beta < alpha, got beta {beta!r}, "
+            f"alpha {alpha!r}")
+    if tol <= 0.0:
+        raise ConfigError(f"kernels tol must be positive, got {tol!r}")
+    # each kernels entry fits a slope through the ells, so at least three
+    ells = params.get("ells", [0.5, 0.25, 0.125])
+    if not isinstance(ells, list) or len(ells) < 3 or not all(
+            0.0 < _number("kernels", "ells entry", v) < 1.0 for v in ells):
+        raise ConfigError(
+            f"kernels ells must be a list of at least 3 numbers in (0, 1), "
+            f"got {ells!r}")
+    return float(alpha), float(beta), [float(v) for v in ells], float(tol)
+
+
 def kernels_stage(potential, state, params, solved=None):
-    alpha = float(params.get("alpha", 4.0))
-    beta = float(params.get("beta", 2.0))
-    ells = [float(v) for v in params.get("ells", [0.5, 0.25, 0.125])]
-    tol = float(params.get("tol", 1e-12))
+    alpha, beta, ells, tol = _kernels_params(params)
     rep = kernels.sweep_kernels(potential, state, alpha=alpha, beta=beta,
                                 ells=ells, tol=tol, solved=solved)
     return {"alpha": alpha, "beta": beta,
@@ -568,7 +599,8 @@ def fock_stage(params, thr, seed):
     g = 0.5 * rng.normal(size=(M, M))
     fvec = rng.normal(size=M)
     exact_ok = None
-    if space.dim <= fockexact._EXACT_DIM_CAP:
+    if space.dim <= fockexact._EXACT_DIM_CAP and any(
+            suite in _EXACT_KEYS for suite in suites):
         exact_ok = fockexact.verify_exact_identities(M, cap, seed=seed)
 
     identities = []
@@ -749,7 +781,7 @@ _STAGES = {
         {"alpha", "beta", "ells", "tol"}, lambda params: ("scatter", "gp"),
         lambda params, ctx: kernels_stage(ctx["potential"], ctx["state"],
                                           params, ctx.get("neumann")),
-        kernels_entries, lambda rep: (rep["rows"], None)),
+        kernels_entries, lambda rep: (rep["rows"], None), _kernels_params),
     "fock": _Stage(
         {"modes", "ncap", "suites", "caps"}, lambda params: (),
         lambda params, ctx: fock_stage(params, ctx["thr"], ctx["seed"]),

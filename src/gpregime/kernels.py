@@ -30,7 +30,7 @@ from .errors import (InvalidParameterError, InvalidRegimeError,
                      SolverFailureError)
 from .gp import band_matvec, kinetic_band
 from .radial import filon_sin, radial_fourier, radial_fourier_inverse
-from .scattering import _transform_segments, fourier_w, fourier_w_ode, solve_neumann
+from .scattering import _transform_segments, fourier_w_ode, solve_neumann
 
 # Pair transforms of condensate weights are dead beyond s ~ 2 for the
 # default traps; the window [0, 6] leaves two decades of slack.
@@ -101,7 +101,7 @@ class CorrelationG:
 
 def build_G(sol):
     """Assemble the pair kernel from a converged ball solution."""
-    report = fourier_w(sol)
+    report = sol.fourier
     N = sol.N_param
     return CorrelationG(
         sol=sol, N=float(N), ell=float(sol.ell),
@@ -294,20 +294,29 @@ def build_nu_H(G, state, cut, n_momentum=None):
 # weighted band self-convolutions
 # ---------------------------------------------------------------------------
 
-def _moment_lookup(p_nodes, vals, power):
+def _horner(c, t):
+    """sum_q c[q] t^q by Horner's rule."""
+    acc = c[-1]
+    for cq in c[-2::-1]:
+        acc = acc * t + cq
+    return acc
+
+
+def _moment_table(p_nodes, vals, power):
     """Exact cumulative moment int u^power vals du of the sampled profile.
 
     The profile is taken piecewise linear between nodes and the moment is
-    integrated in closed form, so the lookup is exact for that model at
+    integrated in closed form, so the table is exact for that model at
     every point. A spline through node values of the cumulative would
     instead lose the intra-panel oscillation of the band profile, whose
     rectified residue converges only slowly; the closed form does not.
-    On the segment from u with value b and slope m the moment from u to
-    u + t is a polynomial in t without constant term; its coefficients
-    are tabulated per segment and evaluated by Horner's rule.
+    On segment i, from u with value b and slope m, the moment from the
+    cutoff to u + tau is a polynomial in tau whose tau^q coefficient is
+    row q, column i + 1 of the returned array. Column 0 (below the band)
+    is zero and column n + 1 (beyond it) holds the total, so a segment
+    index clipped to [-1, n] reads the moment at the clipped point.
     """
     h = p_nodes[1] - p_nodes[0]
-    p0, pend = p_nodes[0], p_nodes[-1]
     u = p_nodes[:-1]
     b = vals[:-1]
     m = np.diff(vals) / h
@@ -322,26 +331,63 @@ def _moment_lookup(p_nodes, vals, power):
                 b * u + m * u2, 0.25 * b + 0.75 * m * u, 0.2 * m)
     else:
         raise InvalidParameterError(f"unsupported moment power {power}")
-
-    def _segment(k, t):
-        acc = coef[-1][k]
-        for c in coef[-2::-1]:
-            acc = acc * t + c[k]
-        return acc * t
-
-    table = np.concatenate([[0.0], np.cumsum(_segment(slice(None), h))])
-
-    def lookup(x):
-        x = np.clip(x, p0, pend)
-        k = np.clip(np.floor((x - p0) / h).astype(int), 0, u.size - 1)
-        t = x - (p0 + k * h)
-        return table[k] + _segment(k, t)
-
-    return lookup
+    table = np.zeros((len(coef) + 1, u.size + 2))
+    table[1:, 1:-1] = coef
+    table[0, 2:] = np.cumsum(_horner(table[:, 1:-1], h))
+    return table
 
 
-# Cap on the (s rows x band nodes) block of one convolution, in elements.
-_CONV_BLOCK_ELEMS = 1_000_000
+def _moment_lookup(p_nodes, table, x):
+    """The moment of _moment_table at arbitrary points x."""
+    h = p_nodes[1] - p_nodes[0]
+    k = np.clip(np.floor((x - p_nodes[0]) / h), -1, p_nodes.size - 1)
+    k = k.astype(int)
+    return _horner(table[:, k + 1], x - (p_nodes[0] + k * h))
+
+
+def _node_rule(p_nodes, pairs, s, m):
+    """Simpson sums over nodes j >= m of g_j [M(s + t_j) - M(|s - t_j|)].
+
+    pairs holds (g, table): g sampled on the band nodes t_j = p0 + j h, M
+    the moment of table. s > 0 and m are per row. Each of s + t_j, t_j - s
+    and s - t_j sits at o + step j h above p0, with (o, step) = (s, 1),
+    (-s, 1) and (s - 2 p0, -1), so it lies in segment floor(o/h) + step j
+    at the offset tau = o - h floor(o/h) for every j. A side's sum is thus
+    a polynomial in its tau whose coefficients are Simpson sums of g
+    against shifted table columns, one set per distinct (shift, m).
+    """
+    h = p_nodes[1] - p_nodes[0]
+    p0, n = p_nodes[0], p_nodes.size - 1
+    out = np.zeros((len(pairs), s.size))
+    for sign, step, o in ((1.0, 1, s), (-1.0, 1, -s), (-1.0, -1, s - 2 * p0)):
+        shift = np.floor(o / h)
+        keys, inv = np.unique(np.stack([shift.astype(int), m]), axis=1,
+                              return_inverse=True)
+        for q, (g, table) in enumerate(pairs):
+            sums = []
+            for k, mk in keys.T:
+                seg = np.clip(k + step * np.arange(mk, n + 1), -1, n)
+                vals = table[:, seg + 1]
+                if step > 0:
+                    # M(t_j) leaves both forward sides, so their large
+                    # cumulative values cancel node by node
+                    vals[0] -= table[0, mk + 1:]
+                sums.append(simpson(g[mk:] * vals, dx=h, axis=1))
+            out[q] += sign * _horner(np.array(sums)[inv].T, o - shift * h)
+    return out
+
+
+# kind -> terms (e, power), each int t^e a(t) [M(s + t) - M(|s - t|)] dt
+# with M the power-th moment of b; how they combine at s > 0; the
+# weight of the s = 0 value
+_CONV_KINDS = {
+    "plain": (((1, 1),), lambda s, d: d[0], lambda p: 1.0),
+    "grad": (((1, 1), (3, 1), (1, 3)),
+             lambda s, d: -2.0 * np.pi ** 2 * (s ** 2 * d[0] - d[1] - d[2]),
+             lambda p: 4.0 * np.pi ** 2 * p ** 2),
+    "lap": (((3, 3),), lambda s, d: 16.0 * np.pi ** 4 * d[0],
+            lambda p: 16.0 * np.pi ** 4 * p ** 4),
+}
 
 
 def _band_convolve(p_nodes, a_vals, b_vals, s_grid, kind):
@@ -354,71 +400,54 @@ def _band_convolve(p_nodes, a_vals, b_vals, s_grid, kind):
         (a * b)(s) = (2 pi / s) int t a(t) [int_{|s-t|}^{s+t} u b(u)
                       W(s, t, u) du] dt
 
-    with W = 1, -4 pi^2 (s^2 - t^2 - u^2)/2, and 16 pi^4 t^2 u^2.
+    with W = 1, -4 pi^2 (s^2 - t^2 - u^2)/2, and 16 pi^4 t^2 u^2, so the
+    integrand is a sum of terms t^e a(t) [M(s + t) - M(|s - t|)] with M
+    an exact cumulative moment of b (_moment_table).
 
     When the band starts at a sharp cutoff, the inner window of the first
     few outer nodes is partially clipped and the integrand has kinks at
     t = cutoff + s; node quadrature smears that s-wide layer over a full
     panel, an O(h) bias. The layer is therefore integrated on a refined
-    subgrid (the moment tables are exact at arbitrary points) and the
-    node rule is kept only beyond it. Rows of s are processed in blocks
-    so the temporaries stay bounded for long bands.
+    subgrid, whose points are not band nodes and so go through the
+    general _moment_lookup. Beyond it the Simpson node rule is summed per
+    band shift (_node_rule), with no lookup per node.
     """
+    if kind not in _CONV_KINDS:
+        raise InvalidParameterError(f"unknown convolution weight {kind!r}")
+    terms, combine, weight0 = _CONV_KINDS[kind]
     h = p_nodes[1] - p_nodes[0]
     p0 = p_nodes[0]
-    m1 = _moment_lookup(p_nodes, b_vals, 1)
-    m3 = None
-    if kind in ("grad", "lap"):
-        m3 = _moment_lookup(p_nodes, b_vals, 3)
-    elif kind != "plain":
-        raise InvalidParameterError(f"unknown convolution weight {kind!r}")
-
-    def inner_eval(s2, t2):
-        lo = np.abs(s2 - t2)
-        hi = s2 + t2
-        if kind == "plain":
-            return m1(hi) - m1(lo)
-        d3 = m3(hi) - m3(lo)
-        if kind == "grad":
-            d1 = m1(hi) - m1(lo)
-            return -2.0 * np.pi ** 2 * ((s2 ** 2 - t2 ** 2) * d1 - d3)
-        return 16.0 * np.pi ** 4 * t2 ** 2 * d3
-
+    tables = {power: _moment_table(p_nodes, b_vals, power)
+              for _, power in terms}
     s_flat = np.asarray(s_grid, dtype=float)
-    ta = p_nodes * a_vals
     pos = s_flat > 0.0
-    out = np.zeros_like(s_flat)
-    # m_rows[i] outer nodes of row i go to the refined subgrid
-    m_rows = np.zeros(s_flat.shape, dtype=int)
+    s = s_flat[pos]
+    # m[i] outer nodes of row i go to the refined subgrid
+    m = np.zeros(s.shape, dtype=int)
     if p0 > 0.0:
         m_max = p_nodes.size - 3 - (p_nodes.size - 3) % 2
-        m_rows = 2 * np.ceil((s_flat + 2.0 * h) / (2.0 * h)).astype(int)
-        m_rows = np.clip(m_rows, 2, max(m_max, 2))
-    step = max(1, _CONV_BLOCK_ELEMS // p_nodes.size)
-    for m in np.unique(m_rows[pos]):
-        idx = np.nonzero(pos & (m_rows == m))[0]
-        for lo in range(0, idx.size, step):
-            rows = idx[lo:lo + step]
-            s_rows = s_flat[rows][:, None]
-            integrand = ta * inner_eval(s_rows, p_nodes[None, :])
-            out[rows] = simpson(integrand[:, m:], dx=h, axis=1)
-            if m:
-                n_fine = max(64, 8 * int(m))
-                t_f = np.linspace(p0, p0 + m * h, n_fine + 1)
-                a_f = np.interp(t_f, p_nodes, a_vals)
-                inner_f = inner_eval(s_rows, t_f[None, :])
-                out[rows] += simpson(t_f * a_f * inner_f, dx=m * h / n_fine,
-                                     axis=1)
+        m = np.clip(2 * np.ceil((s + 2.0 * h) / (2.0 * h)).astype(int), 2,
+                    max(m_max, 2))
+    pairs = [(p_nodes ** e * a_vals, tables[power]) for e, power in terms]
+    conv = combine(s, _node_rule(p_nodes, pairs, s, m))
+    for mk in np.unique(m[m > 0]):
+        rows = m == mk
+        n_fine = max(64, 8 * int(mk))
+        t_f = np.linspace(p0, p0 + mk * h, n_fine + 1)
+        a_f = np.interp(t_f, p_nodes, a_vals)
+        s_rows = s[rows][:, None]
+        diff = {power: _moment_lookup(p_nodes, table, s_rows + t_f)
+                - _moment_lookup(p_nodes, table, np.abs(s_rows - t_f))
+                for power, table in tables.items()}
+        conv[rows] += simpson(combine(s_rows, [t_f ** e * a_f * diff[power]
+                                               for e, power in terms]),
+                              dx=mk * h / n_fine, axis=1)
 
-    if kind == "plain":
-        w0 = np.ones_like(p_nodes)
-    elif kind == "grad":
-        w0 = 4.0 * np.pi ** 2 * p_nodes ** 2
-    else:
-        w0 = 16.0 * np.pi ** 4 * p_nodes ** 4
-    at_zero = 4.0 * np.pi * simpson(p_nodes ** 2 * a_vals * b_vals * w0, dx=h)
-    safe = np.where(pos, s_flat, 1.0)
-    return np.where(pos, 2.0 * np.pi / safe * out, at_zero)
+    at_zero = 4.0 * np.pi * simpson(
+        p_nodes ** 2 * a_vals * b_vals * weight0(p_nodes), dx=h)
+    out = np.full(s_flat.shape, at_zero)
+    out[pos] = 2.0 * np.pi / s * conv
+    return out
 
 
 def _pairing(K, ahat, bhat, s_grid):

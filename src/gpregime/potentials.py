@@ -79,8 +79,12 @@ def _monomial_profile(coeff, power, r_max, n_pts):
                          {"kind": "monomial", "coeff": float(coeff), "power": int(power)})
 
 
-# the kinds InteractionPotential.from_dict reads
-INTERACTION_KINDS = ("square_well", "custom")
+# the kinds InteractionPotential.from_dict reads, each with the objects it
+# reads from the dict and the keys it reads from each of them
+INTERACTION_KINDS = {
+    "square_well": {"parameters": ("V0", "R"), "grid": ("n_pts",)},
+    "custom": {"profile": ("grid", "samples", "tail")},
+}
 
 
 @dataclass(frozen=True)

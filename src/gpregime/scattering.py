@@ -22,6 +22,7 @@ extended by zero outside the ball.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import simpson
@@ -281,6 +282,12 @@ class NeumannSolution:
     def w_segments(self):
         """(values, h, r0) per uniform segment of w, for transforms."""
         return tuple((1.0 - fvals, h, r0) for (fvals, _fp, h, r0) in self.segments)
+
+    @cached_property
+    def fourier(self):
+        """fourier_w on the default momentum grid, computed on first use
+        and shared by every reader of this solution."""
+        return fourier_w(self)
 
 
 def _assemble_neumann(potential, ell, N_param, n_pts, lam, u_well, v_well,
@@ -595,7 +602,7 @@ def verify_lemma_scattering(sol, ref):
     moment = sol.int_w / L ** 2
     moment_w = abs(moment - 0.4 * np.pi * a0) * L / a0 ** 2
 
-    rep = fourier_w(sol)
+    rep = sol.fourier
 
     return LemmaScatteringReport(
         a0=float(a0), lambda_ell=float(lam), radius=float(L),

@@ -185,7 +185,7 @@ def test_criterion_07_kernel_scaling(kernel_sweep):
     ok = (abs(eta_slope - 2.0) <= 0.2 and abs(nu_slope - 2.0) <= 0.2
           and p_slope >= 4.0 - 0.3 and r_slope >= 4.0 - 0.3
           and grad_spread <= 0.2 and l1_defect <= 1e-8
-          and abs(l2_slope - (-3.0)) <= 0.05 and elapsed < 120.0)
+          and abs(l2_slope - (-3.0)) <= 0.05 and elapsed < 10.0)
     _verdict(7, ok,
              f"slopes eta {eta_slope:.3f}, nu {nu_slope:.3f}, p {p_slope:.2f},"
              f" r {r_slope:.2f}, grad spread {grad_spread:.2%}, lowpass L1 "

@@ -442,7 +442,10 @@ class TestCommandLine:
         ("n", -64), ("n_pts", 100), ("n_pts", 4096.5), ("sweep_nl", 0),
         ("sweep_nl", []), ("sweep_nl", [25.0, float("inf")]),
         ("sweep_nl", [25.0, -50.0]), ("potential", {"kind": "abc"}),
-        ("potential", "square_well")])
+        ("potential", "square_well"),
+        ("potential", {"kind": "square_well", "parameters": {"R": 1.0}}),
+        ("potential", {"kind": "custom", "parameters": {}}),
+        ("potential", {"kind": ["square_well"]})])
     def test_bad_scatter_params_exit_2_before_any_stage(
             self, tmp_path, capsys, monkeypatch, key, value):
         ran = []
@@ -457,6 +460,35 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert f"scatter {key}" in err and "Traceback" not in err
         assert ran == []
+
+    @pytest.mark.parametrize("key,value", [
+        ("ells", "abc"), ("ells", []), ("ells", [0.5, 0.25]),
+        ("ells", [0.5, 0.25, 2.0]), ("ells", [0.5, 0.25, "x"]),
+        ("alpha", float("nan")), ("alpha", True), ("beta", 5.0),
+        ("beta", 0.0), ("tol", 0.0), ("tol", "abc")])
+    def test_bad_kernels_params_exit_2_before_any_stage(
+            self, tmp_path, capsys, monkeypatch, key, value):
+        ran = []
+        monkeypatch.setattr(cli, "scatter_stage",
+                            lambda *a: ran.append("scatter"))
+        monkeypatch.setattr(cli, "gp_stage", lambda *a: ran.append("gp"))
+        raw = cli.default_config()
+        raw["pipeline"] = ["scatter", "gp", "kernels"]
+        raw["stages"]["kernels"][key] = value
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(raw))
+        assert cli.main(["run", "--config", str(cfgp)]) == 2
+        err = capsys.readouterr().err
+        assert "kernels" in err and "Traceback" not in err
+        assert ran == []
+
+    def test_exact_mode_only_for_suites_that_read_it(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli.fockexact, "verify_exact_identities",
+                            lambda *a, **k: calls.append(a))
+        rep = cli.fock_stage({"modes": 2, "ncap": 2, "suites": ["agrowth"]},
+                             cli._DEFAULT_THRESHOLDS, 7)
+        assert calls == [] and rep["exact_mode"] is False
 
     @pytest.mark.parametrize("argv", [
         ["run"], ["scatter"], ["gp", "--a0", "0.1"],

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
 
+from gpregime import cli, scattering
 from gpregime.errors import (
     InvalidParameterError,
     InvalidRegimeError,
@@ -31,6 +32,8 @@ from gpregime.kernels import (
     _eta_norms,
     _hyperbolic,
     _moment_lookup,
+    _moment_table,
+    _node_rule,
     _nu_norms,
     build_G,
     build_eta_H,
@@ -197,14 +200,54 @@ class TestBandConvolve:
         rng = np.random.default_rng(seed)
         nodes = np.linspace(0.3, 2.7, 25)
         vals = rng.normal(size=nodes.size)
-        lookup = _moment_lookup(nodes, vals, power)
+        table = _moment_table(nodes, vals, power)
         x = rng.uniform(0.3, 2.7, size=5)
         fine = np.linspace(nodes[0], nodes[-1], 20001)
         dense = np.interp(fine, nodes, vals) * fine ** power
         mass = np.cumsum(np.concatenate([[0.0], np.diff(fine) *
                                          (dense[1:] + dense[:-1]) / 2.0]))
         want = np.interp(x, fine, mass)
-        assert np.allclose(lookup(x), want, atol=1e-6)
+        assert np.allclose(_moment_lookup(nodes, table, x), want, atol=1e-6)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 31 - 1),
+        n_int=st.integers(4, 30).map(lambda k: 2 * k),
+        start=st.sampled_from(["zero", "below", "above"]),
+        half=st.booleans(),
+    )
+    def test_node_rule_matches_general_lookup(self, seed, n_int, start, half):
+        # Rows cover random offsets, exact multiples of h, the band end,
+        # points beyond it and, when the band starts at or near zero,
+        # s - t_j read in reverse; "above" starts the band past every s.
+        # Nodes are dyadic, so p0 + j h is exact and both rules read the
+        # same piecewise-linear model.
+        rng = np.random.default_rng(seed)
+        h = rng.integers(3, 32) / 64.0
+        p0 = {"zero": 0.0, "below": rng.integers(1, 128) / 64.0,
+              "above": rng.integers(30 * 64, 60 * 64) / 64.0}[start]
+        p = p0 + h * np.arange(n_int + 1)
+        width = p[-1] - p0
+        s = np.concatenate([
+            rng.uniform(0.0, 1.3 * width + 2.0 * p0, 8),
+            h * rng.integers(1, n_int + 1, 4),
+            [width, width + 0.5 * h, p[-1], 2.0 * p0 + 3.0 * h]])
+        a, b = rng.normal(size=(2, p.size))
+        if half:
+            p, a, b, s = p[::2], a[::2], b[::2], s[::2]
+        m = rng.integers(0, p.size - 2, s.size)
+        pairs = [(p ** e * a, _moment_table(p, b, power))
+                 for e in (1, 3) for power in (1, 3)]
+        got = _node_rule(p, pairs, s, m)
+        hh = p[1] - p[0]
+        for (g, table), row in zip(pairs, got):
+            hi = _moment_lookup(p, table, s[:, None] + p)
+            lo = _moment_lookup(p, table, np.abs(s[:, None] - p))
+            for i, mi in enumerate(m):
+                want = simpson((g * (hi[i] - lo[i]))[mi:], dx=hh)
+                scale = simpson((np.abs(g) * (np.abs(hi[i]) + np.abs(lo[i])))
+                                [mi:], dx=hh)
+                assert abs(row[i] - want) <= 1e-12 * scale, (i, s[i], m[i])
 
 
 class TestFactorized:
@@ -350,6 +393,18 @@ class TestSweepReuse:
         finer = solve_neumann(well, 0.5, 64, n_pts=8192)
         sweep_kernels(well, state, tuples=((0.5, 64),), solved=finer)
         assert calls == [(well, 0.5, 64, 4096)]
+
+    def test_scatter_solution_is_transformed_once(self, well, state,
+                                                  monkeypatch):
+        # the scatter stage and build_G share the solution's transform
+        calls = []
+        real = scattering.fourier_w
+        monkeypatch.setattr(scattering, "fourier_w",
+                            lambda sol, *a: calls.append(sol) or real(sol, *a))
+        _, base = cli.scatter_stage(well, {"sweep_nl": [25.0, 50.0]})
+        assert len(calls) == 3 and base in calls
+        sweep_kernels(well, state, tuples=((0.5, 64),), solved=base)
+        assert len(calls) == 3
 
 
 class TestCubicKernel:
