@@ -30,6 +30,8 @@ from .errors import (
 )
 from .gp import fourier_decay, hgp_spectrum, minimize_gp, verify_decay
 from .potentials import (
+    _MIN_NODES,
+    _TRAP_FORMS,
     INTERACTION_KINDS,
     InteractionPotential,
     TrapPotential,
@@ -262,6 +264,13 @@ def _scatter_params(params):
             raise ConfigError(
                 f"scatter potential {part} of a {pot['kind']} must be an "
                 f"object with keys {list(keys)}, got {pot.get(part)!r}")
+    if pot is not None and pot["kind"] == "square_well":
+        for name in ("V0", "R"):
+            number(f"potential {name}", pot["parameters"][name])
+        well_pts = number("potential n_pts", pot["grid"]["n_pts"])
+        if well_pts != int(well_pts):
+            raise ConfigError(f"scatter potential n_pts must be an integer, "
+                              f"got {well_pts!r}")
     ell = number("ell", params.get("ell", 0.5))
     if not 0.0 < ell < 1.0:
         raise ConfigError(f"scatter ell must lie in (0, 1), got {ell!r}")
@@ -387,8 +396,36 @@ def scatter_entries(report, thr):
     return entries
 
 
+def _gp_params(params):
+    """(trap, a0, tol) of a gp stage, trap as make_trap's (kind, n_pts,
+    r_max) and a0 a number or "from:scatter"; bad values raise."""
+    tol = _number("gp", "tol", params.get("tol", 1e-11))
+    if tol <= 0.0:
+        raise ConfigError(f"gp tol must be positive, got {tol!r}")
+    a0 = params.get("a0", "from:scatter")
+    if a0 != "from:scatter" and _number("gp", "a0", a0) < 0.0:
+        raise ConfigError(f"gp a0 must be nonnegative, got {a0!r}")
+    trap = params.get("trap", {"kind": "harmonic",
+                               "parameters": {"r_max": 8.0},
+                               "grid": {"n_pts": 800}})
+    if not isinstance(trap, dict) or not isinstance(trap.get("kind"), str) \
+            or trap["kind"] not in _TRAP_FORMS \
+            or not isinstance(trap.get("parameters"), dict) \
+            or not isinstance(trap.get("grid"), dict):
+        raise ConfigError(
+            f"gp trap must be an object with kind in {list(_TRAP_FORMS)}, "
+            f"parameters and grid, got {trap!r}")
+    r_max = _number("gp", "trap r_max", trap["parameters"].get("r_max"))
+    n_pts = _number("gp", "trap n_pts", trap["grid"].get("n_pts"))
+    if r_max <= 0.0 or n_pts < _MIN_NODES or n_pts != int(n_pts):
+        raise ConfigError(
+            f"gp trap needs r_max > 0 and an integer n_pts >= {_MIN_NODES}, "
+            f"got r_max {r_max!r}, n_pts {n_pts!r}")
+    return (trap["kind"], int(n_pts), float(r_max)), a0, float(tol)
+
+
 def gp_stage(trap, a0, params, thr):
-    tol = float(params.get("tol", 1e-11))
+    tol = _gp_params(params)[2]
     state = minimize_gp(trap, float(a0), tol=tol)
     spec = hgp_spectrum(state)
     decay = {}
@@ -569,9 +606,18 @@ def _fock_params(params):
     for s in suites:
         if s not in _FOCK_SUITES:
             raise ConfigError(f"unknown fock suite {s!r}")
-    return (positive("modes", params.get("modes", 3)),
-            positive("ncap", params.get("ncap", 4)),
-            tuple(positive("caps entry", c) for c in caps), list(suites))
+    M = positive("modes", params.get("modes", 3))
+    ncap = positive("ncap", params.get("ncap", 4))
+    caps = tuple(positive("caps entry", c) for c in caps)
+    if {"bgrowth", "agrowth", "deta"} & set(suites):
+        # deta also exponentiates the zero generator at ncap
+        for c in caps + ((ncap,) if "deta" in suites else ()):
+            if math.comb(M + c, M) > fock._EXPM_DIM_CAP:
+                raise ConfigError(
+                    f"fock cap {c} at {M} modes has dimension "
+                    f"{math.comb(M + c, M)} > {fock._EXPM_DIM_CAP}, the "
+                    "largest the growth suites exponentiate")
+    return M, ncap, caps, list(suites)
 
 
 # Each suite's exact-mode identity, and the results of
@@ -627,76 +673,57 @@ def fock_stage(params, thr, seed):
             thr["fock_float_tol"])
         add_exact("un")
     if "ln" in suites:
-        worst = 0.0
-        tuples = [(2, 3), (3, 3), (3, 4)]
-        if (M, cap) not in tuples:
-            tuples.append((M, cap))
-        for (m, c) in tuples:
-            sp = fock.build_fock_space(m, c)
-            coeff = fock.make_random_coefficients(m, seed=seed)
-            worst = max(worst, fock.verify_energy_identity(
-                coeff, sp, n_states=20, seed=seed))
-        add("excitation-energy-identity", worst,
-            thr["energy_identity_tol"])
+        worst = max(fock.verify_energy_identity(
+            fock.make_random_coefficients(m, seed=seed),
+            fock.build_fock_space(m, c), n_states=20, seed=seed)
+            for m, c in dict.fromkeys([(2, 3), (3, 3), (3, 4), (M, cap)]))
+        add("excitation-energy-identity", worst, thr["energy_identity_tol"])
         add_exact("ln")
     if "bgrowth" in suites:
-        table = {}
-        spread_ok, sups = True, []
-        for n in (-2, -1, 0, 1, 2):
-            rep = fock.verify_B_number_growth(M, eta_unit, 0.3, n, caps=caps)
-            table[f"n={n}"] = {"caps": list(rep.caps),
-                               "ratios": list(rep.ratios),
-                               "sup": rep.sup}
-            sups.append(rep.sup)
-            spread_ok = spread_ok and (max(rep.ratios) / min(rep.ratios)
-                                       < thr["growth_spread"])
-        zero = fock.verify_B_number_growth(M, np.zeros((M, M)), 1.0, 2,
+        reps = fock.verify_B_number_growth(M, eta_unit, 0.3, (-2, -1, 0, 1, 2),
                                            caps=caps)
-        growth["pair"] = {"table": table,
-                          "generator_norm": 0.3,
-                          "trivial_ratios": list(zero.ratios)}
-        add("quadratic-growth",
-            0.0 if (spread_ok and all(np.isfinite(s) for s in sups)) else 1.0,
-            0.0)
+        (zero,) = fock.verify_B_number_growth(M, np.zeros((M, M)), 1.0, (2,),
+                                              caps=caps)
+        growth["pair"] = {"generator_norm": 0.3,
+                          "trivial_ratios": list(zero.ratios), "table": {
+            f"n={r.n}": {"caps": list(r.caps), "ratios": list(r.ratios),
+                         "sup": r.sup} for r in reps}}
+        ok = all(max(r.ratios) / min(r.ratios) < thr["growth_spread"]
+                 and np.isfinite(r.sup) for r in reps)
+        add("quadratic-growth", 0.0 if ok else 1.0, 0.0)
         add("quadratic-growth-trivial",
             max(abs(r - 1.0) for r in zero.ratios), 0.0, trivial=True)
         add_exact("bgrowth")
     if "agrowth" in suites:
-        table = {}
-        spread_ok = True
-        for k in (-2, -1, 1, 2):
-            reps = fock.verify_A_number_growth(
-                M, nu, g, k, t_grid=(-1.0, -0.5, 0.5, 1.0), caps=caps)
-            table[f"k={k}"] = [{"t_norm": rep.generator_norm,
-                                "ratios": list(rep.ratios),
-                                "sup": rep.sup} for rep in reps]
-            for rep in reps:
-                spread_ok = spread_ok and (
-                    max(rep.ratios) / min(rep.ratios) < 2.0)
-        zero = fock.verify_A_number_growth(M, nu, g, 1, t_grid=(0.0,),
-                                           caps=caps)[0]
-        growth["cubic"] = {"table": table,
-                           "trivial_ratios": list(zero.ratios)}
-        add("cubic-growth", 0.0 if spread_ok else 1.0, 0.0)
+        # t = 0 comes last: the zero generator, whose ratios are exactly 1
+        powers = (-2, -1, 1, 2)
+        reps = fock.verify_A_number_growth(
+            M, nu, g, powers, t_grid=(-1.0, -0.5, 0.5, 1.0, 0.0), caps=caps)
+        zero = reps[powers.index(1)][-1]
+        growth["cubic"] = {"trivial_ratios": list(zero.ratios), "table": {
+            f"k={k}": [{"t_norm": r.generator_norm, "ratios": list(r.ratios),
+                        "sup": r.sup} for r in row[:-1]]
+            for k, row in zip(powers, reps)}}
+        ok = all(max(r.ratios) / min(r.ratios) < 2.0
+                 for row in reps for r in row[:-1])
+        add("cubic-growth", 0.0 if ok else 1.0, 0.0)
         add("cubic-growth-trivial",
             max(abs(r - 1.0) for r in zero.ratios), 0.0, trivial=True)
     if "deta" in suites:
-        table = {}
-        ok = True
-        for n in (-1, 0, 1):
-            reps = fock.sweep_d_eta(M, eta_unit, 0.3, fvec, n=n, caps=caps)
-            vals = [r.ratio * r.cap for r in reps]
-            table[f"n={n}"] = {"caps": [r.cap for r in reps],
-                               "ratio_times_cap": vals}
-            ok = ok and max(vals) / min(vals) < thr["remainder_spread"]
-        _, zrep = fock.compute_d_eta(space, np.zeros((M, M)), fvec)
+        table = {f"n={row[0].n}": {
+            "caps": [r.cap for r in row],
+            "ratio_times_cap": [r.ratio * r.cap for r in row]}
+            for row in fock.sweep_d_eta(M, eta_unit, 0.3, fvec, (-1, 0, 1),
+                                        caps=caps)}
+        ok = all(max(t["ratio_times_cap"]) / min(t["ratio_times_cap"])
+                 < thr["remainder_spread"] for t in table.values())
+        ((zrep,),) = fock.sweep_d_eta(M, np.zeros((M, M)), 1.0, fvec,
+                                      caps=(cap,))
         growth["remainder"] = {"table": table, "trivial_ratio": zrep.ratio}
         add("field-remainder-scaling", 0.0 if ok else 1.0, 0.0)
         add("field-remainder-trivial", zrep.ratio, 0.0, trivial=True)
-
     return {"space": {"modes": M, "ncap": cap, "dim": space.dim},
-            "seed": int(seed), "suites": suites,
-            "caps": list(caps),
+            "seed": int(seed), "suites": suites, "caps": list(caps),
             "exact_mode": exact_ok is not None,
             "identities": identities, "growth": growth}
 
@@ -743,12 +770,11 @@ def _build_scatter(params, ctx):
 
 
 def _build_gp(params, ctx):
-    trap = TrapPotential.from_dict(params["trap"]) \
-        if "trap" in params else make_trap("harmonic", 800, 8.0)
-    a0 = params.get("a0", "from:scatter")
+    trap, a0, _ = _gp_params(params)
     if a0 == "from:scatter":
         a0 = ctx["reports"]["scatter"]["a0"]
-    report, ctx["state"] = gp_stage(trap, float(a0), params, ctx["thr"])
+    report, ctx["state"] = gp_stage(make_trap(*trap), float(a0), params,
+                                    ctx["thr"])
     return report
 
 
@@ -776,7 +802,7 @@ _STAGES = {
         {"trap", "a0", "tol"},
         lambda params: ("scatter",)
         if params.get("a0", "from:scatter") == "from:scatter" else (),
-        _build_gp, gp_entries),
+        _build_gp, gp_entries, None, _gp_params),
     "kernels": _Stage(
         {"alpha", "beta", "ells", "tol"}, lambda params: ("scatter", "gp"),
         lambda params, ctx: kernels_stage(ctx["potential"], ctx["state"],

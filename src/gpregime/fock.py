@@ -9,9 +9,9 @@ the energy identity
 
     <psi, H psi> = <U psi, Gamma L Gamma U psi>
 
-holds to roundoff for every state in the top sector. Generator
-exponentials use dense scaling-and-squaring; growth lemmas are checked
-as generalized-eigenvalue ratios swept over the particle cap.
+holds to roundoff for every state in the top sector. Each generator is
+exponentiated once per particle cap (dense scaling-and-squaring), and the
+growth and remainder sweeps read every power off that one exponential.
 
 The builders and the identity checks are written once, against a
 NumberSystem: FLOAT (scipy.sparse CSR) here, exact radicals in
@@ -44,16 +44,11 @@ _EXPM_DIM_CAP = 5000
 # ---------------------------------------------------------------------------
 
 def _enumerate_basis(M, N_cap):
-    """Occupation vectors with total <= N_cap, graded by total."""
-    out = []
-    for total in range(N_cap + 1):
-        # multisets of `total` mode labels <-> occupations with that total
-        for combo in combinations_with_replacement(range(M), total):
-            occ = [0] * M
-            for i in combo:
-                occ[i] += 1
-            out.append(tuple(occ))
-    return tuple(out)
+    """Occupation vectors with total <= N_cap, graded by total: the
+    multisets of `total` mode labels, counted per mode."""
+    return tuple(tuple(combo.count(i) for i in range(M))
+                 for total in range(N_cap + 1)
+                 for combo in combinations_with_replacement(range(M), total))
 
 
 @dataclass(frozen=True)
@@ -147,9 +142,7 @@ def _ladder(space, i, ns):
     for col, n in enumerate(space.basis):
         if n[i] == 0:
             continue
-        m = list(n)
-        m[i] -= 1
-        rows.append(space.index[tuple(m)])
+        rows.append(space.index[n[:i] + (n[i] - 1,) + n[i + 1:]])
         cols.append(col)
         a.append(ns.sqrt(n[i]))
         b.append(ns.sqrt(Fraction(n[i] * (N - sum(n) + 1), N)))
@@ -259,11 +252,8 @@ def _un(space, ns, mode0):
     if space.N_cap < 1:
         raise InvalidParameterError("relabeling needs at least one particle")
     sector = space.sector_indices(space.N_cap)
-    rows = []
-    for k in sector:
-        n = list(space.basis[k])
-        n[mode0] = 0
-        rows.append(space.index[tuple(n)])
+    rows = [space.index[n[:mode0] + (0,) + n[mode0 + 1:]]
+            for n in (space.basis[k] for k in sector)]
     return _embedding(space, ns, rows), sector
 
 
@@ -550,7 +540,8 @@ def verify_energy_identity(coeff, space, n_states=20, seed=0):
 # ---------------------------------------------------------------------------
 
 def exp_generator(op):
-    """Unitary exponential of an antisymmetric generator."""
+    """Unitary exponential of an antisymmetric generator: the one dense
+    exponential, taken once per (generator, cap) by the sweeps below."""
     if op.space.dim > _EXPM_DIM_CAP:
         raise ResourceLimitError(
             f"exponential dimension {op.space.dim} exceeds {_EXPM_DIM_CAP}")
@@ -558,11 +549,9 @@ def exp_generator(op):
     if skew > 1e-12:
         raise InvalidParameterError(
             f"generator is not antisymmetric: defect {skew:.2e}")
-    mat = sparse.csr_matrix(op.matrix).copy()
-    mat.eliminate_zeros()
-    if mat.nnz == 0:
+    if not op.matrix.count_nonzero():
         return np.eye(op.space.dim)
-    Q = expm(mat.toarray())
+    Q = expm(op.matrix.toarray())
     defect = np.max(np.abs(Q.T @ Q - np.eye(Q.shape[0])))
     if not np.isfinite(defect) or defect > 1e-10:
         raise SolverFailureError(
@@ -570,17 +559,16 @@ def exp_generator(op):
     return Q
 
 
-def _growth_ratio(space, gen_matrix, n):
-    """Largest eigenvalue of the conjugated-number ratio operator."""
-    gen_matrix = sparse.csr_matrix(gen_matrix).copy()
-    gen_matrix.eliminate_zeros()
-    if gen_matrix.nnz == 0:
+def _growth_ratio(space, Q, n):
+    """Largest eigenvalue of the (NUM+1)^n ratio operator conjugated by Q;
+    exactly 1 when Q is the identity, the zero generator's exponential."""
+    if not -2 <= n <= 2:
+        raise InvalidParameterError(f"power {n} outside -2..2")
+    if np.array_equal(Q, np.eye(space.dim)):
         return 1.0
-    Q = expm(gen_matrix.toarray())
     shifted = space.number_diag() + 1.0
-    mid = Q.T @ np.diag(shifted ** n) @ Q
-    ratio = np.diag(shifted ** (-n / 2.0)) @ mid @ np.diag(
-        shifted ** (-n / 2.0))
+    w = np.diag(shifted ** (-n / 2.0))
+    ratio = w @ (Q.T @ np.diag(shifted ** n) @ Q) @ w
     ratio = (ratio + ratio.T) / 2.0
     return float(np.linalg.eigvalsh(ratio)[-1])
 
@@ -596,39 +584,37 @@ class GrowthReport:
     generator_norm: float
 
 
-def verify_B_number_growth(M, eta_unit, scale, n, caps=(2, 3, 4, 5, 6)):
-    """Ratios of (NUM+1)^n under pair-generator conjugation, per cap."""
-    if not -2 <= n <= 2:
-        raise InvalidParameterError(f"power {n} outside -2..2")
+def verify_B_number_growth(M, eta_unit, scale, powers, caps=(2, 3, 4, 5, 6)):
+    """Ratios of (NUM+1)^n under pair-generator conjugation, one report
+    per power n; every power reads the one exponential of each cap."""
     eta_unit = np.asarray(eta_unit, dtype=float)
-    ratios = []
-    for cap in caps:
+
+    def at(cap):
         space = build_fock_space(M, cap)
-        B = build_B(space, scale * eta_unit)
-        ratios.append(_growth_ratio(space, B.matrix, n))
-    return GrowthReport(n=n, caps=tuple(caps), ratios=tuple(ratios),
-                        sup=float(max(ratios)),
-                        generator_norm=float(
-                            scale * np.linalg.norm(eta_unit)))
+        Q = exp_generator(build_B(space, scale * eta_unit))
+        return [_growth_ratio(space, Q, n) for n in powers]
+    norm = float(scale * np.linalg.norm(eta_unit))
+    return tuple(GrowthReport(n=n, caps=tuple(caps), ratios=row,
+                              sup=float(max(row)), generator_norm=norm)
+                 for n, row in zip(powers, zip(*map(at, caps))))
 
 
-def verify_A_number_growth(M, nu, g, k, t_grid=(-1.0, -0.5, 0.5, 1.0),
+def verify_A_number_growth(M, nu, g, powers, t_grid=(-1.0, -0.5, 0.5, 1.0),
                            caps=(2, 3, 4, 5, 6), mode0=0):
-    """Ratios of (NUM+1)^k under scaled cubic-generator conjugation."""
-    if not -2 <= k <= 2:
-        raise InvalidParameterError(f"power {k} outside -2..2")
-    nu = np.asarray(nu, dtype=float)
-    g = np.asarray(g, dtype=float)
-    ratios = [[] for _ in t_grid]
+    """Ratios of (NUM+1)^k under t A conjugation, one report per (k, t) as
+    reports[k][t]; every power reads the one exponential of each (t, cap)."""
+    rows = [[[] for _ in t_grid] for _ in powers]
     for cap in caps:
         space = build_fock_space(M, cap)
         A = build_A(space, nu, g, mode0)
-        for row, t in zip(ratios, t_grid):
-            row.append(_growth_ratio(space, t * A.matrix, k))
-    return tuple(GrowthReport(
-        n=k, caps=tuple(caps), ratios=tuple(row), sup=float(max(row)),
+        for j, t in enumerate(t_grid):
+            Q = exp_generator(FockOperator(space=space, matrix=t * A.matrix))
+            for row, k in zip(rows, powers):
+                row[j].append(_growth_ratio(space, Q, k))
+    return tuple(tuple(GrowthReport(
+        n=k, caps=tuple(caps), ratios=tuple(r), sup=float(max(r)),
         generator_norm=float(abs(t) * np.linalg.norm(nu) * np.linalg.norm(g)))
-        for row, t in zip(ratios, t_grid))
+        for r, t in zip(row, t_grid)) for k, row in zip(powers, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -645,50 +631,45 @@ class RemainderReport:
     d_norm: float
 
 
-def compute_d_eta(space, eta, f, n=0):
+def compute_d_eta(space, eta, f, Q, powers=(0,)):
     """Remainder d of e^{-B} b(f) e^B = b(cosh f) + b*(sinh f) + d.
 
-    The hyperbolic functions act on the mode vector through the spectral
-    decomposition of the symmetric matrix eta. The report carries
+    Q = e^B comes from exp_generator (the identity leaves d exactly 0);
+    cosh and sinh act on f through the spectral decomposition of the
+    symmetric matrix eta. Each power n gets a report carrying
     sup_xi |(NUM+1)^{n/2} d xi| / (|f| |(NUM+1)^{(n+3)/2} xi|), the
-    weighted norm whose decay in the particle cap is the content of the
-    remainder bound.
+    weighted norm whose decay in the cap is the remainder bound's content.
     """
-    eta = np.asarray(eta, dtype=float)
     f = np.asarray(f, dtype=float)
-    alg = algebra(space, FLOAT)
-    bmat = _pair_generator(alg, eta)
-    bmat.eliminate_zeros()
-    bf = _combo(alg, f, alg.b)
-    if bmat.nnz == 0:
-        d = sparse.csr_matrix((space.dim, space.dim))
-    else:
-        Q = expm(bmat.toarray())
-        w, V = np.linalg.eigh(eta)
-        cosh_f = V @ (np.cosh(w) * (V.T @ f))
-        sinh_f = V @ (np.sinh(w) * (V.T @ f))
-        conj = Q.T @ bf.toarray() @ Q
-        bc = _combo(alg, cosh_f, alg.b)
-        bs = _combo(alg, sinh_f, alg.b_dag)
-        d = sparse.csr_matrix(conj - bc.toarray() - bs.toarray())
-    shifted = space.number_diag() + 1.0
     fn = float(np.linalg.norm(f))
     if fn == 0.0:
         raise InvalidParameterError("remainder needs a nonzero mode vector")
-    weighted = (np.diag(shifted ** (n / 2.0)) @ d.toarray()
-                @ np.diag(shifted ** (-(n + 3) / 2.0))) / fn
-    ratio = float(np.linalg.norm(weighted, 2))
-    return FockOperator(space=space, matrix=d), RemainderReport(
-        cap=space.N_cap, n=n, ratio=ratio,
-        d_norm=float(np.linalg.norm(d.toarray(), 2)))
+    d = np.zeros((space.dim, space.dim))
+    if not np.array_equal(Q, np.eye(space.dim)):
+        alg = algebra(space, FLOAT)
+        w, V = np.linalg.eigh(eta)
+        cosh_f = V @ (np.cosh(w) * (V.T @ f))
+        sinh_f = V @ (np.sinh(w) * (V.T @ f))
+        d = (Q.T @ _combo(alg, f, alg.b).toarray() @ Q
+             - _combo(alg, cosh_f, alg.b).toarray()
+             - _combo(alg, sinh_f, alg.b_dag).toarray())
+    shifted = space.number_diag() + 1.0
+    d_norm = float(np.linalg.norm(d, 2))
+    return FockOperator(space=space, matrix=sparse.csr_matrix(d)), tuple(
+        RemainderReport(cap=space.N_cap, n=n, d_norm=d_norm, ratio=float(
+            np.linalg.norm(np.diag(shifted ** (n / 2.0)) @ d
+                           @ np.diag(shifted ** (-(n + 3) / 2.0)) / fn, 2)))
+        for n in powers)
 
 
-def sweep_d_eta(M, eta_unit, scale, f, n=0, caps=(2, 3, 4, 5, 6)):
-    """Remainder ratio reports across particle caps at fixed eta."""
-    eta_unit = np.asarray(eta_unit, dtype=float)
-    out = []
-    for cap in caps:
+def sweep_d_eta(M, eta_unit, scale, f, powers=(0,), caps=(2, 3, 4, 5, 6)):
+    """Remainder reports across particle caps at fixed eta, one tuple per
+    power n; every power reads the one exponential of each cap."""
+    eta = scale * np.asarray(eta_unit, dtype=float)
+
+    def at(cap):
         space = build_fock_space(M, cap)
-        _, rep = compute_d_eta(space, scale * eta_unit, f, n)
-        out.append(rep)
-    return tuple(out)
+        B = _pair_generator(algebra(space, FLOAT), eta)
+        Q = exp_generator(FockOperator(space=space, matrix=B))
+        return compute_d_eta(space, eta, f, Q, powers)[1]
+    return tuple(zip(*map(at, caps)))

@@ -240,21 +240,22 @@ def test_criterion_10_growth_and_remainder():
     g = 0.5 * rng.normal(size=(3, 3))
     fvec = np.array([0.7, -0.4, 0.2])
 
-    pair_sup = max(max(fk.verify_B_number_growth(3, eta_unit, 0.3, n).ratios)
-                   for n in (-2, -1, 0, 1, 2))
+    pair_sup = max(max(rep.ratios) for rep in fk.verify_B_number_growth(
+        3, eta_unit, 0.3, (-2, -1, 0, 1, 2)))
     cubic_sup = max(max(rep.ratios)
-                    for k in (1, 2)
-                    for rep in fk.verify_A_number_growth(3, nu, g, k))
+                    for row in fk.verify_A_number_growth(3, nu, g, (1, 2))
+                    for rep in row)
     common_ok = pair_sup <= 2.5 and cubic_sup <= 2.5
 
     scaled = [rep.ratio * rep.cap
-              for n in (-1, 0, 1)
-              for rep in fk.sweep_d_eta(3, eta_unit, 0.3, fvec, n=n)]
+              for row in fk.sweep_d_eta(3, eta_unit, 0.3, fvec, (-1, 0, 1))
+              for rep in row]
     rem_ok = max(scaled) <= 1.0
 
-    zero_growth = fk.verify_B_number_growth(3, np.zeros((3, 3)), 1.0, 2)
+    (zero_growth,) = fk.verify_B_number_growth(3, np.zeros((3, 3)), 1.0, (2,))
     space = fk.build_fock_space(3, 4)
-    d_op, d_rep = fk.compute_d_eta(space, np.zeros((3, 3)), fvec)
+    zero_Q = fk.exp_generator(fk.build_B(space, np.zeros((3, 3))))
+    d_op, (d_rep,) = fk.compute_d_eta(space, np.zeros((3, 3)), fvec, zero_Q)
     trivial_ok = (zero_growth.ratios == (1.0,) * 5
                   and d_op.matrix.nnz == 0 and d_rep.ratio == 0.0)
 

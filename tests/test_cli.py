@@ -445,7 +445,16 @@ class TestCommandLine:
         ("potential", "square_well"),
         ("potential", {"kind": "square_well", "parameters": {"R": 1.0}}),
         ("potential", {"kind": "custom", "parameters": {}}),
-        ("potential", {"kind": ["square_well"]})])
+        ("potential", {"kind": ["square_well"]}),
+        ("potential", {"kind": "square_well",
+                       "parameters": {"V0": "abc", "R": 1.0},
+                       "grid": {"n_pts": 512}}),
+        ("potential", {"kind": "square_well",
+                       "parameters": {"V0": 2.0, "R": float("nan")},
+                       "grid": {"n_pts": 512}}),
+        ("potential", {"kind": "square_well",
+                       "parameters": {"V0": 2.0, "R": 1.0},
+                       "grid": {"n_pts": "abc"}})])
     def test_bad_scatter_params_exit_2_before_any_stage(
             self, tmp_path, capsys, monkeypatch, key, value):
         ran = []
@@ -481,6 +490,60 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert "kernels" in err and "Traceback" not in err
         assert ran == []
+
+    @pytest.mark.parametrize("key,value", [
+        ("tol", "abc"), ("tol", -1), ("a0", "abc"),
+        ("trap", {"kind": "harmonic", "parameters": {"r_max": 8.0}}),
+        ("trap", {"kind": "harmonic", "parameters": {"r_max": float("nan")},
+                  "grid": {"n_pts": 800}}),
+        ("trap", {"kind": "abc", "parameters": {"r_max": 8.0},
+                  "grid": {"n_pts": 800}})])
+    def test_bad_gp_params_exit_2_before_any_stage(
+            self, tmp_path, capsys, monkeypatch, key, value):
+        ran = []
+        monkeypatch.setattr(cli, "scatter_stage",
+                            lambda *a: ran.append("scatter"))
+        monkeypatch.setattr(cli, "gp_stage", lambda *a: ran.append("gp"))
+        raw = cli.default_config()
+        raw["pipeline"] = ["scatter", "gp"]
+        raw["stages"]["gp"][key] = value
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(raw))
+        assert cli.main(["run", "--config", str(cfgp)]) == 2
+        err = capsys.readouterr().err
+        assert f"gp {key}" in err and "Traceback" not in err
+        assert ran == []
+
+    def test_oversized_growth_cap_exits_2_before_any_space(
+            self, tmp_path, capsys, monkeypatch):
+        # C(7 + 8, 7) = 6435 exceeds the exponential's dimension cap
+        built = []
+        monkeypatch.setattr(cli.fock, "build_fock_space",
+                            lambda *a: built.append(a))
+        raw = cli.default_config()
+        raw["pipeline"] = ["fock"]
+        raw["stages"]["fock"].update(modes=7, caps=[8])
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(raw))
+        assert cli.main(["run", "--config", str(cfgp)]) == 2
+        err = capsys.readouterr().err
+        assert "6435" in err and "Traceback" not in err
+        assert built == []
+
+    def test_one_exponential_per_generator_and_cap(self, monkeypatch):
+        # every power reads one exponential per (generator, t, cap):
+        # 5 pair + 20 cubic (four nonzero t) + 5 remainder at caps 2..6;
+        # the zero generators take none
+        calls = []
+        expm = cli.fock.expm
+
+        def counted(mat):
+            calls.append(mat.shape[0])
+            return expm(mat)
+
+        monkeypatch.setattr(cli.fock, "expm", counted)
+        cli.fock_stage({"modes": 4, "ncap": 5}, cli._DEFAULT_THRESHOLDS, 7)
+        assert len(calls) <= 30
 
     def test_exact_mode_only_for_suites_that_read_it(self, monkeypatch):
         calls = []

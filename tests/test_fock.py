@@ -341,8 +341,8 @@ class TestPairGenerator:
 
     @pytest.mark.parametrize("n", [-2, -1, 0, 1, 2])
     def test_growth_bounded_over_caps(self, eta3, n):
-        rep = fock.verify_B_number_growth(3, eta3, 0.3, n,
-                                          caps=(2, 3, 4, 5, 6))
+        (rep,) = fock.verify_B_number_growth(3, eta3, 0.3, (n,),
+                                             caps=(2, 3, 4, 5, 6))
         assert rep.sup <= np.exp(4 * 0.3)
         assert max(rep.ratios) / min(rep.ratios) < 1.5
         if n == 0:
@@ -350,19 +350,42 @@ class TestPairGenerator:
             assert rep.ratios == pytest.approx((1.0,) * 5, abs=1e-12)
 
     def test_growth_trivial_at_zero_eta(self):
-        rep = fock.verify_B_number_growth(3, np.zeros((3, 3)), 1.0, 2)
+        (rep,) = fock.verify_B_number_growth(3, np.zeros((3, 3)), 1.0, (2,))
         assert rep.ratios == (1.0,) * 5
 
     def test_growth_power_range(self, eta3):
         with pytest.raises(InvalidParameterError):
-            fock.verify_B_number_growth(3, eta3, 0.3, 5)
+            fock.verify_B_number_growth(3, eta3, 0.3, (0, 5))
+
+    def test_generator_built_once_per_cap(self, eta3, monkeypatch):
+        # one B and one exponential per cap, read by every power; each
+        # (power, cap) ratio equals a single-power, single-cap sweep's
+        powers, caps = (-2, 0, 1, 2), (2, 3, 4)
+        calls = []
+        build = fock.build_B
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].N_cap)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(fock, "build_B", counted)
+        reps = fock.verify_B_number_growth(3, eta3, 0.3, powers, caps=caps)
+        assert calls == list(caps)
+        assert [rep.n for rep in reps] == list(powers)
+        for rep in reps:
+            ref = [fock.verify_B_number_growth(3, eta3, 0.3, (rep.n,),
+                                               caps=(c,))[0].ratios[0]
+                   for c in caps]
+            assert rep.ratios == tuple(ref)
 
     @given(scales=st.tuples(st.floats(0.05, 0.5), st.floats(0.05, 0.5)))
     @settings(max_examples=10, deadline=None)
     def test_growth_monotone_in_generator_norm(self, eta3, scales):
         lo, hi = sorted(scales)
-        rep_lo = fock.verify_B_number_growth(3, eta3, lo, 2, caps=(2, 3, 4))
-        rep_hi = fock.verify_B_number_growth(3, eta3, hi, 2, caps=(2, 3, 4))
+        (rep_lo,) = fock.verify_B_number_growth(3, eta3, lo, (2,),
+                                                caps=(2, 3, 4))
+        (rep_hi,) = fock.verify_B_number_growth(3, eta3, hi, (2,),
+                                                caps=(2, 3, 4))
         assert rep_hi.sup >= rep_lo.sup - 1e-12
 
 
@@ -383,16 +406,17 @@ class TestCubicGenerator:
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_growth_bounded_over_caps(self, nug, k):
-        reps = fock.verify_A_number_growth(3, *nug, k,
-                                           t_grid=(-1.0, 0.5, 1.0))
+        (reps,) = fock.verify_A_number_growth(3, *nug, (k,),
+                                              t_grid=(-1.0, 0.5, 1.0))
         for rep in reps:
             assert np.isfinite(rep.sup)
             assert max(rep.ratios) / min(rep.ratios) < 1.6
 
     def test_generator_built_once_per_cap(self, nug, monkeypatch):
-        # A does not depend on t: one build per cap, and each (t, cap)
-        # ratio equals the one a single-t, single-cap sweep gives
-        t_grid, caps = (-1.0, 0.0, 0.5), (2, 3)
+        # A depends on neither t nor k: one build per cap, and each
+        # (k, t, cap) ratio equals the one a single-power, single-t,
+        # single-cap sweep gives
+        powers, t_grid, caps = (-2, 1, 2), (-1.0, 0.0, 0.5), (2, 3)
         calls = []
         build = fock.build_A
 
@@ -401,31 +425,32 @@ class TestCubicGenerator:
             return build(*args, **kwargs)
 
         monkeypatch.setattr(fock, "build_A", counted)
-        reps = fock.verify_A_number_growth(3, *nug, 2, t_grid=t_grid,
+        reps = fock.verify_A_number_growth(3, *nug, powers, t_grid=t_grid,
                                            caps=caps)
         assert calls == list(caps)
-        for rep, t in zip(reps, t_grid):
-            ref = [fock.verify_A_number_growth(3, *nug, 2, t_grid=(t,),
-                                               caps=(c,))[0].ratios[0]
-                   for c in caps]
-            assert rep.ratios == tuple(ref)
-        assert reps[1].ratios == (1.0, 1.0)
+        for k, row in zip(powers, reps):
+            for rep, t in zip(row, t_grid):
+                ref = [fock.verify_A_number_growth(
+                    3, *nug, (k,), t_grid=(t,), caps=(c,))[0][0].ratios[0]
+                    for c in caps]
+                assert rep.n == k and rep.ratios == tuple(ref)
+            assert row[1].ratios == (1.0, 1.0)
 
     def test_growth_trivial_at_zero_scaling(self, nug):
-        reps = fock.verify_A_number_growth(3, *nug, 1, t_grid=(0.0,))
-        assert reps[0].ratios == (1.0,) * 5
+        ((rep,),) = fock.verify_A_number_growth(3, *nug, (1,), t_grid=(0.0,))
+        assert rep.ratios == (1.0,) * 5
 
     def test_growth_grows_with_t(self, nug):
-        half, full = fock.verify_A_number_growth(
-            3, *nug, 1, t_grid=(0.5, 1.0), caps=(2, 3, 4))
+        ((half, full),) = fock.verify_A_number_growth(
+            3, *nug, (1,), t_grid=(0.5, 1.0), caps=(2, 3, 4))
         assert half.sup <= full.sup + 1e-12
 
     def test_negative_powers(self, nug):
-        reps = fock.verify_A_number_growth(3, *nug, -1, t_grid=(1.0,),
-                                           caps=(2, 3))
+        (reps,) = fock.verify_A_number_growth(3, *nug, (-1,), t_grid=(1.0,),
+                                              caps=(2, 3))
         assert all(np.isfinite(r.sup) for r in reps)
         with pytest.raises(InvalidParameterError):
-            fock.verify_A_number_growth(3, *nug, 3)
+            fock.verify_A_number_growth(3, *nug, (1, 3))
 
     def test_bad_shapes_rejected(self, sp34):
         with pytest.raises(InvalidParameterError):
@@ -435,7 +460,8 @@ class TestCubicGenerator:
 class TestRemainder:
     def test_zero_eta_exact_zero(self, fvec):
         sp = fock.build_fock_space(3, 3)
-        d, rep = fock.compute_d_eta(sp, np.zeros((3, 3)), fvec)
+        Q = fock.exp_generator(fock.build_B(sp, np.zeros((3, 3))))
+        d, (rep,) = fock.compute_d_eta(sp, np.zeros((3, 3)), fvec, Q)
         assert d.matrix.nnz == 0
         assert rep.ratio == 0.0 and rep.d_norm == 0.0
 
@@ -450,8 +476,9 @@ class TestRemainder:
         gaps = []
         for s in (0.2, 0.1, 0.05):
             et = s * eta3
-            d, _ = fock.compute_d_eta(sp34, et, fvec)
             B = fock.build_B(sp34, et).matrix
+            Q = fock.exp_generator(fock.FockOperator(space=sp34, matrix=B))
+            d, _ = fock.compute_d_eta(sp34, et, fvec, Q)
             bf = bvec(fvec)
             c1 = bf @ B - B @ bf
             d2 = (c1 - bvec(et @ fvec, dag=True)) + 0.5 * (
@@ -462,19 +489,41 @@ class TestRemainder:
 
     @pytest.mark.parametrize("n", [-1, 0, 1])
     def test_ratio_times_cap_bounded(self, eta3, fvec, n):
-        reps = fock.sweep_d_eta(3, eta3, 0.3, fvec, n=n, caps=(2, 3, 4, 5, 6))
+        (reps,) = fock.sweep_d_eta(3, eta3, 0.3, fvec, (n,),
+                                   caps=(2, 3, 4, 5, 6))
         vals = [r.ratio * r.cap for r in reps]
         assert all(np.isfinite(v) and v > 0 for v in vals)
         assert max(vals) / min(vals) < 3.0
 
     def test_zero_vector_rejected(self, sp34, eta3):
+        Q = fock.exp_generator(fock.build_B(sp34, eta3))
         with pytest.raises(InvalidParameterError):
-            fock.compute_d_eta(sp34, eta3, np.zeros(3))
+            fock.compute_d_eta(sp34, eta3, np.zeros(3), Q)
 
     def test_ratio_scales_with_f(self, sp34, eta3, fvec):
-        _, r1 = fock.compute_d_eta(sp34, 0.3 * eta3, fvec)
-        _, r2 = fock.compute_d_eta(sp34, 0.3 * eta3, 2.0 * fvec)
+        Q = fock.exp_generator(fock.build_B(sp34, 0.3 * eta3))
+        _, (r1,) = fock.compute_d_eta(sp34, 0.3 * eta3, fvec, Q)
+        _, (r2,) = fock.compute_d_eta(sp34, 0.3 * eta3, 2.0 * fvec, Q)
         assert r1.ratio == pytest.approx(r2.ratio, rel=1e-12)
+
+    def test_powers_share_one_exponential(self, eta3, fvec, monkeypatch):
+        # one exponential per cap, read by every power; each (n, cap)
+        # report equals a single-power, single-cap sweep's
+        powers, caps = (-1, 0, 1), (2, 3, 4)
+        calls = []
+        exp = fock.exp_generator
+
+        def counted(op):
+            calls.append(op.space.N_cap)
+            return exp(op)
+
+        monkeypatch.setattr(fock, "exp_generator", counted)
+        reps = fock.sweep_d_eta(3, eta3, 0.3, fvec, powers, caps=caps)
+        assert calls == list(caps)
+        for n, row in zip(powers, reps):
+            assert row == tuple(
+                fock.sweep_d_eta(3, eta3, 0.3, fvec, (n,), caps=(c,))[0][0]
+                for c in caps)
 
 
 class TestExponentialGuards:

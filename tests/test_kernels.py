@@ -202,7 +202,9 @@ class TestBandConvolve:
         vals = rng.normal(size=nodes.size)
         table = _moment_table(nodes, vals, power)
         x = rng.uniform(0.3, 2.7, size=5)
-        fine = np.linspace(nodes[0], nodes[-1], 20001)
+        # the reference grid holds every node, so the trapezoid sees no kink
+        # and its error (~3e-8 for power 3) stays well below the tolerance
+        fine = np.linspace(nodes[0], nodes[-1], (nodes.size - 1) * 10000 + 1)
         dense = np.interp(fine, nodes, vals) * fine ** power
         mass = np.cumsum(np.concatenate([[0.0], np.diff(fine) *
                                          (dense[1:] + dense[:-1]) / 2.0]))
