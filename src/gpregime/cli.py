@@ -442,6 +442,7 @@ def gp_stage(trap, a0, params, thr):
         "trap": trap.to_dict(),
         "a0": float(a0),
         "tol": tol,
+        "tol_applied": state.tol_applied,
         "energies": {k: float(v) for k, v in state.energy.items()},
         "eps_gp": float(state.eps_gp),
         "residual": float(state.residual),

@@ -188,30 +188,29 @@ def _combo(alg, coeffs, mats):
     return sum((m * c for c, m in zip(coeffs, mats) if c), alg.zero)
 
 
+def _nest(alg, left, c, inner):
+    """sum_i left_i inner(c_i), over the i whose c_i is not all zero."""
+    return sum((left[i] @ inner(c[i]) for i in range(len(c))
+                if np.any(c[i] != 0)), alg.zero)
+
+
 def _bilinear(alg, left, right, c):
-    """sum_ij c_ij left_i right_j."""
-    out = alg.zero
-    for i, j in zip(*np.nonzero(c)):
-        out = out + (left[i] @ right[j]) * c[i, j]
-    return out
+    """sum_ij c_ij left_i right_j = sum_i left_i (sum_j c_ij right_j)."""
+    return _nest(alg, left, c, lambda row: _combo(alg, row, right))
 
 
 def _cubic(alg, c):
-    """sum_xyz c_xyz b*_x a*_y a_z."""
-    out = alg.zero
-    for x, y, z in zip(*np.nonzero(c)):
-        out = out + (alg.b_dag[x] @ alg.a_dag[y] @ alg.a[z]) * c[x, y, z]
-    return out
+    """sum_xyz c_xyz b*_x a*_y a_z = sum_x b*_x (sum_yz c_xyz a*_y a_z)."""
+    return _nest(alg, alg.b_dag, c,
+                 lambda cx: _bilinear(alg, alg.a_dag, alg.a, cx))
 
 
 def _two_body(alg, v):
-    """(1/2) sum v_ijkl a*_i a*_j a_l a_k."""
-    out = alg.zero
-    for i, j in np.ndindex(v.shape[:2]):
-        left = alg.a_dag[i] @ alg.a_dag[j]
-        for k, l in zip(*np.nonzero(v[i, j])):
-            out = out + (left @ alg.a[l] @ alg.a[k]) * (v[i, j, k, l] / 2)
-    return out
+    """(1/2) sum v_ijkl a*_i a*_j a_l a_k, on pair products built once."""
+    M = alg.space.M
+    pairs = [alg.a[l] @ alg.a[k] for k in range(M) for l in range(M)]
+    return _nest(alg, alg.a_dag, v, lambda vi: _bilinear(
+        alg, alg.a_dag, pairs, vi.reshape(M, M * M) / 2))
 
 
 def _excited(c, m0):

@@ -1,11 +1,12 @@
 """Exact arithmetic for the truncated ladder algebra.
 
 This module owns a number system: matrix entries live in the ring of
-rational combinations of square roots of square-free integers, held in
-dict-of-keys matrices. Products of the modified ladder operators stay
-inside that ring, so the builders and the identity list of
-gpregime.fock, run in this number system, turn each identity into a
-zero test, not a tolerance test. Entry arithmetic is pure Python;
+rational combinations of square roots of square-free integers, held as
+one rational scale times int numerators keyed by (row, col, radicand).
+Products of the modified ladder operators stay inside that ring, so the
+builders and the identity list of gpregime.fock, run in this number
+system, turn each identity into a zero test, not a tolerance test: the
+zero matrix stores no entry. Entry arithmetic is pure Python ints;
 spaces are capped at dimension 200.
 """
 
@@ -13,7 +14,8 @@ from collections import defaultdict
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd, isqrt, lcm
+from numbers import Rational
 
 import numpy as np
 
@@ -31,18 +33,9 @@ _EXACT_DIM_CAP = 200
 
 @lru_cache(maxsize=None)
 def _split_square(n):
-    """Write n = s*s*d with d square-free; return (s, d)."""
-    s, d, k = 1, 1, 2
-    while k * k <= n:
-        e = 0
-        while n % k == 0:
-            n //= k
-            e += 1
-        s *= k ** (e // 2)
-        if e % 2:
-            d *= k
-        k += 1
-    return s, d * n
+    """Write n = s*s*d with d square-free (s the largest); return (s, d)."""
+    s = max(k for k in range(1, isqrt(n) + 1) if n % (k * k) == 0)
+    return s, n // (s * s)
 
 
 class Rad:
@@ -118,18 +111,30 @@ class Rad:
 # ---------------------------------------------------------------------------
 
 class RadMatrix:
-    """Dict-of-keys matrix over Rad; zero entries are never stored."""
+    """scale * sum of entries[row, col, d] sqrt(d) at (row, col): nonzero
+    int numerators with gcd 1 (the gcd is folded into the rational scale),
+    so the zero matrix is exactly the one with no entries."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "scale")
 
-    def __init__(self, entries):
-        self.entries = {k: v for k, v in entries.items() if not v.is_zero}
+    def __init__(self, entries, scale=1):
+        if not scale or 0 in entries.values():
+            entries = {k: v for k, v in entries.items() if v and scale}
+        g = gcd(*entries.values())
+        if g > 1:
+            entries = {k: v // g for k, v in entries.items()}
+        self.entries = entries
+        self.scale = Fraction(scale) * g if entries else Fraction(0)
 
     @classmethod
     def build(cls, vals, rows, cols, shape):
         """NumberSystem.matrix: shape is implied by the entries."""
-        return cls({(r, c): v if isinstance(v, Rad) else Rad.of(v)
-                    for v, r, c in zip(vals, rows, cols)})
+        fracs = {(r, c, d): q for v, r, c in zip(vals, rows, cols)
+                 for d, q in (v if isinstance(v, Rad)
+                              else Rad.of(v)).terms.items()}
+        den = lcm(*(q.denominator for q in fracs.values()))
+        return cls({k: q.numerator * (den // q.denominator)
+                    for k, q in fracs.items()}, Fraction(1, den))
 
     @property
     def is_zero(self):
@@ -137,34 +142,48 @@ class RadMatrix:
 
     @property
     def T(self):
-        return RadMatrix({(c, r): v for (r, c), v in self.entries.items()})
+        return RadMatrix({(c, r, d): v
+                          for (r, c, d), v in self.entries.items()},
+                         self.scale)
 
     def __add__(self, other):
-        out = dict(self.entries)
+        if not (self.entries and other.entries):
+            return self if self.entries else other
+        p, q = self.scale, other.scale
+        # common scale gcd(numerators) / lcm(denominators)
+        num = gcd(p.numerator, q.numerator)
+        den = lcm(p.denominator, q.denominator)
+        fp = p.numerator // num * (den // p.denominator)
+        fq = q.numerator // num * (den // q.denominator)
+        out = {k: v * fp for k, v in self.entries.items()}
         for k, v in other.entries.items():
-            out[k] = out[k] + v if k in out else v
-        return RadMatrix(out)
+            out[k] = out.get(k, 0) + v * fq
+        return RadMatrix(out, Fraction(num, den))
 
     def __sub__(self, other):
         return self + other * -1
 
     def __mul__(self, c):
-        return RadMatrix({k: v * c for k, v in self.entries.items()})
+        if isinstance(c, Rad):  # a product with c times the identity
+            cols = sorted({col for _, col, _ in self.entries})
+            return self @ RadMatrix.build([c] * len(cols), cols, cols, None)
+        if not isinstance(c, Rational):
+            raise TypeError(f"cannot scale an exact matrix by {c!r}")
+        return RadMatrix(self.entries, self.scale * c)
 
     def __truediv__(self, q):
         return self * (1 / Fraction(q))
 
     def __matmul__(self, other):
         rows = defaultdict(list)
-        for (r, c), v in other.entries.items():
-            rows[r].append((c, v))
-        out = {}
-        for (r, k), va in self.entries.items():
-            for c, vb in rows.get(k, ()):
-                prod = va * vb
-                key = (r, c)
-                out[key] = out[key] + prod if key in out else prod
-        return RadMatrix(out)
+        for (r, c, d), v in other.entries.items():
+            rows[r].append((c, d, v))
+        out = defaultdict(int)
+        for (r, k, d1), va in self.entries.items():
+            for c, d2, vb in rows.get(k, ()):
+                s, d = _split_square(d1 * d2)
+                out[r, c, d] += va * vb * s
+        return RadMatrix(out, self.scale * other.scale)
 
 
 EXACT = NumberSystem(sqrt=Rad.sqrt, matrix=RadMatrix.build)

@@ -70,6 +70,8 @@ class GpState:
     extrapolation) and r_max (where it vanishes). Energies are reported so
     that total is exactly the sum of the three parts; eps_gp equals
     total + 4 pi a0 ||phi||_4^4 by construction of the shared quadrature.
+    tol_applied is the residual tolerance the flow stopped at: the
+    requested tol, raised to the stencil's roundoff floor 5e-15 / h^2.
     """
 
     grid: np.ndarray
@@ -78,6 +80,7 @@ class GpState:
     energy: dict
     eps_gp: float
     residual: float
+    tol_applied: float
     iterations: int
     trap_kind: str
     u: np.ndarray          # u = r phi on interior nodes 1..n-1
@@ -192,7 +195,8 @@ def minimize_gp(trap, a0, r_max=None, n_pts=None, tol=1e-11, max_iter=5000,
         energy={"kinetic": kinetic, "trap": trap_e, "interaction": inter,
                 "total": kinetic + trap_e + inter},
         eps_gp=kinetic + trap_e + 2.0 * inter,
-        residual=float(res), iterations=iterations, trap_kind=trap.kind,
+        residual=float(res), tol_applied=float(eff_tol),
+        iterations=iterations, trap_kind=trap.kind,
         u=u, h=float(h), v_nodes=v_nodes, energy_trace=tuple(trace))
 
 

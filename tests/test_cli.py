@@ -308,6 +308,14 @@ class TestGpStage:
         assert rep["spectrum"]["lambda1"] > 0.0
         assert state.a0 == 0.2
 
+    def test_reports_the_tolerance_that_applied(self, default_bundle):
+        # the default trap grid has h = 8 / 800, so the residual's roundoff
+        # floor 5e-15 / h^2 = 5e-11 overrides the requested tol of 1e-11
+        rep = default_bundle.stage_reports["gp"]
+        assert rep["tol"] == 1e-11
+        assert rep["tol_applied"] == pytest.approx(5e-11, rel=1e-12)
+        assert rep["residual"] <= rep["tol_applied"]
+
 
 # ---------------------------------------------------------------------------
 # command line
@@ -625,6 +633,30 @@ class TestCommandLine:
                 "assert 'scipy.fft' in sys.modules; "
                 "assert 'scipy.signal' not in sys.modules, 'scipy.signal'")
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+    def test_import_loads_no_numpy(self):
+        # the console entry sets its thread defaults before numpy loads
+        import subprocess
+        import sys
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys, gpregime, gpregime.main; "
+                "assert 'numpy' not in sys.modules, 'numpy'; "
+                "assert gpregime.run is gpregime.cli.run")
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+    @pytest.mark.parametrize("preset", [None, "3"])
+    def test_console_entry_defaults_one_blas_thread(self, monkeypatch,
+                                                    capsys, preset):
+        from gpregime import main
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+        for var in names:
+            if preset is None:
+                monkeypatch.delenv(var, raising=False)
+            else:
+                monkeypatch.setenv(var, preset)
+        assert main.main(["scatter", "--sweep", "bogus"]) == 2
+        assert [os.environ[v] for v in names] == [preset or "1"] * 2
 
     def test_bad_sweep_exits_2(self, capsys):
         assert cli.main(["scatter", "--sweep", "bogus"]) == 2

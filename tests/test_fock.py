@@ -13,6 +13,7 @@ measured before freezing.
 import numpy as np
 import pytest
 from fractions import Fraction
+from math import gcd
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
@@ -542,6 +543,68 @@ class TestExponentialGuards:
             fock.exp_generator(op)
 
 
+class RefMatrix:
+    """Per-entry reference over Rad: dict (row, col) -> Rad, every entry
+    held as its own Fraction coefficients, no shared scale."""
+
+    def __init__(self, entries):
+        self.entries = {k: v for k, v in entries.items() if not v.is_zero}
+
+    @classmethod
+    def build(cls, vals, rows, cols, shape):
+        return cls({(r, c): v if isinstance(v, fockexact.Rad)
+                    else fockexact.Rad.of(v)
+                    for v, r, c in zip(vals, rows, cols)})
+
+    @property
+    def T(self):
+        return RefMatrix({(c, r): v for (r, c), v in self.entries.items()})
+
+    def __add__(self, other):
+        out = dict(self.entries)
+        for k, v in other.entries.items():
+            out[k] = out[k] + v if k in out else v
+        return RefMatrix(out)
+
+    def __sub__(self, other):
+        return self + other * -1
+
+    def __mul__(self, c):
+        return RefMatrix({k: v * c for k, v in self.entries.items()})
+
+    def __matmul__(self, other):
+        out = {}
+        for (r, k), va in self.entries.items():
+            for (k2, c), vb in other.entries.items():
+                if k2 == k:
+                    prod = va * vb
+                    out[r, c] = out[r, c] + prod if (r, c) in out else prod
+        return RefMatrix(out)
+
+
+REF = fock.NumberSystem(sqrt=fockexact.Rad.sqrt, matrix=RefMatrix.build)
+
+
+def rad_terms(mat):
+    """(row, col, d) -> Fraction coefficient of sqrt(d), from either a
+    RadMatrix (scale times its int numerators) or a RefMatrix."""
+    if isinstance(mat, RefMatrix):
+        return {(r, c, d): q for (r, c), v in mat.entries.items()
+                for d, q in v.terms.items()}
+    return {k: mat.scale * v for k, v in mat.entries.items()}
+
+
+def rad_entries(mat):
+    """(row, col) -> Rad of a RadMatrix."""
+    out = {}
+    for (r, c, d), q in rad_terms(mat).items():
+        out[r, c] = out.get((r, c), fockexact.Rad()) + fockexact.Rad({d: q})
+    return out
+
+
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
 class TestExactArithmetic:
     def test_radical_normalization(self):
         r = fockexact.Rad.sqrt(8)
@@ -571,9 +634,78 @@ class TestExactArithmetic:
             for name in ("a", "a_dag", "b", "b_dag"):
                 want = dense(getattr(lad, name))
                 got = np.zeros_like(want)
-                for (r, c), v in getattr(exact, name)[i].entries.items():
+                for (r, c), v in rad_entries(
+                        getattr(exact, name)[i]).items():
                     got[r, c] = float(v)
                 np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+    @given(M=st.integers(1, 2), cap=st.integers(1, 3),
+           start=st.integers(0, 9),
+           ops=st.lists(st.tuples(
+               st.sampled_from(["@", "+", "-", "T", "q", "r"]),
+               st.integers(0, 9), small_fractions,
+               st.fractions(min_value=0, max_value=8, max_denominator=5),
+               small_fractions), min_size=1, max_size=7))
+    @settings(max_examples=60, deadline=None)
+    def test_ring_matches_per_entry_reference(self, M, cap, start, ops):
+        """@, +, -, .T and * by a Fraction or a Rad on random ladder
+        words agree exactly with the per-entry Fraction/Rad reference,
+        and every result is in normal form."""
+        space = fock.build_fock_space(M, cap)
+        atoms = []
+        for ns in (fockexact.EXACT, REF):
+            alg = fock.algebra(space, ns)
+            atoms.append([*alg.a, *alg.a_dag, *alg.b, *alg.b_dag,
+                          alg.num, alg.eye])
+        x, ref = (a[start % len(a)] for a in atoms)
+        for op, k, q, radicand, q2 in ops:
+            y, y_ref = (a[k % len(a)] for a in atoms)
+            rad = fockexact.Rad.sqrt(radicand) * q + fockexact.Rad.of(q2)
+            if op == "@":
+                x, ref = x @ y, ref @ y_ref
+            elif op == "+":
+                x, ref = x + y * q, ref + y_ref * q
+            elif op == "-":
+                x, ref = x - y * rad, ref - y_ref * rad
+            elif op == "T":
+                x, ref = x.T, ref.T
+            elif op == "q":
+                x, ref = x * q, ref * q
+            else:
+                x, ref = x * rad, ref * rad
+            assert rad_terms(x) == rad_terms(ref)
+            assert x.is_zero == (not ref.entries)
+            assert all(type(v) is int and v for v in x.entries.values())
+            assert gcd(*x.entries.values()) == (1 if x.entries else 0)
+
+    @pytest.mark.parametrize("M,cap", [(2, 2), (3, 3)])
+    def test_builders_match_per_entry_reference(self, M, cap):
+        space = fock.build_fock_space(M, cap)
+        coeff = fockexact.make_exact_coefficients(M, seed=3, mode0=1)
+        exact = fock.algebra(space, fockexact.EXACT)
+        ref = fock.algebra(space, REF)
+        got = {"H": fock._hn(exact, coeff), **fock._ln(exact, coeff)}
+        want = {"H": fock._hn(ref, coeff), **fock._ln(ref, coeff)}
+        for name in want:
+            assert want[name].entries, name
+            assert rad_terms(got[name]) == rad_terms(want[name]), name
+
+    def test_non_identities_are_not_zero(self):
+        space = fock.build_fock_space(2, 3)
+        alg = fock.algebra(space, fockexact.EXACT)
+        # [a_0, a*_0] = 1 fails on the top sector of the truncation
+        assert not (fock._comm(alg.a[0], alg.a_dag[0]) - alg.eye).is_zero
+        lhs = fock._comm(alg.b[0], alg.num)
+        assert (lhs - alg.b[0]).is_zero
+        for key, v in lhs.entries.items():
+            bumped = fockexact.RadMatrix({**lhs.entries, key: v + 1},
+                                         lhs.scale)
+            assert not (bumped - alg.b[0]).is_zero, key
+
+    def test_float_scalars_rejected(self):
+        alg = fock.algebra(fock.build_fock_space(1, 2), fockexact.EXACT)
+        with pytest.raises(TypeError):
+            alg.eye * 0.5
 
     @given(M=st.integers(1, 3), cap=st.integers(1, 4), seed=st.integers(0, 99))
     @settings(max_examples=25, deadline=None)
