@@ -1076,7 +1076,3 @@ def main(argv=None):
     except GPRegimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -206,11 +206,10 @@ def _cubic(alg, c):
 
 
 def _two_body(alg, v):
-    """(1/2) sum v_ijkl a*_i a*_j a_l a_k, on pair products built once."""
-    M = alg.space.M
-    pairs = [alg.a[l] @ alg.a[k] for k in range(M) for l in range(M)]
+    """(1/2) sum v_ijkl a*_i a*_j a_l a_k, via pairs[k M + l] = a_l a_k."""
+    pairs = [a_l @ a_k for a_k in alg.a for a_l in alg.a]
     return _nest(alg, alg.a_dag, v, lambda vi: _bilinear(
-        alg, alg.a_dag, pairs, vi.reshape(M, M * M) / 2))
+        alg, alg.a_dag, pairs, vi.reshape(len(vi), -1) / 2))
 
 
 def _excited(c, m0):

@@ -1,20 +1,19 @@
 """Exact arithmetic for the truncated ladder algebra.
 
 This module owns a number system: matrix entries live in the ring of
-rational combinations of square roots of square-free integers, held as
-one rational scale times int numerators keyed by (row, col, radicand).
-Products of the modified ladder operators stay inside that ring, so the
-builders and the identity list of gpregime.fock, run in this number
-system, turn each identity into a zero test, not a tolerance test: the
-zero matrix stores no entry. Entry arithmetic is pure Python ints;
-spaces are capped at dimension 200.
+rational combinations of square roots of square-free integers, a matrix
+being one rational scale times int numerators keyed by (row, col,
+radicand). Products of the modified ladder operators stay inside that
+ring, so the builders and identity list of gpregime.fock, run in this
+number system, turn each identity into a literal zero test (the zero
+matrix stores no entry). Pure Python ints; dimension capped at 200.
 """
 
 from collections import defaultdict
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, isqrt, lcm
+from math import comb, gcd, lcm
 from numbers import Rational
 
 import numpy as np
@@ -33,9 +32,18 @@ _EXACT_DIM_CAP = 200
 
 @lru_cache(maxsize=None)
 def _split_square(n):
-    """Write n = s*s*d with d square-free (s the largest); return (s, d)."""
-    s = max(k for k in range(1, isqrt(n) + 1) if n % (k * k) == 0)
-    return s, n // (s * s)
+    """Write n = s*s*d with d square-free; return (s, d)."""
+    s, d, k = 1, 1, 2
+    while k * k <= n:
+        e = 0
+        while n % k == 0:
+            n //= k
+            e += 1
+        s *= k ** (e // 2)
+        if e % 2:
+            d *= k
+        k += 1
+    return s, d * n
 
 
 class Rad:
@@ -111,9 +119,8 @@ class Rad:
 # ---------------------------------------------------------------------------
 
 class RadMatrix:
-    """scale * sum of entries[row, col, d] sqrt(d) at (row, col): nonzero
-    int numerators with gcd 1 (the gcd is folded into the rational scale),
-    so the zero matrix is exactly the one with no entries."""
+    """scale * entries[row, col, d] sqrt(d): nonzero int numerators of gcd
+    1 (folded into scale), so the zero matrix is the one with no entries."""
 
     __slots__ = ("entries", "scale")
 
@@ -121,17 +128,15 @@ class RadMatrix:
         if not scale or 0 in entries.values():
             entries = {k: v for k, v in entries.items() if v and scale}
         g = gcd(*entries.values())
-        if g > 1:
-            entries = {k: v // g for k, v in entries.items()}
-        self.entries = entries
+        self.entries = ({k: v // g for k, v in entries.items()} if g > 1
+                        else entries)
         self.scale = Fraction(scale) * g if entries else Fraction(0)
 
     @classmethod
     def build(cls, vals, rows, cols, shape):
         """NumberSystem.matrix: shape is implied by the entries."""
-        fracs = {(r, c, d): q for v, r, c in zip(vals, rows, cols)
-                 for d, q in (v if isinstance(v, Rad)
-                              else Rad.of(v)).terms.items()}
+        fracs = {(r, c, d): q for v, r, c in zip(vals, rows, cols) for d, q
+                 in (v if isinstance(v, Rad) else Rad.of(v)).terms.items()}
         den = lcm(*(q.denominator for q in fracs.values()))
         return cls({k: q.numerator * (den // q.denominator)
                     for k, q in fracs.items()}, Fraction(1, den))
@@ -142,23 +147,20 @@ class RadMatrix:
 
     @property
     def T(self):
-        return RadMatrix({(c, r, d): v
-                          for (r, c, d), v in self.entries.items()},
-                         self.scale)
+        return RadMatrix({(c, r, d): v for (r, c, d), v
+                          in self.entries.items()}, self.scale)
 
     def __add__(self, other):
         if not (self.entries and other.entries):
             return self if self.entries else other
         p, q = self.scale, other.scale
-        # common scale gcd(numerators) / lcm(denominators)
-        num = gcd(p.numerator, q.numerator)
-        den = lcm(p.denominator, q.denominator)
-        fp = p.numerator // num * (den // p.denominator)
-        fq = q.numerator // num * (den // q.denominator)
+        scale = Fraction(gcd(p.numerator, q.numerator),
+                         lcm(p.denominator, q.denominator))
+        fp, fq = int(p / scale), int(q / scale)
         out = {k: v * fp for k, v in self.entries.items()}
         for k, v in other.entries.items():
             out[k] = out.get(k, 0) + v * fq
-        return RadMatrix(out, Fraction(num, den))
+        return RadMatrix(out, scale)
 
     def __sub__(self, other):
         return self + other * -1

@@ -651,10 +651,11 @@ class TestCommandLine:
         from gpregime import main
         names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
         for var in names:
+            # setenv first, so monkeypatch restores the caller's value
+            # (or its absence) after main sets the default
+            monkeypatch.setenv(var, preset or "unset")
             if preset is None:
-                monkeypatch.delenv(var, raising=False)
-            else:
-                monkeypatch.setenv(var, preset)
+                monkeypatch.delenv(var)
         assert main.main(["scatter", "--sweep", "bogus"]) == 2
         assert [os.environ[v] for v in names] == [preset or "1"] * 2
 
