@@ -9,11 +9,10 @@ uniform radial grids, so this module concentrates the shared machinery:
   piecewise linearly; the oscillation is integrated exactly). The shape of
   the frequency grid picks how the sums over nodes are evaluated:
   frequencies in arithmetic progression (three or more) go through a
-  Bluestein chirp-z transform on scipy.fft, O((n + m) log(n + m)) with
-  every phase reduced in cycles at long-double precision; any other grid
-  (the geometric ones of the scattering and decay transforms) goes through
-  dense node x frequency blocks, as do the frequencies of a progression
-  whose phase stays below one radian over the window,
+  Bluestein chirp-z transform on scipy.fft, O((n + m) log(n + m)); any
+  other grid, and a progression's run of phases below one radian, through
+  an exact split of each node's exponential into block and in-block
+  factors, O(m sqrt(n)); both reduce phases in cycles in long double,
 - the unitary radial Fourier transform  F[w](p) = (2/p) int w(r) r sin(2 pi p r) dr
   with the convention  (-Delta) <-> 4 pi^2 p^2,  which is its own inverse,
 - Simpson moments  int w(r) r^k dr.
@@ -21,6 +20,8 @@ uniform radial grids, so this module concentrates the shared machinery:
 Grids are r_j = j * h for j = 0..n; pass the number of intervals n, keep it
 even so Simpson and Richardson halving both apply.
 """
+
+import math
 
 import numpy as np
 import scipy.fft
@@ -32,7 +33,7 @@ from .errors import InvalidDomainError, InvalidParameterError
 # cancellation, so a short Taylor series takes over.
 _SERIES_SWITCH = 1e-3
 
-# Cap on the (n_freq x n_nodes) broadcast block, in elements.
+# Cap on the split sums' blocks (about 8 sqrt(n) per frequency), in elements.
 _CHUNK_ELEMS = 4_000_000
 
 # 2 pi to long-double precision: phase coefficients are formed in cycles
@@ -84,14 +85,14 @@ def _progression(omega):
 def _cycles(coef, k):
     """Fractional part of coef * k, in cycles, for integer-valued k >= 0.
 
-    coef (a long double) splits into a head with few enough bits that
+    coef (long doubles) splits into a head with few enough bits that
     head * k is exact in double precision and a tail whose product errs
     far below one ulp of the phase; each part is reduced before the sum.
     """
     bits = 53 - max(int(np.max(k)).bit_length(), 1)
-    mant, expo = np.frexp(float(coef))
+    mant, expo = np.frexp(np.asarray(coef, dtype=float))
     head = np.ldexp(np.round(np.ldexp(mant, bits)), expo - bits)
-    tail = float(coef - np.longdouble(head))
+    tail = np.asarray(coef - head, dtype=float)
     big = head * k
     ph = (big - np.round(big)) + tail * k
     return ph - np.round(ph)
@@ -128,50 +129,63 @@ def _chirp_sums(c, h, x0, first, step, m):
     return scipy.fft.ifft(spec, axis=-1)[:, :m] * post
 
 
+def _split_sums(c, h, x0, omega):
+    """Z[r, j] = sum_i c[r, i] exp(i w_j mid_i) for any frequencies w_j.
+
+    Nodes i = q B + s in Q blocks of B = ceil(sqrt(n)) split each phase
+    exactly, w mid_i = w (x0 + (q B + 1/2) h) + w s h: m (Q + B) cosines
+    and sines, not m n. Phases are reduced in cycles at long-double
+    precision; for x0, w >= 0 both parts share a sign, so low-phase sine
+    sums keep relative accuracy.
+    """
+    rows, n = c.shape
+    B = math.isqrt(n - 1) + 1
+    Q = -(-n // B)
+    blocks = np.pad(c, ((0, 0), (0, Q * B - n))).reshape(rows * Q, B).T
+    nu = np.asarray(omega, dtype=np.longdouble)[:, None] / _TWO_PI
+    x1 = 2 * np.pi * (_cycles(nu * x0 + nu * h / 2, 1.0)
+                      + _cycles(nu * B * h, np.arange(Q, dtype=float)))
+    x2 = 2 * np.pi * _cycles(nu * h, np.arange(B, dtype=float))
+    e1 = np.stack([np.cos(x1), np.sin(x1)], axis=2)
+    e2 = np.stack([np.cos(x2), np.sin(x2)], axis=1)
+    inner = (e2.reshape(-1, B) @ blocks).reshape(-1, 2 * rows, Q)
+    # p[j, a, r, b] = sum_q (Re, Im)[a] of E2 @ C_r^T times (cos, sin)[b] of E1
+    p = (inner @ e1).reshape(-1, 2, rows, 2)
+    return (p[:, 0, :, 0] - p[:, 1, :, 1] + 1j * (p[:, 0, :, 1] + p[:, 1, :, 0])).T
+
+
 def _filon_core(f, h, omega, kind, x0=0.0):
-    """Shared evaluation loop for filon_sin / filon_cos.
+    """Shared evaluation for filon_sin / filon_cos.
 
     An arithmetic progression of frequencies goes through the chirp-z sums
-    in O((n + m) log(n + m)); any other grid through dense blocks. Dense
-    blocks also take the frequencies of a progression whose phase stays
+    in O((n + m) log(n + m)); any other grid through the exact split sums.
+    These also take the frequencies of a progression whose phase stays
     below one radian over the whole window: there a sine sum is far
-    smaller than sum |f| h, and only the dense sum keeps it to relative
-    accuracy (callers divide it by the frequency).
+    smaller than sum |f| h, and only a sum of the phases' own exponentials
+    keeps it to relative accuracy (callers divide it by the frequency).
     """
     f = np.asarray(f, dtype=float)
     if f.ndim != 1 or f.size < 3:
         raise InvalidDomainError("samples must be a 1D array on >= 2 intervals")
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     n = f.size - 1
-    c0 = 0.5 * (f[:-1] + f[1:])
-    c1 = (f[1:] - f[:-1]) / h
+    c = np.stack([0.5 * (f[:-1] + f[1:]), (f[1:] - f[:-1]) / h])
     a, b = _filon_weights(omega, h)
 
-    out = np.empty(omega.shape, dtype=float)
-    first, stop = 0, omega.size  # the dense range of frequencies
+    z = np.empty((2, omega.size), dtype=complex)
+    todo = np.arange(omega.size)  # the frequencies for the split sums
     prog = _progression(omega)
     if prog is not None:
-        low = np.nonzero(np.abs(omega) * max(abs(x0), abs(x0 + n * h)) < 1.0)[0]
-        if low.size < omega.size:
-            z0, z1 = _chirp_sums(np.stack([c0, c1]), h, x0, *prog, omega.size)
-            if kind == "sin":
-                out[:] = a * z0.imag + b * z1.real
-            else:
-                out[:] = a * z0.real - b * z1.imag
-            # |omega| < c cuts one run out of a progression
-            first, stop = (low[0], low[-1] + 1) if low.size else (0, 0)
-
-    mid = x0 + (np.arange(n) + 0.5) * h
-    step = max(1, _CHUNK_ELEMS // max(n, 1))
-    for lo in range(first, stop, step):
-        hi = min(lo + step, stop)
-        ph = omega[lo:hi, None] * mid[None, :]
-        s, c = np.sin(ph), np.cos(ph)
-        if kind == "sin":
-            out[lo:hi] = a[lo:hi] * (s @ c0) + b[lo:hi] * (c @ c1)
-        else:
-            out[lo:hi] = a[lo:hi] * (c @ c0) - b[lo:hi] * (s @ c1)
-    return out
+        low = np.abs(omega) * max(abs(x0), abs(x0 + n * h)) < 1.0
+        if not low.all():
+            z[:] = _chirp_sums(c, h, x0, *prog, omega.size)
+            todo = np.nonzero(low)[0]
+    step = max(1, _CHUNK_ELEMS // (8 * math.isqrt(n) + 8))
+    for sel in (todo[lo:lo + step] for lo in range(0, todo.size, step)):
+        z[:, sel] = _split_sums(c, h, x0, omega[sel])
+    if kind == "sin":
+        return a * z[0].imag + b * z[1].real
+    return a * z[0].real - b * z[1].imag
 
 
 def filon_sin(f, h, omega, x0=0.0):
@@ -210,8 +224,8 @@ def radial_fourier(w, h, p, richardson=True):
     """
     w = np.asarray(w, dtype=float)
     p = np.atleast_1d(np.asarray(p, dtype=float))
-    if np.any(p < 0):
-        raise InvalidParameterError("momenta must be nonnegative")
+    if not np.all((p >= 0) & (p < np.inf)):  # NaN fails both
+        raise InvalidParameterError("momenta must be finite and nonnegative")
     r = np.arange(w.size) * h
     g = w * r
     core = _filon_richardson if richardson else _filon_core

@@ -469,8 +469,9 @@ def fourier_w(sol, p_grid=None):
     if p_grid is None:
         p_grid = default_momentum_grid(sol)
     p_grid = np.asarray(p_grid, dtype=float)
-    if p_grid.ndim != 1 or p_grid.size < 8 or np.any(p_grid <= 0):
-        raise InvalidParameterError("need a 1D grid of positive momenta")
+    if (p_grid.ndim != 1 or p_grid.size < 8
+            or not np.all((p_grid > 0) & (p_grid < np.inf))):
+        raise InvalidParameterError("need a 1D grid of finite positive momenta")
     if p_grid.max() / p_grid.min() < 99.0:
         raise InvalidParameterError("momentum grid must span >= two decades")
 

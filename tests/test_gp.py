@@ -157,3 +157,10 @@ class TestFourierDecay:
         a = fourier_decay(free_state).sup_weighted
         b = fourier_decay(finer).sup_weighted
         assert abs(a - b) / b < 0.01
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_momenta_rejected(self, free_state, bad):
+        p = np.geomspace(0.02, 6.0, 241)
+        p[100] = bad
+        with pytest.raises(InvalidParameterError):
+            fourier_decay(free_state, p)

@@ -4,9 +4,11 @@ Every tolerance here was chosen against a closed form, not against the
 implementation's own output.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from gpregime import radial
@@ -120,9 +122,11 @@ def test_domain_validation():
         uniform_grid(-1.0, 100)
     with pytest.raises(InvalidDomainError):
         uniform_grid(1.0, 101)  # odd interval count
-    with pytest.raises(InvalidParameterError):
-        r, h = uniform_grid(1.0, 10)
-        radial_fourier(np.ones_like(r), h, np.array([-0.5]))
+    r, h = uniform_grid(1.0, 10)
+    for bad in (-0.5, np.nan, np.inf):
+        # NaN fails both p < 0 and p > 0; it must not read as p = 0
+        with pytest.raises(InvalidParameterError):
+            radial_fourier(np.ones_like(r), h, np.array([0.3, bad]))
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +135,7 @@ def test_domain_validation():
 
 
 def _dense_filon(f, h, omega, kind, x0=0.0):
-    """The dense node x frequency evaluation, written out in one block."""
+    """The direct node x frequency evaluation, written out in one block."""
     n = f.size - 1
     mid = x0 + (np.arange(n) + 0.5) * h
     c0 = 0.5 * (f[:-1] + f[1:])
@@ -153,7 +157,7 @@ _FILON = {"sin": filon_sin, "cos": filon_cos}
 @pytest.mark.parametrize("n, m", [(400, 57), (64, 900)])
 def test_chirp_matches_dense_on_uniform_grids(kind, x0, omega0, n, m):
     # omega0 = 0 puts the first frequencies on the series side of the
-    # weight switch and below one radian of phase (dense there).
+    # weight switch and below one radian of phase (split sums there).
     h = 0.01
     p = x0 + np.arange(n + 1) * h
     f = np.exp(-p) * np.cos(7.0 * p) + 0.3
@@ -168,7 +172,7 @@ def test_chirp_matches_dense_on_uniform_grids(kind, x0, omega0, n, m):
 @pytest.mark.parametrize("n, m", [(400, 57), (64, 900)])
 def test_chirp_sums_match_direct_sums(omega0, n, m):
     # the chirp-z sums alone, including the low-phase frequencies that
-    # filon_sin and filon_cos hand to the dense blocks
+    # filon_sin and filon_cos hand to the split sums
     h, x0 = 0.01, 0.7
     c = np.random.default_rng(n).normal(size=(2, n))
     step = 60.0 / (m - 1)
@@ -177,6 +181,21 @@ def test_chirp_sums_match_direct_sums(omega0, n, m):
     mid = x0 + (np.arange(n) + 0.5) * h
     want = c @ np.exp(1j * mid[:, None] * omega[None, :])
     assert np.max(np.abs(got - want)) <= 1e-14 * np.sum(np.abs(c))
+
+
+def _long_double_filon(f, h, omega, x0):
+    """(sin, cos) Filon sums with nodes and phases in long double."""
+    ld = np.longdouble
+    n = f.size - 1
+    fl = f.astype(ld)
+    c0 = (fl[:-1] + fl[1:]) / 2
+    c1 = (fl[1:] - fl[:-1]) / ld(h)
+    mid = ld(x0) + (np.arange(n, dtype=ld) + ld(0.5)) * ld(h)
+    ph = omega.astype(ld)[:, None] * mid[None, :]
+    s, c = np.sin(ph), np.cos(ph)
+    a, b = (w.astype(ld) for w in radial._filon_weights(omega, h))
+    return ((a * (s @ c0) + b * (c @ c1)).astype(float),
+            (a * (c @ c0) - b * (s @ c1)).astype(float))
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
@@ -198,25 +217,87 @@ def test_chirp_wide_phase_against_long_double():
     got = filon_sin(f, h, omega, x0=P)
 
     sample = np.r_[0:805:23, 804]
-    ld = np.longdouble
-    fl = f.astype(ld)
-    c0 = (fl[:-1] + fl[1:]) / 2
-    c1 = (fl[1:] - fl[:-1]) / ld(h)
-    mid = ld(P) + (np.arange(n, dtype=ld) + ld(0.5)) * ld(h)
-    a, b = radial._filon_weights(omega, h)
-    want = np.array([ld(a[j]) * np.sum(c0 * np.sin(ld(omega[j]) * mid))
-                     + ld(b[j]) * np.sum(c1 * np.cos(ld(omega[j]) * mid))
-                     for j in sample])
-    err = np.max(np.abs(got[sample] - want.astype(float)))
+    want = _long_double_filon(f, h, omega[sample], P)[0]
+    err = np.max(np.abs(got[sample] - want))
     assert err <= 1e-16 * np.sum(np.abs(f)) * h
 
 
-def test_geometric_grid_keeps_the_dense_path_bit_for_bit():
-    h, x0 = 0.01, 0.3
-    p = x0 + np.arange(501) * h
-    f = np.exp(-p) * np.sin(3.0 * p)
-    omega = np.geomspace(0.05, 400.0, 241)
+# ---------------------------------------------------------------------------
+# split sums on any other frequency grid
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("n", [512, 4096])
+def test_geometric_grid_against_long_double(n):
+    # What fourier_w transforms: w r on the well segment [0, R] and on the
+    # outer segment [R, L], on a 241-point geometric momentum grid. With
+    # L = 1025 the outer phases reach 7.7e4 radians. Spacings are dyadic,
+    # so the reference sees the exact nodes the program does. Noise
+    # samples leave no smooth cancellation: phase coefficients rounded to
+    # double precision put them near 5e-15 of sum |f| h.
+    omega = np.geomspace(0.01, 75.0, 241)
     assert radial._progression(omega) is None
-    for kind in ("sin", "cos"):
-        got = _FILON[kind](f, h, omega, x0=x0)
-        assert np.array_equal(got, _dense_filon(f, h, omega, kind, x0))
+    noise = np.random.default_rng(n).normal(size=n + 1)
+    for x0, length in [(0.0, 1.0), (1.0, 1024.0)]:
+        h = length / n
+        r = x0 + np.arange(n + 1) * h
+        smooth = (1.0 - (r / r[-1]) ** 2) ** 2 * (r if x0 == 0.0 else 0.7)
+        for f in (smooth, noise):
+            want = _long_double_filon(f, h, omega, x0)
+            for kind, ref in zip(("sin", "cos"), want):
+                got = _FILON[kind](f, h, omega, x0=x0)
+                err = np.max(np.abs(got - ref))
+                assert err <= 1e-15 * np.sum(np.abs(f)) * h
+
+    # Below one radian of phase a sine sum is far smaller than sum |f| h;
+    # a geometric grid and the low run of a progression both keep it to
+    # relative accuracy. f > 0 fixes the sign of every term.
+    h = 1.0 / n
+    r = np.arange(n + 1) * h
+    f = np.exp(-r) * (1.0 + r)
+    for omega in (np.geomspace(1e-6, 0.9, 40), np.linspace(1e-3, 40.0, 200)):
+        low = omega < 1.0
+        want = _long_double_filon(f, h, omega[low], 0.0)
+        for kind, ref in zip(("sin", "cos"), want):
+            got = _FILON[kind](f, h, omega)[low]
+            assert np.max(np.abs(got / ref - 1.0)) <= 1e-14
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=300),
+    x0=st.floats(min_value=0.0, max_value=1.0),
+    omega=st.lists(st.floats(min_value=0.0, max_value=16.0),
+                   min_size=1, max_size=30),
+    seed=st.integers(min_value=0, max_value=2 ** 16),
+)
+@example(n=2, x0=0.0, omega=[3.0, 0.0, 1.5], seed=0)
+@example(n=3, x0=0.5, omega=[16.0, 2.0], seed=1)  # B = 2, padded block
+@example(n=64, x0=0.2, omega=[9.0, 1.0, 5.0], seed=2)  # n = B^2
+@example(n=97, x0=1.0, omega=[0.1, 12.0, 7.7, 3.3], seed=3)  # n % B != 0
+def test_split_sums_match_direct_sums(n, x0, omega, seed):
+    h = 3.0 / n
+    omega = np.array(omega)
+    c = np.random.default_rng(seed).normal(size=(2, n))
+    got = radial._split_sums(c, h, x0, omega)
+    mid = x0 + (np.arange(n) + 0.5) * h
+    want = c @ np.exp(1j * mid[:, None] * omega[None, :])
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.sum(np.abs(c))
+
+
+def test_geometric_grid_peak_memory():
+    # Dense node x frequency sin/cos blocks for this call peak at 23.8 MB.
+    n = 4096
+    r, h = uniform_grid(800.0, n)
+    f = np.exp(-r / 100.0)
+    omega = np.geomspace(0.01, 75.0, 241)
+    filon_sin(f, h, omega, x0=1.0)  # warm any lazy set-up
+    tracemalloc.start()
+    try:
+        filon_sin(f, h, omega, x0=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000

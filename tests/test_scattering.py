@@ -272,6 +272,14 @@ class TestFourier:
         with pytest.raises(InvalidParameterError):
             fourier_w_ode(neu100, np.array([1e-5]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_momenta_rejected(self, neu100, bad):
+        # a bad momentum is the caller's error, not a quadrature failure
+        p = np.geomspace(0.05, 5.0, 48)
+        p[7] = bad
+        with pytest.raises(InvalidParameterError):
+            fourier_w(neu100, p)
+
 
 class TestLemmaReport:
     def test_items_within_expected_ranges(self, ref, neu_sweep):
