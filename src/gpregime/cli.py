@@ -73,6 +73,10 @@ _DEFAULT_THRESHOLDS = {
     "remainder_spread": 3.0,
 }
 
+# Thresholds that a check compares with a strict "<", so 0 fails every run.
+_STRICT_THRESHOLDS = {"integral_uniformity_ratio", "growth_spread",
+                      "remainder_spread"}
+
 _TOP_KEYS = {"schema_version", "seed", "pipeline", "stages", "thresholds"}
 
 
@@ -204,9 +208,10 @@ def parse_config(data):
     thresholds = data.get("thresholds", {})
     if not isinstance(thresholds, dict):
         raise ConfigError("thresholds must be an object")
-    for key in thresholds:
+    for key, value in thresholds.items():
         if key not in _DEFAULT_THRESHOLDS:
             raise ConfigError(f"unknown threshold {key!r}")
+        _check_threshold(key, value)
     # DAG: every stage must find its upstream outputs earlier in the list
     seen = set()
     for stage in pipeline:
@@ -243,6 +248,28 @@ def _number(stage, name, value):
         raise ConfigError(
             f"{stage} {name} must be a finite number, got {value!r}")
     return value
+
+
+def _check_threshold(key, value):
+    """A threshold override must be a finite number. decay_orders is a
+    non-empty list of positive orders; eigenvalue_rate_slope, a target
+    slope, takes either sign; every other threshold is >= 0, and > 0 in
+    _STRICT_THRESHOLDS."""
+    if key == "decay_orders":
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"threshold decay_orders must be a non-empty "
+                              f"list, got {value!r}")
+        for nu in value:
+            if _number("threshold", "decay_orders entry", nu) <= 0:
+                raise ConfigError(f"threshold decay_orders entries must be "
+                                  f"positive, got {nu!r}")
+        return
+    _number("threshold", key, value)
+    strict = key in _STRICT_THRESHOLDS
+    if key != "eigenvalue_rate_slope" and (value < 0 or strict and value == 0):
+        raise ConfigError(f"threshold {key} must be "
+                          f"{'positive' if strict else 'nonnegative'}, "
+                          f"got {value!r}")
 
 
 def _scatter_params(params):
@@ -637,7 +664,8 @@ _EXACT_KEYS = {
 def fock_stage(params, thr, seed):
     """Identity and growth suites on the truncated space."""
     M, cap, caps, suites = _fock_params(params)
-    space = fock.build_fock_space(M, cap)
+    ws = fock.Workspace()
+    space = ws.space(M, cap)
     rng = np.random.default_rng(seed)
     e = rng.normal(size=(M, M))
     eta_unit = (e + e.T) / 2.0
@@ -676,15 +704,15 @@ def fock_stage(params, thr, seed):
     if "ln" in suites:
         worst = max(fock.verify_energy_identity(
             fock.make_random_coefficients(m, seed=seed),
-            fock.build_fock_space(m, c), n_states=20, seed=seed)
+            ws.space(m, c), n_states=20, seed=seed)
             for m, c in dict.fromkeys([(2, 3), (3, 3), (3, 4), (M, cap)]))
         add("excitation-energy-identity", worst, thr["energy_identity_tol"])
         add_exact("ln")
     if "bgrowth" in suites:
         reps = fock.verify_B_number_growth(M, eta_unit, 0.3, (-2, -1, 0, 1, 2),
-                                           caps=caps)
+                                           caps=caps, workspace=ws)
         (zero,) = fock.verify_B_number_growth(M, np.zeros((M, M)), 1.0, (2,),
-                                              caps=caps)
+                                              caps=caps, workspace=ws)
         growth["pair"] = {"generator_norm": 0.3,
                           "trivial_ratios": list(zero.ratios), "table": {
             f"n={r.n}": {"caps": list(r.caps), "ratios": list(r.ratios),
@@ -699,7 +727,8 @@ def fock_stage(params, thr, seed):
         # t = 0 comes last: the zero generator, whose ratios are exactly 1
         powers = (-2, -1, 1, 2)
         reps = fock.verify_A_number_growth(
-            M, nu, g, powers, t_grid=(-1.0, -0.5, 0.5, 1.0, 0.0), caps=caps)
+            M, nu, g, powers, t_grid=(-1.0, -0.5, 0.5, 1.0, 0.0), caps=caps,
+            workspace=ws)
         zero = reps[powers.index(1)][-1]
         growth["cubic"] = {"trivial_ratios": list(zero.ratios), "table": {
             f"k={k}": [{"t_norm": r.generator_norm, "ratios": list(r.ratios),
@@ -715,11 +744,11 @@ def fock_stage(params, thr, seed):
             "caps": [r.cap for r in row],
             "ratio_times_cap": [r.ratio * r.cap for r in row]}
             for row in fock.sweep_d_eta(M, eta_unit, 0.3, fvec, (-1, 0, 1),
-                                        caps=caps)}
+                                        caps=caps, workspace=ws)}
         ok = all(max(t["ratio_times_cap"]) / min(t["ratio_times_cap"])
                  < thr["remainder_spread"] for t in table.values())
         ((zrep,),) = fock.sweep_d_eta(M, np.zeros((M, M)), 1.0, fvec,
-                                      caps=(cap,))
+                                      caps=(cap,), workspace=ws)
         growth["remainder"] = {"table": table, "trivial_ratio": zrep.ratio}
         add("field-remainder-scaling", 0.0 if ok else 1.0, 0.0)
         add("field-remainder-trivial", zrep.ratio, 0.0, trivial=True)

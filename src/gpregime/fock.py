@@ -14,20 +14,30 @@ exponentiated once per particle cap (dense scaling-and-squaring), and the
 growth and remainder sweeps read every power off that one exponential.
 
 The builders and the identity checks are written once, against a
-NumberSystem: FLOAT (scipy.sparse CSR) here, exact radicals in
-gpregime.fockexact. Each identity is a named defect operator that is
-zero in exact arithmetic; the float checks reduce it by its largest
-entry, the exact check by a zero test.
+NumberSystem: FLOAT here, exact radicals in gpregime.fockexact. Each
+identity is a named defect operator that is zero in exact arithmetic;
+the float checks reduce it by its largest entry, the exact check by a
+zero test.
+
+A FLOAT matrix maps each displacement delta = n_row - n_col in Z^M to a
+weight vector over columns (DIA storage, offset in occupation space).
+A ladder monomial is one key, and the row of a column under delta is
+fixed by the basis, so a product is one gather per pair of keys:
+(d1, w1)(d2, w2) = (d1 + d2, w1[t_d2] * w2), t_d mapping a column to
+the row of its state shifted by d. At dimension 10 to 210 that is a few
+dozen vector operations, with no general sparse product's fixed cost.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations_with_replacement
 from math import comb, sqrt
+from operator import add, sub
 from typing import Callable, NamedTuple
+import weakref
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import expm
 
 from .errors import (
@@ -53,7 +63,9 @@ def _enumerate_basis(M, N_cap):
 
 @dataclass(frozen=True)
 class FockSpace:
-    """Occupation basis of at most N_cap bosons in M modes."""
+    """Occupation basis of at most N_cap bosons in M modes. Its totals,
+    shift maps and float algebra are built on first use, outside the
+    dataclass fields."""
 
     M: int
     N_cap: int
@@ -61,12 +73,41 @@ class FockSpace:
     index: dict = field(repr=False)
     dim: int
 
+    @cached_property
+    def _occupations(self):
+        return np.array(self.basis, dtype=np.int64).reshape(self.dim, self.M)
+
+    @cached_property
+    def _totals(self):
+        return self._occupations.sum(axis=1).astype(float)
+
     def number_diag(self):
-        return np.array([sum(n) for n in self.basis], dtype=float)
+        return self._totals.copy()
 
     def sector_indices(self, total):
-        return np.array([k for k, n in enumerate(self.basis)
-                         if sum(n) == total], dtype=int)
+        return np.flatnonzero(self._totals == total)
+
+    @cached_property
+    def _shifts(self):
+        return {}
+
+    def shift(self, delta):
+        """t_delta, computed once per delta: column -> index of its state
+        shifted by delta, or -1 where that state is outside the space."""
+        if delta not in self._shifts:
+            occ = self._occupations + delta
+            ok = (occ >= 0).all(axis=1) & (occ.sum(axis=1) <= self.N_cap)
+            t = np.full(self.dim, -1)
+            t[ok] = [self.index[n] for n in map(tuple, occ[ok].tolist())]
+            self._shifts[delta] = t
+        return self._shifts[delta]
+
+    @cached_property
+    def float_algebra(self):
+        """The FLOAT Algebra of this space, built on first use. It and its
+        matrices refer to the space through a weak proxy, so the space
+        and its cache form no reference cycle and are freed together."""
+        return algebra(weakref.proxy(self), FLOAT)
 
 
 def build_fock_space(M, N_cap):
@@ -90,33 +131,114 @@ class NumberSystem(NamedTuple):
     """The entry arithmetic the builders run in.
 
     sqrt maps a nonnegative int or Fraction to an entry; matrix builds a
-    matrix from (values, rows, cols, shape). Its matrices support @, +,
-    -, * and / by a scalar, and .T, which is all the builders use.
+    square matrix on a FockSpace from distinct entries (values, rows,
+    cols, space). Its matrices support @, +, -, * and / by a scalar, and
+    .T, which is all the builders use.
     """
 
     sqrt: Callable
     matrix: Callable
 
 
-def _csr(vals, rows, cols, shape):
-    return sparse.csr_matrix((np.asarray(vals, dtype=float), (rows, cols)),
-                             shape=shape)
+class DisplacementMatrix:
+    """Square float matrix on a FockSpace: weights maps delta, a tuple,
+    to w with w[col] the entry at (space.shift(delta)[col], col). Where
+    that shift is -1, w is 0, and every operation keeps it so. Stored
+    vectors are never written, so matrices share them."""
+
+    __slots__ = ("space", "weights")
+    __array_ufunc__ = None   # scalar * matrix goes to __rmul__
+
+    def __init__(self, space, weights):
+        self.space, self.weights = space, weights
+
+    @classmethod
+    def build(cls, vals, rows, cols, space):
+        """NumberSystem.matrix: one weight vector per displacement."""
+        weights = {}
+        for v, r, c in zip(vals, rows, cols):
+            d = tuple(map(sub, space.basis[r], space.basis[c]))
+            if d not in weights:
+                weights[d] = np.zeros(space.dim)
+            weights[d][c] = v
+        return cls(space, weights)
+
+    def _entries(self):
+        """(delta, rows, cols, values) of each key's column weights."""
+        for d, w in self.weights.items():
+            t = self.space.shift(d)
+            cols = np.flatnonzero(t >= 0)
+            yield d, t[cols], cols, w[cols]
+
+    def __add__(self, other):
+        out = dict(self.weights)
+        for d, w in other.weights.items():
+            out[d] = out[d] + w if d in out else w
+        return DisplacementMatrix(self.space, out)
+
+    def __sub__(self, other):
+        return self + other * -1.0
+
+    def __mul__(self, c):
+        return DisplacementMatrix(
+            self.space, {d: w * c for d, w in self.weights.items()})
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, c):
+        return DisplacementMatrix(
+            self.space, {d: w / c for d, w in self.weights.items()})
+
+    @property
+    def T(self):
+        out = {}
+        for d, rows, cols, v in self._entries():
+            out[tuple(-x for x in d)] = w = np.zeros(self.space.dim)
+            w[rows] = v
+        return DisplacementMatrix(self.space, out)
+
+    def __matmul__(self, other):
+        """Product with a matrix: one gather per key pair, keeping the
+        nonzero results. With a vector, or an array whose columns are
+        vectors: one scatter-add per key."""
+        if isinstance(other, np.ndarray):
+            out = np.zeros(other.shape)
+            for _, rows, cols, v in self._entries():
+                out[rows] += (other[cols].T * v).T
+            return out
+        out = {}
+        for d2, w2 in other.weights.items():
+            t = self.space.shift(d2)
+            for d1, w1 in self.weights.items():
+                w = w1[t] * w2
+                if w.any():
+                    d = tuple(map(add, d1, d2))
+                    if d in out:
+                        out[d] += w
+                    else:
+                        out[d] = w
+        return DisplacementMatrix(self.space, out)
+
+    def toarray(self):
+        out = np.zeros((self.space.dim, self.space.dim))
+        for _, rows, cols, v in self._entries():
+            out[rows, cols] = v
+        return out
 
 
-FLOAT = NumberSystem(sqrt=sqrt, matrix=_csr)
+FLOAT = NumberSystem(sqrt=sqrt, matrix=DisplacementMatrix.build)
 
 
-def _diag(ns, vals):
-    return ns.matrix(vals, range(len(vals)), range(len(vals)),
-                     (len(vals), len(vals)))
+def _diag(space, ns, vals):
+    return ns.matrix(vals, range(len(vals)), range(len(vals)), space)
 
 
 @dataclass(frozen=True)
 class FockOperator:
-    """Sparse float operator on a FockSpace."""
+    """Float operator on a FockSpace."""
 
     space: FockSpace
-    matrix: sparse.csr_matrix = field(repr=False)
+    matrix: DisplacementMatrix = field(repr=False)
 
 
 class Ladder(NamedTuple):
@@ -137,7 +259,7 @@ def _ladder(space, i, ns):
     if space.N_cap < 1:
         raise InvalidParameterError(
             "ladder operators need a positive particle cap")
-    N, shape = space.N_cap, (space.dim, space.dim)
+    N = space.N_cap
     rows, cols, a, b = [], [], [], []
     for col, n in enumerate(space.basis):
         if n[i] == 0:
@@ -146,10 +268,10 @@ def _ladder(space, i, ns):
         cols.append(col)
         a.append(ns.sqrt(n[i]))
         b.append(ns.sqrt(Fraction(n[i] * (N - sum(n) + 1), N)))
-    return Ladder(a=ns.matrix(a, rows, cols, shape),
-                  a_dag=ns.matrix(a, cols, rows, shape),
-                  b=ns.matrix(b, rows, cols, shape),
-                  b_dag=ns.matrix(b, cols, rows, shape))
+    return Ladder(a=ns.matrix(a, rows, cols, space),
+                  a_dag=ns.matrix(a, cols, rows, space),
+                  b=ns.matrix(b, rows, cols, space),
+                  b_dag=ns.matrix(b, cols, rows, space))
 
 
 def build_ladder(space, i):
@@ -172,15 +294,15 @@ class Algebra:
 
     @property
     def zero(self):
-        return self.ns.matrix([], [], [], (self.space.dim, self.space.dim))
+        return self.ns.matrix([], [], [], self.space)
 
 
 def algebra(space, ns):
     a, a_dag, b, b_dag = zip(*(_ladder(space, i, ns)
                                for i in range(space.M)))
     return Algebra(space=space, ns=ns, a=a, a_dag=a_dag, b=b, b_dag=b_dag,
-                   num=_diag(ns, [sum(n) for n in space.basis]),
-                   eye=_diag(ns, [1] * space.dim))
+                   num=_diag(space, ns, [sum(n) for n in space.basis]),
+                   eye=_diag(space, ns, [1] * space.dim))
 
 
 def _combo(alg, coeffs, mats):
@@ -221,8 +343,10 @@ def _excited(c, m0):
 
 
 def _max_abs(mat):
-    mat = sparse.csr_matrix(mat)
-    return 0.0 if mat.nnz == 0 else float(np.max(np.abs(mat.data)))
+    """Largest entry magnitude of a DisplacementMatrix; 0.0 exactly when
+    every weight is zero."""
+    return max((float(np.max(np.abs(w))) for w in mat.weights.values()),
+               default=0.0)
 
 
 def _comm(X, Y):
@@ -235,16 +359,19 @@ def _comm(X, Y):
 
 @dataclass(frozen=True)
 class ExcitationMap:
-    """Isometry from the top sector onto the zero-condensate sub-basis."""
+    """Partial isometry from the top sector onto the zero-condensate
+    sub-basis; sector holds the indices of the top-sector states."""
 
     space: FockSpace
     mode0: int
-    matrix: sparse.csr_matrix = field(repr=False)
+    matrix: DisplacementMatrix = field(repr=False)
     sector: np.ndarray = field(repr=False)
 
 
 def _un(space, ns, mode0):
-    """The relabeling matrix (dim x top-sector size) and the sector."""
+    """The relabeling map U, square on the space (each top-sector state
+    to that state with its condensate emptied, every other state to 0),
+    and the top-sector projector P = U* U."""
     if not 0 <= mode0 < space.M:
         raise InvalidParameterError(f"condensate mode {mode0} out of range")
     if space.N_cap < 1:
@@ -252,22 +379,19 @@ def _un(space, ns, mode0):
     sector = space.sector_indices(space.N_cap)
     rows = [space.index[n[:mode0] + (0,) + n[mode0 + 1:]]
             for n in (space.basis[k] for k in sector)]
-    return _embedding(space, ns, rows), sector
-
-
-def _embedding(space, ns, rows):
-    """The 0/1 matrix sending coordinate c to basis state rows[c]."""
-    return ns.matrix([1] * len(rows), rows, range(len(rows)),
-                     (space.dim, len(rows)))
+    ones = [1] * len(rows)
+    return (ns.matrix(ones, rows, sector, space),
+            ns.matrix(ones, sector, sector, space))
 
 
 def _gamma(space, ns, mode0):
-    return _diag(ns, [int(n[mode0] == 0) for n in space.basis])
+    return _diag(space, ns, [int(n[mode0] == 0) for n in space.basis])
 
 
 def build_UN(space, mode0=0):
-    U, sector = _un(space, FLOAT, mode0)
-    return ExcitationMap(space=space, mode0=mode0, matrix=U, sector=sector)
+    return ExcitationMap(space=space, mode0=mode0,
+                         matrix=_un(space, FLOAT, mode0)[0],
+                         sector=space.sector_indices(space.N_cap))
 
 
 def gamma_projector(space, mode0=0):
@@ -365,14 +489,14 @@ def build_HN(coeff, space):
     """H_N = sum h_ij a*_i a_j + (1/2) sum v_ijkl a*_i a*_j a_l a_k."""
     validate_coefficients(coeff, space.M)
     return FockOperator(space=space,
-                        matrix=_hn(algebra(space, FLOAT), coeff))
+                        matrix=_hn(space.float_algebra, coeff))
 
 
 def build_LN(coeff, space):
     """The pieces L0..L4 of the relabeled Hamiltonian, by name."""
     validate_coefficients(coeff, space.M)
     return {name: FockOperator(space=space, matrix=mat)
-            for name, mat in _ln(algebra(space, FLOAT), coeff).items()}
+            for name, mat in _ln(space.float_algebra, coeff).items()}
 
 
 def _pair_generator(alg, eta):
@@ -391,7 +515,7 @@ def _pair_generator(alg, eta):
 def build_B(space, eta):
     eta = np.asarray(eta, dtype=float)
     return FockOperator(space=space,
-                        matrix=_pair_generator(algebra(space, FLOAT), eta))
+                        matrix=_pair_generator(space.float_algebra, eta))
 
 
 def build_A(space, nu, g, mode0=0):
@@ -400,7 +524,7 @@ def build_A(space, nu, g, mode0=0):
     g = np.asarray(g, dtype=float)
     if nu.shape != (space.M, space.M) or g.shape != (space.M, space.M):
         raise InvalidParameterError("coefficient matrices must be MxM")
-    X = _cubic(algebra(space, FLOAT), nu[:, :, None] * g[:, None, :])
+    X = _cubic(space.float_algebra, nu[:, :, None] * g[:, None, :])
     return FockOperator(space=space, matrix=(X - X.T) / sqrt(space.N_cap))
 
 
@@ -418,7 +542,7 @@ def ladder_defects(alg, f, g, h):
     """
     space, N = alg.space, alg.space.N_cap
     a, a_dag, b, b_dag = alg.a, alg.a_dag, alg.b, alg.b_dag
-    below = _diag(alg.ns, [int(sum(n) < N) for n in space.basis])
+    below = _diag(space, alg.ns, [int(sum(n) < N) for n in space.basis])
     for i in range(space.M):
         for j in range(space.M):
             ccr = _comm(a[i], a_dag[j])
@@ -441,21 +565,21 @@ def ladder_defects(alg, f, g, h):
 def un_defects(alg, mode0):
     """Defects of Gamma and of the relabeling map U.
 
-    Each conjugation compares U X U* for a condensate bilinear X, read
-    off the top sector, against its excitation-space image sandwiched by
-    Gamma; the pure condensate relabels to the bare vacuum.
+    U vanishes off the top sector, so U X U* reads X off it. Each
+    conjugation compares U X U* for a condensate bilinear X against its
+    excitation-space image sandwiched by Gamma; the pure condensate
+    relabels to the bare vacuum.
     """
     space, ns, N = alg.space, alg.ns, alg.space.N_cap
-    U, sector = _un(space, ns, mode0)
-    sel = _embedding(space, ns, sector)
+    U, P = _un(space, ns, mode0)
     G = _gamma(space, ns, mode0)
     yield "gamma_idempotent", G @ G - G
     yield "gamma_number_commute", _comm(G, alg.num)
-    yield "un_isometry", U.T @ U - _diag(ns, [1] * sector.size)
+    yield "un_isometry", U.T @ U - P
     yield "un_range_projector", U @ U.T - G
 
     def conj(op):
-        return U @ (sel.T @ op @ sel) @ U.T
+        return U @ op @ U.T
 
     a0, a0d = alg.a[mode0], alg.a_dag[mode0]
     yield "un_conjugations", (conj(a0d @ a0)
@@ -471,20 +595,17 @@ def un_defects(alg, mode0):
                 hop = alg.a_dag[p] @ alg.a[q]
                 yield "un_conjugations", conj(hop) - G @ hop @ G
     pure = space.index[tuple(N if i == mode0 else 0 for i in range(space.M))]
-    col = int(np.flatnonzero(sector == pure)[0])
-    yield "un_conjugations", (U @ ns.matrix([1], [col], [0], (sector.size, 1))
-                              - ns.matrix([1], [0], [0], (space.dim, 1)))
+    yield "un_conjugations", (U @ ns.matrix([1], [pure], [pure], space)
+                              - ns.matrix([1], [0], [pure], space))
 
 
 def _energy_sides(alg, coeff):
-    """H on the top sector and U* L U, with L the sum of L0..L4.
-
-    Gamma U = U (un_range_projector), so U* L U = U* Gamma L Gamma U.
-    """
-    U, sector = _un(alg.space, alg.ns, coeff.mode0)
-    sel = _embedding(alg.space, alg.ns, sector)
+    """P H P and U* L U, with P the top-sector projector and L the sum
+    of L0..L4. Gamma U = U (un_range_projector), so U* L U = U* Gamma L
+    Gamma U."""
+    U, P = _un(alg.space, alg.ns, coeff.mode0)
     L = sum(_ln(alg, coeff).values(), alg.zero)
-    return sel.T @ _hn(alg, coeff) @ sel, U.T @ L @ U
+    return P @ _hn(alg, coeff) @ P, U.T @ L @ U
 
 
 def generator_defects(alg, eta):
@@ -509,33 +630,58 @@ def verify_b_commutators(space, seed=0):
     """Max deviation over ladder_defects, contracted with random vectors."""
     f, g, h = np.random.default_rng(seed).normal(size=(3, space.M))
     return max(_max_abs(d)
-               for _, d in ladder_defects(algebra(space, FLOAT), f, g, h))
+               for _, d in ladder_defects(space.float_algebra, f, g, h))
 
 
 def verify_un(space, mode0=0):
     """Max deviation over un_defects: unitarity and the conjugations."""
     return max(_max_abs(d)
-               for _, d in un_defects(algebra(space, FLOAT), mode0))
+               for _, d in un_defects(space.float_algebra, mode0))
 
 
 def verify_energy_identity(coeff, space, n_states=20, seed=0):
-    """Max relative defect of <psi, H psi> = <U psi, G L G U psi>."""
+    """Max relative defect of <psi, H psi> = <U psi, G L G U psi>, over
+    random unit states of the top sector."""
     validate_coefficients(coeff, space.M)
-    H, ULU = _energy_sides(algebra(space, FLOAT), coeff)
+    H, ULU = _energy_sides(space.float_algebra, coeff)
     defect = H - ULU
     scale = max(_max_abs(H), 1.0)
+    sector = space.sector_indices(space.N_cap)
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_states):
-        psi = rng.normal(size=defect.shape[0])
-        psi /= np.linalg.norm(psi)
-        worst = max(worst, abs(float(psi @ (defect @ psi))) / scale)
-    return worst
+    psi = np.zeros((space.dim, n_states))
+    for j in range(n_states):
+        x = rng.normal(size=sector.size)
+        psi[sector, j] = x / np.linalg.norm(x)
+    energies = np.sum(psi * (defect @ psi), axis=0)
+    return float(np.max(np.abs(energies), initial=0.0)) / scale
 
 
 # ---------------------------------------------------------------------------
 # generator exponentials and the growth lemmas as eigenvalue sweeps
 # ---------------------------------------------------------------------------
+
+class Workspace:
+    """The spaces and pair exponentials that one run of the sweeps
+    shares: one FockSpace per (M, cap), which keeps its float algebra
+    and shift maps, and one exponential per (M, cap, eta). Create one
+    per stage and drop it with the stage."""
+
+    def __init__(self):
+        self._spaces = {}
+        self._pair_exps = {}
+
+    def space(self, M, cap):
+        if (M, cap) not in self._spaces:
+            self._spaces[M, cap] = build_fock_space(M, cap)
+        return self._spaces[M, cap]
+
+    def pair_exponential(self, space, eta):
+        """exp_generator of build_B(space, eta), taken once."""
+        key = (space.M, space.N_cap, eta.tobytes())
+        if key not in self._pair_exps:
+            self._pair_exps[key] = exp_generator(build_B(space, eta))
+        return self._pair_exps[key]
+
 
 def exp_generator(op):
     """Unitary exponential of an antisymmetric generator: the one dense
@@ -547,7 +693,7 @@ def exp_generator(op):
     if skew > 1e-12:
         raise InvalidParameterError(
             f"generator is not antisymmetric: defect {skew:.2e}")
-    if not op.matrix.count_nonzero():
+    if _max_abs(op.matrix) == 0.0:
         return np.eye(op.space.dim)
     Q = expm(op.matrix.toarray())
     defect = np.max(np.abs(Q.T @ Q - np.eye(Q.shape[0])))
@@ -565,8 +711,8 @@ def _growth_ratio(space, Q, n):
     if np.array_equal(Q, np.eye(space.dim)):
         return 1.0
     shifted = space.number_diag() + 1.0
-    w = np.diag(shifted ** (-n / 2.0))
-    ratio = w @ (Q.T @ np.diag(shifted ** n) @ Q) @ w
+    w = shifted ** (-n / 2.0)
+    ratio = w[:, None] * ((Q.T * shifted ** n) @ Q) * w
     ratio = (ratio + ratio.T) / 2.0
     return float(np.linalg.eigvalsh(ratio)[-1])
 
@@ -582,14 +728,17 @@ class GrowthReport:
     generator_norm: float
 
 
-def verify_B_number_growth(M, eta_unit, scale, powers, caps=(2, 3, 4, 5, 6)):
+def verify_B_number_growth(M, eta_unit, scale, powers, caps=(2, 3, 4, 5, 6),
+                           workspace=None):
     """Ratios of (NUM+1)^n under pair-generator conjugation, one report
     per power n; every power reads the one exponential of each cap."""
+    ws = workspace or Workspace()
     eta_unit = np.asarray(eta_unit, dtype=float)
+    eta = scale * eta_unit
 
     def at(cap):
-        space = build_fock_space(M, cap)
-        Q = exp_generator(build_B(space, scale * eta_unit))
+        space = ws.space(M, cap)
+        Q = ws.pair_exponential(space, eta)
         return [_growth_ratio(space, Q, n) for n in powers]
     norm = float(scale * np.linalg.norm(eta_unit))
     return tuple(GrowthReport(n=n, caps=tuple(caps), ratios=row,
@@ -598,15 +747,16 @@ def verify_B_number_growth(M, eta_unit, scale, powers, caps=(2, 3, 4, 5, 6)):
 
 
 def verify_A_number_growth(M, nu, g, powers, t_grid=(-1.0, -0.5, 0.5, 1.0),
-                           caps=(2, 3, 4, 5, 6), mode0=0):
+                           caps=(2, 3, 4, 5, 6), mode0=0, workspace=None):
     """Ratios of (NUM+1)^k under t A conjugation, one report per (k, t) as
     reports[k][t]; every power reads the one exponential of each (t, cap)."""
+    ws = workspace or Workspace()
     rows = [[[] for _ in t_grid] for _ in powers]
     for cap in caps:
-        space = build_fock_space(M, cap)
+        space = ws.space(M, cap)
         A = build_A(space, nu, g, mode0)
         for j, t in enumerate(t_grid):
-            Q = exp_generator(FockOperator(space=space, matrix=t * A.matrix))
+            Q = exp_generator(FockOperator(space=space, matrix=A.matrix * t))
             for row, k in zip(rows, powers):
                 row[j].append(_growth_ratio(space, Q, k))
     return tuple(tuple(GrowthReport(
@@ -634,7 +784,8 @@ def compute_d_eta(space, eta, f, Q, powers=(0,)):
 
     Q = e^B comes from exp_generator (the identity leaves d exactly 0);
     cosh and sinh act on f through the spectral decomposition of the
-    symmetric matrix eta. Each power n gets a report carrying
+    symmetric matrix eta. Returns d as a dense array and, for each power
+    n, a report carrying
     sup_xi |(NUM+1)^{n/2} d xi| / (|f| |(NUM+1)^{(n+3)/2} xi|), the
     weighted norm whose decay in the cap is the remainder bound's content.
     """
@@ -644,7 +795,7 @@ def compute_d_eta(space, eta, f, Q, powers=(0,)):
         raise InvalidParameterError("remainder needs a nonzero mode vector")
     d = np.zeros((space.dim, space.dim))
     if not np.array_equal(Q, np.eye(space.dim)):
-        alg = algebra(space, FLOAT)
+        alg = space.float_algebra
         w, V = np.linalg.eigh(eta)
         cosh_f = V @ (np.cosh(w) * (V.T @ f))
         sinh_f = V @ (np.sinh(w) * (V.T @ f))
@@ -653,21 +804,23 @@ def compute_d_eta(space, eta, f, Q, powers=(0,)):
              - _combo(alg, sinh_f, alg.b_dag).toarray())
     shifted = space.number_diag() + 1.0
     d_norm = float(np.linalg.norm(d, 2))
-    return FockOperator(space=space, matrix=sparse.csr_matrix(d)), tuple(
+    return d, tuple(
         RemainderReport(cap=space.N_cap, n=n, d_norm=d_norm, ratio=float(
-            np.linalg.norm(np.diag(shifted ** (n / 2.0)) @ d
-                           @ np.diag(shifted ** (-(n + 3) / 2.0)) / fn, 2)))
+            np.linalg.norm((shifted ** (n / 2.0))[:, None] * d
+                           * shifted ** (-(n + 3) / 2.0) / fn, 2)))
         for n in powers)
 
 
-def sweep_d_eta(M, eta_unit, scale, f, powers=(0,), caps=(2, 3, 4, 5, 6)):
+def sweep_d_eta(M, eta_unit, scale, f, powers=(0,), caps=(2, 3, 4, 5, 6),
+                workspace=None):
     """Remainder reports across particle caps at fixed eta, one tuple per
-    power n; every power reads the one exponential of each cap."""
+    power n; every power reads the pair exponential of each cap, which a
+    shared workspace takes once for this sweep and the B-growth sweep."""
+    ws = workspace or Workspace()
     eta = scale * np.asarray(eta_unit, dtype=float)
 
     def at(cap):
-        space = build_fock_space(M, cap)
-        B = _pair_generator(algebra(space, FLOAT), eta)
-        Q = exp_generator(FockOperator(space=space, matrix=B))
+        space = ws.space(M, cap)
+        Q = ws.pair_exponential(space, eta)
         return compute_d_eta(space, eta, f, Q, powers)[1]
     return tuple(zip(*map(at, caps)))

@@ -133,8 +133,8 @@ class RadMatrix:
         self.scale = Fraction(scale) * g if entries else Fraction(0)
 
     @classmethod
-    def build(cls, vals, rows, cols, shape):
-        """NumberSystem.matrix: shape is implied by the entries."""
+    def build(cls, vals, rows, cols, space):
+        """NumberSystem.matrix; the entries carry all it needs of space."""
         fracs = {(r, c, d): q for v, r, c in zip(vals, rows, cols) for d, q
                  in (v if isinstance(v, Rad) else Rad.of(v)).terms.items()}
         den = lcm(*(q.denominator for q in fracs.values()))

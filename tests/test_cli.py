@@ -446,6 +446,38 @@ class TestCommandLine:
         assert ran == []
 
     @pytest.mark.parametrize("key,value", [
+        ("growth_spread", "abc"), ("fock_float_tol", "abc"),
+        ("fock_float_tol", float("nan")), ("fock_float_tol", -1),
+        ("fock_float_tol", True), ("energy_identity_tol", float("inf")),
+        ("growth_spread", 0.0), ("remainder_spread", -1.0),
+        ("eigenvalue_rate_slope", "abc"), ("decay_orders", "abc"),
+        ("decay_orders", []), ("decay_orders", [1, -2]),
+        ("decay_orders", [1, float("nan")]), ("decay_orders", [True])])
+    def test_bad_thresholds_exit_2_before_any_stage(
+            self, tmp_path, capsys, monkeypatch, key, value):
+        ran = []
+        monkeypatch.setattr(cli, "fock_stage", lambda *a: ran.append("fock"))
+        raw = cli.default_config()
+        raw["pipeline"] = ["fock"]
+        raw["thresholds"] = {key: value}
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(raw))
+        assert cli.main(["run", "--config", str(cfgp)]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+        assert ran == []
+
+    @pytest.mark.parametrize("key,value", [
+        ("eigenvalue_rate_slope", -2.5), ("eigenvalue_rate_slope", 0.5),
+        ("fock_float_tol", 0), ("gp_residual", 0.0), ("growth_spread", 1e-3),
+        ("decay_orders", [0.5, 3])])
+    def test_threshold_overrides_of_the_default_kind_accepted(self, key,
+                                                              value):
+        raw = cli.default_config()
+        raw["thresholds"] = {key: value}
+        assert cli.parse_config(raw).thresholds[key] == value
+
+    @pytest.mark.parametrize("key,value", [
         ("ell", "abc"), ("ell", True), ("ell", 1.0), ("n", float("nan")),
         ("n", -64), ("n_pts", 100), ("n_pts", 4096.5), ("sweep_nl", 0),
         ("sweep_nl", []), ("sweep_nl", [25.0, float("inf")]),
@@ -551,7 +583,24 @@ class TestCommandLine:
 
         monkeypatch.setattr(cli.fock, "expm", counted)
         cli.fock_stage({"modes": 4, "ncap": 5}, cli._DEFAULT_THRESHOLDS, 7)
-        assert len(calls) <= 30
+        # the remainder sweep reads the pair sweep's five exponentials
+        assert len(calls) == 25
+
+    def test_one_float_algebra_per_space(self, monkeypatch):
+        # ccr, un and ln at (4, 5); ln also at (2, 3), (3, 3) and (3, 4);
+        # the growth and remainder sweeps at (4, 2..6)
+        built = []
+        algebra = cli.fock.algebra
+
+        def counted(space, ns):
+            if ns is cli.fock.FLOAT:
+                built.append((space.M, space.N_cap))
+            return algebra(space, ns)
+
+        monkeypatch.setattr(cli.fock, "algebra", counted)
+        cli.fock_stage({"modes": 4, "ncap": 5}, cli._DEFAULT_THRESHOLDS, 7)
+        assert sorted(built) == sorted(
+            [(4, c) for c in range(2, 7)] + [(2, 3), (3, 3), (3, 4)])
 
     def test_exact_mode_only_for_suites_that_read_it(self, monkeypatch):
         calls = []

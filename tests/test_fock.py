@@ -15,7 +15,6 @@ import pytest
 from fractions import Fraction
 from math import gcd
 from hypothesis import given, settings, strategies as st
-from scipy import sparse
 
 from gpregime import fock, fockexact
 from gpregime.errors import (
@@ -55,7 +54,8 @@ def fvec():
 
 
 def dense(mat):
-    return np.asarray(mat.toarray() if sparse.issparse(mat) else mat)
+    return np.asarray(mat.toarray()
+                      if isinstance(mat, fock.DisplacementMatrix) else mat)
 
 
 class TestSpace:
@@ -148,16 +148,16 @@ class TestLadders:
                                    rtol=0, atol=1e-15)
 
     def test_number_offsets(self, sp23):
+        # the displacement keys are n_row - n_col, whose sum is the
+        # change in total number
         lad = fock.build_ladder(sp23, 0)
-        totals = sp23.number_diag()
 
-        def offsets(mat):
-            coo = sparse.coo_matrix(mat)
-            return set(totals[coo.row] - totals[coo.col])
+        def keys(mat):
+            return {d for d, w in mat.weights.items() if w.any()}
 
-        assert offsets(lad.a) == offsets(lad.b) == {-1}
-        assert offsets(lad.a_dag) == {1}
-        assert offsets(lad.b_dag @ lad.b) == {0}
+        assert keys(lad.a) == keys(lad.b) == {(-1, 0)}
+        assert keys(lad.a_dag) == {(1, 0)}
+        assert keys(lad.b_dag @ lad.b) == {(0, 0)}
 
     def test_invalid_mode_and_empty_cap(self, sp23):
         with pytest.raises(InvalidParameterError):
@@ -194,19 +194,20 @@ class TestExcitationMap:
         assert fock.verify_un(sp34, 2) < 1e-12
 
     def test_isometry_and_range(self, sp23):
+        # U is square and vanishes off the top sector: U*U is its projector
         un = fock.build_UN(sp23, 0)
         U = dense(un.matrix)
-        np.testing.assert_allclose(U.T @ U, np.eye(un.sector.size),
-                                   atol=1e-15)
+        top = np.diag(np.isin(np.arange(sp23.dim), un.sector).astype(float))
+        np.testing.assert_allclose(U.T @ U, top, atol=1e-15)
         gam = dense(fock.gamma_projector(sp23, 0).matrix)
         np.testing.assert_allclose(U @ U.T, gam, atol=1e-15)
 
     def test_pure_condensate_to_vacuum(self, sp23):
         un = fock.build_UN(sp23, 0)
         pure_full = sp23.index[(3, 0)]
-        col = int(np.flatnonzero(un.sector == pure_full)[0])
-        psi = np.zeros(un.sector.size)
-        psi[col] = 1.0
+        assert pure_full in un.sector
+        psi = np.zeros(sp23.dim)
+        psi[pure_full] = 1.0
         out = dense(un.matrix) @ psi
         assert out[0] == 1.0 and np.sum(out != 0.0) == 1
 
@@ -294,7 +295,7 @@ class TestEnergyIdentity:
         ops = [*fock.build_LN(coeff, sp34).values(),
                fock.build_HN(coeff, sp34)]
         for op in ops:
-            assert abs(op.matrix - op.matrix.T).max() < 1e-12
+            assert fock._max_abs(op.matrix - op.matrix.T) < 1e-12
 
     def test_invalid_tensor_rejected(self, sp34):
         import dataclasses
@@ -308,15 +309,12 @@ class TestEnergyIdentity:
 class TestPairGenerator:
     def test_antisymmetry_is_exact(self, sp34, eta3):
         B = fock.build_B(sp34, 0.3 * eta3)
-        diff = B.matrix + B.matrix.T
-        assert diff.nnz == 0 or np.max(np.abs(diff.data)) == 0.0
+        assert fock._max_abs(B.matrix + B.matrix.T) == 0.0
 
     def test_pair_steps_only(self, sp34, eta3):
         B = fock.build_B(sp34, eta3)
-        coo = sparse.coo_matrix(B.matrix)
-        totals = sp34.number_diag()
-        steps = np.abs(totals[coo.row] - totals[coo.col])
-        assert np.all(steps[np.abs(coo.data) > 0] == 2)
+        steps = {abs(sum(d)) for d, w in B.matrix.weights.items() if w.any()}
+        assert steps == {2}
 
     def test_exponential_is_unitary(self, sp34, eta3):
         Q = fock.exp_generator(fock.build_B(sp34, 0.4 * eta3))
@@ -393,12 +391,11 @@ class TestPairGenerator:
 class TestCubicGenerator:
     def test_antisymmetry_is_exact(self, sp34, nug):
         A = fock.build_A(sp34, *nug)
-        diff = A.matrix + A.matrix.T
-        assert diff.nnz == 0 or np.max(np.abs(diff.data)) == 0.0
+        assert fock._max_abs(A.matrix + A.matrix.T) == 0.0
 
     def test_zero_nu_trivial(self, sp34):
         A = fock.build_A(sp34, np.zeros((3, 3)), np.ones((3, 3)))
-        assert A.matrix.nnz == 0
+        assert A.matrix.weights == {}
         assert np.array_equal(fock.exp_generator(A), np.eye(sp34.dim))
 
     def test_exponential_is_unitary(self, sp34, nug):
@@ -463,7 +460,7 @@ class TestRemainder:
         sp = fock.build_fock_space(3, 3)
         Q = fock.exp_generator(fock.build_B(sp, np.zeros((3, 3))))
         d, (rep,) = fock.compute_d_eta(sp, np.zeros((3, 3)), fvec, Q)
-        assert d.matrix.nnz == 0
+        assert not d.any()
         assert rep.ratio == 0.0 and rep.d_norm == 0.0
 
     def test_second_order_agreement(self, sp34, eta3, fvec):
@@ -472,7 +469,8 @@ class TestRemainder:
 
         def bvec(v, dag=False):
             key = "b_dag" if dag else "b"
-            return sum(float(v[i]) * getattr(lads[i], key) for i in range(3))
+            terms = [float(v[i]) * getattr(lads[i], key) for i in range(3)]
+            return sum(terms[1:], terms[0])
 
         gaps = []
         for s in (0.2, 0.1, 0.05):
@@ -484,7 +482,7 @@ class TestRemainder:
             c1 = bf @ B - B @ bf
             d2 = (c1 - bvec(et @ fvec, dag=True)) + 0.5 * (
                 (c1 @ B - B @ c1) - bvec(et @ et @ fvec))
-            gaps.append(np.linalg.norm(dense(d.matrix - d2), 2))
+            gaps.append(np.linalg.norm(d - dense(d2), 2))
         assert gaps[0] / gaps[1] > 6.0
         assert gaps[1] / gaps[2] > 6.0
 
@@ -527,18 +525,91 @@ class TestRemainder:
                 for c in caps)
 
 
+def dense_ladders(space):
+    """[a_i], [a*_i], [b_i], [b*_i] as dense arrays, from the basis alone."""
+    N = space.N_cap
+    a = np.zeros((space.M, space.dim, space.dim))
+    b = np.zeros_like(a)
+    for i in range(space.M):
+        for col, n in enumerate(space.basis):
+            if n[i]:
+                row = space.index[n[:i] + (n[i] - 1,) + n[i + 1:]]
+                a[i, row, col] = np.sqrt(n[i])
+                b[i, row, col] = np.sqrt(n[i] * (N - sum(n) + 1) / N)
+    return [*a, *a.transpose(0, 2, 1), *b, *b.transpose(0, 2, 1)]
+
+
+class TestDisplacementMatrix:
+    @given(M=st.integers(1, 3), cap=st.integers(1, 4),
+           start=st.integers(0, 99), seed=st.integers(0, 2**16),
+           ops=st.lists(st.tuples(
+               st.sampled_from(["@", "+", "-", "*", "/", "T"]),
+               st.integers(0, 99), st.floats(0.25, 4.0)),
+               min_size=1, max_size=7))
+    @settings(max_examples=60, deadline=None)
+    def test_words_match_dense_reference(self, M, cap, start, seed, ops):
+        """@, +, -, scalar * and /, .T and @ vector on random ladder
+        words agree with dense arrays built from the basis; every weight
+        off a column's shifted state stays 0, and the largest weight is
+        the largest entry."""
+        space = fock.build_fock_space(M, cap)
+        alg = fock.algebra(space, fock.FLOAT)
+        atoms = [*alg.a, *alg.a_dag, *alg.b, *alg.b_dag, alg.num, alg.eye]
+        refs = [*dense_ladders(space), np.diag(space.number_diag()),
+                np.eye(space.dim)]
+        x, ref = atoms[start % len(atoms)], refs[start % len(refs)]
+        for op, k, q in ops:
+            y, y_ref = atoms[k % len(atoms)], refs[k % len(refs)]
+            if op == "@":
+                x, ref = x @ y, ref @ y_ref
+            elif op == "+":
+                x, ref = x + y * q, ref + y_ref * q
+            elif op == "-":
+                x, ref = x - y, ref - y_ref
+            elif op == "*":
+                x, ref = q * x, q * ref
+            elif op == "/":
+                x, ref = x / q, ref / q
+            else:
+                x, ref = x.T, ref.T
+            atol = 1e-13 * max(1.0, np.max(np.abs(ref)))
+            np.testing.assert_allclose(x.toarray(), ref, rtol=0, atol=atol)
+            assert all(not w[space.shift(d) < 0].any()
+                       for d, w in x.weights.items())
+            assert fock._max_abs(x) == pytest.approx(np.max(np.abs(ref)),
+                                                     abs=atol)
+        v = np.random.default_rng(seed).normal(size=space.dim)
+        np.testing.assert_allclose(x @ v, ref @ v, rtol=0,
+                                   atol=1e-12 * max(1.0, np.max(np.abs(ref))))
+
+    def test_shift_maps_columns_to_shifted_states(self, sp23):
+        t = sp23.shift((1, -1))
+        for col, n in enumerate(sp23.basis):
+            m = (n[0] + 1, n[1] - 1)
+            assert t[col] == sp23.index.get(m, -1)
+
+    def test_zero_has_no_weights(self, sp34):
+        alg = sp34.float_algebra
+        assert alg.zero.weights == {}
+        assert fock._max_abs(alg.zero) == 0.0
+        # a @ a* - a* @ a - 1 vanishes below the cap, not on the top sector
+        low = fock._comm(alg.a[0], alg.a_dag[0]) - alg.eye
+        assert fock._max_abs(low) > 0.0
+        assert (alg.a[0] @ alg.a[0] @ alg.a[0] @ alg.a[0]
+                @ alg.a[0]).weights == {}
+
+
 class TestExponentialGuards:
     def test_dimension_cap(self):
         sp = fock.build_fock_space(7, 8)
         assert sp.dim > 5000
         op = fock.FockOperator(space=sp,
-                               matrix=sparse.csr_matrix((sp.dim, sp.dim)))
+                               matrix=fock.DisplacementMatrix(sp, {}))
         with pytest.raises(ResourceLimitError):
             fock.exp_generator(op)
 
     def test_non_antisymmetric_rejected(self, sp23):
-        op = fock.FockOperator(
-            space=sp23, matrix=sparse.diags(sp23.number_diag()).tocsr())
+        op = fock.FockOperator(space=sp23, matrix=sp23.float_algebra.num)
         with pytest.raises(InvalidParameterError):
             fock.exp_generator(op)
 
@@ -719,7 +790,7 @@ class TestExactArithmetic:
             fockexact.make_exact_coefficients(M, seed=seed)))
         assert [n for n, _ in floats] == [n for n, _ in exacts]
         for name, d in floats:
-            assert abs(d).max() <= 1e-12, name
+            assert fock._max_abs(d) <= 1e-12, name
         for name, d in exacts:
             assert d.is_zero, name
 
