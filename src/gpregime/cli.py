@@ -638,6 +638,11 @@ def _fock_params(params):
     ncap = positive("ncap", params.get("ncap", 4))
     caps = tuple(positive("caps entry", c) for c in caps)
     if {"bgrowth", "agrowth", "deta"} & set(suites):
+        # on at most one particle B and A vanish: every ratio is exactly
+        # 1 and the remainder exactly 0, so such a cap measures nothing
+        if min(caps) < 2:
+            raise ConfigError(
+                f"fock caps must be >= 2 for the growth suites, got {caps!r}")
         # deta also exponentiates the zero generator at ncap
         for c in caps + ((ncap,) if "deta" in suites else ()):
             if math.comb(M + c, M) > fock._EXPM_DIM_CAP:

@@ -233,14 +233,6 @@ def _diag(space, ns, vals):
     return ns.matrix(vals, range(len(vals)), range(len(vals)), space)
 
 
-@dataclass(frozen=True)
-class FockOperator:
-    """Float operator on a FockSpace."""
-
-    space: FockSpace
-    matrix: DisplacementMatrix = field(repr=False)
-
-
 class Ladder(NamedTuple):
     """Plain and truncation-modified ladder matrices for one mode."""
 
@@ -342,6 +334,12 @@ def _excited(c, m0):
     return c
 
 
+def _held(space, mat):
+    """mat on space itself, not on its float algebra's weak proxy, so a
+    matrix a builder returns keeps its space alive."""
+    return DisplacementMatrix(space, mat.weights)
+
+
 def _max_abs(mat):
     """Largest entry magnitude of a DisplacementMatrix; 0.0 exactly when
     every weight is zero."""
@@ -356,17 +354,6 @@ def _comm(X, Y):
 # ---------------------------------------------------------------------------
 # the condensate relabeling map
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ExcitationMap:
-    """Partial isometry from the top sector onto the zero-condensate
-    sub-basis; sector holds the indices of the top-sector states."""
-
-    space: FockSpace
-    mode0: int
-    matrix: DisplacementMatrix = field(repr=False)
-    sector: np.ndarray = field(repr=False)
-
 
 def _un(space, ns, mode0):
     """The relabeling map U, square on the space (each top-sector state
@@ -389,14 +376,14 @@ def _gamma(space, ns, mode0):
 
 
 def build_UN(space, mode0=0):
-    return ExcitationMap(space=space, mode0=mode0,
-                         matrix=_un(space, FLOAT, mode0)[0],
-                         sector=space.sector_indices(space.N_cap))
+    """The relabeling map U: a partial isometry from the top sector onto
+    the zero-condensate sub-basis."""
+    return _un(space, FLOAT, mode0)[0]
 
 
 def gamma_projector(space, mode0=0):
     """Second-quantized projection onto states with an empty condensate."""
-    return FockOperator(space=space, matrix=_gamma(space, FLOAT, mode0))
+    return _gamma(space, FLOAT, mode0)
 
 
 # ---------------------------------------------------------------------------
@@ -488,14 +475,13 @@ def _ln(alg, coeff):
 def build_HN(coeff, space):
     """H_N = sum h_ij a*_i a_j + (1/2) sum v_ijkl a*_i a*_j a_l a_k."""
     validate_coefficients(coeff, space.M)
-    return FockOperator(space=space,
-                        matrix=_hn(space.float_algebra, coeff))
+    return _held(space, _hn(space.float_algebra, coeff))
 
 
 def build_LN(coeff, space):
     """The pieces L0..L4 of the relabeled Hamiltonian, by name."""
     validate_coefficients(coeff, space.M)
-    return {name: FockOperator(space=space, matrix=mat)
+    return {name: _held(space, mat)
             for name, mat in _ln(space.float_algebra, coeff).items()}
 
 
@@ -513,9 +499,8 @@ def _pair_generator(alg, eta):
 
 
 def build_B(space, eta):
-    eta = np.asarray(eta, dtype=float)
-    return FockOperator(space=space,
-                        matrix=_pair_generator(space.float_algebra, eta))
+    return _held(space, _pair_generator(space.float_algebra,
+                                        np.asarray(eta, dtype=float)))
 
 
 def build_A(space, nu, g, mode0=0):
@@ -525,7 +510,7 @@ def build_A(space, nu, g, mode0=0):
     if nu.shape != (space.M, space.M) or g.shape != (space.M, space.M):
         raise InvalidParameterError("coefficient matrices must be MxM")
     X = _cubic(space.float_algebra, nu[:, :, None] * g[:, None, :])
-    return FockOperator(space=space, matrix=(X - X.T) / sqrt(space.N_cap))
+    return _held(space, (X - X.T) / sqrt(space.N_cap))
 
 
 # ---------------------------------------------------------------------------
@@ -683,19 +668,19 @@ class Workspace:
         return self._pair_exps[key]
 
 
-def exp_generator(op):
+def exp_generator(mat):
     """Unitary exponential of an antisymmetric generator: the one dense
     exponential, taken once per (generator, cap) by the sweeps below."""
-    if op.space.dim > _EXPM_DIM_CAP:
+    if mat.space.dim > _EXPM_DIM_CAP:
         raise ResourceLimitError(
-            f"exponential dimension {op.space.dim} exceeds {_EXPM_DIM_CAP}")
-    skew = _max_abs(op.matrix + op.matrix.T)
+            f"exponential dimension {mat.space.dim} exceeds {_EXPM_DIM_CAP}")
+    skew = _max_abs(mat + mat.T)
     if skew > 1e-12:
         raise InvalidParameterError(
             f"generator is not antisymmetric: defect {skew:.2e}")
-    if _max_abs(op.matrix) == 0.0:
-        return np.eye(op.space.dim)
-    Q = expm(op.matrix.toarray())
+    if _max_abs(mat) == 0.0:
+        return np.eye(mat.space.dim)
+    Q = expm(mat.toarray())
     defect = np.max(np.abs(Q.T @ Q - np.eye(Q.shape[0])))
     if not np.isfinite(defect) or defect > 1e-10:
         raise SolverFailureError(
@@ -756,7 +741,7 @@ def verify_A_number_growth(M, nu, g, powers, t_grid=(-1.0, -0.5, 0.5, 1.0),
         space = ws.space(M, cap)
         A = build_A(space, nu, g, mode0)
         for j, t in enumerate(t_grid):
-            Q = exp_generator(FockOperator(space=space, matrix=A.matrix * t))
+            Q = exp_generator(A * t)
             for row, k in zip(rows, powers):
                 row[j].append(_growth_ratio(space, Q, k))
     return tuple(tuple(GrowthReport(

@@ -271,23 +271,20 @@ def _band_nodes(G, cut, n_momentum=None):
     return np.linspace(P, pmax, n_int + 1)
 
 
-def _build_factorized(name, G, state, cut, left, right, n_momentum):
+def build_eta_H(G, state, cut, n_momentum=None):
+    """High-momentum pair kernel phi(x) F(x-y) phi(y), F = (Ghat chi_H)^v."""
     p_nodes = _band_nodes(G, cut, n_momentum)
     fhat = G.hat(p_nodes) * cut.chi_H(p_nodes)
     return FactorizedKernel(
-        name=name, ell=float(cut.ell), alpha=float(cut.alpha), N=float(G.N),
-        p_nodes=p_nodes, fhat=fhat, left_weight=left, right_weight=right,
-        state=state)
+        name="eta_H", ell=float(cut.ell), alpha=float(cut.alpha),
+        N=float(G.N), p_nodes=p_nodes, fhat=fhat, left_weight="phi",
+        right_weight="phi", state=state)
 
 
-def build_eta_H(G, state, cut, n_momentum=None):
-    """High-momentum pair kernel phi(x) F(x-y) phi(y), F = (Ghat chi_H)^v."""
-    return _build_factorized("eta_H", G, state, cut, "phi", "phi", n_momentum)
-
-
-def build_nu_H(G, state, cut, n_momentum=None):
-    """High-momentum field kernel F(x-y) phi(y) with unit left weight."""
-    return _build_factorized("nu_H", G, state, cut, "one", "phi", n_momentum)
+def build_nu_H(eta):
+    """High-momentum field kernel F(x-y) phi(y): eta_H's band with a unit
+    left weight."""
+    return replace(eta, name="nu_H", left_weight="one")
 
 
 # ---------------------------------------------------------------------------
@@ -477,9 +474,9 @@ class _Spectra:
     sweep_kernels builds one instance for all its rows.
     """
 
-    def __init__(self, state, s_max=_S_MAX, n_s=_N_S):
+    def __init__(self, state):
         self.state = state
-        self.s_grid = np.linspace(0.0, s_max, n_s)
+        self.s_grid = np.linspace(0.0, _S_MAX, _N_S)
 
     def _transform(self, vals):
         return radial_fourier(vals, self.state.h, self.s_grid)
@@ -504,13 +501,13 @@ class _BandWork:
     These are the self-convolutions K0, K2, K4 ("plain", "grad", "lap")
     at full and half resolution, and the row supremum. eta_H and nu_H of
     one sweep row share their band, so one instance serves eta_norms,
-    nu_norms and hyperbolic of that row; a public routine called on its
-    own builds its own and drops it on return.
+    nu_norms and hyperbolic of that row; called without one, a routine
+    builds its own, on fresh spectra, and drops it on return.
     """
 
-    def __init__(self, k, spectra):
+    def __init__(self, k, spectra=None):
         self.p_nodes, self.fhat = k.p_nodes, k.fhat
-        self.spectra = spectra
+        self.spectra = spectra or _Spectra(k.state)
         self._convs = {}
 
     def conv(self, kind, half=False):
@@ -530,11 +527,6 @@ class _BandWork:
                                       sp.s_grid[1] - sp.s_grid[0],
                                       sp.state.grid)
         return float(np.sqrt(np.clip(conv, 0.0, None).max()))
-
-
-def _band_work(k, s_max, n_s):
-    """Fresh band work for k on the s grid linspace(0, s_max, n_s)."""
-    return _BandWork(k, _Spectra(k.state, s_max, n_s))
 
 
 def _factor_sup(k):
@@ -591,25 +583,23 @@ def _eta_quadratures(work, half):
     return l2sq, (t_a, t_b, t_c)
 
 
-def eta_norms(k, s_max=_S_MAX, n_s=_N_S):
+def eta_norms(k, work=None):
     """Norms of the pair kernel via one-dimensional momentum quadrature.
 
     The gradient norm splits by the product rule into a weight-gradient
     term, an exact cross term (both inner gradients collapse onto
     gradients of squares), and a factor-gradient term. A half-resolution
     rerun of every quadrature serves as the convergence certificate; the
-    call fails rather than returning an uncertified number.
+    call fails rather than returning an uncertified number. work is the
+    row's shared _BandWork, or None for a fresh one.
     """
-    return _eta_norms(k, _band_work(k, s_max, n_s))
-
-
-def _eta_norms(k, work):
     if not np.any(k.fhat):
         return EtaNormReport(l2=0.0, grad_l2=0.0, row_sup=0.0,
                              pointwise_ratio=0.0, f_sup=0.0, f_argmax=0.0,
                              grad_parts=(0.0, 0.0, 0.0), defect=0.0,
                              cutoff_momentum=k.cutoff_momentum, ell=k.ell,
                              N=k.N)
+    work = work or _BandWork(k)
     l2sq, parts = _eta_quadratures(work, half=False)
     gradsq = sum(parts)
 
@@ -648,12 +638,9 @@ class NuNormReport:
     N: float
 
 
-def nu_norms(k, s_max=_S_MAX, n_s=_N_S):
-    """Norms of the field kernel; the factor norm is a plain band integral."""
-    return _nu_norms(k, _band_work(k, s_max, n_s))
-
-
-def _nu_norms(k, work):
+def nu_norms(k, work=None):
+    """Norms of the field kernel; the factor norm is a plain band integral.
+    work is the row's shared _BandWork, or None for a fresh one."""
     h = k.p_nodes[1] - k.p_nodes[0]
     if not np.any(k.fhat):
         return NuNormReport(l2=0.0, row_sup=0.0, col_sup_ratio=0.0,
@@ -671,7 +658,7 @@ def _nu_norms(k, work):
     i = int(np.argmax(slices))
     l2 = float(np.sqrt(fsq))
     return NuNormReport(
-        l2=l2, row_sup=work.row_sup, col_sup_ratio=l2,
+        l2=l2, row_sup=(work or _BandWork(k)).row_sup, col_sup_ratio=l2,
         sup_p2_slice=float(slices[i]), argmax_p=float(k.p_nodes[i]),
         defect=float(defect), cutoff_momentum=k.cutoff_momentum, ell=k.ell,
         N=k.N)
@@ -702,17 +689,15 @@ class HNReport:
     young_bound: float
 
 
-def build_hN(sol, state, s_max=_S_MAX, n_s=_N_S):
+def build_hN(sol, state, spectra=None):
     """Cubic-term kernel from the ball solution and the minimizer.
 
     The convolution is carried out in momentum space: the transform of
     k_N is the well-supported transform of V w evaluated at p / N, which
-    is smooth there, so no oscillatory quadrature is needed.
+    is smooth there, so no oscillatory quadrature is needed. spectra is
+    the sweep's shared _Spectra, or None for a fresh one.
     """
-    return _build_hN(sol, state, _Spectra(state, s_max, n_s))
-
-
-def _build_hN(sol, state, spectra):
+    spectra = spectra or _Spectra(state)
     N = sol.N_param
     fvals, _fp, h_well, r0 = sol.segments[0]
     r_well = r0 + np.arange(fvals.size) * h_well
@@ -789,21 +774,20 @@ def _lap_eta_bound(work):
     return sum(parts), parts
 
 
-def hyperbolic(k, tol=1e-12, norms=None, s_max=_S_MAX, n_s=_N_S):
+def hyperbolic(k, tol=1e-12, norms=None, work=None):
     """Certified norm bounds of the series sinh - eta and cosh - id.
 
     Requires the HS norm of the base kernel below 1; the depth is the
     smallest d with eta_l2^(2d) / (2d)! < tol, which dominates the whole
     dropped tail since the series is submultiplicative. Norm fields are
     the corresponding series bounds; gradient and Laplacian bounds chain
-    one slot derivative through ||D eta|| ||eta||^(m-1).
+    one slot derivative through ||D eta|| ||eta||^(m-1). norms are k's
+    eta_norms and work the row's shared _BandWork, each computed here
+    when None.
     """
-    return _hyperbolic(k, tol, norms, _band_work(k, s_max, n_s))
-
-
-def _hyperbolic(k, tol, norms, work):
+    work = work or _BandWork(k)
     if norms is None:
-        norms = _eta_norms(k, work)
+        norms = eta_norms(k, work)
     l2 = norms.l2
     if l2 == 0.0:
         return HyperbolicKernels(
@@ -913,12 +897,11 @@ def sweep_kernels(potential, state, alpha=4.0, beta=2.0,
         G = build_G(sol)
         cut = make_cutoffs(ell, alpha, beta)
         eta = build_eta_H(G, state, cut)
-        nu = replace(eta, name="nu_H", left_weight="one")
         work = _BandWork(eta, spectra)
-        en = _eta_norms(eta, work)
-        nn = _nu_norms(nu, work)
-        hy = _hyperbolic(eta, tol, en, work)
-        hn = _build_hN(sol, state, spectra)
+        en = eta_norms(eta, work=work)
+        nn = nu_norms(build_nu_H(eta), work=work)
+        hy = hyperbolic(eta, tol, en, work=work)
+        hn = build_hN(sol, state, spectra=spectra)
         rows.append({
             "ell": float(ell), "N": float(N), "big_ell": float(ell * N),
             "alpha": float(alpha), "beta": float(beta),

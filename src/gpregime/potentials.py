@@ -2,9 +2,11 @@
 
 Everything is radial and dimensionless in units where hbar = 2m = 1, so the
 kinetic operator is exactly -Delta. Interactions are nonnegative with compact
-support; traps are even polynomials growing at infinity. The validator
-re-checks those assumptions on sampled data and reports witnesses instead of
-raising, so deliberately broken inputs can be inspected.
+support; traps are even polynomials growing at infinity. Construction
+enforces these assumptions: an interaction with a negative sample is
+rejected, a square well's zero tail is structural, and traps are the fixed
+monomials r^2 and r^4. A custom profile without a zero tail has no finite
+support radius, and the scattering solvers refuse it.
 """
 
 from dataclasses import dataclass, field
@@ -154,21 +156,14 @@ def make_square_well(V0, R, n_pts):
                                 params={"V0": float(V0), "R": float(R)})
 
 
-_TRAP_FORMS = {
-    # kind -> (power, gradient coeff/power, laplacian coeff/power, C_sub)
-    "harmonic": {"power": 2, "grad": (2.0, 1), "lap": (6.0, 0), "C_sub": 2.0},
-    "quartic": {"power": 4, "grad": (4.0, 3), "lap": (20.0, 2), "C_sub": 8.0},
-}
+_TRAP_FORMS = {"harmonic": 2, "quartic": 4}  # kind -> power of r
 
 
 @dataclass(frozen=True)
 class TrapPotential:
-    """Polynomial confining potential r**(2k) with closed-form derivatives."""
+    """Polynomial confining potential r**(2k), exact between nodes."""
 
     profile: RadialProfile
-    gradient: RadialProfile
-    laplacian: RadialProfile
-    growth_constant: float
     kind: str
     params: dict = field(default_factory=dict)
 
@@ -190,107 +185,5 @@ def make_trap(kind, n_pts, r_max):
         raise InvalidDomainError(f"r_max must be positive, got {r_max}")
     if kind not in _TRAP_FORMS:
         raise InvalidParameterError(f"unknown trap kind {kind!r}")
-    spec = _TRAP_FORMS[kind]
-    profile = _monomial_profile(1.0, spec["power"], r_max, n_pts)
-    grad = _monomial_profile(*spec["grad"], r_max, n_pts)
-    lap = _monomial_profile(*spec["lap"], r_max, n_pts)
-    return TrapPotential(profile, grad, lap, spec["C_sub"], kind,
-                         params={"r_max": float(r_max)})
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple  # of (name, passed: bool, witness: dict)
-
-    @property
-    def passed(self):
-        return all(ok for _, ok, _ in self.checks)
-
-    def __getitem__(self, name):
-        for n, ok, witness in self.checks:
-            if n == name:
-                return ok, witness
-        raise KeyError(name)
-
-    def to_dict(self):
-        return {n: {"passed": bool(ok), **w} for n, ok, w in self.checks}
-
-
-def _lattice_radii(extent=5):
-    """Radii |x|, |y|, |x+y| over the integer cube {-extent..extent}^3."""
-    axis = np.arange(-extent, extent + 1, dtype=float)
-    pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
-    return pts
-
-
-def _check_submultiplicative(trap, extent=5):
-    pts = _lattice_radii(extent)
-    r = np.linalg.norm(pts, axis=1)
-    v = trap(r)
-    C = trap.growth_constant
-    worst = 0.0
-    # pairwise |x+y| in chunks; 1331^2 pairs at extent 5
-    for lo in range(0, pts.shape[0], 128):
-        block = pts[lo:lo + 128]
-        rsum = np.linalg.norm(block[:, None, :] + pts[None, :, :], axis=-1)
-        lhs = trap(rsum)
-        rhs = C * (v[lo:lo + 128, None] + C) * (v[None, :] + C)
-        worst = max(worst, float(np.max(lhs / rhs)))
-    return worst  # <= 1 means the inequality holds on the lattice
-
-
-def _fit_log_growth_rate(profile):
-    """Largest local rate d/dr log(1 + |g|) on the sampled tail.
-
-    Polynomial derivatives grow subexponentially so this stays modest; it is
-    recorded as a witness, not gated.
-    """
-    r = profile.grid
-    g = np.log1p(np.abs(profile.samples))
-    rates = np.diff(g) / np.diff(r)
-    return float(np.max(rates)) if rates.size else 0.0
-
-
-def validate(p):
-    """Check the standing assumptions for an interaction or trap potential.
-
-    Failures become report entries with witness values; nothing raises, so
-    intentionally broken profiles can be examined.
-    """
-    checks = []
-    if isinstance(p, InteractionPotential):
-        vmin = float(np.min(p.profile.samples))
-        idx = int(np.argmin(p.profile.samples))
-        checks.append(("nonnegative", vmin >= 0.0,
-                       {"min_value": vmin, "node_index": idx}))
-        compact = p.profile.tail["kind"] == "zero"
-        if compact:
-            beyond = p.profile.samples[p.profile.grid > p.profile.tail["radius"]]
-            compact = beyond.size == 0 or not np.any(beyond)
-        checks.append(("compact_support", compact,
-                       {"support_radius": float(p.support_radius)}))
-        checks.append(("l3_finite", np.isfinite(p.l3_norm),
-                       {"l3_norm": float(p.l3_norm)}))
-        checks.append(("radial_symmetry", True, {"representation": "radial"}))
-    elif isinstance(p, TrapPotential):
-        samples = p.profile.samples
-        n = samples.size
-        tail = samples[n // 2:]
-        monotone = bool(np.all(np.diff(tail) >= 0))
-        checks.append(("grows_monotonically", monotone,
-                       {"tail_start": float(p.profile.grid[n // 2])}))
-        # any even monomial gives ratio >= 4 between r_max and r_max/2;
-        # bounded tails give ratio -> 1
-        diverges = samples[-1] > 1.5 * max(samples[n // 2], 1e-300)
-        checks.append(("diverges", bool(diverges),
-                       {"value_at_rmax": float(samples[-1])}))
-        worst = _check_submultiplicative(p)
-        checks.append(("submultiplicative", worst <= 1.0 + 1e-12,
-                       {"C_sub": float(p.growth_constant), "max_ratio": worst}))
-        checks.append(("gradient_growth_rate", True,
-                       {"fitted_rate": _fit_log_growth_rate(p.gradient)}))
-        checks.append(("laplacian_growth_rate", True,
-                       {"fitted_rate": _fit_log_growth_rate(p.laplacian)}))
-    else:
-        raise InvalidParameterError(f"cannot validate object of type {type(p).__name__}")
-    return ValidationReport(tuple(checks))
+    profile = _monomial_profile(1.0, _TRAP_FORMS[kind], r_max, n_pts)
+    return TrapPotential(profile, kind, params={"r_max": float(r_max)})

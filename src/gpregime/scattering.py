@@ -46,12 +46,16 @@ _BRACKET_RTOL = 1e-12
 # ---------------------------------------------------------------------------
 
 def _well_tables(potential, n_steps):
-    """V at the nodes and midpoints of the uniform well grid [0, R]."""
-    R = potential.support_radius
-    h = R / n_steps
-    nodes = np.arange(n_steps + 1) * h
-    mids = (np.arange(n_steps) + 0.5) * h
-    return h, potential(nodes), potential(mids)
+    """V on the uniform well grid [0, R] at n_steps and 2 n_steps steps.
+
+    Returns (coarse, fine), each (h, V at the nodes, V at the midpoints).
+    One evaluation serves both: the fine grid's even nodes are the coarse
+    nodes and its odd nodes the coarse midpoints.
+    """
+    hf = potential.support_radius / (2 * n_steps)
+    nodes = potential(np.arange(2 * n_steps + 1) * hf)
+    mids = potential((np.arange(2 * n_steps) + 0.5) * hf)
+    return (2.0 * hf, nodes[::2], nodes[1::2]), (hf, nodes, mids)
 
 
 def _step_matrices(v_nodes, v_mids, h, lam):
@@ -112,6 +116,26 @@ def _integrate_well(v_nodes, v_mids, h, lam, store=False):
         odd = M[-1:] if M.shape[0] % 2 else M[:0]
         M = np.concatenate([M[1::2] @ M[0:-1:2], odd])
     return M[0, :, 0, 1], M[0, :, 1, 1]
+
+
+def _certified_well(tables, lam):
+    """(u, u') at eigenvalue lam on the coarse nodes of _well_tables.
+
+    RK4 crosses the well on both grids. The relative defect of u(R)
+    between them must stay below _RICHARDSON_TOL; the coarse nodes then
+    take the Richardson value. Returns u, u' and the defect.
+    """
+    (h, vn, vm), (hf, vnf, vmf) = tables
+    lam = np.array([lam])
+    _, _, u_c, v_c = _integrate_well(vn, vm, h, lam, store=True)
+    _, _, u_f, v_f = _integrate_well(vnf, vmf, hf, lam, store=True)
+    defect = abs(u_f[-1, 0] - u_c[-1, 0]) / max(abs(u_f[-1, 0]), 1e-300)
+    if not np.isfinite(defect) or defect > _RICHARDSON_TOL:
+        raise SolverFailureError(
+            f"well integration did not converge: boundary defect {defect:.3e}")
+    u_well = u_f[::2, 0] + (u_f[::2, 0] - u_c[:, 0]) / 15.0
+    v_well = v_f[::2, 0] + (v_f[::2, 0] - v_c[:, 0]) / 15.0
+    return u_well, v_well, float(defect)
 
 
 def _free_tail(uR, vR, lam, dr):
@@ -204,20 +228,9 @@ def solve_zero_energy(potential, r_max=None, n_pts=4096):
             richardson_defect=0.0)
 
     n_well = max(1024, (n_pts // 4) & ~1)
-    zero = np.zeros(1)
-    h, vn, vm = _well_tables(potential, n_well)
-    hf, vnf, vmf = _well_tables(potential, 2 * n_well)
-    _, _, u_c, v_c = _integrate_well(vn, vm, h, zero, store=True)
-    _, _, u_f, v_f = _integrate_well(vnf, vmf, hf, zero, store=True)
-
-    defect = abs(u_f[-1, 0] - u_c[-1, 0]) / max(abs(u_f[-1, 0]), 1e-300)
-    if not np.isfinite(defect) or defect > _RICHARDSON_TOL:
-        raise SolverFailureError(
-            f"well integration did not converge: boundary defect {defect:.3e}")
-
-    # Richardson on the coarse nodes (shared with every other fine node).
-    u_well = u_f[::2, 0] + (u_f[::2, 0] - u_c[:, 0]) / 15.0
-    v_well = v_f[::2, 0] + (v_f[::2, 0] - v_c[:, 0]) / 15.0
+    tables = _well_tables(potential, n_well)
+    h, vn, _ = tables[0]
+    u_well, v_well, defect = _certified_well(tables, 0.0)
     r_well = np.arange(n_well + 1) * h
 
     n_tail = max(n_pts & ~1, 512)
@@ -244,7 +257,7 @@ def solve_zero_energy(potential, r_max=None, n_pts=4096):
     return ScatteringSolution(
         potential=potential, r_grid=r_grid, u=u_n, f=f, a0=float(a0),
         int_Vf=float(int_Vf), tail_fit_window=(float(0.8 * r_max), float(r_max)),
-        richardson_defect=float(defect))
+        richardson_defect=defect)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +304,7 @@ class NeumannSolution:
 
 
 def _assemble_neumann(potential, ell, N_param, n_pts, lam, u_well, v_well,
-                      h_well, n_tail, defect_pair):
+                      h_well, vn, n_tail, defect_pair):
     R = potential.support_radius
     L = ell * N_param
     h_tail = (L - R) / n_tail
@@ -325,7 +338,6 @@ def _assemble_neumann(potential, ell, N_param, n_pts, lam, u_well, v_well,
                           {"kind": "constant", "value": 1.0, "radius": float(L)})
     w_ell = RadialProfile(r_grid, w, {"kind": "zero", "radius": float(L)})
 
-    vn = potential(r_well)
     int_Vf = 4.0 * np.pi * simpson(vn * u_n[:n_well + 1] * r_well, dx=h_well)
     int_w = 4.0 * np.pi * (
         simpson(w[:n_well + 1] * r_well ** 2, dx=h_well)
@@ -351,10 +363,11 @@ def _trivial_neumann(potential, ell, N_param, n_pts):
     L = ell * N_param
     n_well = max(64, (n_pts // 8) & ~1)
     h_well = R / n_well
-    u_well = np.arange(n_well + 1) * h_well
-    v_well = np.ones(n_well + 1)
-    return _assemble_neumann(potential, ell, N_param, n_pts, 0.0, u_well,
-                             v_well, h_well, max(n_pts, 512), (0.0, 0.0))
+    r_well = np.arange(n_well + 1) * h_well
+    # f = 1, so u = r and u' = 1
+    return _assemble_neumann(potential, ell, N_param, n_pts, 0.0, r_well,
+                             np.ones(n_well + 1), h_well, potential(r_well),
+                             max(n_pts, 512), (0.0, 0.0))
 
 
 def solve_neumann(potential, ell, N_param, n_pts=4096):
@@ -387,7 +400,8 @@ def solve_neumann(potential, ell, N_param, n_pts=4096):
         return _trivial_neumann(potential, ell, N_param, n_pts)
 
     n_well = max(1024, (n_pts // 4) & ~1)
-    h, vn, vm = _well_tables(potential, n_well)
+    tables = _well_tables(potential, n_well)
+    h, vn, vm = tables[0]
 
     # Probe eigenvalues parametrized by the scattering length they would
     # imply (lam ~ 3 a / L^3, a <= R for nonnegative V), well below the next
@@ -405,23 +419,13 @@ def solve_neumann(potential, ell, N_param, n_pts=4096):
                  lam_probe[i], lam_probe[i + 1], xtol=1e-300,
                  rtol=_BRACKET_RTOL)
 
-    lam_arr = np.array([lam])
-    hf, vnf, vmf = _well_tables(potential, 2 * n_well)
-    _, _, u_c, v_c = _integrate_well(vn, vm, h, lam_arr, store=True)
-    _, _, u_f, v_f = _integrate_well(vnf, vmf, hf, lam_arr, store=True)
-    rich = abs(u_f[-1, 0] - u_c[-1, 0]) / max(abs(u_f[-1, 0]), 1e-300)
-    if not np.isfinite(rich) or rich > _RICHARDSON_TOL:
-        raise SolverFailureError(
-            f"well integration did not converge: boundary defect {rich:.3e}")
-    u_well = u_f[::2, 0] + (u_f[::2, 0] - u_c[:, 0]) / 15.0
-    v_well = v_f[::2, 0] + (v_f[::2, 0] - v_c[:, 0]) / 15.0
-
+    u_well, v_well, rich = _certified_well(tables, lam)
     uL, vL = _free_tail(u_well[-1], v_well[-1], np.array([lam]), L - R)
     mism_final = float(vL[0] - uL[0] / L) / max(abs(float(uL[0]) / L), 1e-300)
 
     n_tail = max(n_pts & ~1, 512)
     return _assemble_neumann(potential, ell, N_param, n_pts, lam, u_well,
-                             v_well, h, n_tail, (mism_final, rich))
+                             v_well, h, vn, n_tail, (mism_final, rich))
 
 
 # ---------------------------------------------------------------------------

@@ -208,7 +208,7 @@ def test_criterion_08_fock_exact_identities():
                 worst = max(worst, np.max(np.abs((comm - delta)[:, low])))
         worst = max(worst, fk.verify_b_commutators(space))
         worst = max(worst, fk.verify_un(space))
-        P = fk.gamma_projector(space).matrix
+        P = fk.gamma_projector(space)
         worst = max(worst, np.max(np.abs((P @ P - P).toarray())))
     exact_all = True
     for m, cap in ((2, 3), (3, 3), (3, 4)):

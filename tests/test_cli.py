@@ -570,6 +570,25 @@ class TestCommandLine:
         assert "6435" in err and "Traceback" not in err
         assert built == []
 
+    @pytest.mark.parametrize("suites", [None, ["bgrowth", "agrowth"]])
+    def test_cap_below_two_exits_2_for_the_growth_suites(
+            self, tmp_path, capsys, suites):
+        # on one particle B and A vanish: the default suites ended in a
+        # ZeroDivisionError from the deta spread, bgrowth and agrowth in
+        # a failing quadratic-growth entry (exit 1)
+        raw = cli.default_config()
+        raw["pipeline"] = ["fock"]
+        raw["stages"]["fock"] = {"modes": 2, "ncap": 2, "caps": [1, 2, 3]}
+        if suites:
+            raw["stages"]["fock"]["suites"] = suites
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(raw))
+        assert cli.main(["run", "--config", str(cfgp),
+                         "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "fock caps" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_one_exponential_per_generator_and_cap(self, monkeypatch):
         # every power reads one exponential per (generator, t, cap):
         # 5 pair + 20 cubic (four nonzero t) + 5 remainder at caps 2..6;

@@ -10,6 +10,8 @@ by their cubic small-generator scaling, with the ratio 8 per halving
 measured before freezing.
 """
 
+import gc
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -85,7 +87,7 @@ class TestSpace:
         assert all(sum(sp23.basis[k]) == 3 for k in top)
         assert top.size == 4
         # the excitation sub-basis is the image of the relabeling map
-        exc = np.flatnonzero(dense(fock.build_UN(sp23, 0).matrix).any(axis=1))
+        exc = np.flatnonzero(dense(fock.build_UN(sp23, 0)).any(axis=1))
         assert all(sp23.basis[k][0] == 0 for k in exc)
         assert exc.size == 4
 
@@ -170,7 +172,7 @@ class TestLadders:
         coeff = fock.CoefficientSet(mode0=0, h=np.eye(3), v=np.zeros((3,) * 4),
                                     eta=np.zeros((3, 3)), nu=np.zeros((3, 3)),
                                     g=np.zeros((3, 3)))
-        num = dense(fock.build_HN(coeff, sp34).matrix)
+        num = dense(fock.build_HN(coeff, sp34))
         np.testing.assert_allclose(num, np.diag(sp34.number_diag()),
                                    atol=1e-14)
 
@@ -195,24 +197,23 @@ class TestExcitationMap:
 
     def test_isometry_and_range(self, sp23):
         # U is square and vanishes off the top sector: U*U is its projector
-        un = fock.build_UN(sp23, 0)
-        U = dense(un.matrix)
-        top = np.diag(np.isin(np.arange(sp23.dim), un.sector).astype(float))
+        U = dense(fock.build_UN(sp23, 0))
+        top = np.diag(np.isin(np.arange(sp23.dim),
+                              sp23.sector_indices(3)).astype(float))
         np.testing.assert_allclose(U.T @ U, top, atol=1e-15)
-        gam = dense(fock.gamma_projector(sp23, 0).matrix)
+        gam = dense(fock.gamma_projector(sp23, 0))
         np.testing.assert_allclose(U @ U.T, gam, atol=1e-15)
 
     def test_pure_condensate_to_vacuum(self, sp23):
-        un = fock.build_UN(sp23, 0)
         pure_full = sp23.index[(3, 0)]
-        assert pure_full in un.sector
+        assert pure_full in sp23.sector_indices(3)
         psi = np.zeros(sp23.dim)
         psi[pure_full] = 1.0
-        out = dense(un.matrix) @ psi
+        out = dense(fock.build_UN(sp23, 0)) @ psi
         assert out[0] == 1.0 and np.sum(out != 0.0) == 1
 
     def test_gamma_is_projector(self, sp34):
-        g = dense(fock.gamma_projector(sp34, 0).matrix)
+        g = dense(fock.gamma_projector(sp34, 0))
         np.testing.assert_allclose(g @ g, g, atol=0)
         n = np.diag(sp34.number_diag())
         np.testing.assert_allclose(g @ n - n @ g, 0.0, atol=0)
@@ -271,7 +272,7 @@ class TestEnergyIdentity:
                                     eta=np.zeros((3, 3)),
                                     nu=np.zeros((3, 3)),
                                     g=np.zeros((3, 3)))
-        H = dense(fock.build_HN(coeff, sp).matrix)
+        H = dense(fock.build_HN(coeff, sp))
         expect = np.diag([sum(h[i, i] * n[i] for i in range(3))
                           for n in sp.basis])
         np.testing.assert_allclose(H, expect, atol=1e-14)
@@ -284,10 +285,10 @@ class TestEnergyIdentity:
         expect = N * coeff.h[0, 0] + 0.5 * N * (N - 1) * coeff.v[0, 0, 0, 0]
         vac = np.zeros(sp23.dim)
         vac[0] = 1.0
-        got = sum(float(vac @ (dense(p.matrix) @ vac))
+        got = sum(float(vac @ (dense(p) @ vac))
                   for p in pieces.values())
         assert got == pytest.approx(expect, rel=1e-12)
-        zero_only = float(vac @ (dense(pieces["L0"].matrix) @ vac))
+        zero_only = float(vac @ (dense(pieces["L0"]) @ vac))
         assert zero_only == pytest.approx(expect, rel=1e-12)
 
     def test_pieces_are_hermitian(self, sp34):
@@ -295,7 +296,7 @@ class TestEnergyIdentity:
         ops = [*fock.build_LN(coeff, sp34).values(),
                fock.build_HN(coeff, sp34)]
         for op in ops:
-            assert fock._max_abs(op.matrix - op.matrix.T) < 1e-12
+            assert fock._max_abs(op - op.T) < 1e-12
 
     def test_invalid_tensor_rejected(self, sp34):
         import dataclasses
@@ -309,11 +310,11 @@ class TestEnergyIdentity:
 class TestPairGenerator:
     def test_antisymmetry_is_exact(self, sp34, eta3):
         B = fock.build_B(sp34, 0.3 * eta3)
-        assert fock._max_abs(B.matrix + B.matrix.T) == 0.0
+        assert fock._max_abs(B + B.T) == 0.0
 
     def test_pair_steps_only(self, sp34, eta3):
         B = fock.build_B(sp34, eta3)
-        steps = {abs(sum(d)) for d, w in B.matrix.weights.items() if w.any()}
+        steps = {abs(sum(d)) for d, w in B.weights.items() if w.any()}
         assert steps == {2}
 
     def test_exponential_is_unitary(self, sp34, eta3):
@@ -324,6 +325,13 @@ class TestPairGenerator:
         Q = fock.exp_generator(fock.build_B(sp34, np.zeros((3, 3))))
         assert np.array_equal(Q, np.eye(sp34.dim))
 
+    def test_returned_matrix_keeps_its_space(self, eta3):
+        # a builder's matrix holds the space itself, not the float
+        # algebra's weak proxy, so it outlives a temporary space
+        B = fock.build_B(fock.build_fock_space(3, 2), 0.3 * eta3)
+        gc.collect()
+        assert fock.exp_generator(B).shape == (10, 10)
+
     def test_asymmetric_eta_rejected(self, sp34):
         bad = np.zeros((3, 3))
         bad[0, 1] = 1.0
@@ -332,7 +340,7 @@ class TestPairGenerator:
 
     def test_conjugation_preserves_spectrum(self, sp34, eta3):
         coeff = fock.make_random_coefficients(3, seed=6)
-        H = dense(fock.build_HN(coeff, sp34).matrix)
+        H = dense(fock.build_HN(coeff, sp34))
         Q = fock.exp_generator(fock.build_B(sp34, 0.3 * eta3))
         before = np.linalg.eigvalsh(H)
         after = np.linalg.eigvalsh(Q.T @ H @ Q)
@@ -391,11 +399,11 @@ class TestPairGenerator:
 class TestCubicGenerator:
     def test_antisymmetry_is_exact(self, sp34, nug):
         A = fock.build_A(sp34, *nug)
-        assert fock._max_abs(A.matrix + A.matrix.T) == 0.0
+        assert fock._max_abs(A + A.T) == 0.0
 
     def test_zero_nu_trivial(self, sp34):
         A = fock.build_A(sp34, np.zeros((3, 3)), np.ones((3, 3)))
-        assert A.matrix.weights == {}
+        assert A.weights == {}
         assert np.array_equal(fock.exp_generator(A), np.eye(sp34.dim))
 
     def test_exponential_is_unitary(self, sp34, nug):
@@ -475,8 +483,8 @@ class TestRemainder:
         gaps = []
         for s in (0.2, 0.1, 0.05):
             et = s * eta3
-            B = fock.build_B(sp34, et).matrix
-            Q = fock.exp_generator(fock.FockOperator(space=sp34, matrix=B))
+            B = fock.build_B(sp34, et)
+            Q = fock.exp_generator(B)
             d, _ = fock.compute_d_eta(sp34, et, fvec, Q)
             bf = bvec(fvec)
             c1 = bf @ B - B @ bf
@@ -512,9 +520,9 @@ class TestRemainder:
         calls = []
         exp = fock.exp_generator
 
-        def counted(op):
-            calls.append(op.space.N_cap)
-            return exp(op)
+        def counted(mat):
+            calls.append(mat.space.N_cap)
+            return exp(mat)
 
         monkeypatch.setattr(fock, "exp_generator", counted)
         reps = fock.sweep_d_eta(3, eta3, 0.3, fvec, powers, caps=caps)
@@ -603,15 +611,12 @@ class TestExponentialGuards:
     def test_dimension_cap(self):
         sp = fock.build_fock_space(7, 8)
         assert sp.dim > 5000
-        op = fock.FockOperator(space=sp,
-                               matrix=fock.DisplacementMatrix(sp, {}))
         with pytest.raises(ResourceLimitError):
-            fock.exp_generator(op)
+            fock.exp_generator(fock.DisplacementMatrix(sp, {}))
 
     def test_non_antisymmetric_rejected(self, sp23):
-        op = fock.FockOperator(space=sp23, matrix=sp23.float_algebra.num)
         with pytest.raises(InvalidParameterError):
-            fock.exp_generator(op)
+            fock.exp_generator(sp23.float_algebra.num)
 
 
 class RefMatrix:

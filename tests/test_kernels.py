@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
 
-from gpregime import cli, scattering
+from gpregime import cli, kernels, scattering
 from gpregime.errors import (
     InvalidParameterError,
     InvalidRegimeError,
@@ -28,13 +28,9 @@ from gpregime.kernels import (
     _BandWork,
     _Spectra,
     _band_convolve,
-    _build_hN,
-    _eta_norms,
-    _hyperbolic,
     _moment_lookup,
     _moment_table,
     _node_rule,
-    _nu_norms,
     build_G,
     build_eta_H,
     build_gaussian_lowpass,
@@ -334,13 +330,13 @@ class TestEtaNorms:
 
 
 class TestNuNorms:
-    def test_column_ratio_equals_l2(self, G64, state, cuts):
-        rep = nu_norms(build_nu_H(G64, state, cuts))
+    def test_column_ratio_equals_l2(self, eta64):
+        rep = nu_norms(build_nu_H(eta64))
         assert rep.col_sup_ratio == rep.l2
         assert rep.l2 > 0.0
 
-    def test_slice_sup_sits_in_the_band(self, G64, state, cuts):
-        rep = nu_norms(build_nu_H(G64, state, cuts))
+    def test_slice_sup_sits_in_the_band(self, eta64, cuts):
+        rep = nu_norms(build_nu_H(eta64))
         assert rep.argmax_p >= cuts.cutoff_momentum
         assert rep.sup_p2_slice > 0.0
 
@@ -349,7 +345,7 @@ class TestNuNorms:
 
     def test_zero_potential_gives_zero_kernel(self, zero_well, state, cuts):
         Gz = build_G(solve_neumann(zero_well, 0.5, 64))
-        rep = nu_norms(build_nu_H(Gz, state, cuts))
+        rep = nu_norms(build_nu_H(build_eta_H(Gz, state, cuts)))
         assert rep.l2 == 0.0
         assert rep.row_sup == 0.0
 
@@ -358,27 +354,44 @@ class TestSharedBand:
     """sweep_kernels builds each band object once per row; every routine
     must return what it returns when called on its own."""
 
-    def test_shared_work_gives_the_standalone_reports(self, G64, state, cuts,
+    def test_shared_work_gives_the_standalone_reports(self, G64, state,
                                                       eta64, eta64_report):
-        nu = dataclasses.replace(eta64, name="nu_H", left_weight="one")
-        alone_nu = build_nu_H(G64, state, cuts)
-        assert repr(nu) == repr(alone_nu)
-        assert np.array_equal(nu.p_nodes, alone_nu.p_nodes)
-        assert np.array_equal(nu.fhat, alone_nu.fhat)
-        assert nu.state is alone_nu.state
+        nu = build_nu_H(eta64)
+        assert (nu.name, nu.left_weight, nu.right_weight) == (
+            "nu_H", "one", "phi")
+        assert nu.p_nodes is eta64.p_nodes and nu.fhat is eta64.fhat
+        assert nu.state is eta64.state
         spectra = _Spectra(state)
         work = _BandWork(eta64, spectra)
-        en = _eta_norms(eta64, work)
-        nn = _nu_norms(nu, work)
-        hy = _hyperbolic(eta64, 1e-12, en, work)
+        en = eta_norms(eta64, work=work)
+        nn = nu_norms(nu, work=work)
+        hy = hyperbolic(eta64, 1e-12, en, work=work)
         assert en == eta64_report
-        assert nn == nu_norms(alone_nu)
+        assert nn == nu_norms(nu)
         assert nn.row_sup == en.row_sup
-        alone = hyperbolic(eta64, norms=eta64_report)
-        assert hy == alone
+        assert hy == hyperbolic(eta64, norms=eta64_report)
         sol = G64.sol
-        assert (_build_hN(sol, state, spectra).values
+        assert (build_hN(sol, state, spectra=spectra).values
                 == build_hN(sol, state).values).all()
+
+    def test_sweep_calls_each_public_routine_once_per_row(
+            self, well, state, sol64, monkeypatch):
+        names = ("eta_norms", "nu_norms", "hyperbolic", "build_hN",
+                 "build_nu_H")
+        calls = {name: 0 for name in names}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+        for name in names:
+            monkeypatch.setattr(kernels, name,
+                                counted(name, getattr(kernels, name)))
+        rep = sweep_kernels(well, state, tuples=((0.5, 64), (0.7, 50)),
+                            solved=sol64)
+        assert len(rep.rows) == 2
+        assert calls == {name: 2 for name in names}
 
 
 class TestSweepReuse:

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from gpregime.potentials import (
@@ -10,7 +9,6 @@ from gpregime.potentials import (
     InteractionPotential,
     make_square_well,
     make_trap,
-    validate,
 )
 from gpregime.radial import radial_moment
 from gpregime.errors import InvalidParameterError, InvalidDomainError
@@ -49,62 +47,10 @@ def test_trap_values_and_derivatives():
     quart = make_trap("quartic", 128, 10.0)
     assert harm(2.0) == 4.0
     assert quart(2.0) == 16.0
-    assert harm.gradient(3.0) == 6.0
-    assert harm.laplacian(7.7) == 6.0
-    assert quart.gradient(2.0) == 32.0
-    assert quart.laplacian(2.0) == 80.0
     with pytest.raises(InvalidParameterError):
         make_trap("octic", 128, 10.0)
     with pytest.raises(InvalidDomainError):
         make_trap("harmonic", 128, -1.0)
-
-
-def test_trap_submultiplicativity_on_lattice():
-    harm = make_trap("harmonic", 128, 10.0)
-    rep = validate(harm)
-    ok, witness = rep["submultiplicative"]
-    assert ok, witness
-    assert witness["C_sub"] == 2.0
-    quart = make_trap("quartic", 128, 10.0)
-    ok_q, witness_q = validate(quart)["submultiplicative"]
-    assert ok_q and witness_q["C_sub"] == 8.0
-
-
-def test_submultiplicativity_witness_stable_under_refinement():
-    coarse = validate(make_trap("harmonic", 64, 10.0))["submultiplicative"][1]
-    fine = validate(make_trap("harmonic", 1024, 10.0))["submultiplicative"][1]
-    # trap evaluation is closed-form so the lattice witness cannot drift
-    assert abs(coarse["max_ratio"] - fine["max_ratio"]) < 0.01 * coarse["max_ratio"]
-
-
-def test_validate_passes_for_reference_inputs():
-    assert validate(make_square_well(2.0, 1.0, 256)).passed
-    assert validate(make_trap("harmonic", 128, 10.0)).passed
-    assert validate(make_trap("quartic", 128, 10.0)).passed
-
-
-def test_validate_reports_negative_node():
-    grid = np.linspace(0.0, 1.0, 32)
-    samples = np.ones_like(grid)
-    samples[7] = -0.25
-    profile = RadialProfile(grid, samples, {"kind": "zero", "radius": 1.0})
-    bad = InteractionPotential(profile, 1.0, 1.0)
-    rep = validate(bad)
-    ok, witness = rep["nonnegative"]
-    assert not ok
-    assert witness["node_index"] == 7
-    assert not rep.passed
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    v0=st.floats(min_value=0.0, max_value=50.0),
-    R=st.floats(min_value=0.05, max_value=4.0),
-    n=st.integers(min_value=16, max_value=400),
-)
-def test_validate_accepts_all_square_wells(v0, R, n):
-    rep = validate(make_square_well(v0, R, n))
-    assert rep.passed, rep.to_dict()
 
 
 def test_json_round_trip():

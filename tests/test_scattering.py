@@ -134,7 +134,7 @@ class TestWellIntegrator:
 
     def test_eigenvalue_sits_on_a_sign_change(self, well, neu_sweep):
         # solve_neumann's well grid at its default n_pts = 4096
-        h, vn, vm = _well_tables(well, 1024)
+        h, vn, vm = _well_tables(well, 1024)[0]
         for sol in neu_sweep.values():
             lam = sol.lambda_ell * (1.0 + np.array([-1e-10, 1e-10]))
             m = _neumann_mismatch(vn, vm, h, lam, 1.0, sol.radius)
