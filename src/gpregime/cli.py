@@ -70,12 +70,16 @@ _DEFAULT_THRESHOLDS = {
     "fock_float_tol": 1e-12,
     "energy_identity_tol": 1e-10,
     "growth_spread": 1.5,
+    "cubic_growth_spread": 2.0,
     "remainder_spread": 3.0,
 }
 
 # Thresholds that a check compares with a strict "<", so 0 fails every run.
 _STRICT_THRESHOLDS = {"integral_uniformity_ratio", "growth_spread",
-                      "remainder_spread"}
+                      "cubic_growth_spread", "remainder_spread"}
+
+# Norm of the fock stage's pair generator (eta_unit has norm 1), scale of nu
+_GENERATOR_SCALE = 0.3
 
 _TOP_KEYS = {"schema_version", "seed", "pipeline", "stages", "thresholds"}
 
@@ -675,7 +679,7 @@ def fock_stage(params, thr, seed):
     e = rng.normal(size=(M, M))
     eta_unit = (e + e.T) / 2.0
     eta_unit /= np.linalg.norm(eta_unit)
-    nu = 0.3 * rng.normal(size=(M, M))
+    nu = _GENERATOR_SCALE * rng.normal(size=(M, M))
     g = 0.5 * rng.normal(size=(M, M))
     fvec = rng.normal(size=M)
     exact_ok = None
@@ -714,11 +718,12 @@ def fock_stage(params, thr, seed):
         add("excitation-energy-identity", worst, thr["energy_identity_tol"])
         add_exact("ln")
     if "bgrowth" in suites:
-        reps = fock.verify_B_number_growth(M, eta_unit, 0.3, (-2, -1, 0, 1, 2),
-                                           caps=caps, workspace=ws)
+        reps = fock.verify_B_number_growth(
+            M, eta_unit, _GENERATOR_SCALE, (-2, -1, 0, 1, 2), caps=caps,
+            workspace=ws)
         (zero,) = fock.verify_B_number_growth(M, np.zeros((M, M)), 1.0, (2,),
                                               caps=caps, workspace=ws)
-        growth["pair"] = {"generator_norm": 0.3,
+        growth["pair"] = {"generator_norm": _GENERATOR_SCALE,
                           "trivial_ratios": list(zero.ratios), "table": {
             f"n={r.n}": {"caps": list(r.caps), "ratios": list(r.ratios),
                          "sup": r.sup} for r in reps}}
@@ -739,7 +744,7 @@ def fock_stage(params, thr, seed):
             f"k={k}": [{"t_norm": r.generator_norm, "ratios": list(r.ratios),
                         "sup": r.sup} for r in row[:-1]]
             for k, row in zip(powers, reps)}}
-        ok = all(max(r.ratios) / min(r.ratios) < 2.0
+        ok = all(max(r.ratios) / min(r.ratios) < thr["cubic_growth_spread"]
                  for row in reps for r in row[:-1])
         add("cubic-growth", 0.0 if ok else 1.0, 0.0)
         add("cubic-growth-trivial",
@@ -748,8 +753,8 @@ def fock_stage(params, thr, seed):
         table = {f"n={row[0].n}": {
             "caps": [r.cap for r in row],
             "ratio_times_cap": [r.ratio * r.cap for r in row]}
-            for row in fock.sweep_d_eta(M, eta_unit, 0.3, fvec, (-1, 0, 1),
-                                        caps=caps, workspace=ws)}
+            for row in fock.sweep_d_eta(M, eta_unit, _GENERATOR_SCALE, fvec,
+                                        (-1, 0, 1), caps=caps, workspace=ws)}
         ok = all(max(t["ratio_times_cap"]) / min(t["ratio_times_cap"])
                  < thr["remainder_spread"] for t in table.values())
         ((zrep,),) = fock.sweep_d_eta(M, np.zeros((M, M)), 1.0, fvec,

@@ -688,12 +688,17 @@ def exp_generator(mat):
     return Q
 
 
+def _is_identity(Q):
+    """Q == I exactly, decided without allocating I (NaN is nonzero)."""
+    return bool(np.all(Q.diagonal() == 1.0)) and np.count_nonzero(Q) == len(Q)
+
+
 def _growth_ratio(space, Q, n):
     """Largest eigenvalue of the (NUM+1)^n ratio operator conjugated by Q;
     exactly 1 when Q is the identity, the zero generator's exponential."""
     if not -2 <= n <= 2:
         raise InvalidParameterError(f"power {n} outside -2..2")
-    if np.array_equal(Q, np.eye(space.dim)):
+    if _is_identity(Q):
         return 1.0
     shifted = space.number_diag() + 1.0
     w = shifted ** (-n / 2.0)
@@ -779,7 +784,7 @@ def compute_d_eta(space, eta, f, Q, powers=(0,)):
     if fn == 0.0:
         raise InvalidParameterError("remainder needs a nonzero mode vector")
     d = np.zeros((space.dim, space.dim))
-    if not np.array_equal(Q, np.eye(space.dim)):
+    if not _is_identity(Q):
         alg = space.float_algebra
         w, V = np.linalg.eigh(eta)
         cosh_f = V @ (np.cosh(w) * (V.T @ f))

@@ -24,12 +24,12 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import (InvalidParameterError, InvalidRegimeError,
                      SolverFailureError)
 from .gp import band_matvec, kinetic_band
-from .radial import filon_sin, radial_fourier, radial_fourier_inverse
+from .radial import (filon_sin, radial_fourier, radial_fourier_inverse,
+                     simpson)
 from .scattering import _transform_segments, fourier_w_ode, solve_neumann
 
 # Pair transforms of condensate weights are dead beyond s ~ 2 for the

@@ -9,13 +9,13 @@ uniform radial grids, so this module concentrates the shared machinery:
   piecewise linearly; the oscillation is integrated exactly). The shape of
   the frequency grid picks how the sums over nodes are evaluated:
   frequencies in arithmetic progression (three or more) go through a
-  Bluestein chirp-z transform on scipy.fft, O((n + m) log(n + m)); any
+  Bluestein chirp-z transform on numpy.fft, O((n + m) log(n + m)); any
   other grid, and a progression's run of phases below one radian, through
   an exact split of each node's exponential into block and in-block
   factors, O(m sqrt(n)); both reduce phases in cycles in long double,
 - the unitary radial Fourier transform  F[w](p) = (2/p) int w(r) r sin(2 pi p r) dr
   with the convention  (-Delta) <-> 4 pi^2 p^2,  which is its own inverse,
-- Simpson moments  int w(r) r^k dr.
+- the composite Simpson rule, and Simpson moments  int w(r) r^k dr.
 
 Grids are r_j = j * h for j = 0..n; pass the number of intervals n, keep it
 even so Simpson and Richardson halving both apply.
@@ -24,8 +24,6 @@ even so Simpson and Richardson halving both apply.
 import math
 
 import numpy as np
-import scipy.fft
-from scipy.integrate import simpson
 
 from .errors import InvalidDomainError, InvalidParameterError
 
@@ -69,6 +67,25 @@ def _filon_weights(omega, h):
     return a, b
 
 
+def simpson(y, dx, axis=-1):
+    """Composite Simpson along axis in scipy.integrate.simpson's uniform-grid
+    arithmetic, term for term, with Cartwright's last interval if n is even."""
+    y = np.moveaxis(np.asarray(y, dtype=float), axis, -1)
+    n = y.shape[-1]
+    if n == 2:
+        return 0.5 * dx * (y[..., -1] + y[..., -2])
+    m = n - 1 + n % 2  # samples under the Simpson panels
+    out = np.sum(y[..., 0:m - 2:2] + 4.0 * y[..., 1:m - 1:2]
+                 + y[..., 2:m:2], axis=-1) * (dx / 3.0)
+    if n % 2 == 0:
+        h = np.float64(dx)
+        alpha = (2 * h ** 2 + 3 * h * h) / (6 * (h + h))
+        beta = (h ** 2 + 3.0 * h * h) / (6 * h)
+        eta = 1 * h ** 3 / (6 * h * (h + h))
+        out = out + (alpha * y[..., -1] + beta * y[..., -2] - eta * y[..., -3])
+    return out
+
+
 def _progression(omega):
     """(first, step) if omega is an arithmetic progression of >= 3 values."""
     if omega.ndim != 1 or omega.size < 3:
@@ -102,6 +119,14 @@ def _expi(cycles):
     return np.exp(2j * np.pi * cycles)
 
 
+def _fast_len(n):
+    """Smallest 11-smooth length >= n, scipy.fft.next_fast_len's choice for
+    complex transforms; n < 2^64 is 11-smooth iff it divides 2310^64."""
+    while 2310 ** 64 % n:
+        n += 1
+    return n
+
+
 def _chirp_sums(c, h, x0, first, step, m):
     """Z[r, j] = sum_i c[r, i] exp(i w_j mid_i) by Bluestein's chirp-z.
 
@@ -122,11 +147,11 @@ def _chirp_sums(c, h, x0, first, step, m):
     const = float(const - np.round(const))
     pre = _expi(_cycles(nu0 * h / 2, 2.0 * i + 1.0) + _cycles(beta, i * i))
     post = _expi(const + _cycles(dnu * (x0 + h / 2), j) + _cycles(beta, j * j))
-    size = scipy.fft.next_fast_len(n + m - 1)
+    size = _fast_len(n + m - 1)
     chirp = np.zeros(size, dtype=complex)
     chirp[lag.astype(int)] = _expi(-_cycles(beta, lag * lag))
-    spec = scipy.fft.fft(c * pre, size, axis=-1) * scipy.fft.fft(chirp)
-    return scipy.fft.ifft(spec, axis=-1)[:, :m] * post
+    spec = np.fft.fft(c * pre, size, axis=-1) * np.fft.fft(chirp)
+    return np.fft.ifft(spec, axis=-1)[:, :m] * post
 
 
 def _split_sums(c, h, x0, omega):

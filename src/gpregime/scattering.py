@@ -12,7 +12,7 @@ matrix and crossing the well is their ordered product, evaluated as a tree
 reduction; the sampled trajectory is the prefix scan of the same matrices.
 Both run as a few vectorized passes rather than a loop over steps, which
 makes a single mismatch evaluation cheap enough for the Neumann eigenvalue
-to be found by brentq.
+to be found by Brent's method (`_brentq`).
 
 Normalizations: the zero-energy solution has f -> 1 at infinity, so its tail
 is u = r - a0 and a0 is the scattering length. The Neumann minimizer on the
@@ -25,8 +25,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.optimize import brentq
 
 from .errors import (
     InvalidDomainError,
@@ -34,7 +32,7 @@ from .errors import (
     SolverFailureError,
 )
 from .potentials import RadialProfile, InteractionPotential
-from .radial import filon_sin
+from .radial import filon_sin, simpson
 
 _MIN_PTS = 512
 _RICHARDSON_TOL = 1e-9
@@ -370,17 +368,56 @@ def _trivial_neumann(potential, ell, N_param, n_pts):
                              max(n_pts, 512), (0.0, 0.0))
 
 
+def _brentq(f, xa, xb, xtol, rtol):
+    """Root of f in [xa, xb] by Brent's method: scipy's brentq.c, step for step."""
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0.0 or fcur == 0.0:
+        return xpre if fpre == 0.0 else xcur
+    if (fpre < 0) == (fcur < 0):
+        raise SolverFailureError(f"no sign change on [{xa}, {xb}]")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):  # scipy's maxiter
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk, spre, scur = xpre, fpre, xcur - xpre, xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = np.inf  # a bisection, unless interpolation gives a short step
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)  # 0 by underflow: C's inf
+                if den:
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / den
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+    raise SolverFailureError("Brent's method did not converge in 100 steps")
+
+
 def solve_neumann(potential, ell, N_param, n_pts=4096):
     """Lowest Neumann state on the ball of radius N * ell, via shooting.
 
     A batched probe of 56 eigenvalues brackets the first sign change of
-    the boundary mismatch u'(L) - u(L)/L, and brentq narrows that bracket
-    to 1e-12 relative width; every mismatch evaluation integrates only the
-    well and crosses the free region with the exact propagator. The well
-    state at the eigenvalue is then integrated at two resolutions and
-    Richardson extrapolated, under the same certificate as the zero-energy
-    problem. The returned state has no interior zeros and satisfies
-    f(L) = 1 exactly.
+    the boundary mismatch u'(L) - u(L)/L, and Brent's method narrows that
+    bracket to 1e-12 relative width; every mismatch evaluation integrates
+    only the well and crosses the free region with the exact propagator.
+    The well state at the eigenvalue is then integrated at two resolutions
+    and Richardson extrapolated, under the same certificate as the
+    zero-energy problem. The returned state has no interior zeros and
+    satisfies f(L) = 1 exactly.
     """
     if not (0.0 < ell < 1.0):
         raise InvalidParameterError(f"ell must lie in (0, 1), got {ell}")
@@ -415,9 +452,8 @@ def solve_neumann(potential, ell, N_param, n_pts=4096):
             "no sign change of the Neumann mismatch in the probe range; "
             f"residual range [{mism.min():.3e}, {mism.max():.3e}]")
     i = sign_flip[0]
-    lam = brentq(lambda x: _neumann_mismatch(vn, vm, h, x, R, L)[0],
-                 lam_probe[i], lam_probe[i + 1], xtol=1e-300,
-                 rtol=_BRACKET_RTOL)
+    lam = _brentq(lambda x: _neumann_mismatch(vn, vm, h, x, R, L)[0],
+                  lam_probe[i], lam_probe[i + 1], 1e-300, _BRACKET_RTOL)
 
     u_well, v_well, rich = _certified_well(tables, lam)
     uL, vL = _free_tail(u_well[-1], v_well[-1], np.array([lam]), L - R)

@@ -452,7 +452,8 @@ class TestCommandLine:
         ("growth_spread", 0.0), ("remainder_spread", -1.0),
         ("eigenvalue_rate_slope", "abc"), ("decay_orders", "abc"),
         ("decay_orders", []), ("decay_orders", [1, -2]),
-        ("decay_orders", [1, float("nan")]), ("decay_orders", [True])])
+        ("decay_orders", [1, float("nan")]), ("decay_orders", [True]),
+        ("cubic_growth_spread", 0.0)])
     def test_bad_thresholds_exit_2_before_any_stage(
             self, tmp_path, capsys, monkeypatch, key, value):
         ran = []
@@ -629,6 +630,18 @@ class TestCommandLine:
                              cli._DEFAULT_THRESHOLDS, 7)
         assert calls == [] and rep["exact_mode"] is False
 
+    def test_cubic_growth_spread_decides_cubic_growth(self):
+        # a spread max/min is >= 1, so a bound of 1 fails every sweep
+        def cubic_pass(bound):
+            thr = dict(cli._DEFAULT_THRESHOLDS, cubic_growth_spread=bound)
+            rep = cli.fock_stage({"modes": 2, "ncap": 2,
+                                  "suites": ["agrowth"]}, thr, 7)
+            (entry,) = [i for i in rep["identities"]
+                        if i["id"] == "cubic-growth"]
+            return entry["pass"]
+
+        assert cubic_pass(2.0) and not cubic_pass(1.0)
+
     @pytest.mark.parametrize("argv", [
         ["run"], ["scatter"], ["gp", "--a0", "0.1"],
         ["kernels", "--scatter", "s.json", "--gp", "g.json"], ["fock"]],
@@ -690,16 +703,19 @@ class TestCommandLine:
         assert cli.main(["fock", "--modes", "2", "--ncap", "2",
                          "--suite", "bgrowth"]) == 1
 
-    def test_import_leaves_scipy_signal_out(self):
-        # scipy.signal costs most of a second at start-up; the chirp-z sums
-        # run on scipy.fft, which the package loads anyway.
+    def test_import_loads_no_scipy_beyond_linalg(self):
+        # start-up budget: every other scipy subpackage costs time on each
+        # run; the package's Simpson, Brent and FFT live on numpy
         import subprocess
         import sys
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         code = ("import sys, gpregime.cli; "
-                "assert 'scipy.fft' in sys.modules; "
-                "assert 'scipy.signal' not in sys.modules, 'scipy.signal'")
+                "bad = sorted(m for m in sys.modules if m.split('.')[:2] in "
+                "[['scipy', p] for p in ('integrate', 'optimize', 'sparse', "
+                "'fft', 'special', 'signal')]); "
+                "assert 'scipy.linalg' in sys.modules; "
+                "assert not bad, bad")
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
     def test_import_loads_no_numpy(self):

@@ -325,6 +325,20 @@ class TestPairGenerator:
         Q = fock.exp_generator(fock.build_B(sp34, np.zeros((3, 3))))
         assert np.array_equal(Q, np.eye(sp34.dim))
 
+    def test_identity_test_agrees_with_dense_comparison(self, sp34, eta3):
+        # the allocation-free test gives np.array_equal(Q, I)'s verdict,
+        # also on signed zeros, NaN and rounding-level entries
+        cases = [np.eye(4), np.eye(4)[::-1], np.zeros((4, 4)),
+                 np.diag([1.0, 1.0, 1.0, 1.0 + 2 ** -52]),
+                 fock.exp_generator(fock.build_B(sp34, 0.3 * eta3))]
+        for i, j, value in [(1, 0, -0.0), (0, 3, 5e-324), (0, 3, np.nan),
+                            (2, 2, np.nan), (2, 2, -1.0)]:
+            Q = np.eye(4)
+            Q[i, j] = value
+            cases.append(Q)
+        for Q in cases:
+            assert fock._is_identity(Q) == np.array_equal(Q, np.eye(len(Q)))
+
     def test_returned_matrix_keeps_its_space(self, eta3):
         # a builder's matrix holds the space itself, not the float
         # algebra's weak proxy, so it outlives a temporary space

@@ -301,3 +301,31 @@ def test_geometric_grid_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 4_000_000
+
+
+@pytest.mark.parametrize("ndim,axis", [(1, 0), (1, -1), (2, 0), (2, 1),
+                                       (2, -1)])
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(min_value=2, max_value=41),
+       dx=st.floats(min_value=1e-4, max_value=1e3),
+       scale=st.floats(min_value=-6.0, max_value=6.0),
+       seed=st.integers(min_value=0, max_value=2 ** 16))
+@example(n=2, dx=0.5, scale=0.0, seed=0)  # two samples: the trapezoid
+@example(n=3, dx=0.5, scale=0.0, seed=1)  # one Simpson panel
+@example(n=4, dx=0.5, scale=0.0, seed=2)  # one panel plus Cartwright's
+def test_simpson_matches_scipy(ndim, axis, n, dx, scale, seed):
+    # the same uniform-grid arithmetic as scipy, so the sums agree bitwise
+    from scipy.integrate import simpson as scipy_simpson
+    shape = [n] if ndim == 1 else [3, 3]
+    shape[axis] = n
+    y = np.random.default_rng(seed).normal(size=shape) * 10.0 ** scale
+    got = radial.simpson(y, dx=dx, axis=axis)
+    want = scipy_simpson(y, dx=dx, axis=axis)
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want)
+
+
+def test_fast_len_matches_scipy():
+    from scipy.fft import next_fast_len
+    assert [radial._fast_len(n) for n in range(1, 5000)] == [
+        next_fast_len(n) for n in range(1, 5000)]

@@ -9,15 +9,19 @@ below trusts the solver to certify itself.
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import brentq
 
+from gpregime import scattering
 from gpregime.errors import (
     InvalidDomainError,
     InvalidParameterError,
+    SolverFailureError,
 )
-from gpregime.potentials import make_square_well
+from gpregime.potentials import InteractionPotential, make_square_well
 from gpregime.scattering import (
+    _BRACKET_RTOL,
+    _brentq,
     _integrate_well,
     _neumann_mismatch,
     _well_tables,
@@ -310,3 +314,70 @@ class TestLemmaReport:
         d = verify_lemma_scattering(neu100, ref).to_dict()
         assert set(d) >= {"a0", "lambda_ell", "i", "ii", "iii", "iv"}
         assert "ratio" in d["i"] and "sup_p2_what" in d["iv"]
+
+
+def _smooth_well():
+    grid = np.linspace(0.0, 1.5, 4097)
+    samples = 3.0 * (1.0 - (grid / 1.5) ** 2) ** 2
+    return InteractionPotential.from_dict({
+        "kind": "custom", "parameters": {},
+        "profile": {"grid": grid.tolist(), "samples": samples.tolist(),
+                    "tail": {"kind": "zero", "radius": 1.5}}})
+
+
+@pytest.mark.parametrize("potential", [make_square_well(2.0, 1.0, 2048),
+                                       _smooth_well()],
+                         ids=["square_well", "smooth"])
+def test_brent_matches_scipy_on_neumann_mismatch(monkeypatch, potential):
+    # the port follows scipy's brentq.c, so on the solver's own mismatch
+    # and bracket both return the same root to the bit
+    calls = []
+
+    def compared(f, xa, xb, xtol, rtol):
+        root = _brentq(f, xa, xb, xtol, rtol)
+        calls.append((root, brentq(f, xa, xb, xtol=xtol, rtol=rtol)))
+        return root
+
+    monkeypatch.setattr(scattering, "_brentq", compared)
+    sol = solve_neumann(potential, 0.5, 64)
+    ((got, want),) = calls
+    assert got == want == sol.lambda_ell
+
+
+@settings(max_examples=200, deadline=None)
+@given(roots=st.lists(st.floats(min_value=-10.0, max_value=10.0),
+                      min_size=3, max_size=3),
+       lead=st.floats(min_value=0.01, max_value=100.0),
+       a=st.floats(min_value=-20.0, max_value=20.0),
+       b=st.floats(min_value=-20.0, max_value=20.0))
+@example(roots=[0.0, 1.0, 2.0], lead=1.0, a=-0.5, b=0.5)
+@example(roots=[0.0, -1.0, -6.042635933271865e-93], lead=1.0,
+         a=1.9812679050835403e-128, b=-2.0)  # an interpolation underflows
+def test_brent_matches_scipy_on_cubics(roots, lead, a, b):
+    def f(x):
+        return lead * (x - roots[0]) * (x - roots[1]) * (x - roots[2])
+
+    def root(solve, xtol, rtol):
+        try:
+            return solve(f, a, b, xtol=xtol, rtol=rtol)
+        except RuntimeError as exc:  # both give up near a triple root
+            return type(exc)
+
+    assume(f(a) * f(b) < 0)
+    for xtol, rtol in ((1e-300, _BRACKET_RTOL),
+                       (2e-12, 4 * np.finfo(float).eps)):
+        got = root(_brentq, xtol, rtol)
+        want = root(brentq, xtol, rtol)
+        assert got == want or (got, want) == (SolverFailureError, RuntimeError)
+
+
+def test_brent_failure_is_a_solver_failure():
+    # a jump at 0 gives Brent only bisection steps, and the bracket must
+    # shrink to 1e-300 there: far more than 100 halvings
+    def step(x):
+        return -1.0 if x < 0.0 else 1.0
+
+    with pytest.raises(SolverFailureError, match="did not converge"):
+        _brentq(step, -1.0, 2.0, 1e-300, _BRACKET_RTOL)
+    with pytest.raises(SolverFailureError, match="no sign change"):
+        _brentq(step, 1.0, 2.0, 1e-300, _BRACKET_RTOL)
