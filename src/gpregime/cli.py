@@ -458,7 +458,7 @@ def _gp_params(params):
 def gp_stage(trap, a0, params, thr):
     tol = _gp_params(params)[2]
     state = minimize_gp(trap, float(a0), tol=tol)
-    spec = hgp_spectrum(state)
+    spec = hgp_spectrum(state, k=2)
     decay = {}
     for nu in thr["decay_orders"]:
         rep = verify_decay(state, float(nu))

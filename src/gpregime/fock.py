@@ -32,13 +32,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement
-from math import comb, sqrt
+from math import ceil, comb, factorial, log2, sqrt
 from operator import add, sub
 from typing import Callable, NamedTuple
 import weakref
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (
     InvalidParameterError,
@@ -666,6 +665,36 @@ class Workspace:
         if key not in self._pair_exps:
             self._pair_exps[key] = exp_generator(build_B(space, eta))
         return self._pair_exps[key]
+
+
+# the 1-norm theta_m up to which the degree-m Pade approximant meets unit
+# roundoff (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005, Table 2.3)
+_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+          7: 9.504178996162932e-1, 9: 2.097847961257068e0,
+          13: 5.371920351148152e0}
+
+
+def expm(A):
+    """exp(A) by Higham's Pade scaling and squaring: the least degree m
+    with ||A||_1 <= theta_m, else m = 13 on A / 2^s, squared s times."""
+    norm = float(np.abs(A).sum(axis=0).max())
+    m = next((m for m, theta in _THETA.items() if norm <= theta), 13)
+    s = ceil(log2(norm / _THETA[13])) if _THETA[m] < norm < np.inf else 0
+    b = [factorial(2 * m - j) / (factorial(j) * factorial(m - j))
+         for j in range(m + 1)]
+    A = A / 2.0 ** s
+    P = A2 = A @ A
+    ident = np.eye(len(A))
+    U, V = b[1] * ident + b[3] * A2, b[0] * ident + b[2] * A2
+    for j in range(2, m // 2 + 1):  # P = A^2j, up to A^(m-1)
+        P = P @ A2
+        U += b[2 * j + 1] * P
+        V += b[2 * j] * P
+    U = A @ U
+    R = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        R = R @ R
+    return R
 
 
 def exp_generator(mat):

@@ -6,7 +6,8 @@ pentadiagonal fourth-order stencil plays the Laplacian everywhere: the
 gradient flow, the Euler-Lagrange residual, and the linearized operator all
 share it. That self-consistency is the point: the minimizer is then an
 eigenvector of the linearization up to solver tolerance, not up to
-discretization error, which is what the zero-mode checks require.
+discretization error, which is what the zero-mode checks require. Flow steps
+and the shift-invert Lanczos spectrum share a pentadiagonal LDL^T solver.
 
 Conventions: minimization of E[phi] = int |grad phi|^2 + V phi^2
 + 4 pi a0 phi^4 over unit-mass radial phi, so the Euler-Lagrange equation is
@@ -18,12 +19,14 @@ annihilates phi exactly.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solveh_banded, eig_banded
 
 from .errors import InvalidParameterError, SolverFailureError
 from .radial import radial_fourier
 
 _DEFAULT_GRIDS = {"harmonic": (8.0, 800), "quartic": (5.0, 500)}
+# Lanczos stops at Ritz residual estimates <= _LANCZOS_TOL * max Ritz value of
+# (h + s)^-1; ||h x - lambda x|| <= _RITZ_RESIDUAL_TOL * ||h||_1 certifies
+_LANCZOS_TOL, _RITZ_RESIDUAL_TOL = 1e-14, 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +59,38 @@ def band_matvec(band, u):
     out[:-2] += band[0, 2:] * u[2:]
     out[2:] += band[0, 2:] * u[:-2]
     return out
+
+
+def _ldl_factor(band):
+    """LDL^T of a positive definite band laid out as kinetic_band's (zero
+    corners): per row, L's two subdiagonal entries and the positive pivot."""
+    e, b, a = band[0].tolist(), band[1].tolist(), band[2].tolist()
+    rows, l1, d_prev2, d_prev = [], 0.0, 1.0, 1.0
+    for a_i, b_i, e_i in zip(a, b, e):
+        c = b_i - e_i * l1
+        l1, l2 = c / d_prev, e_i / d_prev2
+        d_i = a_i - l1 * c - l2 * e_i
+        if not d_i > 0.0:
+            raise SolverFailureError(f"banded matrix not positive definite: "
+                                     f"pivot {d_i!r} at row {len(rows)}")
+        rows.append((l1, l2, d_i))
+        d_prev2, d_prev = d_prev, d_i
+    return rows
+
+
+def _ldl_solve(rows, rhs):
+    """Solve L D L^T x = rhs for the rows of _ldl_factor."""
+    z, y1, y2 = [], 0.0, 0.0
+    for r, (l1, l2, d) in zip(rhs.tolist(), rows):
+        y1, y2 = r - l1 * y1 - l2 * y2, y1
+        z.append(y1 / d)
+    x, x1, x2, la, lb, lc = [], 0.0, 0.0, 0.0, 0.0, 0.0
+    # row i reads x_{i+1}, x_{i+2}, l1_{i+1} (la) and l2_{i+2} (lb)
+    for z_i, (l1, l2, _) in zip(reversed(z), reversed(rows)):
+        x1, x2 = z_i - la * x1 - lb * x2, x1
+        x.append(x1)
+        la, lb, lc = l1, lc, l2
+    return np.array(x[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -103,9 +138,15 @@ def _phi_from_u(u, r_grid):
     return phi
 
 
-def _energy_parts(u, kin_band, v_nodes, r_int, h, a0):
+def _energy_parts(u, v_nodes, r_int, h, a0):
+    # u.Ku as 16 |first differences|^2 - |second differences|^2 - u_1^2
+    # (the fold-back): u @ Ku would carry eps ||K|| rounding, which on fine
+    # grids exceeds the flow's 1e-13 energy acceptance and stalls the step
     w = 4.0 * np.pi * h
-    kinetic = w * float(u @ band_matvec(kin_band, u))
+    p = np.concatenate(([0.0, 0.0], u, [0.0, 0.0]))
+    kinetic = w * (16.0 * float(np.sum(np.diff(p) ** 2))
+                   - float(np.sum((p[2:] - p[:-2]) ** 2))
+                   - float(u[0]) ** 2) / (12.0 * h * h)
     trap = w * float(np.sum(v_nodes * u * u))
     quart = w * float(np.sum(u ** 4 / r_int ** 2))
     interaction = 4.0 * np.pi * a0 * quart
@@ -158,7 +199,7 @@ def minimize_gp(trap, a0, r_max=None, n_pts=None, tol=1e-11, max_iter=5000,
         res = hu - eps * u
         return eps, np.sqrt(w_norm * float(res @ res))
 
-    kinetic, trap_e, inter, _ = _energy_parts(u, kin, v_nodes, r_int, h, a0)
+    kinetic, trap_e, inter, _ = _energy_parts(u, v_nodes, r_int, h, a0)
     energy = kinetic + trap_e + inter
     trace = [energy]
     tau = 0.05
@@ -173,9 +214,9 @@ def minimize_gp(trap, a0, r_max=None, n_pts=None, tol=1e-11, max_iter=5000,
         for _ in range(60):
             band = kin * tau
             band[2] += 1.0 + tau * (v_nodes + c * u ** 2 / r_int ** 2)
-            u_new = solveh_banded(band, u, lower=False)
+            u_new = _ldl_solve(_ldl_factor(band), u)
             u_new /= np.sqrt(w_norm * np.sum(u_new * u_new))
-            k2, t2, i2, _ = _energy_parts(u_new, kin, v_nodes, r_int, h, a0)
+            k2, t2, i2, _ = _energy_parts(u_new, v_nodes, r_int, h, a0)
             e_new = k2 + t2 + i2
             if e_new <= energy + 1e-13 * max(abs(energy), 1.0):
                 u = u_new
@@ -221,18 +262,48 @@ def hgp_spectrum(state, k=6):
     The operator reuses the minimizer's stencil and grid, so the minimizer
     itself is its zero mode up to the solver residual: lambda_0 is small
     compared to lambda_1 and the ground eigenvector overlaps u to roundoff.
+
+    Shift-invert Lanczos, fully reorthogonalized, on h + s >= K + 1 (s =
+    1 - min(0, min w), w the diagonal added to K). It starts from a constant,
+    not from u, which would hold the higher modes only through rounding.
+    Values are Rayleigh quotients on h, each certified by its residual.
     """
-    if k < 2:
-        raise InvalidParameterError("need at least two eigenvalues")
-    r_int = state.grid[1:-1]
-    band = kinetic_band(state.u.size, state.h).copy()
-    band[2] += state.v_nodes + 8.0 * np.pi * state.a0 \
-        * state.u ** 2 / r_int ** 2 - state.eps_gp
-    vals, vecs = eig_banded(band, lower=False, select="i",
-                            select_range=(0, k - 1))
-    gnorm = np.linalg.norm(vecs[:, 0]) * np.linalg.norm(state.u)
-    overlap = abs(float(vecs[:, 0] @ state.u)) / gnorm
-    return HgpSpectrum(values=vals, vectors_u=vecs,
+    n = state.u.size
+    if not 2 <= k <= n:
+        raise InvalidParameterError(
+            f"need 2 to {n} (the interior nodes) eigenvalues, got {k}")
+    band = kinetic_band(n, state.h)
+    w = state.v_nodes + 8.0 * np.pi * state.a0 * state.u ** 2 \
+        / state.grid[1:-1] ** 2 - state.eps_gp
+    band[2] += w
+    factor = _ldl_factor(band + [[0.0], [0.0], [1.0 - min(0.0, w.min())]])
+    basis, alpha, beta = [np.full(n, n ** -0.5)], [], []
+    while True:
+        y = _ldl_solve(factor, basis[-1])
+        alpha.append(float(basis[-1] @ y))
+        q = np.array(basis)
+        for _ in range(2):  # classical Gram-Schmidt, twice
+            y -= (q @ y) @ q
+        beta.append(float(np.linalg.norm(y)))
+        theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], 1)
+                                  + np.diag(beta[:-1], -1))
+        done = np.all(beta[-1] * abs(s[-1, -k:]) <= _LANCZOS_TOL * theta[-1])
+        if len(q) == n or len(q) >= k and done:
+            break
+        basis.append(y / beta[-1])
+    x = q.T @ s[:, :-k - 1:-1]
+    x /= np.linalg.norm(x, axis=0)
+    hx = np.column_stack([band_matvec(band, col) for col in x.T])
+    vals = np.einsum("ij,ij->j", x, hx)
+    order = np.argsort(vals)
+    vals, x, hx = vals[order], x[:, order], hx[:, order]
+    res = np.linalg.norm(hx - x * vals, axis=0)
+    h_norm = float(np.abs(band).max(axis=1) @ (2.0, 2.0, 1.0))
+    if not np.all(res <= _RITZ_RESIDUAL_TOL * h_norm):
+        raise SolverFailureError(f"Lanczos eigenpair residuals {res} exceed "
+                                 f"{_RITZ_RESIDUAL_TOL * h_norm:.2e}")
+    overlap = abs(float(x[:, 0] @ state.u)) / np.linalg.norm(state.u)
+    return HgpSpectrum(values=vals, vectors_u=x,
                        gap=float(vals[1] - vals[0]),
                        ground_overlap=float(overlap), grid=state.grid)
 

@@ -703,20 +703,36 @@ class TestCommandLine:
         assert cli.main(["fock", "--modes", "2", "--ncap", "2",
                          "--suite", "bgrowth"]) == 1
 
-    def test_import_loads_no_scipy_beyond_linalg(self):
-        # start-up budget: every other scipy subpackage costs time on each
-        # run; the package's Simpson, Brent and FFT live on numpy
+    def test_import_loads_no_scipy(self):
+        # start-up budget: the package's Simpson, Brent, FFT, banded solve,
+        # Lanczos spectrum and matrix exponential all live on numpy
         import subprocess
         import sys
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         code = ("import sys, gpregime.cli; "
-                "bad = sorted(m for m in sys.modules if m.split('.')[:2] in "
-                "[['scipy', p] for p in ('integrate', 'optimize', 'sparse', "
-                "'fft', 'special', 'signal')]); "
-                "assert 'scipy.linalg' in sys.modules; "
+                "bad = sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'); "
                 "assert not bad, bad")
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+    def test_no_module_imports_scipy(self):
+        # a lazy import inside a function would only move the cost into
+        # the first operation, so none is allowed anywhere
+        import ast
+        from pathlib import Path
+        found = []
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module or ""]
+                else:
+                    continue
+                found += [f"{path.name}:{node.lineno} {name}" for name in names
+                          if name.split(".")[0] == "scipy"]
+        assert not found, found
 
     def test_import_loads_no_numpy(self):
         # the console entry sets its thread defaults before numpy loads

@@ -17,8 +17,9 @@ import pytest
 from fractions import Fraction
 from math import gcd
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
-from gpregime import fock, fockexact
+from gpregime import cli, fock, fockexact
 from gpregime.errors import (
     InvalidParameterError,
     ResourceLimitError,
@@ -619,6 +620,46 @@ class TestDisplacementMatrix:
         assert fock._max_abs(low) > 0.0
         assert (alg.a[0] @ alg.a[0] @ alg.a[0] @ alg.a[0]
                 @ alg.a[0]).weights == {}
+
+
+class TestExpmAgainstScipy:
+    def test_stage_generators(self, monkeypatch):
+        # the 25 exponentials of a (4, 5) stage, dimensions 15 to 210
+        gens = []
+        real = fock.expm
+
+        def recorded(A):
+            gens.append(A.copy())
+            return real(A)
+
+        monkeypatch.setattr(fock, "expm", recorded)
+        cli.fock_stage({"modes": 4, "ncap": 5}, cli._DEFAULT_THRESHOLDS, 7)
+        assert len(gens) == 25
+        for A in gens:
+            assert np.abs(real(A) - expm(A)).max() <= 1e-13
+
+    # one 1-norm band per Pade degree 3, 5, 7, 9, 13, then the squaring
+    # branch above theta_13
+    EDGES = [1e-4, *fock._THETA.values(), 200.0]
+    BANDS = list(zip(EDGES[:-1], EDGES[1:]))
+
+    @pytest.mark.parametrize("band", range(len(BANDS)))
+    @given(dim=st.integers(1, 40), frac=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_antisymmetric_by_norm_band(self, band, dim, frac, seed):
+        lo, hi = self.BANDS[band]
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((dim, dim))
+        A -= A.T
+        norm = np.abs(A).sum(axis=0).max()
+        if norm == 0.0:
+            return
+        A *= lo * (hi / lo) ** frac / norm
+        Q = fock.expm(A)
+        # both are unitary to roundoff; squaring compounds it per halving
+        assert np.abs(Q - expm(A)).max() <= 1e-13 * max(1.0, hi)
+        assert np.abs(Q.T @ Q - np.eye(dim)).max() <= 1e-13 * max(1.0, hi)
 
 
 class TestExponentialGuards:

@@ -10,8 +10,11 @@ monotonicity, and the zero mode of the linearization.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import eig_banded, solveh_banded
 
-from gpregime.errors import InvalidParameterError
+from gpregime import cli, gp
+from gpregime.errors import InvalidParameterError, SolverFailureError
 from gpregime.gp import (
     fourier_decay,
     hgp_spectrum,
@@ -164,3 +167,86 @@ class TestFourierDecay:
         p[100] = bad
         with pytest.raises(InvalidParameterError):
             fourier_decay(free_state, p)
+
+
+class TestBandedSolve:
+    @given(n=st.integers(64, 1000), r_max=st.floats(4.0, 12.0),
+           log_tau=st.floats(-3.0, np.log10(2.0)), a0=st.floats(0.0, 2.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_flow_step_matches_scipy(self, n, r_max, log_tau, a0, seed):
+        # I + tau (K + V + 8 pi a0 u^2/r^2), the gradient-flow matrix
+        rng = np.random.default_rng(seed)
+        h = r_max / (n + 1)
+        r = h * np.arange(1, n + 1)
+        u = rng.random(n) * r * np.exp(-r ** 2 / 2.0)
+        tau = 10.0 ** log_tau
+        band = gp.kinetic_band(n, h) * tau
+        band[2] += 1.0 + tau * (r ** 2 + 8.0 * np.pi * a0 * u ** 2 / r ** 2)
+        rhs = rng.standard_normal(n)
+        got = gp._ldl_solve(gp._ldl_factor(band), rhs)
+        want = solveh_banded(band, rhs, lower=False)
+        # both solves are backward stable and the matrix is >= I, so they
+        # differ by at most a few eps * ||A|| relative
+        norm = np.abs(band).max(axis=1) @ (2.0, 2.0, 1.0)
+        assert np.abs(got - want).max() \
+            <= 10.0 * np.finfo(float).eps * norm * np.abs(want).max()
+
+    @pytest.mark.parametrize("pivot", [-1.0, 0.0, np.nan])
+    def test_nonpositive_pivot_raises(self, pivot):
+        band = gp.kinetic_band(80, 0.1)
+        band[2] += 1.0
+        band[2, 40] = pivot
+        with pytest.raises(SolverFailureError, match="pivot"):
+            gp._ldl_factor(band)
+
+    def test_nan_trap_sample_fails_the_flow(self):
+        harmonic = make_trap("harmonic", 64, 8.0)
+
+        class Spoiled:
+            kind = "harmonic"
+
+            def __call__(self, r):
+                v = harmonic(r)
+                v[100] = np.nan
+                return v
+
+        with pytest.raises(SolverFailureError, match="pivot"):
+            minimize_gp(Spoiled(), 0.1)
+
+
+class TestLanczosSpectrum:
+    @pytest.fixture(scope="class", params=[("harmonic", 0.0),
+                                           ("harmonic", A0),
+                                           ("quartic", 0.1)])
+    def state_and_reference(self, request):
+        kind, a0 = request.param
+        state = minimize_gp(make_trap(kind, 64, 8.0), a0)
+        band = gp.kinetic_band(state.u.size, state.h)
+        band[2] += state.v_nodes + 8.0 * np.pi * a0 * state.u ** 2 \
+            / state.grid[1:-1] ** 2 - state.eps_gp
+        vals, vecs = eig_banded(band, lower=False, select="i",
+                                select_range=(0, 5))
+        overlap = abs(vecs[:, 0] @ state.u) / np.linalg.norm(state.u)
+        return state, vals, overlap
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_matches_eig_banded(self, state_and_reference, k):
+        state, vals, overlap = state_and_reference
+        spec = hgp_spectrum(state, k=k)
+        assert spec.values.shape == (k,) and spec.vectors_u.shape[1] == k
+        assert np.abs(spec.values - vals[:k]).max() <= 1e-9
+        assert abs(spec.ground_overlap - overlap) <= 1e-12
+        assert spec.gap == spec.values[1] - spec.values[0]
+
+    def test_more_values_than_nodes_rejected(self, int_state):
+        with pytest.raises(InvalidParameterError):
+            hgp_spectrum(int_state, k=int_state.u.size + 1)
+
+    def test_uncertified_pair_exits_2(self, monkeypatch, tmp_path, capsys):
+        # stopped after k steps, the Ritz pairs fail their residual bound
+        monkeypatch.setattr(gp, "_LANCZOS_TOL", 1.0)
+        assert cli.main(["gp", "--a0", "0.1",
+                         "--out", str(tmp_path / "gp")]) == 2
+        err = capsys.readouterr().err
+        assert "Lanczos" in err and "Traceback" not in err
