@@ -31,6 +31,7 @@ from .errors import (
 from .gp import fourier_decay, hgp_spectrum, minimize_gp, verify_decay
 from .potentials import (
     _MIN_NODES,
+    _TAIL_KINDS,
     _TRAP_FORMS,
     INTERACTION_KINDS,
     InteractionPotential,
@@ -254,6 +255,18 @@ def _number(stage, name, value):
     return value
 
 
+def _numbers(stage, name, values):
+    """values if it is a list of finite, non-bool numbers; else a
+    ConfigError. Types are tested once per distinct type, so a long
+    sample list costs one pass."""
+    if not isinstance(values, list) or not all(
+            issubclass(t, (int, float)) and t is not bool
+            for t in {type(v) for v in values}) \
+            or not np.isfinite(np.asarray(values, dtype=float)).all():
+        raise ConfigError(f"{stage} {name} must be a list of finite numbers")
+    return values
+
+
 def _check_threshold(key, value):
     """A threshold override must be a finite number. decay_orders is a
     non-empty list of positive orders; eigenvalue_rate_slope, a target
@@ -276,32 +289,40 @@ def _check_threshold(key, value):
                           f"got {value!r}")
 
 
-def _scatter_params(params):
-    """(ell, n, n_pts, sweep_nl) of a scatter stage; bad values raise."""
-    def number(name, value):
-        return _number("scatter", name, value)
-
-    pot = params.get("potential")
-    if pot is not None and (not isinstance(pot, dict)
-                            or not isinstance(pot.get("kind"), str)
-                            or pot["kind"] not in INTERACTION_KINDS):
+def _check_potential(pot):
+    """A scatter potential, the dict InteractionPotential.from_dict reads:
+    an object of a known kind with the fields its kind needs, each of
+    the right type; bad values raise."""
+    if not isinstance(pot, dict) or not isinstance(pot.get("kind"), str) \
+            or pot["kind"] not in INTERACTION_KINDS:
         raise ConfigError(
             f"scatter potential must be an object with kind in "
             f"{list(INTERACTION_KINDS)}, got {pot!r}")
-    fields = INTERACTION_KINDS[pot["kind"]] if pot is not None else {}
-    for part, keys in fields.items():
+    for part, keys in INTERACTION_KINDS[pot["kind"]].items():
         if not isinstance(pot.get(part), dict) \
                 or any(k not in pot[part] for k in keys):
             raise ConfigError(
                 f"scatter potential {part} of a {pot['kind']} must be an "
                 f"object with keys {list(keys)}, got {pot.get(part)!r}")
-    if pot is not None and pot["kind"] == "square_well":
+    if pot["kind"] == "square_well":
         for name in ("V0", "R"):
-            number(f"potential {name}", pot["parameters"][name])
-        well_pts = number("potential n_pts", pot["grid"]["n_pts"])
+            _number("scatter", f"potential {name}", pot["parameters"][name])
+        well_pts = _number("scatter", "potential n_pts",
+                           pot["grid"]["n_pts"])
         if well_pts != int(well_pts):
             raise ConfigError(f"scatter potential n_pts must be an integer, "
                               f"got {well_pts!r}")
+    if pot["kind"] == "custom":
+        _check_profile(pot)
+
+
+def _scatter_params(params):
+    """(ell, n, n_pts, sweep_nl) of a scatter stage; bad values raise."""
+    def number(name, value):
+        return _number("scatter", name, value)
+
+    if "potential" in params:
+        _check_potential(params["potential"])
     ell = number("ell", params.get("ell", 0.5))
     if not 0.0 < ell < 1.0:
         raise ConfigError(f"scatter ell must lie in (0, 1), got {ell!r}")
@@ -321,6 +342,29 @@ def _scatter_params(params):
             raise ConfigError(
                 f"scatter sweep_nl entries must be positive, got {v!r}")
     return float(ell), float(n), int(n_pts), [float(v) for v in sweep]
+
+
+def _check_profile(pot):
+    """A custom interaction's parameters are an object; its profile tail
+    is an object with a known kind and a finite positive radius, and its
+    grid and samples are lists of finite numbers of one length."""
+    if not isinstance(pot.get("parameters", {}), dict):
+        raise ConfigError(f"scatter potential parameters must be an object, "
+                          f"got {pot['parameters']!r}")
+    prof = pot["profile"]
+    tail = prof["tail"]
+    if not isinstance(tail, dict) or tail.get("kind") not in _TAIL_KINDS:
+        raise ConfigError(f"scatter potential tail must be an object with "
+                          f"kind in {list(_TAIL_KINDS)}, got {tail!r}")
+    if _number("scatter", "potential tail radius", tail.get("radius")) <= 0:
+        raise ConfigError(f"scatter potential tail radius must be positive, "
+                          f"got {tail['radius']!r}")
+    grid = _numbers("scatter", "potential profile grid", prof["grid"])
+    samples = _numbers("scatter", "potential profile samples",
+                       prof["samples"])
+    if len(grid) != len(samples):
+        raise ConfigError(f"scatter potential profile has {len(grid)} grid "
+                          f"nodes but {len(samples)} samples")
 
 
 def scatter_stage(potential, params):
@@ -802,8 +846,12 @@ def fock_entries(report, thr):
 # ---------------------------------------------------------------------------
 
 def _build_scatter(params, ctx):
-    pot = InteractionPotential.from_dict(params["potential"]) \
-        if "potential" in params else make_square_well(2.0, 1.0, 512)
+    if "potential" in params:
+        # a subcommand's potential has passed no parse_config
+        _check_potential(params["potential"])
+        pot = InteractionPotential.from_dict(params["potential"])
+    else:
+        pot = make_square_well(2.0, 1.0, 512)
     ctx["potential"] = pot
     report, ctx["neumann"] = scatter_stage(pot, params)
     return report
@@ -1015,6 +1063,7 @@ def cmd_kernels(args):
         raise ConfigError("scatter report lacks 'potential'")
     if "trap" not in gr or "a0" not in gr:
         raise ConfigError("gp report lacks trap or a0")
+    _check_potential(sc["potential"])
     pot = InteractionPotential.from_dict(sc["potential"])
     trap = TrapPotential.from_dict(gr["trap"])
     state = minimize_gp(trap, float(gr["a0"]),

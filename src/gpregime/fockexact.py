@@ -6,7 +6,9 @@ being one rational scale times int numerators keyed by (row, col,
 radicand). Products of the modified ladder operators stay inside that
 ring, so the builders and identity list of gpregime.fock, run in this
 number system, turn each identity into a literal zero test (the zero
-matrix stores no entry). Pure Python ints; dimension capped at 200.
+matrix stores no entry). Rad holds the terms of one entry or scalar;
+all arithmetic is RadMatrix's. Pure Python ints; dimension capped at
+200.
 """
 
 from collections import defaultdict
@@ -47,7 +49,11 @@ def _split_square(n):
 
 
 class Rad:
-    """Element sum_d c_d sqrt(d), c_d rational, d square-free."""
+    """Terms {d: c_d} of sum_d c_d sqrt(d), c_d rational, d square-free.
+
+    A container for the entries RadMatrix.build reads: the arithmetic
+    lives in RadMatrix, so Rad only constructs and normalizes.
+    """
 
     __slots__ = ("terms",)
 
@@ -68,50 +74,6 @@ class Rad:
             return cls()
         s, d = _split_square(q.numerator * q.denominator)
         return cls({d: Fraction(s, q.denominator)})
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for d, c in other.terms.items():
-            out[d] = out.get(d, 0) + c
-        return Rad(out)
-
-    def __neg__(self):
-        return Rad({d: -c for d, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Rad({d: c * other for d, c in self.terms.items()})
-        out = {}
-        for d1, c1 in self.terms.items():
-            for d2, c2 in other.terms.items():
-                s, d = _split_square(d1 * d2)
-                out[d] = out.get(d, 0) + c1 * c2 * s
-        return Rad(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (self - other).is_zero
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __repr__(self):
-        if self.is_zero:
-            return "Rad(0)"
-        return "Rad(" + " + ".join(
-            f"{c}*sqrt({d})" for d, c in sorted(self.terms.items())) + ")"
-
-    def __float__(self):
-        return float(sum(float(c) * d ** 0.5
-                         for d, c in self.terms.items()))
 
 
 # ---------------------------------------------------------------------------

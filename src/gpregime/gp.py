@@ -117,7 +117,6 @@ class GpState:
     residual: float
     tol_applied: float
     iterations: int
-    trap_kind: str
     u: np.ndarray          # u = r phi on interior nodes 1..n-1
     h: float
     v_nodes: np.ndarray    # trap samples on interior nodes
@@ -237,8 +236,8 @@ def minimize_gp(trap, a0, r_max=None, n_pts=None, tol=1e-11, max_iter=5000,
                 "total": kinetic + trap_e + inter},
         eps_gp=kinetic + trap_e + 2.0 * inter,
         residual=float(res), tol_applied=float(eff_tol),
-        iterations=iterations, trap_kind=trap.kind,
-        u=u, h=float(h), v_nodes=v_nodes, energy_trace=tuple(trace))
+        iterations=iterations, u=u, h=float(h), v_nodes=v_nodes,
+        energy_trace=tuple(trace))
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,8 @@ import numpy as np
 from .errors import (InvalidParameterError, InvalidRegimeError,
                      SolverFailureError)
 from .gp import band_matvec, kinetic_band
-from .radial import (filon_sin, radial_fourier, radial_fourier_inverse,
-                     simpson)
+from .radial import (_filon_richardson, radial_fourier,
+                     radial_fourier_inverse, simpson)
 from .scattering import _transform_segments, fourier_w_ode, solve_neumann
 
 # Pair transforms of condensate weights are dead beyond s ~ 2 for the
@@ -65,11 +65,6 @@ class CorrelationG:
     sup_p2: float
     argmax_p: float
     refinement_defect: float
-
-    def radial(self, r):
-        """G as a function of |x|; zero outside the ball of radius ell."""
-        r = np.asarray(r, dtype=float)
-        return -self.N * self.sol.w_ell(self.N * r)
 
     def hat(self, p):
         """Ghat(p), elementwise for p >= 0.
@@ -159,8 +154,8 @@ def build_gaussian_lowpass(ell, beta):
 class CutoffPair:
     """Sharp high-momentum indicator and its complementary low-pass.
 
-    chi_H is the exact indicator of {|p| >= ell^-alpha}; chi_Hc its
-    complement, so the partition chi_H + chi_Hc = 1 holds identically.
+    chi_H is the exact indicator of {|p| >= ell^-alpha}, so the band
+    owns the cutoff node; g_L is the low-pass profile at width ell^beta.
     """
 
     ell: float
@@ -172,9 +167,6 @@ class CutoffPair:
     def chi_H(self, p):
         p = np.asarray(p, dtype=float)
         return (np.abs(p) >= self.cutoff_momentum).astype(float)
-
-    def chi_Hc(self, p):
-        return 1.0 - self.chi_H(p)
 
 
 def make_cutoffs(ell, alpha=4.0, beta=2.0):
@@ -200,11 +192,8 @@ def _factor_values(p_nodes, fhat, r):
     """Inverse transform of the band profile at radii r (Richardson Filon)."""
     r = np.atleast_1d(np.asarray(r, dtype=float))
     h = p_nodes[1] - p_nodes[0]
-    g = fhat * p_nodes
-    omega = 2.0 * np.pi * r
-    fine = filon_sin(g, h, omega, x0=p_nodes[0])
-    coarse = filon_sin(g[::2], 2.0 * h, omega, x0=p_nodes[0])
-    vals = (4.0 * fine - coarse) / 3.0
+    vals = _filon_richardson(fhat * p_nodes, h, 2.0 * np.pi * r,
+                             x0=p_nodes[0])
     at_zero = 4.0 * np.pi * simpson(fhat * p_nodes ** 2, dx=h)
     safe = np.where(r > 1e-9, r, 1.0)
     return np.where(r > 1e-9, 2.0 / safe * vals, at_zero)
@@ -232,11 +221,6 @@ class FactorizedKernel:
     @property
     def cutoff_momentum(self):
         return float(self.p_nodes[0])
-
-    def hat_factor(self, p):
-        """Momentum profile, zero outside the sampled band."""
-        p = np.asarray(p, dtype=float)
-        return np.interp(p, self.p_nodes, self.fhat, left=0.0, right=0.0)
 
     def factor(self, r):
         return _factor_values(self.p_nodes, self.fhat, r)
@@ -534,16 +518,12 @@ def _factor_sup(k):
 
     F is evaluated on each of two uniform radius grids, a fine one over
     thirty cutoff wavelengths and a coarse one over [0, 8]; the larger
-    maximum wins, a tie going to the smaller radius.
+    maximum wins.
     """
     P = k.cutoff_momentum
-    best = (-1.0, 0.0)
-    for r in (np.linspace(0.0, min(30.0 / P, 8.0), 4097),
-              np.linspace(0.0, 8.0, 801)):
-        vals = np.abs(k.factor(r))
-        i = int(np.argmax(vals))
-        best = max(best, (float(vals[i]), -float(r[i])))
-    return best[0], -best[1]
+    return max(float(np.max(np.abs(k.factor(r))))
+               for r in (np.linspace(0.0, min(30.0 / P, 8.0), 4097),
+                         np.linspace(0.0, 8.0, 801)))
 
 
 @dataclass(frozen=True)
@@ -561,8 +541,6 @@ class EtaNormReport:
     row_sup: float
     pointwise_ratio: float
     f_sup: float
-    f_argmax: float
-    grad_parts: tuple
     defect: float
     cutoff_momentum: float
     ell: float
@@ -595,8 +573,7 @@ def eta_norms(k, work=None):
     """
     if not np.any(k.fhat):
         return EtaNormReport(l2=0.0, grad_l2=0.0, row_sup=0.0,
-                             pointwise_ratio=0.0, f_sup=0.0, f_argmax=0.0,
-                             grad_parts=(0.0, 0.0, 0.0), defect=0.0,
+                             pointwise_ratio=0.0, f_sup=0.0, defect=0.0,
                              cutoff_momentum=k.cutoff_momentum, ell=k.ell,
                              N=k.N)
     work = work or _BandWork(k)
@@ -609,12 +586,11 @@ def eta_norms(k, work=None):
         raise SolverFailureError(
             f"kernel quadrature not converged: defect {defect:.3e}")
 
-    f_sup, f_argmax = _factor_sup(k)
+    f_sup = _factor_sup(k)
     return EtaNormReport(
         l2=float(np.sqrt(l2sq)), grad_l2=float(np.sqrt(gradsq)),
         row_sup=work.row_sup,
-        pointwise_ratio=float(f_sup / k.N), f_sup=f_sup, f_argmax=f_argmax,
-        grad_parts=tuple(float(t) for t in parts), defect=float(defect),
+        pointwise_ratio=float(f_sup / k.N), f_sup=f_sup, defect=float(defect),
         cutoff_momentum=k.cutoff_momentum, ell=k.ell, N=k.N)
 
 
@@ -699,7 +675,7 @@ def build_hN(sol, state, spectra=None):
     """
     spectra = spectra or _Spectra(state)
     N = sol.N_param
-    fvals, _fp, h_well, r0 = sol.segments[0]
+    fvals, h_well, r0 = sol.segments[0]
     r_well = r0 + np.arange(fvals.size) * h_well
     vw = sol.potential(r_well) * (1.0 - fvals)
     int_vw = 4.0 * np.pi * simpson(vw * r_well ** 2, dx=h_well)
@@ -709,9 +685,8 @@ def build_hN(sol, state, spectra=None):
     q = s_grid / N
     pos = q > 0.0
     safe = np.where(pos, q, 1.0)
-    fine = filon_sin(vw * r_well, h_well, 2.0 * np.pi * q)
-    coarse = filon_sin((vw * r_well)[::2], 2.0 * h_well, 2.0 * np.pi * q)
-    khat = np.where(pos, 2.0 / safe * (4.0 * fine - coarse) / 3.0, int_vw)
+    khat = np.where(pos, 2.0 / safe * _filon_richardson(
+        vw * r_well, h_well, 2.0 * np.pi * q), int_vw)
 
     h_s = s_grid[1] - s_grid[0]
     conv = radial_fourier_inverse(khat * spectra.phi2hat, h_s, state.grid)
@@ -740,21 +715,16 @@ class HyperbolicKernels:
     p_k = sinh(eta) - eta and r_eta = cosh(eta) - id are power series in
     eta; p_norm and r_norm are their submultiplicative Hilbert-Schmidt
     bounds. The tail dropped beyond series_depth is bounded by
-    eta_l2^(2 depth) / (2 depth)!, kept below the requested tolerance.
+    ||eta||^(2 depth) / (2 depth)!, kept below the requested tolerance.
     """
 
     series_depth: int
     tail_bound: float
-    eta_l2: float
     grad_eta_l2: float
-    lap_eta_bound: float
-    lap_eta_parts: tuple
     p_norm: float
     r_norm: float
     grad_p_norm: float
     lap_p_norm: float
-    grad_r_norm: float
-    lap_r_norm: float
 
 
 def _lap_eta_bound(work):
@@ -769,9 +739,8 @@ def _lap_eta_bound(work):
     t_cross = 4.0 * _pairing(work.conv("grad"), sp.g2hat, sp.phi2hat,
                              sp.s_grid)
     t_factor = _pairing(work.conv("lap"), sp.phi2hat, sp.phi2hat, sp.s_grid)
-    parts = tuple(float(np.sqrt(max(t, 0.0)))
-                  for t in (t_weight, t_cross, t_factor))
-    return sum(parts), parts
+    return sum(float(np.sqrt(max(t, 0.0)))
+               for t in (t_weight, t_cross, t_factor))
 
 
 def hyperbolic(k, tol=1e-12, norms=None, work=None):
@@ -791,10 +760,8 @@ def hyperbolic(k, tol=1e-12, norms=None, work=None):
     l2 = norms.l2
     if l2 == 0.0:
         return HyperbolicKernels(
-            series_depth=0, tail_bound=0.0, eta_l2=0.0, grad_eta_l2=0.0,
-            lap_eta_bound=0.0, lap_eta_parts=(0.0, 0.0, 0.0), p_norm=0.0,
-            r_norm=0.0, grad_p_norm=0.0, lap_p_norm=0.0, grad_r_norm=0.0,
-            lap_r_norm=0.0)
+            series_depth=0, tail_bound=0.0, grad_eta_l2=0.0, p_norm=0.0,
+            r_norm=0.0, grad_p_norm=0.0, lap_p_norm=0.0)
     if l2 >= 1.0:
         raise InvalidRegimeError(
             f"pair kernel HS norm {l2:.4f} >= 1: hyperbolic series "
@@ -816,27 +783,17 @@ def hyperbolic(k, tol=1e-12, norms=None, work=None):
     p_norm = float(np.sum(l2 ** (2 * ks + 1) * odd_c))
     r_norm = float(np.sum(l2 ** (2 * ks) * even_c))
     chain_odd = float(np.sum(l2 ** (2 * ks) * odd_c))
-    chain_even = float(np.sum(l2 ** (2 * ks - 1) * even_c))
-
-    lap_bound, lap_parts = _lap_eta_bound(work)
 
     return HyperbolicKernels(
-        series_depth=int(depth), tail_bound=float(tail), eta_l2=float(l2),
-        grad_eta_l2=float(norms.grad_l2), lap_eta_bound=float(lap_bound),
-        lap_eta_parts=lap_parts, p_norm=p_norm, r_norm=r_norm,
+        series_depth=int(depth), tail_bound=float(tail),
+        grad_eta_l2=float(norms.grad_l2), p_norm=p_norm, r_norm=r_norm,
         grad_p_norm=float(norms.grad_l2 * chain_odd),
-        lap_p_norm=float(lap_bound * chain_odd),
-        grad_r_norm=float(norms.grad_l2 * chain_even),
-        lap_r_norm=float(lap_bound * chain_even))
+        lap_p_norm=float(_lap_eta_bound(work) * chain_odd))
 
 
 # ---------------------------------------------------------------------------
 # sweep driver
 # ---------------------------------------------------------------------------
-
-_SERIES_KEYS = ("eta_l2", "eta_grad_l2", "nu_l2", "p_norm", "r_norm",
-                "gauss_l2", "hn_limit_gap")
-
 
 def default_sweep_tuples(alpha, ells=(0.5, 0.25, 0.125), support_radius=1.0,
                          cutoff_fraction=0.25):
@@ -861,15 +818,6 @@ class KernelSweepReport:
     beta: float
     tuples: tuple
     rows: tuple
-
-    def series(self, key):
-        if not self.rows or key not in self.rows[0]:
-            raise InvalidParameterError(f"unknown sweep series {key!r}")
-        return [row[key] for row in self.rows]
-
-    @property
-    def ells(self):
-        return [row["ell"] for row in self.rows]
 
 
 def sweep_kernels(potential, state, alpha=4.0, beta=2.0,

@@ -17,6 +17,7 @@ from .errors import InvalidParameterError, InvalidDomainError
 from .radial import radial_moment
 
 _MIN_NODES = 16
+_TAIL_KINDS = ("zero", "constant", "monomial")
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,7 @@ class RadialProfile:
             raise InvalidDomainError("grid must be strictly increasing with r0 >= 0")
         if samples.shape != grid.shape:
             raise InvalidDomainError("samples and grid shapes differ")
-        if self.tail.get("kind") not in ("zero", "constant", "monomial"):
+        if self.tail.get("kind") not in _TAIL_KINDS:
             raise InvalidParameterError(f"unknown tail kind {self.tail.get('kind')!r}")
 
     def __call__(self, r):

@@ -39,16 +39,6 @@ _CHUNK_ELEMS = 4_000_000
 _TWO_PI = 2 * np.longdouble("3.14159265358979323846264338327950288")
 
 
-def uniform_grid(rmax, n):
-    """Return (r, h): n+1 equally spaced nodes covering [0, rmax]."""
-    if rmax <= 0:
-        raise InvalidDomainError(f"rmax must be positive, got {rmax}")
-    if n < 2 or n % 2:
-        raise InvalidDomainError(f"need an even interval count >= 2, got {n}")
-    r = np.linspace(0.0, float(rmax), n + 1)
-    return r, r[1]
-
-
 def _filon_weights(omega, h):
     """Per-interval moment weights A(w) = int cos(w t) dt and
     B(w) = int t sin(w t) dt over [-h/2, h/2], series-switched near w = 0."""
@@ -227,15 +217,19 @@ def filon_cos(f, h, omega, x0=0.0):
     return _filon_core(f, h, omega, "cos", x0=x0)
 
 
-def _filon_richardson(f, h, omega, kind, x0=0.0):
-    # Midpoint-form linear interpolation has an even error expansion, so one
-    # halving step upgrades O(h^2) to O(h^4).
-    fine = _filon_core(f, h, omega, kind, x0=x0)
-    coarse = _filon_core(f[::2], 2.0 * h, omega, kind, x0=x0)
+def _filon_richardson(f, h, omega, x0=0.0):
+    """filon_sin at h and 2h, Richardson extrapolated; f spans an even
+    number of intervals, so the coarse run takes every other sample.
+
+    Midpoint-form linear interpolation has an even error expansion, so one
+    halving step upgrades O(h^2) to O(h^4).
+    """
+    fine = _filon_core(f, h, omega, "sin", x0=x0)
+    coarse = _filon_core(f[::2], 2.0 * h, omega, "sin", x0=x0)
     return (4.0 * fine - coarse) / 3.0
 
 
-def radial_fourier(w, h, p, richardson=True):
+def radial_fourier(w, h, p):
     """Fourier transform of a radial function, sampled transform values.
 
     Convention: what(p) = int w(x) exp(-2 pi i p.x) d^3x, which for radial w
@@ -253,19 +247,18 @@ def radial_fourier(w, h, p, richardson=True):
         raise InvalidParameterError("momenta must be finite and nonnegative")
     r = np.arange(w.size) * h
     g = w * r
-    core = _filon_richardson if richardson else _filon_core
     out = np.empty(p.shape, dtype=float)
     nz = p > 0
     if np.any(nz):
-        out[nz] = 2.0 / p[nz] * core(g, h, 2.0 * np.pi * p[nz], "sin")
+        out[nz] = 2.0 / p[nz] * _filon_richardson(g, h, 2.0 * np.pi * p[nz])
     if np.any(~nz):
         out[~nz] = 4.0 * np.pi * simpson(w * r * r, dx=h)
     return out
 
 
-def radial_fourier_inverse(what, hp, r, richardson=True):
+def radial_fourier_inverse(what, hp, r):
     """Inverse transform; identical kernel by self-reciprocity."""
-    return radial_fourier(what, hp, r, richardson=richardson)
+    return radial_fourier(what, hp, r)
 
 
 def radial_moment(w, h, k):

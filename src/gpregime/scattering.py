@@ -32,7 +32,7 @@ from .errors import (
     SolverFailureError,
 )
 from .potentials import RadialProfile, InteractionPotential
-from .radial import filon_sin, simpson
+from .radial import _filon_richardson, filon_sin, simpson
 
 _MIN_PTS = 512
 _RICHARDSON_TOL = 1e-9
@@ -186,7 +186,6 @@ class ScatteringSolution:
     f: np.ndarray
     a0: float
     int_Vf: float
-    tail_fit_window: tuple
     richardson_defect: float
 
     @property
@@ -221,9 +220,7 @@ def solve_zero_energy(potential, r_max=None, n_pts=4096):
         r_grid = np.linspace(0.0, r_max, max(n_pts & ~1, 512) + 1)
         return ScatteringSolution(
             potential=potential, r_grid=r_grid, u=r_grid.copy(),
-            f=np.ones_like(r_grid), a0=0.0, int_Vf=0.0,
-            tail_fit_window=(float(0.8 * r_max), float(r_max)),
-            richardson_defect=0.0)
+            f=np.ones_like(r_grid), a0=0.0, int_Vf=0.0, richardson_defect=0.0)
 
     n_well = max(1024, (n_pts // 4) & ~1)
     tables = _well_tables(potential, n_well)
@@ -254,8 +251,7 @@ def solve_zero_energy(potential, r_max=None, n_pts=4096):
 
     return ScatteringSolution(
         potential=potential, r_grid=r_grid, u=u_n, f=f, a0=float(a0),
-        int_Vf=float(int_Vf), tail_fit_window=(float(0.8 * r_max), float(r_max)),
-        richardson_defect=defect)
+        int_Vf=float(int_Vf), richardson_defect=defect)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +275,6 @@ class NeumannSolution:
     lambda_ell: float
     r_grid: np.ndarray
     f: np.ndarray
-    fp: np.ndarray
     w: np.ndarray
     wp: np.ndarray
     f_ell: RadialProfile
@@ -292,7 +287,7 @@ class NeumannSolution:
 
     def w_segments(self):
         """(values, h, r0) per uniform segment of w, for transforms."""
-        return tuple((1.0 - fvals, h, r0) for (fvals, _fp, h, r0) in self.segments)
+        return tuple((1.0 - fvals, h, r0) for (fvals, h, r0) in self.segments)
 
     @cached_property
     def fourier(self):
@@ -326,10 +321,9 @@ def _assemble_neumann(potential, ell, N_param, n_pts, lam, u_well, v_well,
     f[1:] = u_n[1:] / r_grid[1:]
     f[0] = v_n[0]
     f[-1] = 1.0  # normalization f(L) = 1 is exact by construction
-    fp = np.zeros_like(f)
-    fp[1:] = (v_n[1:] * r_grid[1:] - u_n[1:]) / r_grid[1:] ** 2
+    wp = np.zeros_like(f)
+    wp[1:] = (u_n[1:] - v_n[1:] * r_grid[1:]) / r_grid[1:] ** 2
     w = 1.0 - f
-    wp = -fp
 
     n_well = u_well.size - 1
     f_ell = RadialProfile(r_grid, f,
@@ -343,15 +337,14 @@ def _assemble_neumann(potential, ell, N_param, n_pts, lam, u_well, v_well,
                   * np.concatenate([[R], r_tail]) ** 2, dx=h_tail))
 
     segments = (
-        (f[:n_well + 1].copy(), fp[:n_well + 1].copy(), h_well, 0.0),
-        (np.concatenate([[f[n_well]], f[n_well + 1:]]),
-         np.concatenate([[fp[n_well]], fp[n_well + 1:]]), h_tail, float(R)),
+        (f[:n_well + 1].copy(), h_well, 0.0),
+        (np.concatenate([[f[n_well]], f[n_well + 1:]]), h_tail, float(R)),
     )
     mism, rich = defect_pair
     return NeumannSolution(
         potential=potential, ell=float(ell), N_param=float(N_param),
         n_pts=int(n_pts), radius=float(L), lambda_ell=float(lam),
-        r_grid=r_grid, f=f, fp=fp, w=w, wp=wp, f_ell=f_ell, w_ell=w_ell,
+        r_grid=r_grid, f=f, w=w, wp=wp, f_ell=f_ell, w_ell=w_ell,
         int_Vf=float(int_Vf), int_w=float(int_w), segments=segments,
         neumann_defect=float(mism), richardson_defect=float(rich))
 
@@ -566,12 +559,10 @@ def fourier_w_ode(sol, p):
     if np.any(p <= 4.0 * p_pole) or np.any(p <= 0):
         raise InvalidParameterError(
             f"momenta must exceed 4x the eigenvalue scale {p_pole:.3e}")
-    fvals, _fp, h, r0 = sol.segments[0]
+    fvals, h, r0 = sol.segments[0]
     r = r0 + np.arange(fvals.size) * h
     vf = sol.potential(r) * fvals
-    vf_hat_f = 2.0 / p * filon_sin(vf * r, h, 2.0 * np.pi * p, x0=r0)
-    vf_hat_c = 2.0 / p * filon_sin((vf * r)[::2], 2.0 * h, 2.0 * np.pi * p, x0=r0)
-    vf_hat = (4.0 * vf_hat_f - vf_hat_c) / 3.0
+    vf_hat = 2.0 / p * _filon_richardson(vf * r, h, 2.0 * np.pi * p, x0=r0)
     return (0.5 * vf_hat - lam * ball_indicator_hat(p, sol.radius)) \
         / (4.0 * np.pi ** 2 * p ** 2 - lam)
 

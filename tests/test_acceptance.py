@@ -172,16 +172,20 @@ def test_criterion_06_decay_constants(gp_states):
 
 def test_criterion_07_kernel_scaling(kernel_sweep):
     sweep, elapsed = kernel_sweep
-    ells = sweep.ells
-    eta_slope = _loglog_slope(ells, sweep.series("eta_l2"))
-    nu_slope = _loglog_slope(ells, sweep.series("nu_l2"))
-    p_slope = _loglog_slope(ells, sweep.series("p_norm"))
-    r_slope = _loglog_slope(ells, sweep.series("r_norm"))
+
+    def series(key):
+        return [r[key] for r in sweep.rows]
+
+    ells = series("ell")
+    eta_slope = _loglog_slope(ells, series("eta_l2"))
+    nu_slope = _loglog_slope(ells, series("nu_l2"))
+    p_slope = _loglog_slope(ells, series("p_norm"))
+    r_slope = _loglog_slope(ells, series("r_norm"))
     grads = [g / np.sqrt(row["N"]) for g, row in
-             zip(sweep.series("eta_grad_l2"), sweep.rows)]
+             zip(series("eta_grad_l2"), sweep.rows)]
     grad_spread = max(grads) / min(grads) - 1.0
-    l1_defect = max(abs(v - 1.0) for v in sweep.series("gauss_l1"))
-    l2_slope = _loglog_slope(ells, sweep.series("gauss_l2"))
+    l1_defect = max(abs(v - 1.0) for v in series("gauss_l1"))
+    l2_slope = _loglog_slope(ells, series("gauss_l2"))
     ok = (abs(eta_slope - 2.0) <= 0.2 and abs(nu_slope - 2.0) <= 0.2
           and p_slope >= 4.0 - 0.3 and r_slope >= 4.0 - 0.3
           and grad_spread <= 0.2 and l1_defect <= 1e-8

@@ -40,6 +40,25 @@ EXPECTED_IDS = [
 ]
 
 
+def _custom_potential(**profile):
+    """A small valid custom interaction with profile entries replaced."""
+    grid = np.linspace(0.0, 1.5, 64)
+    prof = {"grid": grid.tolist(), "samples": (1.0 - grid / 1.5).tolist(),
+            "tail": {"kind": "zero", "radius": 1.5}}
+    prof.update(profile)
+    return {"kind": "custom", "parameters": {}, "profile": prof}
+
+
+# custom potentials that InteractionPotential.from_dict cannot read
+BAD_PROFILES = [
+    _custom_potential(tail={"kind": "zero"}),
+    _custom_potential(tail={"kind": "zero", "radius": "abc"}),
+    _custom_potential(tail=[{"kind": "zero", "radius": 1.5}]),
+    _custom_potential(samples="abc"),
+    {**_custom_potential(), "parameters": "abc"},
+]
+
+
 @pytest.fixture(scope="module")
 def default_bundle():
     return cli.run(cli.default_config())
@@ -495,7 +514,8 @@ class TestCommandLine:
                        "grid": {"n_pts": 512}}),
         ("potential", {"kind": "square_well",
                        "parameters": {"V0": 2.0, "R": 1.0},
-                       "grid": {"n_pts": "abc"}})])
+                       "grid": {"n_pts": "abc"}}),
+        *[("potential", pot) for pot in BAD_PROFILES]])
     def test_bad_scatter_params_exit_2_before_any_stage(
             self, tmp_path, capsys, monkeypatch, key, value):
         ran = []
@@ -509,6 +529,30 @@ class TestCommandLine:
         assert cli.main(["run", "--config", str(cfgp)]) == 2
         err = capsys.readouterr().err
         assert f"scatter {key}" in err and "Traceback" not in err
+        assert ran == []
+
+    @pytest.mark.parametrize("command", ["scatter", "kernels"])
+    @pytest.mark.parametrize("pot", BAD_PROFILES)
+    def test_bad_custom_profile_exits_2_through_the_subcommands(
+            self, tmp_path, capsys, monkeypatch, pot, command):
+        ran = []
+        for name in ("scatter_stage", "kernels_stage", "minimize_gp"):
+            monkeypatch.setattr(cli, name,
+                                lambda *a, name=name, **k: ran.append(name))
+        if command == "scatter":
+            path = tmp_path / "potential.json"
+            path.write_text(json.dumps(pot))
+            argv = ["scatter", "--potential", str(path)]
+        else:
+            sc, gp = tmp_path / "scatter.json", tmp_path / "gp.json"
+            sc.write_text(json.dumps({"potential": pot}))
+            gp.write_text(json.dumps({
+                "trap": make_trap("harmonic", 800, 8.0).to_dict(),
+                "a0": 0.2}))
+            argv = ["kernels", "--scatter", str(sc), "--gp", str(gp)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "scatter potential" in err and "Traceback" not in err
         assert ran == []
 
     @pytest.mark.parametrize("key,value", [

