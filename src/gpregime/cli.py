@@ -248,8 +248,9 @@ def _zero_lemma(radius=0.0):
 
 def _number(stage, name, value):
     """value if it is a finite, non-bool number; else a ConfigError."""
+    # an int beyond the float range compares above the largest float
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not math.isfinite(value):
+            or not abs(value) <= sys.float_info.max:
         raise ConfigError(
             f"{stage} {name} must be a finite number, got {value!r}")
     return value
@@ -259,10 +260,14 @@ def _numbers(stage, name, values):
     """values if it is a list of finite, non-bool numbers; else a
     ConfigError. Types are tested once per distinct type, so a long
     sample list costs one pass."""
-    if not isinstance(values, list) or not all(
-            issubclass(t, (int, float)) and t is not bool
-            for t in {type(v) for v in values}) \
-            or not np.isfinite(np.asarray(values, dtype=float)).all():
+    ok = isinstance(values, list) and all(
+        issubclass(t, (int, float)) and t is not bool
+        for t in {type(v) for v in values})
+    try:
+        ok = ok and np.isfinite(np.asarray(values, dtype=float)).all()
+    except OverflowError:  # an int beyond the float range
+        ok = False
+    if not ok:
         raise ConfigError(f"{stage} {name} must be a list of finite numbers")
     return values
 
@@ -1064,10 +1069,12 @@ def cmd_kernels(args):
     if "trap" not in gr or "a0" not in gr:
         raise ConfigError("gp report lacks trap or a0")
     _check_potential(sc["potential"])
+    _, a0, tol = _gp_params(gr)
+    if a0 == "from:scatter":
+        raise ConfigError("gp report a0 must be a number")
     pot = InteractionPotential.from_dict(sc["potential"])
     trap = TrapPotential.from_dict(gr["trap"])
-    state = minimize_gp(trap, float(gr["a0"]),
-                        tol=float(gr.get("tol", 1e-11)))
+    state = minimize_gp(trap, float(a0), tol=tol)
     params = {"alpha": args.alpha, "beta": args.beta}
     if args.sweep:
         params["ells"] = _parse_sweep_arg(args.sweep, ["ell"])[1]

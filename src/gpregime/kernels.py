@@ -326,6 +326,19 @@ def _moment_lookup(p_nodes, table, x):
     return _horner(table[:, k + 1], x - (p_nodes[0] + k * h))
 
 
+def _simpson_weights(n, dx):
+    """w with w @ y equal to radial.simpson(y, dx) for n >= 2 samples."""
+    if n == 2:
+        return np.full(2, 0.5 * dx)
+    m = n - 1 + n % 2  # samples under the Simpson panels
+    w = np.zeros(n)
+    w[0:m:2], w[1:m:2], w[[0, m - 1]] = 2.0, 4.0, 1.0
+    w *= dx / 3.0
+    if n % 2 == 0:  # Cartwright's last interval
+        w[-3:] += (-dx / 12.0, 2.0 * dx / 3.0, 5.0 * dx / 12.0)
+    return w
+
+
 def _node_rule(p_nodes, pairs, s, m):
     """Simpson sums over nodes j >= m of g_j [M(s + t_j) - M(|s - t_j|)].
 
@@ -335,25 +348,32 @@ def _node_rule(p_nodes, pairs, s, m):
     (-s, 1) and (s - 2 p0, -1), so it lies in segment floor(o/h) + step j
     at the offset tau = o - h floor(o/h) for every j. A side's sum is thus
     a polynomial in its tau whose coefficients are Simpson sums of g
-    against shifted table columns, one set per distinct (shift, m).
+    against shifted table columns, one set per distinct (shift, m): dots of
+    g times the Simpson weights with a window of the edge-padded table.
     """
     h = p_nodes[1] - p_nodes[0]
     p0, n = p_nodes[0], p_nodes.size - 1
+    w = {mk: _simpson_weights(n + 1 - mk, h) for mk in np.unique(m)}
+    wg = {(q, mk): w[mk] * g[mk:] for mk in w
+          for q, (g, _) in enumerate(pairs)}
     out = np.zeros((len(pairs), s.size))
     for sign, step, o in ((1.0, 1, s), (-1.0, 1, -s), (-1.0, -1, s - 2 * p0)):
-        shift = np.floor(o / h)
-        keys, inv = np.unique(np.stack([shift.astype(int), m]), axis=1,
-                              return_inverse=True)
-        for q, (g, table) in enumerate(pairs):
+        shift = np.floor(o / h).astype(int)
+        keys, inv = np.unique(shift * (n + 1) + m, return_inverse=True)
+        k, m_keys = np.divmod(keys, n + 1)
+        # first window column, k + j + 1 or (reversed) n - k + j at j = m
+        lo = (k + 1 if step > 0 else n - k) + m_keys
+        left, right = max(0, -lo.min()), max(0, (lo - m_keys).max() - 1)
+        for q, (_, table) in enumerate(pairs):
+            # a clipped segment reads the edge; columns reversed for step -1
+            padded = np.pad(table[:, ::step], ((0, 0), (left, right)), "edge")
             sums = []
-            for k, mk in keys.T:
-                seg = np.clip(k + step * np.arange(mk, n + 1), -1, n)
-                vals = table[:, seg + 1]
+            for a, mk in zip(lo + left, m_keys):
+                win = padded[:, a:a + n + 1 - mk]
+                sums.append(win @ wg[q, mk])
                 if step > 0:
-                    # M(t_j) leaves both forward sides, so their large
-                    # cumulative values cancel node by node
-                    vals[0] -= table[0, mk + 1:]
-                sums.append(simpson(g[mk:] * vals, dx=h, axis=1))
+                    # cancel M(t_j), common to both forward sides, per node
+                    sums[-1][0] = (win[0] - table[0, mk + 1:]) @ wg[q, mk]
             out[q] += sign * _horner(np.array(sums)[inv].T, o - shift * h)
     return out
 
@@ -390,8 +410,8 @@ def _band_convolve(p_nodes, a_vals, b_vals, s_grid, kind):
     t = cutoff + s; node quadrature smears that s-wide layer over a full
     panel, an O(h) bias. The layer is therefore integrated on a refined
     subgrid, whose points are not band nodes and so go through the
-    general _moment_lookup. Beyond it the Simpson node rule is summed per
-    band shift (_node_rule), with no lookup per node.
+    general _moment_lookup. Beyond it the Simpson node rule is a weighted
+    dot product per band shift on a padded table window (_node_rule).
     """
     if kind not in _CONV_KINDS:
         raise InvalidParameterError(f"unknown convolution weight {kind!r}")

@@ -556,6 +556,50 @@ class TestCommandLine:
         assert ran == []
 
     @pytest.mark.parametrize("key,value", [
+        pytest.param("n", 10 ** 400, id="n"),
+        pytest.param("potential",
+                     _custom_potential(samples=[10 ** 400] + [0.0] * 63),
+                     id="profile-sample")])
+    def test_integer_beyond_float_range_exits_2(
+            self, tmp_path, capsys, monkeypatch, key, value):
+        # JSON integers have no size limit; this one overflows a float
+        ran = []
+        monkeypatch.setattr(cli, "scatter_stage",
+                            lambda *a: ran.append("scatter"))
+        raw = cli.default_config()
+        raw["pipeline"] = ["scatter"]
+        raw["stages"]["scatter"][key] = value
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(raw))
+        assert cli.main(["run", "--config", str(cfgp)]) == 2
+        err = capsys.readouterr().err
+        assert f"scatter {key}" in err and "Traceback" not in err
+        assert ran == []
+
+    @pytest.mark.parametrize("key,value", [
+        ("trap", {"kind": "harmonic", "parameters": {"r_max": 8.0}}),
+        ("trap", {"kind": "harmonic", "parameters": {},
+                  "grid": {"n_pts": 800}}),
+        ("a0", "abc"), ("a0", "from:scatter"), ("tol", -1.0)])
+    def test_bad_gp_report_exits_2_through_kernels(
+            self, tmp_path, capsys, monkeypatch, key, value):
+        ran = []
+        for name in ("kernels_stage", "minimize_gp"):
+            monkeypatch.setattr(cli, name,
+                                lambda *a, name=name, **k: ran.append(name))
+        report = {"trap": make_trap("harmonic", 800, 8.0).to_dict(),
+                  "a0": 0.2, "tol": 1e-11, key: value}
+        sc, gp = tmp_path / "scatter.json", tmp_path / "gp.json"
+        sc.write_text(json.dumps(
+            {"potential": make_square_well(2.0, 1.0, 512).to_dict()}))
+        gp.write_text(json.dumps(report))
+        argv = ["kernels", "--scatter", str(sc), "--gp", str(gp)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "gp" in err and "Traceback" not in err
+        assert ran == []
+
+    @pytest.mark.parametrize("key,value", [
         ("ells", "abc"), ("ells", []), ("ells", [0.5, 0.25]),
         ("ells", [0.5, 0.25, 2.0]), ("ells", [0.5, 0.25, "x"]),
         ("alpha", float("nan")), ("alpha", True), ("beta", 5.0),
