@@ -31,12 +31,9 @@ from .errors import (
 from .gp import fourier_decay, hgp_spectrum, minimize_gp, verify_decay
 from .potentials import (
     _MIN_NODES,
-    _TAIL_KINDS,
     _TRAP_FORMS,
     INTERACTION_KINDS,
     InteractionPotential,
-    TrapPotential,
-    make_square_well,
     make_trap,
 )
 from .scattering import (
@@ -84,6 +81,13 @@ _GENERATOR_SCALE = 0.3
 
 _TOP_KEYS = {"schema_version", "seed", "pipeline", "stages", "thresholds"}
 
+# The values each stage runs on, as its parser returns them; the gp
+# stage's a0 is a number or "from:scatter".
+ScatterInputs = namedtuple("ScatterInputs", "potential ell n n_pts sweep_nl")
+GPInputs = namedtuple("GPInputs", "trap a0 tol")
+KernelsInputs = namedtuple("KernelsInputs", "alpha beta ells tol")
+FockInputs = namedtuple("FockInputs", "modes ncap caps suites")
+
 
 # ---------------------------------------------------------------------------
 # slope fitting
@@ -121,9 +125,10 @@ def fit_slope(series, expected, tol):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated pipeline configuration; raw holds the exact input."""
+    """Parsed configuration: raw, the exact input, and its stage inputs."""
 
     raw: dict = field(repr=False)
+    inputs: dict = field(repr=False)
 
     @property
     def seed(self):
@@ -133,9 +138,6 @@ class RunConfig:
     def pipeline(self):
         return tuple(self.raw["pipeline"])
 
-    def stage_params(self, stage):
-        return deepcopy(self.raw.get("stages", {}).get(stage, {}))
-
     @property
     def thresholds(self):
         out = deepcopy(_DEFAULT_THRESHOLDS)
@@ -144,38 +146,39 @@ class RunConfig:
 
 
 def default_config():
-    """Full-pipeline config: canonical well, harmonic trap, default sweep."""
-    return {
+    """Full-pipeline config with every stage key at its default."""
+    return deepcopy({
         "schema_version": _SCHEMA_VERSION,
         "seed": 7,
-        "pipeline": ["scatter", "gp", "kernels", "fock"],
-        "stages": {
-            "scatter": {
-                "potential": {"kind": "square_well",
-                              "parameters": {"V0": 2.0, "R": 1.0},
-                              "grid": {"n_pts": 512}},
-                "ell": 0.5,
-                "n": 64,
-                "sweep_nl": [25.0, 50.0, 100.0, 200.0, 400.0],
-            },
-            "gp": {
-                "trap": {"kind": "harmonic",
-                         "parameters": {"r_max": 8.0},
-                         "grid": {"n_pts": 800}},
-                "a0": "from:scatter",
-                "tol": 1e-11,
-            },
-            "kernels": {"alpha": 4.0, "beta": 2.0,
-                        "ells": [0.5, 0.25, 0.125]},
-            "fock": {"modes": 3, "ncap": 4,
-                     "suites": list(_FOCK_SUITES)},
-        },
-        "thresholds": deepcopy(_DEFAULT_THRESHOLDS),
-    }
+        "pipeline": list(_STAGES),
+        "stages": {name: stage.defaults for name, stage in _STAGES.items()},
+        "thresholds": _DEFAULT_THRESHOLDS,
+    })
+
+
+def _seed(value):
+    """value if it is a nonnegative integer, as numpy's generators take;
+    else a ConfigError."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {value!r}")
+    return value
+
+
+def _parse_stage(name, params):
+    """The inputs of stage name: params over the stage's defaults, parsed
+    once; a key without a default is unknown."""
+    stage = _STAGES[name]
+    if not isinstance(params, dict):
+        raise ConfigError(f"stage {name!r} parameters must be an object")
+    for key in params:
+        if key not in stage.defaults:
+            raise ConfigError(f"unknown key {key!r} in stage {name!r}")
+    return stage.parse({**stage.defaults, **params})
 
 
 def parse_config(data):
-    """Validate a config dict; unknown keys and DAG gaps are errors."""
+    """Parse a config dict, each stage it names once, before any stage
+    runs; unknown keys and DAG gaps are errors."""
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     for key in data:
@@ -185,31 +188,23 @@ def parse_config(data):
         raise ConfigError(
             f"schema_version must be {_SCHEMA_VERSION}, "
             f"got {data.get('schema_version')!r}")
-    seed = data.get("seed")
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError("seed must be an integer")
+    _seed(data.get("seed"))
     pipeline = data.get("pipeline")
     if not isinstance(pipeline, list) or not pipeline:
         raise ConfigError("pipeline must be a non-empty list of stages")
     for stage in pipeline:
-        if stage not in _STAGES:
+        if not isinstance(stage, str) or stage not in _STAGES:
             raise ConfigError(f"unknown pipeline stage {stage!r}")
     if len(set(pipeline)) != len(pipeline):
         raise ConfigError("pipeline stages must be unique")
     stages = data.get("stages", {})
     if not isinstance(stages, dict):
         raise ConfigError("stages must be an object")
-    for stage, params in stages.items():
+    for stage in stages:
         if stage not in _STAGES:
             raise ConfigError(f"unknown stage {stage!r} in stages")
-        if not isinstance(params, dict):
-            raise ConfigError(f"stage {stage!r} parameters must be an object")
-        for key in params:
-            if key not in _STAGES[stage].keys:
-                raise ConfigError(
-                    f"unknown key {key!r} in stage {stage!r}")
-        if _STAGES[stage].check is not None:
-            _STAGES[stage].check(params)
+    inputs = {name: _parse_stage(name, stages.get(name, {}))
+              for name in _STAGES if name in stages or name in pipeline}
     thresholds = data.get("thresholds", {})
     if not isinstance(thresholds, dict):
         raise ConfigError("thresholds must be an object")
@@ -220,13 +215,13 @@ def parse_config(data):
     # DAG: every stage must find its upstream outputs earlier in the list
     seen = set()
     for stage in pipeline:
-        for need in _STAGES[stage].needs(stages.get(stage, {})):
+        for need in _STAGES[stage].needs(inputs[stage]):
             if need not in seen:
                 raise ConfigError(
                     f"stage {stage!r} references {need!r} which does not "
                     "run before it")
         seen.add(stage)
-    return RunConfig(raw=data)
+    return RunConfig(raw=data, inputs=inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -321,24 +316,24 @@ def _check_potential(pot):
         _check_profile(pot)
 
 
-def _scatter_params(params):
-    """(ell, n, n_pts, sweep_nl) of a scatter stage; bad values raise."""
+def _scatter_inputs(params):
+    """ScatterInputs of a scatter stage, the potential built; bad values
+    raise."""
     def number(name, value):
         return _number("scatter", name, value)
 
-    if "potential" in params:
-        _check_potential(params["potential"])
-    ell = number("ell", params.get("ell", 0.5))
+    _check_potential(params["potential"])
+    ell = number("ell", params["ell"])
     if not 0.0 < ell < 1.0:
         raise ConfigError(f"scatter ell must lie in (0, 1), got {ell!r}")
-    n = number("n", params.get("n", 64))
+    n = number("n", params["n"])
     if n <= 0:
         raise ConfigError(f"scatter n must be positive, got {n!r}")
-    n_pts = number("n_pts", params.get("n_pts", 4096))
+    n_pts = number("n_pts", params["n_pts"])
     if n_pts < _MIN_PTS or n_pts != int(n_pts):
         raise ConfigError(
             f"scatter n_pts must be an integer >= {_MIN_PTS}, got {n_pts!r}")
-    sweep = params.get("sweep_nl", [25.0, 50.0, 100.0, 200.0, 400.0])
+    sweep = params["sweep_nl"]
     if not isinstance(sweep, list) or not sweep:
         raise ConfigError(
             f"scatter sweep_nl must be a non-empty list, got {sweep!r}")
@@ -346,21 +341,24 @@ def _scatter_params(params):
         if number("sweep_nl entry", v) <= 0:
             raise ConfigError(
                 f"scatter sweep_nl entries must be positive, got {v!r}")
-    return float(ell), float(n), int(n_pts), [float(v) for v in sweep]
+    return ScatterInputs(InteractionPotential.from_dict(params["potential"]),
+                         float(ell), float(n), int(n_pts),
+                         tuple(float(v) for v in sweep))
 
 
 def _check_profile(pot):
     """A custom interaction's parameters are an object; its profile tail
-    is an object with a known kind and a finite positive radius, and its
-    grid and samples are lists of finite numbers of one length."""
+    is zero beyond a finite positive radius, so the interaction has
+    compact support, and its grid and samples are lists of finite numbers
+    of one length."""
     if not isinstance(pot.get("parameters", {}), dict):
         raise ConfigError(f"scatter potential parameters must be an object, "
                           f"got {pot['parameters']!r}")
     prof = pot["profile"]
     tail = prof["tail"]
-    if not isinstance(tail, dict) or tail.get("kind") not in _TAIL_KINDS:
-        raise ConfigError(f"scatter potential tail must be an object with "
-                          f"kind in {list(_TAIL_KINDS)}, got {tail!r}")
+    if not isinstance(tail, dict) or tail.get("kind") != "zero":
+        raise ConfigError(f"scatter potential tail must be an object of "
+                          f"kind 'zero' (compact support), got {tail!r}")
     if _number("scatter", "potential tail radius", tail.get("radius")) <= 0:
         raise ConfigError(f"scatter potential tail radius must be positive, "
                           f"got {tail['radius']!r}")
@@ -372,13 +370,13 @@ def _check_profile(pot):
                           f"nodes but {len(samples)} samples")
 
 
-def scatter_stage(potential, params):
+def scatter_stage(inputs):
     """Zero-energy reference plus the ball-problem sweep.
 
     Returns the report and the Neumann solution at (ell, n), which the
     kernels sweep can reuse.
     """
-    ell, n, n_pts, sweep_nl = _scatter_params(params)
+    potential, ell, n, n_pts, sweep_nl = inputs
     ref = solve_zero_energy(potential)
     trivial = ref.a0 == 0.0
     base = solve_neumann(potential, ell, n, n_pts)
@@ -476,18 +474,15 @@ def scatter_entries(report, thr):
     return entries
 
 
-def _gp_params(params):
-    """(trap, a0, tol) of a gp stage, trap as make_trap's (kind, n_pts,
-    r_max) and a0 a number or "from:scatter"; bad values raise."""
-    tol = _number("gp", "tol", params.get("tol", 1e-11))
+def _gp_inputs(params):
+    """GPInputs of a gp stage, the trap built; bad values raise."""
+    tol = _number("gp", "tol", params["tol"])
     if tol <= 0.0:
         raise ConfigError(f"gp tol must be positive, got {tol!r}")
-    a0 = params.get("a0", "from:scatter")
+    a0 = params["a0"]
     if a0 != "from:scatter" and _number("gp", "a0", a0) < 0.0:
         raise ConfigError(f"gp a0 must be nonnegative, got {a0!r}")
-    trap = params.get("trap", {"kind": "harmonic",
-                               "parameters": {"r_max": 8.0},
-                               "grid": {"n_pts": 800}})
+    trap = params["trap"]
     if not isinstance(trap, dict) or not isinstance(trap.get("kind"), str) \
             or trap["kind"] not in _TRAP_FORMS \
             or not isinstance(trap.get("parameters"), dict) \
@@ -501,11 +496,12 @@ def _gp_params(params):
         raise ConfigError(
             f"gp trap needs r_max > 0 and an integer n_pts >= {_MIN_NODES}, "
             f"got r_max {r_max!r}, n_pts {n_pts!r}")
-    return (trap["kind"], int(n_pts), float(r_max)), a0, float(tol)
+    return GPInputs(make_trap(trap["kind"], int(n_pts), float(r_max)), a0,
+                    float(tol))
 
 
-def gp_stage(trap, a0, params, thr):
-    tol = _gp_params(params)[2]
+def gp_stage(inputs, thr):
+    trap, a0, tol = inputs
     state = minimize_gp(trap, float(a0), tol=tol)
     spec = hgp_spectrum(state, k=2)
     decay = {}
@@ -581,11 +577,11 @@ def gp_entries(report, thr):
     return entries
 
 
-def _kernels_params(params):
-    """(alpha, beta, ells, tol) of a kernels stage; bad values raise."""
-    alpha = _number("kernels", "alpha", params.get("alpha", 4.0))
-    beta = _number("kernels", "beta", params.get("beta", 2.0))
-    tol = _number("kernels", "tol", params.get("tol", 1e-12))
+def _kernels_inputs(params):
+    """KernelsInputs of a kernels stage; bad values raise."""
+    alpha = _number("kernels", "alpha", params["alpha"])
+    beta = _number("kernels", "beta", params["beta"])
+    tol = _number("kernels", "tol", params["tol"])
     if not 0.0 < beta < alpha:
         raise ConfigError(
             f"kernels needs 0 < beta < alpha, got beta {beta!r}, "
@@ -593,17 +589,18 @@ def _kernels_params(params):
     if tol <= 0.0:
         raise ConfigError(f"kernels tol must be positive, got {tol!r}")
     # each kernels entry fits a slope through the ells, so at least three
-    ells = params.get("ells", [0.5, 0.25, 0.125])
+    ells = params["ells"]
     if not isinstance(ells, list) or len(ells) < 3 or not all(
             0.0 < _number("kernels", "ells entry", v) < 1.0 for v in ells):
         raise ConfigError(
             f"kernels ells must be a list of at least 3 numbers in (0, 1), "
             f"got {ells!r}")
-    return float(alpha), float(beta), [float(v) for v in ells], float(tol)
+    return KernelsInputs(float(alpha), float(beta),
+                         tuple(float(v) for v in ells), float(tol))
 
 
-def kernels_stage(potential, state, params, solved=None):
-    alpha, beta, ells, tol = _kernels_params(params)
+def kernels_stage(inputs, potential, state, solved=None):
+    alpha, beta, ells, tol = inputs
     rep = kernels.sweep_kernels(potential, state, alpha=alpha, beta=beta,
                                 ells=ells, tol=tol, solved=solved)
     return {"alpha": alpha, "beta": beta,
@@ -669,26 +666,26 @@ def kernels_entries(report, thr):
     return entries
 
 
-def _fock_params(params):
-    """(modes, ncap, caps, suites) of a fock stage; bad values raise."""
+def _fock_inputs(params):
+    """FockInputs of a fock stage; bad values raise."""
     def positive(name, value):
         if not isinstance(value, int) or isinstance(value, bool) or value < 1:
             raise ConfigError(
                 f"fock {name} must be a positive integer, got {value!r}")
         return value
 
-    caps = params.get("caps", [2, 3, 4, 5, 6])
+    caps = params["caps"]
     if not isinstance(caps, list) or not caps:
         raise ConfigError(
             f"fock caps must be a non-empty list of integers, got {caps!r}")
-    suites = params.get("suites", list(_FOCK_SUITES))
+    suites = params["suites"]
     if not isinstance(suites, list):
         raise ConfigError(f"fock suites must be a list, got {suites!r}")
     for s in suites:
         if s not in _FOCK_SUITES:
             raise ConfigError(f"unknown fock suite {s!r}")
-    M = positive("modes", params.get("modes", 3))
-    ncap = positive("ncap", params.get("ncap", 4))
+    M = positive("modes", params["modes"])
+    ncap = positive("ncap", params["ncap"])
     caps = tuple(positive("caps entry", c) for c in caps)
     if {"bgrowth", "agrowth", "deta"} & set(suites):
         # on at most one particle B and A vanish: every ratio is exactly
@@ -703,7 +700,7 @@ def _fock_params(params):
                     f"fock cap {c} at {M} modes has dimension "
                     f"{math.comb(M + c, M)} > {fock._EXPM_DIM_CAP}, the "
                     "largest the growth suites exponentiate")
-    return M, ncap, caps, list(suites)
+    return FockInputs(M, ncap, caps, tuple(suites))
 
 
 # Each suite's exact-mode identity, and the results of
@@ -719,9 +716,9 @@ _EXACT_KEYS = {
 }
 
 
-def fock_stage(params, thr, seed):
+def fock_stage(inputs, thr, seed):
     """Identity and growth suites on the truncated space."""
-    M, cap, caps, suites = _fock_params(params)
+    M, cap, caps, suites = inputs
     ws = fock.Workspace()
     space = ws.space(M, cap)
     rng = np.random.default_rng(seed)
@@ -812,7 +809,7 @@ def fock_stage(params, thr, seed):
         add("field-remainder-scaling", 0.0 if ok else 1.0, 0.0)
         add("field-remainder-trivial", zrep.ratio, 0.0, trivial=True)
     return {"space": {"modes": M, "ncap": cap, "dim": space.dim},
-            "seed": int(seed), "suites": suites, "caps": list(caps),
+            "seed": int(seed), "suites": list(suites), "caps": list(caps),
             "exact_mode": exact_ok is not None,
             "identities": identities, "growth": growth}
 
@@ -850,64 +847,64 @@ def fock_entries(report, thr):
 # stage registry
 # ---------------------------------------------------------------------------
 
-def _build_scatter(params, ctx):
-    if "potential" in params:
-        # a subcommand's potential has passed no parse_config
-        _check_potential(params["potential"])
-        pot = InteractionPotential.from_dict(params["potential"])
-    else:
-        pot = make_square_well(2.0, 1.0, 512)
-    ctx["potential"] = pot
-    report, ctx["neumann"] = scatter_stage(pot, params)
+def _build_scatter(inputs, ctx):
+    ctx["potential"] = inputs.potential
+    report, ctx["neumann"] = scatter_stage(inputs)
     return report
 
 
-def _build_gp(params, ctx):
-    trap, a0, _ = _gp_params(params)
-    if a0 == "from:scatter":
-        a0 = ctx["reports"]["scatter"]["a0"]
-    report, ctx["state"] = gp_stage(make_trap(*trap), float(a0), params,
-                                    ctx["thr"])
+def _build_gp(inputs, ctx):
+    if inputs.a0 == "from:scatter":
+        inputs = inputs._replace(a0=ctx["reports"]["scatter"]["a0"])
+    report, ctx["state"] = gp_stage(inputs, ctx["thr"])
     return report
 
 
 # A stage as `run` and its subcommand both see it:
-#   keys     its config keys
-#   needs    params -> the stages that must run before it
-#   build    (params, ctx) -> report; ctx brings the thresholds, seed
+#   defaults its config keys, each with the value an omitted key takes
+#   parse    defaults overridden by the config -> the stage's inputs, a
+#            namedtuple of the values it runs on; raises on bad values
+#   needs    inputs -> the stages that must run before it
+#   build    (inputs, ctx) -> report; ctx brings the thresholds, seed
 #            and earlier reports, and takes out the potential, the
 #            Neumann solution at the scatter stage's (ell, n) and the
 #            GP state
 #   entries  (report, thresholds) -> bundle entries
 #   table    report -> (rows, columns) of its CSV, or None
-#   check    params -> None, raising ConfigError on bad values, or None
 # Builders call the stage functions through this module's globals, so
 # replacing one of those reaches every caller.
-_Stage = namedtuple("_Stage", "keys needs build entries table check",
-                    defaults=(None, None))
+_Stage = namedtuple("_Stage", "defaults parse needs build entries table")
 
 _STAGES = {
     "scatter": _Stage(
-        {"potential", "ell", "n", "sweep_nl", "n_pts"}, lambda params: (),
-        _build_scatter, scatter_entries, lambda rep: (rep["sweep"], None),
-        _scatter_params),
+        {"potential": {"kind": "square_well",
+                       "parameters": {"V0": 2.0, "R": 1.0},
+                       "grid": {"n_pts": 512}},
+         "ell": 0.5, "n": 64, "n_pts": 4096,
+         "sweep_nl": [25.0, 50.0, 100.0, 200.0, 400.0]},
+        _scatter_inputs, lambda inputs: (), _build_scatter, scatter_entries,
+        lambda rep: (rep["sweep"], None)),
     "gp": _Stage(
-        {"trap", "a0", "tol"},
-        lambda params: ("scatter",)
-        if params.get("a0", "from:scatter") == "from:scatter" else (),
-        _build_gp, gp_entries, None, _gp_params),
+        {"trap": {"kind": "harmonic", "parameters": {"r_max": 8.0},
+                  "grid": {"n_pts": 800}},
+         "a0": "from:scatter", "tol": 1e-11},
+        _gp_inputs,
+        lambda inputs: ("scatter",) if inputs.a0 == "from:scatter" else (),
+        _build_gp, gp_entries, None),
     "kernels": _Stage(
-        {"alpha", "beta", "ells", "tol"}, lambda params: ("scatter", "gp"),
-        lambda params, ctx: kernels_stage(ctx["potential"], ctx["state"],
-                                          params, ctx.get("neumann")),
-        kernels_entries, lambda rep: (rep["rows"], None), _kernels_params),
+        {"alpha": 4.0, "beta": 2.0, "ells": [0.5, 0.25, 0.125], "tol": 1e-12},
+        _kernels_inputs, lambda inputs: ("scatter", "gp"),
+        lambda inputs, ctx: kernels_stage(inputs, ctx["potential"],
+                                          ctx["state"], ctx.get("neumann")),
+        kernels_entries, lambda rep: (rep["rows"], None)),
     "fock": _Stage(
-        {"modes", "ncap", "suites", "caps"}, lambda params: (),
-        lambda params, ctx: fock_stage(params, ctx["thr"], ctx["seed"]),
+        {"modes": 3, "ncap": 4, "suites": list(_FOCK_SUITES),
+         "caps": [2, 3, 4, 5, 6]},
+        _fock_inputs, lambda inputs: (),
+        lambda inputs, ctx: fock_stage(inputs, ctx["thr"], ctx["seed"]),
         fock_entries,
         lambda rep: (rep["identities"],
-                     ["id", "max_deviation", "tolerance", "pass", "trivial"]),
-        _fock_params),
+                     ["id", "max_deviation", "tolerance", "pass", "trivial"])),
 }
 
 
@@ -915,10 +912,10 @@ def _context(thr, seed, **objects):
     return {"thr": thr, "seed": seed, "reports": {}, **objects}
 
 
-def _run_stage(name, params, ctx):
+def _run_stage(name, inputs, ctx):
     """Build one stage in ctx; returns its report and bundle entries."""
     stage = _STAGES[name]
-    report = stage.build(params, ctx)
+    report = stage.build(inputs, ctx)
     ctx["reports"][name] = report
     return report, stage.entries(report, ctx["thr"])
 
@@ -963,7 +960,7 @@ def run(config):
     entries = []
     for name in cfg.pipeline:
         try:
-            entries.extend(_run_stage(name, cfg.stage_params(name), ctx)[1])
+            entries.extend(_run_stage(name, cfg.inputs[name], ctx)[1])
         except GPRegimeError as exc:
             raise type(exc)(f"stage {name!r} aborted: {exc}") from exc
     ids = [e["id"] for e in entries]
@@ -1033,10 +1030,13 @@ def _parse_sweep_arg(text, allowed):
 
 
 def _stage_command(name, params, out, seed=0, profile=None, **objects):
-    """Run one stage alone and emit its report with the entries added;
-    profile(ctx) gives the CSV of a stage without a table."""
+    """Run one stage on params, its unset (None) ones dropped, and emit
+    its report with the entries added; profile(ctx) gives the CSV of a
+    stage without a table."""
+    inputs = _parse_stage(name, {k: v for k, v in params.items()
+                                 if v is not None})
     ctx = _context(_DEFAULT_THRESHOLDS, seed, **objects)
-    report, entries = _run_stage(name, params, ctx)
+    report, entries = _run_stage(name, inputs, ctx)
     report["entries"] = entries
     table = _STAGES[name].table
     _emit(report, out, table(report) if table else profile and profile(ctx))
@@ -1044,50 +1044,47 @@ def _stage_command(name, params, out, seed=0, profile=None, **objects):
 
 
 def cmd_scatter(args):
-    params = {"ell": args.ell, "n": args.n}
-    if args.potential:
-        params["potential"] = _load_json(args.potential, "potential")
-    if args.sweep:
-        params["sweep_nl"] = _parse_sweep_arg(args.sweep, ["nl"])[1]
-    return _stage_command("scatter", params, args.out)
+    return _stage_command("scatter", {
+        "ell": args.ell, "n": args.n,
+        "potential": args.potential and _load_json(args.potential,
+                                                   "potential"),
+        "sweep_nl": args.sweep and _parse_sweep_arg(args.sweep, ["nl"])[1],
+    }, args.out)
 
 
 def cmd_gp(args):
-    params = {"a0": args.a0, "tol": args.tol}
-    if args.trap:
-        params["trap"] = _load_json(args.trap, "trap")
+    params = {"a0": args.a0, "tol": args.tol,
+              "trap": args.trap and _load_json(args.trap, "trap")}
     return _stage_command("gp", params, args.out, profile=lambda ctx: (
         [{"r": float(r), "phi": float(p)}
          for r, p in zip(ctx["state"].grid, ctx["state"].phi)], ["r", "phi"]))
 
 
 def cmd_kernels(args):
-    sc = _load_json(args.scatter, "scatter report")
-    gr = _load_json(args.gp, "gp report")
-    if "potential" not in sc:
-        raise ConfigError("scatter report lacks 'potential'")
-    if "trap" not in gr or "a0" not in gr:
-        raise ConfigError("gp report lacks trap or a0")
-    _check_potential(sc["potential"])
-    _, a0, tol = _gp_params(gr)
+    # a report's stage keys parse as that stage's config does; one that
+    # lacks a key saying what ran is refused, not defaulted
+    inputs = {}
+    for name, keys in (("scatter", ("potential",)), ("gp", ("trap", "a0"))):
+        report = _load_json(getattr(args, name), f"{name} report")
+        if not isinstance(report, dict) or any(k not in report for k in keys):
+            raise ConfigError(f"{name} report lacks {' or '.join(keys)}")
+        inputs[name] = _parse_stage(name, {k: report[k] for k in report
+                                           if k in _STAGES[name].defaults})
+    trap, a0, tol = inputs["gp"]
     if a0 == "from:scatter":
         raise ConfigError("gp report a0 must be a number")
-    pot = InteractionPotential.from_dict(sc["potential"])
-    trap = TrapPotential.from_dict(gr["trap"])
-    state = minimize_gp(trap, float(a0), tol=tol)
-    params = {"alpha": args.alpha, "beta": args.beta}
-    if args.sweep:
-        params["ells"] = _parse_sweep_arg(args.sweep, ["ell"])[1]
-    return _stage_command("kernels", params, args.out, potential=pot,
-                          state=state)
+    return _stage_command("kernels", {
+        "alpha": args.alpha, "beta": args.beta,
+        "ells": args.sweep and _parse_sweep_arg(args.sweep, ["ell"])[1],
+    }, args.out, potential=inputs["scatter"].potential,
+        state=minimize_gp(trap, float(a0), tol=tol))
 
 
 def cmd_fock(args):
-    params = {"modes": args.modes, "ncap": args.ncap}
-    if args.suite:
-        params["suites"] = [s for chunk in args.suite
-                            for s in chunk.split(",") if s]
-    return _stage_command("fock", params, args.out, seed=args.seed)
+    params = {"modes": args.modes, "ncap": args.ncap,
+              "suites": args.suite and [s for chunk in args.suite
+                                        for s in chunk.split(",") if s]}
+    return _stage_command("fock", params, args.out, seed=_seed(args.seed))
 
 
 def cmd_run(args):
@@ -1135,25 +1132,25 @@ def build_parser():
 
     p = command("scatter", cmd_scatter, "zero-energy and ball-problem sweep")
     p.add_argument("--potential", help="potential JSON file")
-    p.add_argument("--ell", type=float, default=0.5)
-    p.add_argument("--n", type=float, default=64.0)
+    p.add_argument("--ell", type=float)
+    p.add_argument("--n", type=float)
     p.add_argument("--sweep", help="nl=25,50,100,...")
 
     p = command("gp", cmd_gp, "minimizer, spectrum, decay constants")
     p.add_argument("--trap", help="trap JSON file")
     p.add_argument("--a0", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-11)
+    p.add_argument("--tol", type=float)
 
     p = command("kernels", cmd_kernels, "cutoff kernel norms and slopes")
     p.add_argument("--scatter", required=True, help="scatter report JSON")
     p.add_argument("--gp", required=True, help="gp report JSON")
-    p.add_argument("--alpha", type=float, default=4.0)
-    p.add_argument("--beta", type=float, default=2.0)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--beta", type=float)
     p.add_argument("--sweep", help="ell=0.5,0.25,0.125")
 
     p = command("fock", cmd_fock, "truncated operator-algebra suites")
-    p.add_argument("--modes", type=int, default=3)
-    p.add_argument("--ncap", type=int, default=4)
+    p.add_argument("--modes", type=int)
+    p.add_argument("--ncap", type=int)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--suite", action="append",
                    help="comma list from " + ",".join(_FOCK_SUITES))

@@ -152,10 +152,11 @@ def build_gaussian_lowpass(ell, beta):
 
 @dataclass(frozen=True)
 class CutoffPair:
-    """Sharp high-momentum indicator and its complementary low-pass.
+    """Sharp high-momentum cutoff and its complementary low-pass.
 
-    chi_H is the exact indicator of {|p| >= ell^-alpha}, so the band
-    owns the cutoff node; g_L is the low-pass profile at width ell^beta.
+    The high band chi_H is {|p| >= ell^-alpha}; a band's first node is
+    the sharp cutoff, so it owns that node. g_L is the low-pass profile
+    at width ell^beta.
     """
 
     ell: float
@@ -163,10 +164,6 @@ class CutoffPair:
     beta: float
     cutoff_momentum: float
     g_L: GaussianLowpass
-
-    def chi_H(self, p):
-        p = np.asarray(p, dtype=float)
-        return (np.abs(p) >= self.cutoff_momentum).astype(float)
 
 
 def make_cutoffs(ell, alpha=4.0, beta=2.0):
@@ -256,9 +253,10 @@ def _band_nodes(G, cut, n_momentum=None):
 
 
 def build_eta_H(G, state, cut, n_momentum=None):
-    """High-momentum pair kernel phi(x) F(x-y) phi(y), F = (Ghat chi_H)^v."""
+    """High-momentum pair kernel phi(x) F(x-y) phi(y), F = (Ghat chi_H)^v;
+    the band's first node is the sharp cutoff, so chi_H is 1 on it."""
     p_nodes = _band_nodes(G, cut, n_momentum)
-    fhat = G.hat(p_nodes) * cut.chi_H(p_nodes)
+    fhat = G.hat(p_nodes)
     return FactorizedKernel(
         name="eta_H", ell=float(cut.ell), alpha=float(cut.alpha),
         N=float(G.N), p_nodes=p_nodes, fhat=fhat, left_weight="phi",
@@ -340,40 +338,39 @@ def _simpson_weights(n, dx):
 
 
 def _node_rule(p_nodes, pairs, s, m):
-    """Simpson sums over nodes j >= m of g_j [M(s + t_j) - M(|s - t_j|)].
+    """Simpson sums over nodes j >= m of g_j [M(s + t_j) - M(t_j - s)].
 
     pairs holds (g, table): g sampled on the band nodes t_j = p0 + j h, M
-    the moment of table. s > 0 and m are per row. Each of s + t_j, t_j - s
-    and s - t_j sits at o + step j h above p0, with (o, step) = (s, 1),
-    (-s, 1) and (s - 2 p0, -1), so it lies in segment floor(o/h) + step j
-    at the offset tau = o - h floor(o/h) for every j. A side's sum is thus
-    a polynomial in its tau whose coefficients are Simpson sums of g
-    against shifted table columns, one set per distinct (shift, m): dots of
-    g times the Simpson weights with a window of the edge-padded table.
+    the moment of table. s > 0 and m are per row, with p0 + m h >= s, so
+    t_j - s = |s - t_j| at every node summed. Both s + t_j and t_j - s sit
+    at o + j h above p0, with o = s and -s, so each lies in segment
+    floor(o/h) + j at the offset tau = o - h floor(o/h) for every j. A
+    side's sum is thus a polynomial in its tau whose coefficients are
+    Simpson sums of g against shifted table columns, one set per distinct
+    (shift, m): dots of g times the Simpson weights with a window of the
+    edge-padded table.
     """
     h = p_nodes[1] - p_nodes[0]
-    p0, n = p_nodes[0], p_nodes.size - 1
+    n = p_nodes.size - 1
     w = {mk: _simpson_weights(n + 1 - mk, h) for mk in np.unique(m)}
     wg = {(q, mk): w[mk] * g[mk:] for mk in w
           for q, (g, _) in enumerate(pairs)}
     out = np.zeros((len(pairs), s.size))
-    for sign, step, o in ((1.0, 1, s), (-1.0, 1, -s), (-1.0, -1, s - 2 * p0)):
+    for sign, o in ((1.0, s), (-1.0, -s)):
         shift = np.floor(o / h).astype(int)
         keys, inv = np.unique(shift * (n + 1) + m, return_inverse=True)
         k, m_keys = np.divmod(keys, n + 1)
-        # first window column, k + j + 1 or (reversed) n - k + j at j = m
-        lo = (k + 1 if step > 0 else n - k) + m_keys
+        lo = k + 1 + m_keys  # first window column, k + j + 1 at j = m
         left, right = max(0, -lo.min()), max(0, (lo - m_keys).max() - 1)
         for q, (_, table) in enumerate(pairs):
-            # a clipped segment reads the edge; columns reversed for step -1
-            padded = np.pad(table[:, ::step], ((0, 0), (left, right)), "edge")
+            # a clipped segment reads the edge
+            padded = np.pad(table, ((0, 0), (left, right)), "edge")
             sums = []
             for a, mk in zip(lo + left, m_keys):
                 win = padded[:, a:a + n + 1 - mk]
                 sums.append(win @ wg[q, mk])
-                if step > 0:
-                    # cancel M(t_j), common to both forward sides, per node
-                    sums[-1][0] = (win[0] - table[0, mk + 1:]) @ wg[q, mk]
+                # cancel M(t_j), common to both sides, per node
+                sums[-1][0] = (win[0] - table[0, mk + 1:]) @ wg[q, mk]
             out[q] += sign * _horner(np.array(sums)[inv].T, o - shift * h)
     return out
 
@@ -405,13 +402,15 @@ def _band_convolve(p_nodes, a_vals, b_vals, s_grid, kind):
     integrand is a sum of terms t^e a(t) [M(s + t) - M(|s - t|)] with M
     an exact cumulative moment of b (_moment_table).
 
-    When the band starts at a sharp cutoff, the inner window of the first
-    few outer nodes is partially clipped and the integrand has kinks at
-    t = cutoff + s; node quadrature smears that s-wide layer over a full
-    panel, an O(h) bias. The layer is therefore integrated on a refined
-    subgrid, whose points are not band nodes and so go through the
-    general _moment_lookup. Beyond it the Simpson node rule is a weighted
-    dot product per band shift on a padded table window (_node_rule).
+    The integrand has kinks where the inner window |s - t| meets zero or
+    the band's first node p0, all at t <= p0 + s; node quadrature smears
+    that layer over a full panel, an O(h) bias. The outer nodes below
+    p0 + s + 2 h are therefore integrated on a refined subgrid, whose
+    points are not band nodes and so go through the general
+    _moment_lookup. Beyond it the Simpson node rule is a weighted dot
+    product per band shift on a padded table window (_node_rule). A band
+    too short to leave two intervals beyond the refined layer of every s
+    is refused.
     """
     if kind not in _CONV_KINDS:
         raise InvalidParameterError(f"unknown convolution weight {kind!r}")
@@ -423,15 +422,15 @@ def _band_convolve(p_nodes, a_vals, b_vals, s_grid, kind):
     s_flat = np.asarray(s_grid, dtype=float)
     pos = s_flat > 0.0
     s = s_flat[pos]
-    # m[i] outer nodes of row i go to the refined subgrid
-    m = np.zeros(s.shape, dtype=int)
-    if p0 > 0.0:
-        m_max = p_nodes.size - 3 - (p_nodes.size - 3) % 2
-        m = np.clip(2 * np.ceil((s + 2.0 * h) / (2.0 * h)).astype(int), 2,
-                    max(m_max, 2))
+    # m[i] outer nodes of row i go to the refined subgrid, an even count
+    m = 2 * np.ceil((s + 2.0 * h) / (2.0 * h)).astype(int)
+    if m.max() > p_nodes.size - 3:
+        raise InvalidParameterError(
+            f"band of {p_nodes.size - 1} intervals of {h:g} is too short "
+            f"for separation {s.max():g}")
     pairs = [(p_nodes ** e * a_vals, tables[power]) for e, power in terms]
     conv = combine(s, _node_rule(p_nodes, pairs, s, m))
-    for mk in np.unique(m[m > 0]):
+    for mk in np.unique(m):
         rows = m == mk
         n_fine = max(64, 8 * int(mk))
         t_f = np.linspace(p0, p0 + mk * h, n_fine + 1)

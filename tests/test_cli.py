@@ -6,15 +6,18 @@ never touch the solvers. Subcommand tests call main() in-process with
 artifact files under tmp_path, checking exit codes and emitted formats.
 """
 
+import contextlib
 import copy
+import io
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gpregime import cli
-from gpregime.errors import ConfigError, InvalidParameterError
+from gpregime.errors import ConfigError, GPRegimeError, InvalidParameterError
 from gpregime.potentials import make_square_well, make_trap
 
 
@@ -49,19 +52,91 @@ def _custom_potential(**profile):
     return {"kind": "custom", "parameters": {}, "profile": prof}
 
 
-# custom potentials that InteractionPotential.from_dict cannot read
+# custom potentials that InteractionPotential.from_dict cannot read, or
+# (a constant tail) whose support is not compact
 BAD_PROFILES = [
     _custom_potential(tail={"kind": "zero"}),
     _custom_potential(tail={"kind": "zero", "radius": "abc"}),
     _custom_potential(tail=[{"kind": "zero", "radius": 1.5}]),
     _custom_potential(samples="abc"),
     {**_custom_potential(), "parameters": "abc"},
+    _custom_potential(tail={"kind": "constant", "value": 0.5,
+                            "radius": 1.5}),
 ]
+
+
+def _comparable(inputs):
+    """Stage inputs with the potential and the trap as their dicts."""
+    return {name: tuple(v.to_dict() if hasattr(v, "to_dict") else v
+                        for v in values)
+            for name, values in inputs.items()}
 
 
 @pytest.fixture(scope="module")
 def default_bundle():
     return cli.run(cli.default_config())
+
+
+def _stub_stages(mp, reports, ran):
+    """Replace the four stage functions with fast ones that record their
+    name in ran: scatter, gp and kernels hand back copies of reports (the
+    stage reports of a real run), and fock runs the real stage on a small
+    space, so the run's seed still reaches numpy."""
+    small = cli.FockInputs(modes=2, ncap=2, caps=(2,), suites=("ccr",))
+    fock_stage = cli.fock_stage
+    stubs = {
+        "scatter_stage": lambda inputs: (dict(reports["scatter"]), None),
+        "gp_stage": lambda inputs, thr: (dict(reports["gp"]), None),
+        "kernels_stage": lambda inputs, *objects: dict(reports["kernels"]),
+        "fock_stage": lambda inputs, thr, seed: fock_stage(small, thr, seed),
+    }
+    for name, stub in stubs.items():
+        mp.setattr(cli, name, lambda *a, name=name, stub=stub: (
+            ran.append(name), stub(*a))[1])
+
+
+def _key_paths(node, path=()):
+    """The path of every dict value and list entry inside node."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _key_paths(child, path + (key,))
+
+
+# the default config, and one shaped like the scatter_smooth workload: a
+# custom profile of 64 samples and a quartic trap
+MUTATED_CONFIGS = {
+    "default": cli.default_config(),
+    "custom": {
+        "schema_version": 1, "seed": 7, "pipeline": ["scatter", "gp"],
+        "stages": {"scatter": {"potential": _custom_potential(), "ell": 0.5,
+                               "n": 64, "sweep_nl": [25.0, 50.0, 100.0]},
+                   "gp": {"trap": {"kind": "quartic",
+                                   "parameters": {"r_max": 6.0},
+                                   "grid": {"n_pts": 1600}},
+                          "a0": "from:scatter", "tol": 1e-11}}},
+}
+LEAVES = [(name, path) for name, raw in MUTATED_CONFIGS.items()
+          for path in _key_paths(raw)]
+LEAF_MUTATIONS = {"abc": "abc", "nan": float("nan"), "-1": -1, "0": 0}
+
+
+def _mutated(raw, path, how):
+    """A copy of raw with the value at path dropped, replaced by one of
+    LEAF_MUTATIONS, or wrapped in the wrong container."""
+    raw = copy.deepcopy(raw)
+    parent = raw
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    if how == "drop":
+        del parent[key]
+    elif how == "container":
+        parent[key] = {} if isinstance(parent[key], list) else [parent[key]]
+    else:
+        parent[key] = LEAF_MUTATIONS[how]
+    return raw
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +210,10 @@ class TestConfig:
         raw["seed"] = True
         with pytest.raises(ConfigError, match="seed"):
             cli.parse_config(raw)
+        # numpy's generators take no negative seed
+        raw["seed"] = -1
+        with pytest.raises(ConfigError, match="seed"):
+            cli.parse_config(raw)
 
     def test_pipeline_nonempty_unique_known(self):
         raw = cli.default_config()
@@ -190,10 +269,20 @@ class TestConfig:
         assert thr["gp_residual"] == 1e-3
         assert thr["a0_identity_rtol"] == 1e-6
 
-    def test_stage_params_are_copies(self):
-        cfg = cli.parse_config(cli.default_config())
-        cfg.stage_params("scatter")["ell"] = 0.01
-        assert cfg.stage_params("scatter")["ell"] == 0.5
+    def test_empty_stage_objects_parse_to_the_defaults(self):
+        raw = cli.default_config()
+        empty = dict(raw, stages={name: {} for name in raw["stages"]})
+        assert (_comparable(cli.parse_config(empty).inputs)
+                == _comparable(cli.parse_config(raw).inputs))
+
+    @pytest.mark.parametrize("stage", list(cli._STAGES))
+    def test_stage_accepts_exactly_the_keys_of_its_defaults(self, stage):
+        keys = set(cli._STAGES[stage].defaults)
+        assert keys == set(cli.default_config()["stages"][stage])
+        for key in keys:
+            cli._parse_stage(stage, {key: cli._STAGES[stage].defaults[key]})
+        with pytest.raises(ConfigError, match=f"'bogus' in stage '{stage}'"):
+            cli._parse_stage(stage, {"bogus": 1})
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +396,8 @@ class TestZeroPotential:
 
 class TestScatterStage:
     def test_report_shape(self):
-        pot = make_square_well(2.0, 1.0, 512)
-        rep, base = cli.scatter_stage(pot, {"ell": 0.5, "n": 64,
-                                            "sweep_nl": [25.0, 50.0, 100.0]})
+        rep, base = cli.scatter_stage(cli._parse_stage(
+            "scatter", {"ell": 0.5, "n": 64, "sweep_nl": [25.0, 50.0, 100.0]}))
         assert (base.ell, base.N_param) == (0.5, 64.0)
         assert rep["lambda_ell"] == base.lambda_ell
         assert rep["a0"] == pytest.approx(1.0 - np.tanh(1.0), rel=1e-6)
@@ -320,8 +408,7 @@ class TestScatterStage:
 
 class TestGpStage:
     def test_multiplier_identity_to_roundoff(self):
-        trap = make_trap("harmonic", 800, 8.0)
-        rep, state = cli.gp_stage(trap, 0.2, {"tol": 1e-11},
+        rep, state = cli.gp_stage(cli._parse_stage("gp", {"a0": 0.2}),
                                   cli._DEFAULT_THRESHOLDS)
         assert rep["multiplier_defect"] < 1e-12
         assert rep["spectrum"]["lambda1"] > 0.0
@@ -436,6 +523,115 @@ class TestCommandLine:
                          "--out", str(tmp_path / "out")])
         assert code == 2
         assert "nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("route", ["run", "fock"])
+    def test_negative_seed_exits_2_before_any_stage(
+            self, tmp_path, capsys, monkeypatch, route):
+        # it once ended in a ValueError traceback from the fock stage,
+        # after every earlier stage ran
+        ran = []
+        for name in ("scatter_stage", "gp_stage", "kernels_stage",
+                     "fock_stage"):
+            monkeypatch.setattr(cli, name,
+                                lambda *a, name=name: ran.append(name))
+        if route == "run":
+            raw = cli.default_config()
+            raw["seed"] = -1
+            cfgp = tmp_path / "cfg.json"
+            cfgp.write_text(json.dumps(raw))
+            argv = ["run", "--config", str(cfgp)]
+        else:
+            argv = ["fock", "--seed", "-1"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "seed" in err and "Traceback" not in err
+        assert ran == []
+
+    def test_negative_interaction_exits_2_before_an_earlier_stage(
+            self, tmp_path, capsys, monkeypatch):
+        # the potential is built while the config is parsed, so a broken
+        # standing assumption stops the run before the fock stage ahead of
+        # scatter
+        ran = []
+        for name in ("scatter_stage", "fock_stage"):
+            monkeypatch.setattr(cli, name,
+                                lambda *a, name=name: ran.append(name))
+        raw = cli.default_config()
+        raw["pipeline"] = ["fock", "scatter"]
+        samples = [1.0] * 64
+        samples[10] = -1.0
+        raw["stages"]["scatter"]["potential"] = _custom_potential(
+            samples=samples)
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(raw))
+        assert cli.main(["run", "--config", str(cfgp)]) == 2
+        err = capsys.readouterr().err
+        assert "nonnegative" in err and "Traceback" not in err
+        assert ran == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(leaf=st.sampled_from(LEAVES),
+           how=st.sampled_from(["drop", "container", *LEAF_MUTATIONS]))
+    @example(leaf=("default", ("seed",)), how="-1")
+    @example(leaf=("custom", ("stages", "scatter", "potential", "profile",
+                              "samples", 3)), how="-1")
+    @example(leaf=("default", ("pipeline", 0)), how="container")
+    def test_leaf_mutation_exits_2_exactly_when_parsing_raises(
+            self, default_bundle, tmp_path_factory, leaf, how):
+        # parsing returns or raises a GPRegimeError; run exits 2, before
+        # any stage and without a traceback, exactly when it raised
+        raw = _mutated(MUTATED_CONFIGS[leaf[0]], leaf[1], how)
+        try:
+            cli.parse_config(copy.deepcopy(raw))
+            raised = False
+        except GPRegimeError:
+            raised = True
+        cfgp = tmp_path_factory.getbasetemp() / "mutated.json"
+        cfgp.write_text(json.dumps(raw))
+        ran, err = [], io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            _stub_stages(mp, default_bundle.stage_reports, ran)
+            code = cli.main(["run", "--config", str(cfgp)])
+        assert (code == 2) == raised, err.getvalue()
+        assert code in (0, 1, 2) and "Traceback" not in err.getvalue()
+        assert ran == [] if raised else ran
+
+    def test_each_stage_input_is_parsed_once(self, default_bundle, tmp_path,
+                                             monkeypatch):
+        parsed = []
+        for name, stage in cli._STAGES.items():
+            monkeypatch.setitem(cli._STAGES, name, stage._replace(
+                parse=lambda params, name=name, parse=stage.parse: (
+                    parsed.append(name), parse(params))[1]))
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(cli.default_config()))
+        with pytest.MonkeyPatch.context() as mp:
+            _stub_stages(mp, default_bundle.stage_reports, [])
+            assert cli.main(["run", "--config", str(cfgp)]) == 0
+        assert sorted(parsed) == sorted(cli._STAGES)
+        # each subcommand parses the inputs it runs on once; kernels also
+        # parses the two reports it reads
+        sc, gp = tmp_path / "scatter.json", tmp_path / "gp.json"
+        sc.write_text(json.dumps(
+            {"potential": make_square_well(2.0, 1.0, 512).to_dict()}))
+        gp.write_text(json.dumps({
+            "trap": make_trap("harmonic", 800, 8.0).to_dict(), "a0": 0.2}))
+        for argv, want in [
+                (["scatter", "--sweep", "nl=25,50,100"], ["scatter"]),
+                (["gp", "--a0", "0.2"], ["gp"]),
+                (["fock", "--modes", "2", "--ncap", "2", "--suite", "ccr"],
+                 ["fock"]),
+                (["kernels", "--scatter", str(sc), "--gp", str(gp)],
+                 ["scatter", "gp", "kernels"])]:
+            if argv[0] == "kernels":
+                monkeypatch.setattr(cli, "minimize_gp", lambda *a, **k: None)
+                monkeypatch.setattr(cli, "kernels_stage", lambda *a: dict(
+                    default_bundle.stage_reports["kernels"]))
+            parsed.clear()
+            assert cli.main(argv + ["--out", str(tmp_path / "o.json")]) == 0
+            assert parsed == want, argv
 
     def test_boolean_seed_exits_2(self, tmp_path, capsys):
         cfgp = tmp_path / "cfg.json"
@@ -690,7 +886,8 @@ class TestCommandLine:
             return expm(mat)
 
         monkeypatch.setattr(cli.fock, "expm", counted)
-        cli.fock_stage({"modes": 4, "ncap": 5}, cli._DEFAULT_THRESHOLDS, 7)
+        cli.fock_stage(cli._parse_stage("fock", {"modes": 4, "ncap": 5}),
+                       cli._DEFAULT_THRESHOLDS, 7)
         # the remainder sweep reads the pair sweep's five exponentials
         assert len(calls) == 25
 
@@ -706,7 +903,8 @@ class TestCommandLine:
             return algebra(space, ns)
 
         monkeypatch.setattr(cli.fock, "algebra", counted)
-        cli.fock_stage({"modes": 4, "ncap": 5}, cli._DEFAULT_THRESHOLDS, 7)
+        cli.fock_stage(cli._parse_stage("fock", {"modes": 4, "ncap": 5}),
+                       cli._DEFAULT_THRESHOLDS, 7)
         assert sorted(built) == sorted(
             [(4, c) for c in range(2, 7)] + [(2, 3), (3, 3), (3, 4)])
 
@@ -714,16 +912,18 @@ class TestCommandLine:
         calls = []
         monkeypatch.setattr(cli.fockexact, "verify_exact_identities",
                             lambda *a, **k: calls.append(a))
-        rep = cli.fock_stage({"modes": 2, "ncap": 2, "suites": ["agrowth"]},
-                             cli._DEFAULT_THRESHOLDS, 7)
+        rep = cli.fock_stage(cli._parse_stage(
+            "fock", {"modes": 2, "ncap": 2, "suites": ["agrowth"]}),
+            cli._DEFAULT_THRESHOLDS, 7)
         assert calls == [] and rep["exact_mode"] is False
 
     def test_cubic_growth_spread_decides_cubic_growth(self):
         # a spread max/min is >= 1, so a bound of 1 fails every sweep
         def cubic_pass(bound):
             thr = dict(cli._DEFAULT_THRESHOLDS, cubic_growth_spread=bound)
-            rep = cli.fock_stage({"modes": 2, "ncap": 2,
-                                  "suites": ["agrowth"]}, thr, 7)
+            rep = cli.fock_stage(cli._parse_stage(
+                "fock", {"modes": 2, "ncap": 2, "suites": ["agrowth"]}),
+                thr, 7)
             (entry,) = [i for i in rep["identities"]
                         if i["id"] == "cubic-growth"]
             return entry["pass"]
@@ -775,7 +975,8 @@ class TestCommandLine:
 
         monkeypatch.setattr(cli.fockexact, "verify_exact_identities",
                             recording)
-        rep = cli.fock_stage({"modes": 2, "ncap": 2},
+        rep = cli.fock_stage(cli._parse_stage("fock",
+                                              {"modes": 2, "ncap": 2}),
                              cli._DEFAULT_THRESHOLDS, 7)
         assert rep["exact_mode"] and returned
         assert read == returned

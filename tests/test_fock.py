@@ -633,7 +633,8 @@ class TestExpmAgainstScipy:
             return real(A)
 
         monkeypatch.setattr(fock, "expm", recorded)
-        cli.fock_stage({"modes": 4, "ncap": 5}, cli._DEFAULT_THRESHOLDS, 7)
+        cli.fock_stage(cli._parse_stage("fock", {"modes": 4, "ncap": 5}),
+                       cli._DEFAULT_THRESHOLDS, 7)
         assert len(gens) == 25
         for A in gens:
             assert np.abs(real(A) - expm(A)).max() <= 1e-13

@@ -14,7 +14,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import simpson
 
 from gpregime import cli, kernels, radial, scattering
@@ -104,12 +104,6 @@ def slope_of(sweep_report, key):
 
 
 class TestCutoffs:
-    def test_indicators_partition_the_line(self, cuts):
-        p = np.linspace(0.0, 3.0 * cuts.cutoff_momentum, 1001)
-        assert np.all(cuts.chi_H(p) == (p >= cuts.cutoff_momentum))
-        # the high band owns its endpoint
-        assert cuts.chi_H(cuts.cutoff_momentum) == 1.0
-
     def test_cutoff_momentum_scale(self, cuts):
         assert cuts.cutoff_momentum == pytest.approx(0.5 ** -4.0, rel=1e-12)
 
@@ -184,6 +178,14 @@ class TestBandConvolve:
             _band_convolve(eta64.p_nodes, eta64.fhat, eta64.fhat,
                            np.array([0.5]), "cubic")
 
+    def test_band_too_short_for_the_separation_refused(self):
+        # s = 1 puts 22 of the 20 intervals' outer nodes in the refined
+        # layer, leaving none to the node rule
+        p = np.linspace(0.0, 1.0, 21)
+        with pytest.raises(InvalidParameterError, match="too short"):
+            _band_convolve(p, np.exp(-p), np.exp(-p), np.array([0.5, 1.0]),
+                           "plain")
+
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2 ** 31 - 1),
@@ -230,11 +232,12 @@ class TestBandConvolve:
     # against 1e-12 times a 1.1e-5 scale)
     @example(seed=518, n_int=8, start="below", half=True)
     def test_node_rule_matches_general_lookup(self, seed, n_int, start, half):
-        # Rows cover random offsets, exact multiples of h, the band end,
-        # points beyond it and, when the band starts at or near zero,
-        # s - t_j read in reverse; "above" starts the band past every s.
-        # Nodes are dyadic, so p0 + j h is exact and both rules read the
-        # same piecewise-linear model.
+        # Rows cover random offsets, exact multiples of h and, with
+        # s + t_j, points beyond the band end; "above" starts the band past
+        # every s. Each row sums from a drawn m with p0 + m h >= s, the
+        # rule's precondition, and keeps at least two intervals; rows
+        # whose s leaves none are dropped. Nodes are dyadic, so p0 + j h
+        # is exact and both rules read the same piecewise-linear model.
         rng = np.random.default_rng(seed)
         h = rng.integers(3, 32) / 64.0
         p0 = {"zero": 0.0, "below": rng.integers(1, 128) / 64.0,
@@ -248,11 +251,15 @@ class TestBandConvolve:
         a, b = rng.normal(size=(2, p.size))
         if half:
             p, a, b, s = p[::2], a[::2], b[::2], s[::2]
-        m = rng.integers(0, p.size - 2, s.size)
+        hh = p[1] - p[0]
+        m_lo = np.maximum(0, np.ceil((s - p[0]) / hh)).astype(int)
+        keep = m_lo < p.size - 2
+        assume(keep.any())
+        s = s[keep]
+        m = rng.integers(m_lo[keep], p.size - 2)
         pairs = [(p ** e * a, _moment_table(p, b, power))
                  for e in (1, 3) for power in (1, 3)]
         got = _node_rule(p, pairs, s, m)
-        hh = p[1] - p[0]
         for (g, table), row in zip(pairs, got):
             hi = _moment_lookup(p, table, s[:, None] + p)
             lo = _moment_lookup(p, table, np.abs(s[:, None] - p))
@@ -427,7 +434,8 @@ class TestSweepReuse:
         real = scattering.fourier_w
         monkeypatch.setattr(scattering, "fourier_w",
                             lambda sol, *a: calls.append(sol) or real(sol, *a))
-        _, base = cli.scatter_stage(well, {"sweep_nl": [25.0, 50.0]})
+        inputs = cli._parse_stage("scatter", {"sweep_nl": [25.0, 50.0]})
+        _, base = cli.scatter_stage(inputs._replace(potential=well))
         assert len(calls) == 3 and base in calls
         sweep_kernels(well, state, tuples=((0.5, 64),), solved=base)
         assert len(calls) == 3
