@@ -378,7 +378,7 @@ def scatter_stage(inputs):
     """
     potential, ell, n, n_pts, sweep_nl = inputs
     ref = solve_zero_energy(potential)
-    trivial = ref.a0 == 0.0
+    trivial = potential.zero
     base = solve_neumann(potential, ell, n, n_pts)
 
     def one(nl):
@@ -432,21 +432,17 @@ def scatter_entries(report, thr):
                        "big_ell": big},
         "slopes": {"deviation": fit},
         "pass": fit["pass"],
-        "trivial": fit["trivial"],
+        "trivial": trivial,
     })
     weighted = [r["ii_weighted"] for r in rows]
-    if all(w == 0.0 for w in weighted):
-        uni_pass, uni_ratio, uni_trivial = True, 0.0, True
-    else:
-        uni_ratio = max(weighted) / min(weighted)
-        uni_pass = uni_ratio < thr["integral_uniformity_ratio"]
-        uni_trivial = False
+    uni_ratio = 0.0 if trivial else max(weighted) / min(weighted)
     entries.append({
         "id": "potential-integral-uniformity",
         "quantities": {"weighted_defects": weighted,
                        "max_over_min": uni_ratio},
-        "pass": bool(uni_pass),
-        "trivial": uni_trivial,
+        "pass": bool(trivial
+                     or uni_ratio < thr["integral_uniformity_ratio"]),
+        "trivial": trivial,
     })
     moments = [r["iii_moment_weighted"] for r in rows]
     sups = [max(r["iii_sup_w"], r["iii_sup_wp"]) for r in rows]
@@ -599,10 +595,13 @@ def _kernels_inputs(params):
                          tuple(float(v) for v in ells), float(tol))
 
 
-def kernels_stage(inputs, potential, state, solved=None):
+def kernels_stage(inputs, scatter, state, solved):
+    """The kernel sweep on the scatter stage's potential at its n_pts; a
+    row that matches solved, that stage's Neumann solution, reuses it."""
     alpha, beta, ells, tol = inputs
-    rep = kernels.sweep_kernels(potential, state, alpha=alpha, beta=beta,
-                                ells=ells, tol=tol, solved=solved)
+    rep = kernels.sweep_kernels(scatter.potential, state, alpha=alpha,
+                                beta=beta, ells=ells, tol=tol,
+                                n_pts=scatter.n_pts, solved=solved)
     return {"alpha": alpha, "beta": beta,
             "tuples": [[float(ell), float(n)] for ell, n in rep.tuples],
             "rows": [dict(r) for r in rep.rows]}
@@ -848,7 +847,7 @@ def fock_entries(report, thr):
 # ---------------------------------------------------------------------------
 
 def _build_scatter(inputs, ctx):
-    ctx["potential"] = inputs.potential
+    ctx["scatter"] = inputs
     report, ctx["neumann"] = scatter_stage(inputs)
     return report
 
@@ -866,9 +865,8 @@ def _build_gp(inputs, ctx):
 #            namedtuple of the values it runs on; raises on bad values
 #   needs    inputs -> the stages that must run before it
 #   build    (inputs, ctx) -> report; ctx brings the thresholds, seed
-#            and earlier reports, and takes out the potential, the
-#            Neumann solution at the scatter stage's (ell, n) and the
-#            GP state
+#            and earlier reports, and takes out the scatter stage's
+#            inputs, its Neumann solution at (ell, n) and the GP state
 #   entries  (report, thresholds) -> bundle entries
 #   table    report -> (rows, columns) of its CSV, or None
 # Builders call the stage functions through this module's globals, so
@@ -894,7 +892,7 @@ _STAGES = {
     "kernels": _Stage(
         {"alpha": 4.0, "beta": 2.0, "ells": [0.5, 0.25, 0.125], "tol": 1e-12},
         _kernels_inputs, lambda inputs: ("scatter", "gp"),
-        lambda inputs, ctx: kernels_stage(inputs, ctx["potential"],
+        lambda inputs, ctx: kernels_stage(inputs, ctx["scatter"],
                                           ctx["state"], ctx.get("neumann")),
         kernels_entries, lambda rep: (rep["rows"], None)),
     "fock": _Stage(
@@ -1029,13 +1027,14 @@ def _parse_sweep_arg(text, allowed):
         raise ConfigError(f"bad sweep values in {text!r}")
 
 
-def _stage_command(name, params, out, seed=0, profile=None, **objects):
+def _stage_command(name, params, out, seed=0, profile=None, objects=dict):
     """Run one stage on params, its unset (None) ones dropped, and emit
-    its report with the entries added; profile(ctx) gives the CSV of a
-    stage without a table."""
+    its report with the entries added; objects() gives what the stage
+    takes from earlier stages, once params have parsed, and profile(ctx)
+    the CSV of a stage without a table."""
     inputs = _parse_stage(name, {k: v for k, v in params.items()
                                  if v is not None})
-    ctx = _context(_DEFAULT_THRESHOLDS, seed, **objects)
+    ctx = _context(_DEFAULT_THRESHOLDS, seed, **objects())
     report, entries = _run_stage(name, inputs, ctx)
     report["entries"] = entries
     table = _STAGES[name].table
@@ -1068,16 +1067,24 @@ def cmd_kernels(args):
         report = _load_json(getattr(args, name), f"{name} report")
         if not isinstance(report, dict) or any(k not in report for k in keys):
             raise ConfigError(f"{name} report lacks {' or '.join(keys)}")
-        inputs[name] = _parse_stage(name, {k: report[k] for k in report
-                                           if k in _STAGES[name].defaults})
+        params = {k: report[k] for k in report if k in _STAGES[name].defaults}
+        # a scatter report keeps the n_pts it ran at under grids
+        grids = report.get("grids", {}) if name == "scatter" else {}
+        if not isinstance(grids, dict):
+            raise ConfigError(f"{name} report grids must be an object")
+        if "n_pts" in grids:
+            params["n_pts"] = grids["n_pts"]
+        inputs[name] = _parse_stage(name, params)
     trap, a0, tol = inputs["gp"]
     if a0 == "from:scatter":
         raise ConfigError("gp report a0 must be a number")
+    # the minimizer runs only once the kernels flags have parsed
     return _stage_command("kernels", {
         "alpha": args.alpha, "beta": args.beta,
         "ells": args.sweep and _parse_sweep_arg(args.sweep, ["ell"])[1],
-    }, args.out, potential=inputs["scatter"].potential,
-        state=minimize_gp(trap, float(a0), tol=tol))
+    }, args.out, objects=lambda: {
+        "scatter": inputs["scatter"],
+        "state": minimize_gp(trap, float(a0), tol=tol)})
 
 
 def cmd_fock(args):

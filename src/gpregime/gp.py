@@ -27,6 +27,9 @@ _DEFAULT_GRIDS = {"harmonic": (8.0, 800), "quartic": (5.0, 500)}
 # Lanczos stops at Ritz residual estimates <= _LANCZOS_TOL * max Ritz value of
 # (h + s)^-1; ||h x - lambda x|| <= _RITZ_RESIDUAL_TOL * ||h||_1 certifies
 _LANCZOS_TOL, _RITZ_RESIDUAL_TOL = 1e-14, 1e-10
+# a flow whose residual has not fallen by _STALL_FACTOR over its last
+# _STALL_WINDOW accepted steps has stalled; converging flows fall far faster
+_STALL_WINDOW, _STALL_FACTOR = 100, 1.25
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +167,8 @@ def minimize_gp(trap, a0, r_max=None, n_pts=None, tol=1e-11, max_iter=5000,
     cubic term frozen at the current iterate, then renormalizes; the fixed
     point of that map satisfies the discrete Euler-Lagrange equation exactly.
     Steps that fail to decrease the energy are retried with a smaller tau.
-    Convergence is declared on the Euler-Lagrange residual in L^2(d^3x).
+    Convergence is declared on the Euler-Lagrange residual in L^2(d^3x);
+    a flow whose residual stalls, or runs past max_iter steps, fails.
     """
     if a0 < 0:
         raise InvalidParameterError(f"scattering length must be >= 0, got {a0}")
@@ -203,6 +207,7 @@ def minimize_gp(trap, a0, r_max=None, n_pts=None, tol=1e-11, max_iter=5000,
     trace = [energy]
     tau = 0.05
     iterations = 0
+    residuals = []
     for iterations in range(max_iter + 1):
         eps, res = el_pieces(u)
         if res <= eff_tol:
@@ -210,6 +215,11 @@ def minimize_gp(trap, a0, r_max=None, n_pts=None, tol=1e-11, max_iter=5000,
         if iterations == max_iter:
             raise SolverFailureError(
                 f"no convergence after {max_iter} steps; residual {res:.3e}")
+        residuals.append(res)
+        if iterations >= _STALL_WINDOW \
+                and res * _STALL_FACTOR > residuals[-1 - _STALL_WINDOW]:
+            raise SolverFailureError(
+                f"flow stalled after {iterations} steps; residual {res:.3e}")
         for _ in range(60):
             band = kin * tau
             band[2] += 1.0 + tau * (v_nodes + c * u ** 2 / r_int ** 2)

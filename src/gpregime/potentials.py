@@ -1,12 +1,12 @@
 """Interaction and trap potentials with their standing-assumption checks.
 
 Everything is radial and dimensionless in units where hbar = 2m = 1, so the
-kinetic operator is exactly -Delta. Interactions are nonnegative with compact
-support; traps are even polynomials growing at infinity. Construction
-enforces these assumptions: an interaction with a negative sample is
-rejected, a square well's zero tail is structural, and traps are the fixed
-monomials r^2 and r^4. A custom profile without a zero tail has no finite
-support radius, and the scattering solvers refuse it.
+kinetic operator is exactly -Delta. An interaction is nonnegative with
+compact support: samples on a grid, linear between nodes and zero beyond its
+support radius, so it vanishes identically exactly when no sample it reads
+is nonzero (`InteractionPotential.zero`). Construction rejects a negative
+sample, and a square well's zero tail is structural. Traps are the fixed
+monomials r^2 and r^4, evaluated in closed form.
 """
 
 from dataclasses import dataclass, field
@@ -14,73 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameterError, InvalidDomainError
-from .radial import radial_moment
 
 _MIN_NODES = 16
-_TAIL_KINDS = ("zero", "constant", "monomial")
-
-
-@dataclass(frozen=True)
-class RadialProfile:
-    """A radial function: samples on a strictly increasing grid plus tail info.
-
-    tail is one of
-      {"kind": "zero", "radius": R}            exactly zero for r > R
-      {"kind": "constant", "value": c, "radius": R}   equal to c for r > R
-      {"kind": "monomial", "coeff": c, "power": k}   c * r**k for all r
-    A monomial tail doubles as a closed form valid on the whole axis, which
-    keeps trap evaluation exact between nodes.
-    """
-
-    grid: np.ndarray
-    samples: np.ndarray
-    tail: dict = field(default_factory=lambda: {"kind": "zero", "radius": 0.0})
-
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        samples = np.asarray(self.samples, dtype=float)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "samples", samples)
-        if grid.ndim != 1 or grid.size < _MIN_NODES:
-            raise InvalidDomainError(f"need >= {_MIN_NODES} grid nodes, got {grid.size}")
-        if grid[0] < 0 or np.any(np.diff(grid) <= 0):
-            raise InvalidDomainError("grid must be strictly increasing with r0 >= 0")
-        if samples.shape != grid.shape:
-            raise InvalidDomainError("samples and grid shapes differ")
-        if self.tail.get("kind") not in _TAIL_KINDS:
-            raise InvalidParameterError(f"unknown tail kind {self.tail.get('kind')!r}")
-
-    def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        if self.tail["kind"] == "monomial":
-            return self.tail["coeff"] * r ** self.tail["power"]
-        vals = np.interp(r, self.grid, self.samples, left=self.samples[0], right=0.0)
-        outside = self.tail["value"] if self.tail["kind"] == "constant" else 0.0
-        return np.where(r > self.tail["radius"], outside, vals)
-
-    @property
-    def support_radius(self):
-        if self.tail["kind"] == "zero":
-            return float(self.tail["radius"])
-        return np.inf
-
-    def to_dict(self):
-        return {
-            "grid": self.grid.tolist(),
-            "samples": self.samples.tolist(),
-            "tail": dict(self.tail),
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(np.asarray(d["grid"]), np.asarray(d["samples"]), dict(d["tail"]))
-
-
-def _monomial_profile(coeff, power, r_max, n_pts):
-    grid = np.linspace(0.0, r_max, n_pts)
-    return RadialProfile(grid, coeff * grid ** power,
-                         {"kind": "monomial", "coeff": float(coeff), "power": int(power)})
-
 
 # the kinds InteractionPotential.from_dict reads, each with the objects it
 # reads from the dict and the keys it reads from each of them
@@ -92,22 +27,60 @@ INTERACTION_KINDS = {
 
 @dataclass(frozen=True)
 class InteractionPotential:
-    """Compactly supported nonnegative radial pair interaction."""
+    """Compactly supported nonnegative radial pair interaction.
 
-    profile: RadialProfile
+    Samples on a strictly increasing grid from r >= 0, linear between
+    nodes, equal to the first sample below the grid and zero beyond the
+    last node and beyond support_radius.
+    """
+
+    grid: np.ndarray
+    samples: np.ndarray
     support_radius: float
-    l3_norm: float
     kind: str = "custom"
     params: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        grid = np.asarray(self.grid, dtype=float)
+        samples = np.asarray(self.samples, dtype=float)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "support_radius", float(self.support_radius))
+        if grid.ndim != 1 or grid.size < _MIN_NODES:
+            raise InvalidDomainError(f"need >= {_MIN_NODES} grid nodes, got {grid.size}")
+        if grid[0] < 0 or np.any(np.diff(grid) <= 0):
+            raise InvalidDomainError("grid must be strictly increasing with r0 >= 0")
+        if samples.shape != grid.shape:
+            raise InvalidDomainError("samples and grid shapes differ")
+        if not 0.0 < self.support_radius < np.inf:
+            raise InvalidDomainError("potential must have compact support")
+        bad = np.flatnonzero(~(samples >= 0.0))
+        if bad.size:
+            i = int(bad[0])
+            raise InvalidParameterError(
+                f"interaction must be nonnegative: sample {i} at r = "
+                f"{grid[i]:g} is {samples[i]:g}")
+
     def __call__(self, r):
-        return self.profile(r)
+        r = np.asarray(r, dtype=float)
+        vals = np.interp(r, self.grid, self.samples, left=self.samples[0], right=0.0)
+        return np.where(r > self.support_radius, 0.0, vals)
+
+    @property
+    def zero(self):
+        """V vanishes identically: no sample it reads, at the nodes up to R
+        and the first past it, is nonzero."""
+        last = np.searchsorted(self.grid, self.support_radius) + 1
+        return not np.any(self.samples[:last])
 
     def to_dict(self):
         d = {"kind": self.kind, "parameters": dict(self.params),
-             "grid": {"n_pts": int(self.profile.grid.size)}}
+             "grid": {"n_pts": int(self.grid.size)}}
         if self.kind == "custom":
-            d["profile"] = self.profile.to_dict()
+            d["profile"] = {"grid": self.grid.tolist(),
+                            "samples": self.samples.tolist(),
+                            "tail": {"kind": "zero",
+                                     "radius": self.support_radius}}
         return d
 
     @classmethod
@@ -118,42 +91,24 @@ class InteractionPotential:
         if d["kind"] == "square_well":
             return make_square_well(d["parameters"]["V0"], d["parameters"]["R"],
                                     d["grid"]["n_pts"])
-        profile = RadialProfile.from_dict(d["profile"])
-        return _wrap_interaction(profile, kind="custom", params=d.get("parameters", {}))
-
-
-def _wrap_interaction(profile, kind, params):
-    bad = np.flatnonzero(~(profile.samples >= 0.0))
-    if bad.size:
-        i = int(bad[0])
-        raise InvalidParameterError(
-            f"interaction must be nonnegative: sample {i} at r = "
-            f"{profile.grid[i]:g} is {profile.samples[i]:g}")
-    R = profile.support_radius
-    h = profile.grid[1] - profile.grid[0] if profile.grid.size > 1 else 1.0
-    l3 = (4.0 * np.pi * radial_moment(profile.samples ** 3, h, 2)) ** (1.0 / 3.0)
-    return InteractionPotential(profile, R, l3, kind=kind, params=params)
+        prof = d["profile"]
+        return cls(prof["grid"], prof["samples"], prof["tail"]["radius"],
+                   params=d.get("parameters", {}))
 
 
 def make_square_well(V0, R, n_pts):
     """Constant repulsion V0 on the ball of radius R, zero outside.
 
-    The grid covers exactly [0, R]; the profile's zero tail carries the rest,
-    so the compact-support invariant is structural rather than sampled.
+    The grid covers exactly [0, R]; the zero tail carries the rest, so the
+    compact-support invariant is structural rather than sampled.
     """
     if R <= 0:
         raise InvalidParameterError(f"support radius must be positive, got {R}")
-    if V0 < 0:
-        raise InvalidParameterError(f"well depth must be nonnegative, got {V0}")
     if n_pts < _MIN_NODES:
         raise InvalidParameterError(f"need >= {_MIN_NODES} nodes, got {n_pts}")
     grid = np.linspace(0.0, float(R), int(n_pts))
-    samples = np.full(grid.shape, float(V0))
-    profile = RadialProfile(grid, samples, {"kind": "zero", "radius": float(R)})
-    # constant on a ball: ||V||_3 = V0 * (4 pi R^3 / 3)^(1/3), kept in closed
-    # form so the value is independent of n_pts
-    l3 = float(V0) * (4.0 * np.pi * R ** 3 / 3.0) ** (1.0 / 3.0)
-    return InteractionPotential(profile, float(R), l3, kind="square_well",
+    return InteractionPotential(grid, np.full(grid.shape, float(V0)), R,
+                                kind="square_well",
                                 params={"V0": float(V0), "R": float(R)})
 
 
@@ -162,22 +117,19 @@ _TRAP_FORMS = {"harmonic": 2, "quartic": 4}  # kind -> power of r
 
 @dataclass(frozen=True)
 class TrapPotential:
-    """Polynomial confining potential r**(2k), exact between nodes."""
+    """Confining potential r^2 (harmonic) or r^4 (quartic) in closed form,
+    with the grid [0, r_max] of n_pts nodes that it names."""
 
-    profile: RadialProfile
     kind: str
-    params: dict = field(default_factory=dict)
+    r_max: float
+    n_pts: int
 
     def __call__(self, r):
-        return self.profile(r)
+        return np.asarray(r, dtype=float) ** _TRAP_FORMS[self.kind]
 
     def to_dict(self):
-        return {"kind": self.kind, "parameters": dict(self.params),
-                "grid": {"n_pts": int(self.profile.grid.size)}}
-
-    @classmethod
-    def from_dict(cls, d):
-        return make_trap(d["kind"], d["grid"]["n_pts"], d["parameters"]["r_max"])
+        return {"kind": self.kind, "parameters": {"r_max": self.r_max},
+                "grid": {"n_pts": self.n_pts}}
 
 
 def make_trap(kind, n_pts, r_max):
@@ -186,5 +138,4 @@ def make_trap(kind, n_pts, r_max):
         raise InvalidDomainError(f"r_max must be positive, got {r_max}")
     if kind not in _TRAP_FORMS:
         raise InvalidParameterError(f"unknown trap kind {kind!r}")
-    profile = _monomial_profile(1.0, _TRAP_FORMS[kind], r_max, n_pts)
-    return TrapPotential(profile, kind, params={"r_max": float(r_max)})
+    return TrapPotential(kind, float(r_max), int(n_pts))

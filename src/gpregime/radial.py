@@ -15,7 +15,7 @@ uniform radial grids, so this module concentrates the shared machinery:
   factors, O(m sqrt(n)); both reduce phases in cycles in long double,
 - the unitary radial Fourier transform  F[w](p) = (2/p) int w(r) r sin(2 pi p r) dr
   with the convention  (-Delta) <-> 4 pi^2 p^2,  which is its own inverse,
-- the composite Simpson rule, and Simpson moments  int w(r) r^k dr.
+- the composite Simpson rule.
 
 Grids are r_j = j * h for j = 0..n; pass the number of intervals n, keep it
 even so Simpson and Richardson halving both apply.
@@ -260,9 +260,3 @@ def radial_fourier_inverse(what, hp, r):
     """Inverse transform; identical kernel by self-reciprocity."""
     return radial_fourier(what, hp, r)
 
-
-def radial_moment(w, h, k):
-    """int_0^{rmax} w(r) r^k dr by composite Simpson."""
-    w = np.asarray(w, dtype=float)
-    r = np.arange(w.size) * h
-    return float(simpson(w * r ** k, dx=h))

@@ -31,7 +31,7 @@ from .errors import (
     InvalidParameterError,
     SolverFailureError,
 )
-from .potentials import RadialProfile, InteractionPotential
+from .potentials import InteractionPotential
 from .radial import _filon_richardson, filon_sin, simpson
 
 _MIN_PTS = 512
@@ -160,16 +160,12 @@ def _neumann_mismatch(v_nodes, v_mids, h, lam, R, L):
 
 
 def _same_potential(p1, p2):
-    if p1.kind != p2.kind or p1.params != p2.params:
-        return False
-    if not np.isclose(p1.support_radius, p2.support_radius, rtol=1e-12):
-        return False
-    g1, g2 = p1.profile.grid, p2.profile.grid
-    if g1.size == g2.size and np.allclose(g1, g2) \
-            and np.allclose(p1.profile.samples, p2.profile.samples):
-        return True
     probe = np.linspace(0.0, p1.support_radius, 257)
-    return bool(np.allclose(p1(probe), p2(probe), rtol=1e-10, atol=1e-12))
+    return ((p1.kind, p1.params) == (p2.kind, p2.params)
+            and bool(np.isclose(p1.support_radius, p2.support_radius,
+                                rtol=1e-12))
+            and bool(np.allclose(p1(probe), p2(probe), rtol=1e-10,
+                                 atol=1e-12)))
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +200,6 @@ def solve_zero_energy(potential, r_max=None, n_pts=4096):
     the volume integral of V f is reported for the 8 pi a0 cross-check.
     """
     R = potential.support_radius
-    if not np.isfinite(R) or R <= 0:
-        raise InvalidDomainError("potential must have compact support")
     if r_max is None:
         r_max = 15.0 * R
     if r_max < 10.0 * R:
@@ -214,7 +208,7 @@ def solve_zero_energy(potential, r_max=None, n_pts=4096):
     if n_pts < _MIN_PTS:
         raise InvalidParameterError(f"n_pts must be >= {_MIN_PTS}")
 
-    if potential.l3_norm == 0.0:
+    if potential.zero:
         # V vanishes identically, so f = 1 and u = r solve the problem
         # exactly; report zeros instead of integrator noise.
         r_grid = np.linspace(0.0, r_max, max(n_pts & ~1, 512) + 1)
@@ -263,8 +257,8 @@ class NeumannSolution:
     """Ground state of the pair problem on the ball of radius N * ell.
 
     The sampled data lives on two uniform segments: a fine one across the
-    interaction well [0, R] and an exactly propagated tail (R, L]. Profiles
-    assemble both, with f extended by 1 and w by 0 outside the ball.
+    interaction well [0, R] and an exactly propagated tail (R, L]. r_grid,
+    f, w and wp assemble both; outside the ball f is 1 and w is 0.
     """
 
     potential: InteractionPotential
@@ -277,8 +271,6 @@ class NeumannSolution:
     f: np.ndarray
     w: np.ndarray
     wp: np.ndarray
-    f_ell: RadialProfile
-    w_ell: RadialProfile
     int_Vf: float
     int_w: float
     segments: tuple = field(repr=False)
@@ -326,9 +318,6 @@ def _assemble_neumann(potential, ell, N_param, n_pts, lam, u_well, v_well,
     w = 1.0 - f
 
     n_well = u_well.size - 1
-    f_ell = RadialProfile(r_grid, f,
-                          {"kind": "constant", "value": 1.0, "radius": float(L)})
-    w_ell = RadialProfile(r_grid, w, {"kind": "zero", "radius": float(L)})
 
     int_Vf = 4.0 * np.pi * simpson(vn * u_n[:n_well + 1] * r_well, dx=h_well)
     int_w = 4.0 * np.pi * (
@@ -344,7 +333,7 @@ def _assemble_neumann(potential, ell, N_param, n_pts, lam, u_well, v_well,
     return NeumannSolution(
         potential=potential, ell=float(ell), N_param=float(N_param),
         n_pts=int(n_pts), radius=float(L), lambda_ell=float(lam),
-        r_grid=r_grid, f=f, w=w, wp=wp, f_ell=f_ell, w_ell=w_ell,
+        r_grid=r_grid, f=f, w=w, wp=wp,
         int_Vf=float(int_Vf), int_w=float(int_w), segments=segments,
         neumann_defect=float(mism), richardson_defect=float(rich))
 
@@ -419,14 +408,12 @@ def solve_neumann(potential, ell, N_param, n_pts=4096):
     if n_pts < _MIN_PTS:
         raise InvalidParameterError(f"n_pts must be >= {_MIN_PTS}")
     R = potential.support_radius
-    if not np.isfinite(R) or R <= 0:
-        raise InvalidDomainError("potential must have compact support")
     L = ell * N_param
     if L <= R:
         raise InvalidDomainError(
             f"ball radius {L} must exceed the interaction range {R}")
 
-    if potential.l3_norm == 0.0:
+    if potential.zero:
         return _trivial_neumann(potential, ell, N_param, n_pts)
 
     n_well = max(1024, (n_pts // 4) & ~1)

@@ -389,6 +389,51 @@ class TestZeroPotential:
         # the free trap problem is a real computation, not a trivial pass
         assert not bundle.entry("gp-energy-oracle")["trivial"]
 
+    @staticmethod
+    def _scatter(tmp_path, samples):
+        """gpregime scatter on a custom interaction, samples on [0, 1]
+        with a zero tail at 1; returns the exit code and the report."""
+        grid = np.linspace(0.0, 1.0, len(samples))
+        pot = {"kind": "custom", "parameters": {},
+               "profile": {"grid": grid.tolist(), "samples": samples,
+                           "tail": {"kind": "zero", "radius": 1.0}}}
+        path, out = tmp_path / "potential.json", tmp_path / "scatter.json"
+        path.write_text(json.dumps(pot))
+        code = cli.main(["scatter", "--potential", str(path),
+                         "--out", str(out)])
+        return code, json.loads(out.read_text()) if code == 0 else None
+
+    def test_an_all_zero_profile_is_trivial(self, tmp_path):
+        code, rep = self._scatter(tmp_path, [0.0] * 17)
+        assert code == 0
+        assert rep["trivial"] and rep["a0"] == 0.0
+        assert all(e["trivial"] for e in rep["entries"])
+
+    def test_a_spike_is_not_trivial(self, tmp_path):
+        # V = 50 at r = 0 and 0 from r = 1/16 on, so V(0.03) = 26: its L^3
+        # norm by Simpson on the nodes is 0, but it scatters
+        from scipy.integrate import solve_ivp
+        samples = [50.0] + [0.0] * 16
+        code, rep = self._scatter(tmp_path, samples)
+        assert code == 0
+        assert rep["trivial"] is False
+        assert all(e["pass"] and not e["trivial"] for e in rep["entries"])
+        grid = np.linspace(0.0, 1.0, 17)
+        sol = solve_ivp(
+            lambda r, y: [y[1], 0.5 * float(np.interp(r, grid, samples))
+                          * y[0]],
+            (0.0, 1.0), [0.0, 1.0], method="DOP853", rtol=1e-12,
+            atol=1e-14, max_step=grid[1])
+        a0 = 1.0 - sol.y[0, -1] / sol.y[1, -1]
+        assert rep["a0"] == pytest.approx(a0, rel=1e-6)
+
+    def test_a_16_node_spike_fails_the_richardson_certificate(
+            self, tmp_path, capsys):
+        # its kinks at j/15 fall between the well grid's nodes, so the
+        # coarse and fine RK4 crossings disagree (ROADMAP item 1)
+        assert self._scatter(tmp_path, [50.0] + [0.0] * 15)[0] == 2
+        assert "boundary defect" in capsys.readouterr().err
+
 
 # ---------------------------------------------------------------------------
 # stage-level checks against the solver modules
@@ -465,6 +510,71 @@ class TestCommandLine:
         rep = json.loads(kr.read_text())
         slopes = {e["id"]: e for e in rep["entries"]}
         assert slopes["pair-kernel-scaling"]["pass"]
+
+    @staticmethod
+    def _kernels_reports(tmp_path, **scatter):
+        """scatter and gp report files for `gpregime kernels`."""
+        sc, gp = tmp_path / "scatter.json", tmp_path / "gp.json"
+        sc.write_text(json.dumps(
+            {"potential": make_square_well(2.0, 1.0, 512).to_dict(),
+             **scatter}))
+        gp.write_text(json.dumps({
+            "trap": make_trap("harmonic", 800, 8.0).to_dict(), "a0": 0.2}))
+        return ["kernels", "--scatter", str(sc), "--gp", str(gp)]
+
+    @pytest.mark.parametrize("flags", [
+        ["--alpha", "1", "--beta", "2"], ["--sweep", "ell=0.5,0.25"],
+        ["--sweep", "nl=1,2,3"]])
+    def test_kernels_flags_are_checked_before_the_gp_solve(
+            self, tmp_path, capsys, monkeypatch, flags):
+        ran = []
+        monkeypatch.setattr(cli, "minimize_gp",
+                            lambda *a, **k: ran.append("minimize_gp"))
+        assert cli.main(self._kernels_reports(tmp_path) + flags) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert ran == []
+
+    @staticmethod
+    def _record_sweeps(monkeypatch, report):
+        """Replace the kernel sweep by one that records its n_pts and
+        returns report's rows."""
+        swept = []
+
+        def sweep(*args, n_pts, **kwargs):
+            swept.append(n_pts)
+            return cli.kernels.KernelSweepReport(
+                report["alpha"], report["beta"], report["tuples"],
+                report["rows"])
+
+        monkeypatch.setattr(cli.kernels, "sweep_kernels", sweep)
+        return swept
+
+    @pytest.mark.parametrize("grids,code,n_pts", [
+        (None, 0, 4096), ({"n_pts": 8192, "ell": 0.5}, 0, 8192),
+        ({"n_pts": 100}, 2, None), ("abc", 2, None)])
+    def test_kernels_rows_run_at_the_scatter_report_n_pts(
+            self, tmp_path, monkeypatch, default_bundle, grids, code, n_pts):
+        swept = self._record_sweeps(
+            monkeypatch, default_bundle.stage_reports["kernels"])
+        monkeypatch.setattr(cli, "minimize_gp", lambda *a, **k: None)
+        argv = self._kernels_reports(
+            tmp_path, **({} if grids is None else {"grids": grids}))
+        assert cli.main(argv + ["--out", str(tmp_path / "k.json")]) == code
+        assert swept == ([] if n_pts is None else [n_pts])
+
+    def test_run_kernels_rows_run_at_the_scatter_n_pts(
+            self, monkeypatch, default_bundle):
+        reports = default_bundle.stage_reports
+        swept = self._record_sweeps(monkeypatch, reports["kernels"])
+        monkeypatch.setattr(cli, "scatter_stage", lambda inputs: (
+            dict(reports["scatter"]), None))
+        monkeypatch.setattr(cli, "gp_stage", lambda inputs, thr: (
+            dict(reports["gp"]), None))
+        raw = cli.default_config()
+        raw["pipeline"] = ["scatter", "gp", "kernels"]
+        raw["stages"]["scatter"]["n_pts"] = 8192
+        cli.run(raw)
+        assert swept == [8192]
 
     def test_fock_suite_selection(self, tmp_path):
         out = tmp_path / "fock.json"

@@ -8,6 +8,8 @@ instead: the virial balance, the chemical-potential identity, energy
 monotonicity, and the zero mode of the linearization.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -110,6 +112,22 @@ class TestInteracting:
             minimize_gp(trap, -0.1)
         with pytest.raises(InvalidParameterError):
             minimize_gp(trap, 0.1, n_pts=16)
+
+    def test_a_flow_that_cannot_converge_stalls(self, capsys):
+        # at a0 = 1e30 the residual never falls; the flow gives up after
+        # one window of accepted steps, not after max_iter
+        with pytest.raises(SolverFailureError, match="stalled") as err:
+            minimize_gp(make_trap("harmonic", 800, 8.0), 1e30)
+        steps = int(re.search(r"after (\d+) steps", str(err.value))[1])
+        assert gp._STALL_WINDOW <= steps < 2 * gp._STALL_WINDOW
+        assert cli.main(["gp", "--a0", "1e30"]) == 2
+        assert "stalled" in capsys.readouterr().err
+
+    def test_a_slow_flow_is_not_a_stall(self):
+        # the harmonic flow at a0 = 1000 takes 180 steps, past the window
+        state = minimize_gp(make_trap("harmonic", 800, 8.0), 1000.0)
+        assert state.iterations > gp._STALL_WINDOW
+        assert state.residual <= state.tol_applied
 
 
 class TestQuartic:

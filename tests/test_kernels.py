@@ -147,7 +147,8 @@ class TestCorrelationG:
         Gz = build_G(solve_neumann(zero_well, 0.5, 64))
         assert Gz.hat_at_zero == 0.0
         r = np.linspace(0.0, 1.0, 11)
-        assert np.all(-Gz.N * Gz.sol.w_ell(Gz.N * r) == 0.0)
+        assert np.all(-Gz.N * np.interp(Gz.N * r, Gz.sol.r_grid, Gz.sol.w,
+                                         right=0.0) == 0.0)
 
 
 class TestBandConvolve:
@@ -278,7 +279,8 @@ class TestFactorized:
         r = np.array([0.05, 0.1, 0.2, 0.3, 0.45])
         low = radial_fourier_inverse(G64.hat(p), p[1] - p[0], r)
         split = eta64.factor(r) + low
-        direct = -G64.N * G64.sol.w_ell(G64.N * r)
+        direct = -G64.N * np.interp(G64.N * r, G64.sol.r_grid, G64.sol.w,
+                                   right=0.0)
         scale = np.max(np.abs(direct))
         assert np.max(np.abs(split - direct)) < 1e-5 * scale
 

@@ -17,7 +17,6 @@ from gpregime.radial import (
     filon_cos,
     radial_fourier,
     radial_fourier_inverse,
-    radial_moment,
 )
 from gpregime.errors import InvalidParameterError
 
@@ -113,16 +112,6 @@ def test_transform_round_trip():
     what = radial_fourier(w, h, p)
     back = radial_fourier_inverse(what, hp, r[:: 64])
     assert_allclose(back, w[::64], rtol=0, atol=5e-8)
-
-
-def test_moments_against_closed_forms():
-    # Gaussian moments: int_0^inf exp(-r^2) r^2 dr = sqrt(pi)/4 and
-    # the r^4 moment is 3 sqrt(pi)/8; the tail beyond r=8 is below 1e-27
-    r = np.linspace(0.0, 8.0, 2049)
-    h = r[1]
-    w = np.exp(-r ** 2)
-    assert_allclose(radial_moment(w, h, 2), np.sqrt(np.pi) / 4, rtol=1e-10)
-    assert_allclose(radial_moment(w, h, 4), 3 * np.sqrt(np.pi) / 8, rtol=1e-10)
 
 
 def test_domain_validation():

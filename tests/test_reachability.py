@@ -6,8 +6,9 @@ src/gpregime names outside its own definition is reached only by tests
 benchmark tracer target (perfbench/tracer.py's TARGETS). Such code is
 deleted together with its tests, so this scan fails on a new one. Names
 are matched by spelling, not by binding: a name used anywhere in the
-package keeps every definition of that name. Module-level dunders
-(PEP 562's __getattr__) are called by the interpreter and are skipped.
+package keeps every definition of that name, except that a classmethod is
+kept only by the spelling ClassName.method. Module-level dunders (PEP
+562's __getattr__) are called by the interpreter and are skipped.
 """
 
 import ast
@@ -33,7 +34,8 @@ _FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _definitions(module, tree):
-    """(qualified name, bare name, first line, last line) per definition."""
+    """(qualified name, the spelling that reaches it, first line, last
+    line) per definition; a classmethod's spelling is ClassName.method."""
     for node in tree.body:
         if not isinstance(node, (*_FUNCS, ast.ClassDef)) \
                 or node.name.startswith("__") and node.name.endswith("__"):
@@ -43,17 +45,24 @@ def _definitions(module, tree):
             continue
         for item in node.body:
             if isinstance(item, _FUNCS) and not item.name.startswith("_"):
-                yield (f"{module}.{node.name}.{item.name}", item.name,
-                       item.lineno, item.end_lineno)
+                by_class = any(getattr(d, "id", None) == "classmethod"
+                               for d in item.decorator_list)
+                yield (f"{module}.{node.name}.{item.name}",
+                       f"{node.name}.{item.name}" if by_class
+                       else item.name, item.lineno, item.end_lineno)
 
 
 def _uses(tree):
-    """(name, line) of every Name and attribute in the tree."""
+    """(name, line) of every Name and attribute in the tree, and
+    (owner.attribute, line) of every attribute of a name or attribute."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
         elif isinstance(node, ast.Attribute):
             yield node.attr, node.lineno
+            owner = getattr(node.value, "id", getattr(node.value, "attr", None))
+            if owner is not None:
+                yield f"{owner}.{node.attr}", node.lineno
 
 
 def unreached(allowed=ALLOWED):
@@ -84,3 +93,13 @@ def test_every_allowed_name_is_still_unreached():
     # an allowlist entry that the package now names, or that is gone, is
     # stale and must go
     assert sorted(unreached(allowed={})) == sorted(ALLOWED)
+
+
+def test_a_classmethod_is_reached_only_through_its_class():
+    tree = ast.parse("class A:\n    @classmethod\n    def load(cls): pass\n"
+                     "class B:\n    @classmethod\n    def load(cls): pass\n"
+                     "A.load()\n")
+    spelled = {qual: name for qual, name, _, _ in _definitions("m", tree)}
+    used = {name for name, _ in _uses(tree)}
+    assert spelled["m.A.load"] in used
+    assert spelled["m.B.load"] not in used

@@ -217,12 +217,6 @@ class TestNeumann:
         assert np.all(np.diff(f) >= -1e-10)
         assert np.all(neu100.w >= -1e-12) and np.all(neu100.w <= 1.0 + 1e-12)
 
-    def test_profiles_extend_correctly(self, neu100):
-        L = neu100.radius
-        assert neu100.f_ell(L + 1.0) == 1.0
-        assert neu100.w_ell(L + 1.0) == 0.0
-        assert abs(neu100.f_ell(L / 2) - np.interp(L / 2, neu100.r_grid, neu100.f)) < 1e-14
-
     def test_grid_convergence_is_cauchy(self, well, neu100):
         finer = solve_neumann(well, 0.5, 100, n_pts=8192)
         assert abs(finer.lambda_ell - neu100.lambda_ell) / neu100.lambda_ell < 1e-6
