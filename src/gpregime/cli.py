@@ -377,7 +377,7 @@ def scatter_stage(inputs):
     kernels sweep can reuse.
     """
     potential, ell, n, n_pts, sweep_nl = inputs
-    ref = solve_zero_energy(potential)
+    ref = solve_zero_energy(potential, n_pts=n_pts)
     trivial = potential.zero
     base = solve_neumann(potential, ell, n, n_pts)
 
@@ -599,12 +599,11 @@ def kernels_stage(inputs, scatter, state, solved):
     """The kernel sweep on the scatter stage's potential at its n_pts; a
     row that matches solved, that stage's Neumann solution, reuses it."""
     alpha, beta, ells, tol = inputs
-    rep = kernels.sweep_kernels(scatter.potential, state, alpha=alpha,
-                                beta=beta, ells=ells, tol=tol,
-                                n_pts=scatter.n_pts, solved=solved)
+    rows = kernels.sweep_kernels(scatter.potential, state, alpha=alpha,
+                                 beta=beta, ells=ells, tol=tol,
+                                 n_pts=scatter.n_pts, solved=solved)
     return {"alpha": alpha, "beta": beta,
-            "tuples": [[float(ell), float(n)] for ell, n in rep.tuples],
-            "rows": [dict(r) for r in rep.rows]}
+            "tuples": [[r["ell"], r["N"]] for r in rows], "rows": rows}
 
 
 def kernels_entries(report, thr):
@@ -972,34 +971,27 @@ def run(config):
 # artifact writing
 # ---------------------------------------------------------------------------
 
-def _write_json(path, obj):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_csv(path, rows, columns=None):
-    if not rows:
+def _emit(report, out, table):
+    """Write the JSON report to out and its (rows, columns) table, if it
+    has rows, to the .csv sibling, columns defaulting to the first row's
+    keys sorted and floats written by repr; with no out, print the
+    report."""
+    text = json.dumps(report, indent=2, sort_keys=True)
+    if out is None:
+        print(text)
         return
-    columns = columns or sorted(rows[0])
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n",
-                                extrasaction="ignore")
+    with open(out, "w") as fh:
+        fh.write(text + "\n")
+    if not table or not table[0]:
+        return
+    rows, columns = table
+    with open(os.path.splitext(out)[0] + ".csv", "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=columns or sorted(rows[0]),
+                                lineterminator="\n", extrasaction="ignore")
         writer.writeheader()
         for row in rows:
             writer.writerow({k: repr(v) if isinstance(v, float) else v
                              for k, v in row.items()})
-
-
-def _emit(report, out, table=None):
-    """Write the JSON report to out and its (rows, columns) table, if
-    any, to the .csv sibling; with no out, print the report."""
-    if out is None:
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return
-    _write_json(out, report)
-    if table is not None:
-        _write_csv(os.path.splitext(out)[0] + ".csv", *table)
 
 
 # ---------------------------------------------------------------------------
@@ -1100,24 +1092,18 @@ def cmd_run(args):
     cfg = parse_config(data)
     bundle = run(cfg)
     stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    out_dir = args.out
+    out_dir = args.out or None
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        _write_json(os.path.join(out_dir, "bundle.json"),
-                    bundle.to_dict(timestamp=stamp))
-        _write_csv(os.path.join(out_dir, "bundle.csv"),
-                   [{"id": e["id"], "pass": e["pass"],
-                     "trivial": e.get("trivial", False)}
-                    for e in bundle.entries],
-                   columns=["id", "pass", "trivial"])
         for name, rep in bundle.stage_reports.items():
-            _write_json(os.path.join(out_dir, f"{name}.json"), rep)
-            if _STAGES[name].table is not None:
-                _write_csv(os.path.join(out_dir, f"{name}.csv"),
-                           *_STAGES[name].table(rep))
-    else:
-        print(json.dumps(bundle.to_dict(timestamp=stamp), indent=2,
-                         sort_keys=True))
+            table = _STAGES[name].table
+            _emit(rep, os.path.join(out_dir, f"{name}.json"),
+                  table and table(rep))
+    _emit(bundle.to_dict(timestamp=stamp),
+          out_dir and os.path.join(out_dir, "bundle.json"),
+          ([{"id": e["id"], "pass": e["pass"],
+             "trivial": e.get("trivial", False)} for e in bundle.entries],
+           ["id", "pass", "trivial"]))
     for e in bundle.entries:
         flag = "PASS" if e["pass"] else "FAIL"
         extra = " (trivial)" if e.get("trivial") else ""

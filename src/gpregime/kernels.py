@@ -54,17 +54,12 @@ class CorrelationG:
     """Pair kernel G(x) = -N w_ell(N|x|) with its transform.
 
     Ghat(p) = -what_ell(p / N) / N^2, so the decay certificate
-    sup_p p^2 |Ghat(p)| equals sup_q q^2 |what(q)| independently of N.
+    sup_p p^2 |Ghat(p)| equals sup_q q^2 |what(q)| (sol.fourier.sup_p2)
+    independently of N.
     """
 
     sol: object = field(repr=False)
     N: float
-    ell: float
-    support_radius: float
-    hat_at_zero: float
-    sup_p2: float
-    argmax_p: float
-    refinement_defect: float
 
     def hat(self, p):
         """Ghat(p), elementwise for p >= 0.
@@ -96,89 +91,30 @@ class CorrelationG:
 
 def build_G(sol):
     """Assemble the pair kernel from a converged ball solution."""
-    report = sol.fourier
-    N = sol.N_param
-    return CorrelationG(
-        sol=sol, N=float(N), ell=float(sol.ell),
-        support_radius=float(sol.ell),
-        hat_at_zero=float(-sol.int_w / N ** 2),
-        sup_p2=report.sup_p2, argmax_p=float(N * report.argmax_p),
-        refinement_defect=report.refinement_defect)
+    return CorrelationG(sol=sol, N=float(sol.N_param))
 
 
 # ---------------------------------------------------------------------------
-# momentum cutoffs
+# the Gaussian low-pass
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GaussianLowpass:
-    """Norms of the low-pass profile g_L(p) = exp(-(ell^beta p)^2).
+def _lowpass_norms(ell, beta):
+    """(L^1, L^2) norms of the low-pass g_L(p) = exp(-(ell^beta p)^2).
 
-    The position-space profile is an exact Gaussian, so both norms have
-    closed forms; the quadrature values certify the sampled profile.
+    The position-space profile is an exact Gaussian, whose L^1 norm is 1
+    and whose L^2 norm is pi^(3/4) 2^(-3/4) ell^(-3 beta / 2); the norms
+    are quadratures of the sampled profile. The mass quadrature must
+    reproduce 1 or the sampling is broken and the call fails.
     """
-
-    ell: float
-    beta: float
-    sigma: float
-    l1_quad: float
-    l2_quad: float
-    l2_closed: float
-
-
-def build_gaussian_lowpass(ell, beta):
-    """Low-pass kernel at width ell^beta, with norm certificates.
-
-    The L^1 norm of the position profile is 1 exactly; the quadrature
-    must reproduce it or the sampling is broken and the call fails.
-    """
-    if not 0.0 < ell:
-        raise InvalidParameterError(f"box scale must be positive, got {ell}")
-    if beta <= 0.0:
-        raise InvalidParameterError(f"low-pass exponent must be > 0, got {beta}")
     sigma = ell ** beta
     r = np.linspace(0.0, 8.0 * sigma / np.pi, 4097)
     amp = (np.sqrt(np.pi) / sigma) ** 3
     vals = amp * np.exp(-(np.pi * r / sigma) ** 2)
     l1 = 4.0 * np.pi * simpson(vals * r * r, dx=r[1] - r[0])
     l2 = np.sqrt(4.0 * np.pi * simpson(vals ** 2 * r * r, dx=r[1] - r[0]))
-    l2_closed = np.pi ** 0.75 * 2.0 ** -0.75 * sigma ** -1.5
     if abs(l1 - 1.0) > 1e-6:
         raise SolverFailureError(f"low-pass mass quadrature defect {l1 - 1.0:.3e}")
-    return GaussianLowpass(ell=float(ell), beta=float(beta), sigma=float(sigma),
-                           l1_quad=float(l1), l2_quad=float(l2),
-                           l2_closed=float(l2_closed))
-
-
-@dataclass(frozen=True)
-class CutoffPair:
-    """Sharp high-momentum cutoff and its complementary low-pass.
-
-    The high band chi_H is {|p| >= ell^-alpha}; a band's first node is
-    the sharp cutoff, so it owns that node. g_L is the low-pass profile
-    at width ell^beta.
-    """
-
-    ell: float
-    alpha: float
-    beta: float
-    cutoff_momentum: float
-    g_L: GaussianLowpass
-
-
-def make_cutoffs(ell, alpha=4.0, beta=2.0):
-    """Cutoff pair at momentum ell^-alpha with low-pass width ell^beta."""
-    if not 0.0 < ell < 1.0:
-        raise InvalidParameterError(
-            f"box scale must lie in (0, 1), got {ell}")
-    if beta <= 0.0:
-        raise InvalidParameterError(f"low-pass exponent must be > 0, got {beta}")
-    if beta >= alpha:
-        raise InvalidParameterError(
-            f"low-pass exponent {beta} must sit below the high-pass exponent {alpha}")
-    return CutoffPair(ell=float(ell), alpha=float(alpha), beta=float(beta),
-                      cutoff_momentum=float(ell ** -alpha),
-                      g_L=build_gaussian_lowpass(ell, beta))
+    return float(l1), float(l2)
 
 
 # ---------------------------------------------------------------------------
@@ -206,14 +142,9 @@ class FactorizedKernel:
     """
 
     name: str
-    ell: float
-    alpha: float
     N: float
     p_nodes: np.ndarray = field(repr=False)
     fhat: np.ndarray = field(repr=False)
-    left_weight: str
-    right_weight: str
-    state: object = field(repr=False)
 
     @property
     def cutoff_momentum(self):
@@ -223,8 +154,8 @@ class FactorizedKernel:
         return _factor_values(self.p_nodes, self.fhat, r)
 
 
-def _band_nodes(G, cut, n_momentum=None):
-    """Uniform momentum band [cutoff, pmax] with the cutoff as a node.
+def _band_nodes(G, P):
+    """Uniform momentum band [P, pmax] with the cutoff P as a node.
 
     The profile carries two oscillation scales: period N/R from the
     potential edge and period 1/(ell R) from the far end of the
@@ -232,41 +163,32 @@ def _band_nodes(G, cut, n_momentum=None):
     cutoff fraction P/N, so it enters the node budget only when the
     cutoff sits deep below the envelope knee. Budgets beyond the hard
     cap fall back to the cap; the convergence certificate in the norm
-    routines rejects any band that is still too coarse, and n_momentum
-    overrides the estimate.
+    routines rejects any band that is still too coarse.
     """
-    P = cut.cutoff_momentum
     R = G.sol.potential.support_radius
     pmax = max(20.0 * G.N / R, 4.0 * P)
-    if n_momentum is None:
-        spacing = G.N / (_OSC_NODES * R)
-        if P / G.N < 0.2:
-            spacing = min(spacing, 1.0 / (_RIPPLE_NODES * cut.ell * R))
-        natural = int(np.ceil((pmax - P) / spacing))
-        n_int = min(max(natural, _MIN_BAND_INTERVALS), _MAX_BAND_INTERVALS)
-    else:
-        n_int = int(n_momentum)
-        if n_int < 8:
-            raise InvalidParameterError("band needs at least 8 intervals")
+    spacing = G.N / (_OSC_NODES * R)
+    if P / G.N < 0.2:
+        spacing = min(spacing, 1.0 / (_RIPPLE_NODES * G.sol.ell * R))
+    natural = int(np.ceil((pmax - P) / spacing))
+    n_int = min(max(natural, _MIN_BAND_INTERVALS), _MAX_BAND_INTERVALS)
     n_int += n_int % 2  # even interval count so half resolution nests
     return np.linspace(P, pmax, n_int + 1)
 
 
-def build_eta_H(G, state, cut, n_momentum=None):
-    """High-momentum pair kernel phi(x) F(x-y) phi(y), F = (Ghat chi_H)^v;
-    the band's first node is the sharp cutoff, so chi_H is 1 on it."""
-    p_nodes = _band_nodes(G, cut, n_momentum)
-    fhat = G.hat(p_nodes)
-    return FactorizedKernel(
-        name="eta_H", ell=float(cut.ell), alpha=float(cut.alpha),
-        N=float(G.N), p_nodes=p_nodes, fhat=fhat, left_weight="phi",
-        right_weight="phi", state=state)
+def build_eta_H(G, cutoff):
+    """High-momentum pair kernel phi(x) F(x-y) phi(y), F = (Ghat chi_H)^v
+    with chi_H the indicator of |p| >= cutoff; the band's first node is
+    the sharp cutoff, so chi_H is 1 on it."""
+    p_nodes = _band_nodes(G, cutoff)
+    return FactorizedKernel(name="eta_H", N=float(G.N), p_nodes=p_nodes,
+                            fhat=G.hat(p_nodes))
 
 
 def build_nu_H(eta):
-    """High-momentum field kernel F(x-y) phi(y): eta_H's band with a unit
-    left weight."""
-    return replace(eta, name="nu_H", left_weight="one")
+    """High-momentum field kernel F(x-y) phi(y): eta_H's band, which the
+    condensate weight phi enters only on the right."""
+    return replace(eta, name="nu_H")
 
 
 # ---------------------------------------------------------------------------
@@ -504,13 +426,12 @@ class _BandWork:
     These are the self-convolutions K0, K2, K4 ("plain", "grad", "lap")
     at full and half resolution, and the row supremum. eta_H and nu_H of
     one sweep row share their band, so one instance serves eta_norms,
-    nu_norms and hyperbolic of that row; called without one, a routine
-    builds its own, on fresh spectra, and drops it on return.
+    nu_norms and hyperbolic of that row.
     """
 
-    def __init__(self, k, spectra=None):
+    def __init__(self, k, spectra):
         self.p_nodes, self.fhat = k.p_nodes, k.fhat
-        self.spectra = spectra or _Spectra(k.state)
+        self.spectra = spectra
         self._convs = {}
 
     def conv(self, kind, half=False):
@@ -545,27 +466,6 @@ def _factor_sup(k):
                          np.linspace(0.0, 8.0, 801)))
 
 
-@dataclass(frozen=True)
-class EtaNormReport:
-    """Hilbert-Schmidt data for the pair kernel.
-
-    l2 is the HS norm, grad_l2 the HS norm of the one-slot gradient,
-    row_sup the supremum over x of ||eta_x|| / |phi(x)| (the weight
-    cancels, leaving the convolution root), and pointwise_ratio the
-    supremum of |eta| / (N phi phi) = max |F| / N.
-    """
-
-    l2: float
-    grad_l2: float
-    row_sup: float
-    pointwise_ratio: float
-    f_sup: float
-    defect: float
-    cutoff_momentum: float
-    ell: float
-    N: float
-
-
 def _eta_quadratures(work, half):
     sl = slice(None, None, 2 if half else 1)
     sp = work.spectra
@@ -580,22 +480,24 @@ def _eta_quadratures(work, half):
     return l2sq, (t_a, t_b, t_c)
 
 
-def eta_norms(k, work=None):
-    """Norms of the pair kernel via one-dimensional momentum quadrature.
+def eta_norms(k, work):
+    """The pair kernel's entries of a sweep row, by one-dimensional
+    momentum quadrature on the row's _BandWork.
 
-    The gradient norm splits by the product rule into a weight-gradient
-    term, an exact cross term (both inner gradients collapse onto
-    gradients of squares), and a factor-gradient term. A half-resolution
-    rerun of every quadrature serves as the convergence certificate; the
-    call fails rather than returning an uncertified number. work is the
-    row's shared _BandWork, or None for a fresh one.
+    eta_l2 is the Hilbert-Schmidt norm and eta_grad_l2 the HS norm of the
+    one-slot gradient. The gradient norm splits by the product rule into
+    a weight-gradient term, an exact cross term (both inner gradients
+    collapse onto gradients of squares), and a factor-gradient term.
+    eta_row_sup is the supremum over x of ||eta_x|| / |phi(x)| (the
+    weight cancels, leaving the convolution root), and
+    eta_pointwise_ratio the supremum of |eta| / (N phi phi) = max |F| / N.
+    A half-resolution rerun of every quadrature serves as the convergence
+    certificate, eta_defect; the call fails rather than returning an
+    uncertified number.
     """
     if not np.any(k.fhat):
-        return EtaNormReport(l2=0.0, grad_l2=0.0, row_sup=0.0,
-                             pointwise_ratio=0.0, f_sup=0.0, defect=0.0,
-                             cutoff_momentum=k.cutoff_momentum, ell=k.ell,
-                             N=k.N)
-    work = work or _BandWork(k)
+        return dict.fromkeys(("eta_l2", "eta_grad_l2", "eta_row_sup",
+                              "eta_pointwise_ratio", "eta_defect"), 0.0)
     l2sq, parts = _eta_quadratures(work, half=False)
     gradsq = sum(parts)
 
@@ -605,43 +507,27 @@ def eta_norms(k, work=None):
         raise SolverFailureError(
             f"kernel quadrature not converged: defect {defect:.3e}")
 
-    f_sup = _factor_sup(k)
-    return EtaNormReport(
-        l2=float(np.sqrt(l2sq)), grad_l2=float(np.sqrt(gradsq)),
-        row_sup=work.row_sup,
-        pointwise_ratio=float(f_sup / k.N), f_sup=f_sup, defect=float(defect),
-        cutoff_momentum=k.cutoff_momentum, ell=k.ell, N=k.N)
+    return {"eta_l2": float(np.sqrt(l2sq)),
+            "eta_grad_l2": float(np.sqrt(gradsq)),
+            "eta_row_sup": work.row_sup,
+            "eta_pointwise_ratio": float(_factor_sup(k) / k.N),
+            "eta_defect": float(defect)}
 
 
-@dataclass(frozen=True)
-class NuNormReport:
-    """Norms of the field kernel.
+def nu_norms(k, work):
+    """The field kernel's entries of a sweep row; the factor norm is a
+    plain band integral.
 
-    col_sup_ratio is sup_y ||nu_y|| / |phi(y)|, which equals the factor's
-    L^2 norm identically because the right weight cancels; sup_p2_slice
-    certifies the per-momentum slice norms |Ghat(p)| chi_H(p).
+    nu_l2 is the factor's L^2 norm, which also equals sup_y ||nu_y|| /
+    |phi(y)| because the right weight cancels; nu_row_sup is the row
+    supremum of the row's _BandWork. nu_sup_p2 is the largest
+    per-momentum slice norm p^2 |Ghat(p)| chi_H(p) over the band nodes,
+    and nu_defect the half-resolution certificate of the L^2 norm.
     """
-
-    l2: float
-    row_sup: float
-    col_sup_ratio: float
-    sup_p2_slice: float
-    argmax_p: float
-    defect: float
-    cutoff_momentum: float
-    ell: float
-    N: float
-
-
-def nu_norms(k, work=None):
-    """Norms of the field kernel; the factor norm is a plain band integral.
-    work is the row's shared _BandWork, or None for a fresh one."""
     h = k.p_nodes[1] - k.p_nodes[0]
     if not np.any(k.fhat):
-        return NuNormReport(l2=0.0, row_sup=0.0, col_sup_ratio=0.0,
-                            sup_p2_slice=0.0, argmax_p=0.0, defect=0.0,
-                            cutoff_momentum=k.cutoff_momentum, ell=k.ell,
-                            N=k.N)
+        return dict.fromkeys(("nu_l2", "nu_row_sup", "nu_sup_p2",
+                              "nu_defect"), 0.0)
     fsq = 4.0 * np.pi * simpson(k.fhat ** 2 * k.p_nodes ** 2, dx=h)
     fsq_c = 4.0 * np.pi * simpson(k.fhat[::2] ** 2 * k.p_nodes[::2] ** 2,
                                   dx=2.0 * h)
@@ -649,56 +535,32 @@ def nu_norms(k, work=None):
     if not np.isfinite(defect) or defect > _DEFECT_TOL:
         raise SolverFailureError(
             f"kernel quadrature not converged: defect {defect:.3e}")
-    slices = k.p_nodes ** 2 * np.abs(k.fhat)
-    i = int(np.argmax(slices))
-    l2 = float(np.sqrt(fsq))
-    return NuNormReport(
-        l2=l2, row_sup=(work or _BandWork(k)).row_sup, col_sup_ratio=l2,
-        sup_p2_slice=float(slices[i]), argmax_p=float(k.p_nodes[i]),
-        defect=float(defect), cutoff_momentum=k.cutoff_momentum, ell=k.ell,
-        N=k.N)
+    return {"nu_l2": float(np.sqrt(fsq)), "nu_row_sup": work.row_sup,
+            "nu_sup_p2": float(np.max(k.p_nodes ** 2 * np.abs(k.fhat))),
+            "nu_defect": float(defect)}
 
 
 # ---------------------------------------------------------------------------
 # the cubic-term kernel
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HNReport:
-    """Convolution kernel h_N(x) = phi(x) (k_N conv phi^2)(x).
+def build_hN(sol, state, spectra):
+    """The cubic-term kernel's entries of a sweep row, from the ball
+    solution, the minimizer and the sweep's _Spectra.
 
-    k_N(z) = N^3 (V w_ell)(N z) concentrates as N grows, so h_N approaches
-    (int V w_ell) phi^3; limit_gap is the L^2 distance to that limit and
-    young_bound the L^1-L^inf product dominating sup |h_N|.
+    h_N(x) = phi(x) (k_N conv phi^2)(x) with k_N(z) = N^3 (V w_ell)(N z),
+    which concentrates as N grows, so h_N approaches (int V w_ell) phi^3.
+    hn_l2 and hn_sup are the L^2 and sup norms of h_N, and hn_limit_gap
+    the L^2 distance to that limit. The convolution is carried out in
+    momentum space: the transform of k_N is the well-supported transform
+    of V w evaluated at p / N, which is smooth there, so no oscillatory
+    quadrature is needed.
     """
-
-    N: float
-    ell: float
-    grid: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
-    l2: float
-    sup: float
-    int_kernel: float
-    kernel_l1: float
-    limit_gap: float
-    young_bound: float
-
-
-def build_hN(sol, state, spectra=None):
-    """Cubic-term kernel from the ball solution and the minimizer.
-
-    The convolution is carried out in momentum space: the transform of
-    k_N is the well-supported transform of V w evaluated at p / N, which
-    is smooth there, so no oscillatory quadrature is needed. spectra is
-    the sweep's shared _Spectra, or None for a fresh one.
-    """
-    spectra = spectra or _Spectra(state)
     N = sol.N_param
     fvals, h_well, r0 = sol.segments[0]
     r_well = r0 + np.arange(fvals.size) * h_well
     vw = sol.potential(r_well) * (1.0 - fvals)
     int_vw = 4.0 * np.pi * simpson(vw * r_well ** 2, dx=h_well)
-    kernel_l1 = 4.0 * np.pi * simpson(np.abs(vw) * r_well ** 2, dx=h_well)
 
     s_grid = spectra.s_grid
     q = s_grid / N
@@ -715,36 +577,13 @@ def build_hN(sol, state, spectra=None):
     l2 = np.sqrt(4.0 * np.pi * simpson(values ** 2 * r * r, dx=state.h))
     gap = np.sqrt(4.0 * np.pi * simpson((values - limit) ** 2 * r * r,
                                         dx=state.h))
-    return HNReport(
-        N=float(N), ell=float(sol.ell), grid=state.grid, values=values,
-        l2=float(l2), sup=float(np.max(np.abs(values))),
-        int_kernel=float(int_vw), kernel_l1=float(kernel_l1),
-        limit_gap=float(gap),
-        young_bound=float(kernel_l1 * np.max(np.abs(state.phi)) ** 3))
+    return {"hn_l2": float(l2), "hn_sup": float(np.max(np.abs(values))),
+            "hn_limit_gap": float(gap)}
 
 
 # ---------------------------------------------------------------------------
 # hyperbolic remainders
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HyperbolicKernels:
-    """Norm bounds of the sinh / cosh remainders of the pair kernel.
-
-    p_k = sinh(eta) - eta and r_eta = cosh(eta) - id are power series in
-    eta; p_norm and r_norm are their submultiplicative Hilbert-Schmidt
-    bounds. The tail dropped beyond series_depth is bounded by
-    ||eta||^(2 depth) / (2 depth)!, kept below the requested tolerance.
-    """
-
-    series_depth: int
-    tail_bound: float
-    grad_eta_l2: float
-    p_norm: float
-    r_norm: float
-    grad_p_norm: float
-    lap_p_norm: float
-
 
 def _lap_eta_bound(work):
     """Triangle bound on the one-slot Laplacian's HS norm.
@@ -762,25 +601,24 @@ def _lap_eta_bound(work):
                for t in (t_weight, t_cross, t_factor))
 
 
-def hyperbolic(k, tol=1e-12, norms=None, work=None):
-    """Certified norm bounds of the series sinh - eta and cosh - id.
+def hyperbolic(norms, work, tol):
+    """The sinh / cosh remainders' entries of a sweep row: certified norm
+    bounds of p_k = sinh(eta) - eta and r_eta = cosh(eta) - id.
 
-    Requires the HS norm of the base kernel below 1; the depth is the
-    smallest d with eta_l2^(2d) / (2d)! < tol, which dominates the whole
-    dropped tail since the series is submultiplicative. Norm fields are
-    the corresponding series bounds; gradient and Laplacian bounds chain
-    one slot derivative through ||D eta|| ||eta||^(m-1). norms are k's
-    eta_norms and work the row's shared _BandWork, each computed here
-    when None.
+    norms are the row's eta_norms entries and work its _BandWork. Both
+    series are power series in eta; p_norm and r_norm are their
+    submultiplicative Hilbert-Schmidt bounds, and grad_p_norm and
+    lap_p_norm chain one slot derivative through ||D eta|| ||eta||^(m-1).
+    Requires the HS norm of the base kernel below 1; series_depth is the
+    smallest d with eta_l2^(2d) / (2d)! < tol, and tail_bound that value,
+    which dominates the whole dropped tail since the series is
+    submultiplicative.
     """
-    work = work or _BandWork(k)
-    if norms is None:
-        norms = eta_norms(k, work)
-    l2 = norms.l2
+    l2 = norms["eta_l2"]
     if l2 == 0.0:
-        return HyperbolicKernels(
-            series_depth=0, tail_bound=0.0, grad_eta_l2=0.0, p_norm=0.0,
-            r_norm=0.0, grad_p_norm=0.0, lap_p_norm=0.0)
+        return dict.fromkeys(("p_norm", "r_norm", "grad_p_norm",
+                              "lap_p_norm", "series_depth", "tail_bound"),
+                             0.0)
     if l2 >= 1.0:
         raise InvalidRegimeError(
             f"pair kernel HS norm {l2:.4f} >= 1: hyperbolic series "
@@ -799,94 +637,78 @@ def hyperbolic(k, tol=1e-12, norms=None, work=None):
     ks = np.arange(1, depth + 1)
     odd_c = np.array([1.0 / math.factorial(2 * j + 1) for j in ks])
     even_c = np.array([1.0 / math.factorial(2 * j) for j in ks])
-    p_norm = float(np.sum(l2 ** (2 * ks + 1) * odd_c))
-    r_norm = float(np.sum(l2 ** (2 * ks) * even_c))
     chain_odd = float(np.sum(l2 ** (2 * ks) * odd_c))
-
-    return HyperbolicKernels(
-        series_depth=int(depth), tail_bound=float(tail),
-        grad_eta_l2=float(norms.grad_l2), p_norm=p_norm, r_norm=r_norm,
-        grad_p_norm=float(norms.grad_l2 * chain_odd),
-        lap_p_norm=float(_lap_eta_bound(work) * chain_odd))
+    return {"p_norm": float(np.sum(l2 ** (2 * ks + 1) * odd_c)),
+            "r_norm": float(np.sum(l2 ** (2 * ks) * even_c)),
+            "grad_p_norm": float(norms["eta_grad_l2"] * chain_odd),
+            "lap_p_norm": float(_lap_eta_bound(work) * chain_odd),
+            "series_depth": float(depth), "tail_bound": float(tail)}
 
 
 # ---------------------------------------------------------------------------
 # sweep driver
 # ---------------------------------------------------------------------------
 
-def default_sweep_tuples(alpha, ells=(0.5, 0.25, 0.125), support_radius=1.0,
-                         cutoff_fraction=0.25):
+# The cutoff as a fraction of the interaction's momentum scale N / R.
+_CUTOFF_FRACTION = 0.25
+
+
+def default_sweep_tuples(alpha, ells=(0.5, 0.25, 0.125), support_radius=1.0):
     """(ell, N) pairs holding the cutoff at a fixed fraction of N / R.
 
     The box-scale laws are uniform in N only while the cutoff stays well
     inside the interaction's momentum envelope; pinning
-    cutoff = fraction * N / R keeps every sweep point in that regime, so
-    fitted slopes measure the exponent and not the envelope's knee.
+    cutoff = _CUTOFF_FRACTION * N / R keeps every sweep point in that
+    regime, so fitted slopes measure the exponent and not the envelope's
+    knee.
     """
     return tuple(
         (float(ell),
-         int(np.ceil(ell ** -alpha * support_radius / cutoff_fraction)))
+         int(np.ceil(ell ** -alpha * support_radius / _CUTOFF_FRACTION)))
         for ell in ells)
 
 
-@dataclass(frozen=True)
-class KernelSweepReport:
-    """Per-tuple kernel norms with the series laid out for slope fits."""
-
-    alpha: float
-    beta: float
-    tuples: tuple
-    rows: tuple
-
-
 def sweep_kernels(potential, state, alpha=4.0, beta=2.0,
-                  ells=(0.5, 0.25, 0.125), tuples=None, tol=1e-12,
-                  n_pts=4096, solved=None):
+                  ells=(0.5, 0.25, 0.125), tol=1e-12, n_pts=4096,
+                  solved=None):
     """Solve, build, and measure every kernel across a box-scale sweep.
 
+    Returns one row per (ell, N) of default_sweep_tuples: the high band
+    starts at the cutoff momentum ell^-alpha, the Gaussian low-pass has
+    width ell^beta (gauss_l1, gauss_l2 are its norms), g_sup_p2 is the
+    decay certificate of Ghat and g_hat_zero its value at 0, and the
+    routines eta_norms, nu_norms, hyperbolic and build_hN give the rest.
     solved is an optional NeumannSolution computed earlier, such as the
     scatter stage's; a row whose potential, (ell, N) and n_pts it matches
     uses it instead of solving again. N is compared as a float.
     """
-    if tuples is None:
-        tuples = default_sweep_tuples(alpha, ells, potential.support_radius)
+    if not 0.0 < beta < alpha:
+        raise InvalidParameterError(
+            f"low-pass exponent {beta} must lie in (0, alpha = {alpha})")
     rows = []
     # One set of condensate transforms for the sweep; per row one band,
     # shared by eta_H and nu_H (they differ only in the left weight), and
     # one set of its convolutions.
     spectra = _Spectra(state)
-    for ell, N in tuples:
+    for ell, N in default_sweep_tuples(alpha, ells, potential.support_radius):
         if solved is not None and solved.potential is potential and (
                 solved.ell, solved.N_param, solved.n_pts) == (ell, N, n_pts):
             sol = solved
         else:
             sol = solve_neumann(potential, ell, N, n_pts)
-        G = build_G(sol)
-        cut = make_cutoffs(ell, alpha, beta)
-        eta = build_eta_H(G, state, cut)
+        cutoff = float(ell ** -alpha)
+        eta = build_eta_H(build_G(sol), cutoff)
         work = _BandWork(eta, spectra)
-        en = eta_norms(eta, work=work)
-        nn = nu_norms(build_nu_H(eta), work=work)
-        hy = hyperbolic(eta, tol, en, work=work)
-        hn = build_hN(sol, state, spectra=spectra)
+        en = eta_norms(eta, work)
+        gauss_l1, gauss_l2 = _lowpass_norms(ell, beta)
         rows.append({
             "ell": float(ell), "N": float(N), "big_ell": float(ell * N),
             "alpha": float(alpha), "beta": float(beta),
-            "cutoff_momentum": cut.cutoff_momentum,
-            "eta_l2": en.l2, "eta_grad_l2": en.grad_l2,
-            "eta_row_sup": en.row_sup,
-            "eta_pointwise_ratio": en.pointwise_ratio,
-            "nu_l2": nn.l2, "nu_row_sup": nn.row_sup,
-            "nu_sup_p2": nn.sup_p2_slice,
-            "g_sup_p2": G.sup_p2, "g_hat_zero": G.hat_at_zero,
-            "p_norm": hy.p_norm, "r_norm": hy.r_norm,
-            "grad_p_norm": hy.grad_p_norm, "lap_p_norm": hy.lap_p_norm,
-            "series_depth": float(hy.series_depth),
-            "tail_bound": hy.tail_bound,
-            "gauss_l1": cut.g_L.l1_quad, "gauss_l2": cut.g_L.l2_quad,
-            "hn_l2": hn.l2, "hn_sup": hn.sup,
-            "hn_limit_gap": hn.limit_gap,
-            "eta_defect": en.defect, "nu_defect": nn.defect,
+            "cutoff_momentum": cutoff, "g_sup_p2": sol.fourier.sup_p2,
+            "g_hat_zero": float(-sol.int_w / sol.N_param ** 2),
+            "gauss_l1": gauss_l1, "gauss_l2": gauss_l2,
+            **en, **nu_norms(build_nu_H(eta), work),
+            **hyperbolic(en, work, tol),
+            **build_hN(sol, state, spectra),
         })
-    return KernelSweepReport(alpha=float(alpha), beta=float(beta),
-                             tuples=tuple(tuples), rows=tuple(rows))
+    return rows

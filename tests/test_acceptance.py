@@ -174,7 +174,7 @@ def test_criterion_07_kernel_scaling(kernel_sweep):
     sweep, elapsed = kernel_sweep
 
     def series(key):
-        return [r[key] for r in sweep.rows]
+        return [r[key] for r in sweep]
 
     ells = series("ell")
     eta_slope = _loglog_slope(ells, series("eta_l2"))
@@ -182,7 +182,7 @@ def test_criterion_07_kernel_scaling(kernel_sweep):
     p_slope = _loglog_slope(ells, series("p_norm"))
     r_slope = _loglog_slope(ells, series("r_norm"))
     grads = [g / np.sqrt(row["N"]) for g, row in
-             zip(series("eta_grad_l2"), sweep.rows)]
+             zip(series("eta_grad_l2"), sweep)]
     grad_spread = max(grads) / min(grads) - 1.0
     l1_defect = max(abs(v - 1.0) for v in series("gauss_l1"))
     l2_slope = _loglog_slope(ells, series("gauss_l2"))

@@ -450,6 +450,23 @@ class TestScatterStage:
         assert len(rep["sweep"]) == 3
         assert all(r["big_ell"] == r["N"] * r["ell"] for r in rep["sweep"])
 
+    def test_reference_solve_runs_at_the_stage_n_pts(self, monkeypatch):
+        # the zero-energy reference, a0 included, at the Neumann solves'
+        # n_pts, not at solve_zero_energy's default
+        seen = []
+        real = cli.solve_zero_energy
+
+        def reference(potential, **kwargs):
+            seen.append(kwargs.get("n_pts"))
+            return real(potential, **kwargs)
+        monkeypatch.setattr(cli, "solve_zero_energy", reference)
+        inputs = cli._parse_stage("scatter", {"n_pts": 8192,
+                                              "sweep_nl": [25.0]})
+        rep, _ = cli.scatter_stage(inputs)
+        assert seen == [8192]
+        assert rep["grids"]["n_pts"] == 8192
+        assert rep["a0"] == real(inputs.potential, n_pts=8192).a0
+
 
 class TestGpStage:
     def test_multiplier_identity_to_roundoff(self):
@@ -542,9 +559,7 @@ class TestCommandLine:
 
         def sweep(*args, n_pts, **kwargs):
             swept.append(n_pts)
-            return cli.kernels.KernelSweepReport(
-                report["alpha"], report["beta"], report["tuples"],
-                report["rows"])
+            return report["rows"]
 
         monkeypatch.setattr(cli.kernels, "sweep_kernels", sweep)
         return swept

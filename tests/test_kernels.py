@@ -28,25 +28,39 @@ from gpregime.kernels import (
     _BandWork,
     _Spectra,
     _band_convolve,
+    _lowpass_norms,
     _moment_lookup,
     _moment_table,
     _node_rule,
     _simpson_weights,
     build_G,
     build_eta_H,
-    build_gaussian_lowpass,
     build_hN,
     build_nu_H,
     default_sweep_tuples,
     eta_norms,
     hyperbolic,
-    make_cutoffs,
     nu_norms,
     sweep_kernels,
 )
 from gpregime.potentials import make_square_well, make_trap
 from gpregime.radial import radial_fourier_inverse
 from gpregime.scattering import solve_neumann
+
+# the high-band cutoff ell^-alpha at (ell, alpha) = (0.5, 4)
+CUTOFF = 0.5 ** -4.0
+
+# every entry of a sweep row, and those the sweep sets itself rather
+# than taking from eta_norms, nu_norms, hyperbolic and build_hN
+ROW_KEYS = {
+    "ell", "N", "big_ell", "alpha", "beta", "cutoff_momentum", "g_sup_p2",
+    "g_hat_zero", "gauss_l1", "gauss_l2", "eta_l2", "eta_grad_l2",
+    "eta_row_sup", "eta_pointwise_ratio", "eta_defect", "nu_l2",
+    "nu_row_sup", "nu_sup_p2", "nu_defect", "p_norm", "r_norm",
+    "grad_p_norm", "lap_p_norm", "series_depth", "tail_bound", "hn_l2",
+    "hn_sup", "hn_limit_gap"}
+SWEEP_KEYS = {"ell", "N", "big_ell", "alpha", "beta", "cutoff_momentum",
+              "g_sup_p2", "g_hat_zero", "gauss_l1", "gauss_l2"}
 
 
 @pytest.fixture(scope="module")
@@ -75,18 +89,33 @@ def G64(sol64):
 
 
 @pytest.fixture(scope="module")
-def cuts():
-    return make_cutoffs(0.5, 4.0, 2.0)
+def spectra(state):
+    return _Spectra(state)
 
 
 @pytest.fixture(scope="module")
-def eta64(G64, state, cuts):
-    return build_eta_H(G64, state, cuts)
+def eta64(G64):
+    return build_eta_H(G64, CUTOFF)
 
 
 @pytest.fixture(scope="module")
-def eta64_report(eta64):
-    return eta_norms(eta64)
+def work64(eta64, spectra):
+    return _BandWork(eta64, spectra)
+
+
+@pytest.fixture(scope="module")
+def eta64_report(eta64, work64):
+    return eta_norms(eta64, work64)
+
+
+@pytest.fixture(scope="module")
+def sol_zero(zero_well):
+    return solve_neumann(zero_well, 0.5, 64)
+
+
+@pytest.fixture(scope="module")
+def eta_zero(sol_zero):
+    return build_eta_H(build_G(sol_zero), CUTOFF)
 
 
 @pytest.fixture(scope="module")
@@ -98,54 +127,66 @@ def loglog_slope(ells, vals):
     return np.polyfit(np.log(np.asarray(ells)), np.log(np.asarray(vals)), 1)[0]
 
 
-def slope_of(sweep_report, key):
-    return loglog_slope([r["ell"] for r in sweep_report.rows],
-                        [r[key] for r in sweep_report.rows])
+def slope_of(rows, key):
+    return loglog_slope([r["ell"] for r in rows], [r[key] for r in rows])
+
+
+def well_mass(sol, weight):
+    """4 pi int weight(V w) r^2 dr over the ball solution's well."""
+    fvals, h_well, r0 = sol.segments[0]
+    r = r0 + np.arange(fvals.size) * h_well
+    vw = sol.potential(r) * (1.0 - fvals)
+    return 4.0 * np.pi * radial.simpson(weight(vw) * r ** 2, dx=h_well)
 
 
 class TestCutoffs:
-    def test_cutoff_momentum_scale(self, cuts):
-        assert cuts.cutoff_momentum == pytest.approx(0.5 ** -4.0, rel=1e-12)
+    def test_cutoff_momentum_scale(self, sweep, eta64):
+        assert eta64.cutoff_momentum == CUTOFF
+        for row in sweep:
+            assert row["cutoff_momentum"] == pytest.approx(
+                row["ell"] ** -4.0, rel=1e-12)
 
     def test_lowpass_mass_is_one(self):
-        g = build_gaussian_lowpass(0.5, 2.0)
-        assert abs(g.l1_quad - 1.0) < 1e-8
+        l1, _ = _lowpass_norms(0.5, 2.0)
+        assert abs(l1 - 1.0) < 1e-8
 
     def test_lowpass_l2_matches_closed_form(self):
-        g = build_gaussian_lowpass(0.5, 2.0)
-        assert g.l2_quad == pytest.approx(g.l2_closed, rel=1e-6)
-        assert g.l2_closed == pytest.approx(
-            np.pi ** 0.75 * 2.0 ** -0.75 * g.sigma ** -1.5, rel=1e-12)
+        sigma = 0.5 ** 2.0
+        _, l2 = _lowpass_norms(0.5, 2.0)
+        assert l2 == pytest.approx(
+            np.pi ** 0.75 * 2.0 ** -0.75 * sigma ** -1.5, rel=1e-6)
 
     def test_lowpass_l2_scaling_in_box_scale(self):
         ells = (0.5, 0.25, 0.125)
-        vals = [build_gaussian_lowpass(ell, 2.0).l2_quad for ell in ells]
+        vals = [_lowpass_norms(ell, 2.0)[1] for ell in ells]
         assert loglog_slope(ells, vals) == pytest.approx(-3.0, abs=0.05)
 
-    def test_invalid_parameters_raise(self):
+    def test_invalid_parameters_raise(self, well, state):
         with pytest.raises(InvalidParameterError):
-            make_cutoffs(1.2, 4.0, 2.0)
+            sweep_kernels(well, state, ells=(1.2,))
         with pytest.raises(InvalidParameterError):
-            make_cutoffs(0.5, 4.0, 0.0)
+            sweep_kernels(well, state, alpha=4.0, beta=0.0)
         with pytest.raises(InvalidParameterError):
-            make_cutoffs(0.5, 2.0, 3.0)
+            sweep_kernels(well, state, alpha=2.0, beta=3.0)
 
 
 class TestCorrelationG:
-    def test_hat_at_zero_is_scaled_mass(self, G64, sol64):
-        assert G64.hat_at_zero == pytest.approx(-sol64.int_w / 64.0 ** 2,
-                                                rel=1e-12)
+    def test_hat_at_zero_is_scaled_mass(self, G64, sol64, sweep):
+        want = -sol64.int_w / 64.0 ** 2
+        assert G64.hat(0.0)[0] == pytest.approx(want, rel=1e-12)
+        assert sweep[0]["g_hat_zero"] == pytest.approx(want, rel=1e-12)
 
-    def test_quadratic_sup_is_scale_free(self, well, G64):
-        other = build_G(solve_neumann(well, 0.5, 128))
-        assert other.sup_p2 == pytest.approx(G64.sup_p2, rel=0.01)
+    def test_quadratic_sup_is_scale_free(self, well, sol64):
+        other = solve_neumann(well, 0.5, 128)
+        assert other.fourier.sup_p2 == pytest.approx(sol64.fourier.sup_p2,
+                                                     rel=0.01)
 
-    def test_transform_certificate(self, G64):
-        assert G64.refinement_defect < 5e-3
+    def test_transform_certificate(self, sol64):
+        assert sol64.fourier.refinement_defect < 5e-3
 
-    def test_zero_potential_vanishes(self, zero_well, state, cuts):
-        Gz = build_G(solve_neumann(zero_well, 0.5, 64))
-        assert Gz.hat_at_zero == 0.0
+    def test_zero_potential_vanishes(self, sol_zero):
+        Gz = build_G(sol_zero)
+        assert Gz.hat(0.0)[0] == 0.0
         r = np.linspace(0.0, 1.0, 11)
         assert np.all(-Gz.N * np.interp(Gz.N * r, Gz.sol.r_grid, Gz.sol.w,
                                          right=0.0) == 0.0)
@@ -272,10 +313,9 @@ class TestBandConvolve:
 
 
 class TestFactorized:
-    def test_split_identity_recovers_position_values(self, G64, eta64, cuts):
+    def test_split_identity_recovers_position_values(self, G64, eta64):
         # highpass factor plus lowpass remainder must reproduce G
-        P = cuts.cutoff_momentum
-        p = np.linspace(0.0, P, 4097)
+        p = np.linspace(0.0, CUTOFF, 4097)
         r = np.array([0.05, 0.1, 0.2, 0.3, 0.45])
         low = radial_fourier_inverse(G64.hat(p), p[1] - p[0], r)
         split = eta64.factor(r) + low
@@ -293,9 +333,9 @@ class TestFactorized:
         pos = 4.0 * np.pi * simpson(F ** 2 * r ** 2, dx=r[1] - r[0])
         assert pos == pytest.approx(band, rel=5e-2)
 
-    def test_band_vanishes_below_cutoff(self, eta64, G64, cuts):
+    def test_band_vanishes_below_cutoff(self, eta64, G64):
         # the band starts at the cutoff and holds Ghat at its nodes
-        assert eta64.p_nodes[0] == cuts.cutoff_momentum
+        assert eta64.p_nodes[0] == CUTOFF
         assert np.all(np.diff(eta64.p_nodes) > 0.0)
         idx = [0, 10, 200]
         assert np.allclose(eta64.fhat[idx], G64.hat(eta64.p_nodes[idx]),
@@ -303,96 +343,87 @@ class TestFactorized:
 
 
 class TestEtaNorms:
-    def test_zero_potential_gives_zero_kernel(self, zero_well, state, cuts):
-        Gz = build_G(solve_neumann(zero_well, 0.5, 64))
-        rep = eta_norms(build_eta_H(Gz, state, cuts))
-        assert rep.l2 == 0.0
-        assert rep.grad_l2 == 0.0
-        assert rep.row_sup == 0.0
-        assert rep.pointwise_ratio == 0.0
+    def test_zero_potential_gives_zero_kernel(self, eta_zero, spectra):
+        rep = eta_norms(eta_zero, _BandWork(eta_zero, spectra))
+        assert rep["eta_l2"] == 0.0
+        assert rep["eta_grad_l2"] == 0.0
+        assert rep["eta_row_sup"] == 0.0
+        assert rep["eta_pointwise_ratio"] == 0.0
 
     def test_l2_scaling_in_box_scale(self, sweep):
         assert slope_of(sweep, "eta_l2") == pytest.approx(2.0, abs=0.2)
 
     def test_gradient_norm_tracks_sqrt_density(self, sweep):
         vals = np.array([row["eta_grad_l2"] / np.sqrt(row["N"])
-                         for row in sweep.rows])
+                         for row in sweep])
         assert vals.max() / vals.min() < 1.2
 
-    def test_gradient_stability_at_fixed_box_scale(self, well, state):
+    def test_gradient_stability_at_fixed_box_scale(self, well, spectra):
         vals = []
         for N in (50, 100):
             sol = solve_neumann(well, 0.7, N)
-            eta = build_eta_H(build_G(sol), state,
-                              make_cutoffs(0.7, 4.0, 2.0))
-            vals.append(eta_norms(eta).grad_l2 / np.sqrt(N))
+            eta = build_eta_H(build_G(sol), 0.7 ** -4.0)
+            rep = eta_norms(eta, _BandWork(eta, spectra))
+            vals.append(rep["eta_grad_l2"] / np.sqrt(N))
         assert max(vals) / min(vals) < 1.2
 
     def test_l2_below_row_sup(self, eta64_report):
-        assert eta64_report.l2 <= eta64_report.row_sup * (1.0 + 1e-9)
+        assert eta64_report["eta_l2"] <= (eta64_report["eta_row_sup"]
+                                          * (1.0 + 1e-9))
 
-    def test_pointwise_ratio_is_scaled_factor_sup(self, eta64,
-                                                  eta64_report):
-        assert eta64_report.pointwise_ratio == pytest.approx(
-            eta64_report.f_sup / eta64.N, rel=1e-12)
-
-    def test_certificate_rejects_coarse_band(self, G64, state, cuts):
-        coarse = build_eta_H(G64, state, cuts, n_momentum=64)
+    def test_certificate_rejects_coarse_band(self, G64, spectra,
+                                             monkeypatch):
+        # a band of 64 intervals, far below the natural estimate
+        monkeypatch.setattr(kernels, "_MIN_BAND_INTERVALS", 64)
+        monkeypatch.setattr(kernels, "_MAX_BAND_INTERVALS", 64)
+        coarse = build_eta_H(G64, CUTOFF)
+        assert coarse.p_nodes.size == 65
         with pytest.raises(SolverFailureError):
-            eta_norms(coarse)
-
-    def test_band_needs_a_minimum_of_intervals(self, G64, state, cuts):
-        with pytest.raises(InvalidParameterError):
-            build_eta_H(G64, state, cuts, n_momentum=4)
+            eta_norms(coarse, _BandWork(coarse, spectra))
 
     def test_certificate_within_tolerance(self, eta64_report):
-        assert eta64_report.defect < 5e-3
+        assert eta64_report["eta_defect"] < 5e-3
 
 
 class TestNuNorms:
-    def test_column_ratio_equals_l2(self, eta64):
-        rep = nu_norms(build_nu_H(eta64))
-        assert rep.col_sup_ratio == rep.l2
-        assert rep.l2 > 0.0
-
-    def test_slice_sup_sits_in_the_band(self, eta64, cuts):
-        rep = nu_norms(build_nu_H(eta64))
-        assert rep.argmax_p >= cuts.cutoff_momentum
-        assert rep.sup_p2_slice > 0.0
+    def test_slice_sup_sits_in_the_band(self, eta64, G64, work64):
+        rep = nu_norms(build_nu_H(eta64), work64)
+        p = eta64.p_nodes
+        assert rep["nu_sup_p2"] == pytest.approx(
+            np.max(p ** 2 * np.abs(G64.hat(p))), rel=1e-12)
+        assert rep["nu_sup_p2"] > 0.0
+        assert rep["nu_l2"] > 0.0
 
     def test_l2_scaling_in_box_scale(self, sweep):
         assert slope_of(sweep, "nu_l2") == pytest.approx(2.0, abs=0.2)
 
-    def test_zero_potential_gives_zero_kernel(self, zero_well, state, cuts):
-        Gz = build_G(solve_neumann(zero_well, 0.5, 64))
-        rep = nu_norms(build_nu_H(build_eta_H(Gz, state, cuts)))
-        assert rep.l2 == 0.0
-        assert rep.row_sup == 0.0
+    def test_zero_potential_gives_zero_kernel(self, eta_zero, spectra):
+        rep = nu_norms(build_nu_H(eta_zero), _BandWork(eta_zero, spectra))
+        assert rep["nu_l2"] == 0.0
+        assert rep["nu_row_sup"] == 0.0
 
 
 class TestSharedBand:
     """sweep_kernels builds each band object once per row; every routine
-    must return what it returns when called on its own."""
+    must return what it returns on a band object of its own."""
 
     def test_shared_work_gives_the_standalone_reports(self, G64, state,
-                                                      eta64, eta64_report):
+                                                      eta64):
         nu = build_nu_H(eta64)
-        assert (nu.name, nu.left_weight, nu.right_weight) == (
-            "nu_H", "one", "phi")
         assert nu.p_nodes is eta64.p_nodes and nu.fhat is eta64.fhat
-        assert nu.state is eta64.state
-        spectra = _Spectra(state)
-        work = _BandWork(eta64, spectra)
-        en = eta_norms(eta64, work=work)
-        nn = nu_norms(nu, work=work)
-        hy = hyperbolic(eta64, 1e-12, en, work=work)
-        assert en == eta64_report
-        assert nn == nu_norms(nu)
-        assert nn.row_sup == en.row_sup
-        assert hy == hyperbolic(eta64, norms=eta64_report)
-        sol = G64.sol
-        assert (build_hN(sol, state, spectra=spectra).values
-                == build_hN(sol, state).values).all()
+
+        def fresh():
+            return _BandWork(eta64, _Spectra(state))
+        shared = fresh()
+        en = eta_norms(eta64, shared)
+        nn = nu_norms(nu, shared)
+        assert en == eta_norms(eta64, fresh())
+        assert nn == nu_norms(nu, fresh())
+        assert nn["nu_row_sup"] == en["eta_row_sup"]
+        assert hyperbolic(en, shared, 1e-12) == hyperbolic(en, fresh(),
+                                                           1e-12)
+        assert (build_hN(G64.sol, state, shared.spectra)
+                == build_hN(G64.sol, state, _Spectra(state)))
 
     def test_sweep_calls_each_public_routine_once_per_row(
             self, well, state, sol64, monkeypatch):
@@ -408,9 +439,9 @@ class TestSharedBand:
         for name in names:
             monkeypatch.setattr(kernels, name,
                                 counted(name, getattr(kernels, name)))
-        rep = sweep_kernels(well, state, tuples=((0.5, 64), (0.7, 50)),
-                            solved=sol64)
-        assert len(rep.rows) == 2
+        rows = sweep_kernels(well, state, ells=(0.5, 0.7), solved=sol64)
+        assert [(r["ell"], r["N"]) for r in rows] == [(0.5, 64.0),
+                                                      (0.7, 17.0)]
         assert calls == {name: 2 for name in names}
 
 
@@ -421,12 +452,12 @@ class TestSweepReuse:
         real = solve_neumann
         monkeypatch.setattr("gpregime.kernels.solve_neumann",
                             lambda *a: calls.append(a) or real(*a))
-        rep = sweep_kernels(well, state, tuples=((0.5, 64),), solved=sol64)
+        rows = sweep_kernels(well, state, ells=(0.5,), solved=sol64)
         assert calls == []
-        assert rep.rows[0] == sweep.rows[0]
+        assert rows[0] == sweep[0]
         # another resolution is another solve
         finer = solve_neumann(well, 0.5, 64, n_pts=8192)
-        sweep_kernels(well, state, tuples=((0.5, 64),), solved=finer)
+        sweep_kernels(well, state, ells=(0.5,), solved=finer)
         assert calls == [(well, 0.5, 64, 4096)]
 
     def test_scatter_solution_is_transformed_once(self, well, state,
@@ -439,48 +470,50 @@ class TestSweepReuse:
         inputs = cli._parse_stage("scatter", {"sweep_nl": [25.0, 50.0]})
         _, base = cli.scatter_stage(inputs._replace(potential=well))
         assert len(calls) == 3 and base in calls
-        sweep_kernels(well, state, tuples=((0.5, 64),), solved=base)
+        sweep_kernels(well, state, ells=(0.5,), solved=base)
         assert len(calls) == 3
 
 
 class TestCubicKernel:
-    def test_concentration_limit(self, well, state):
-        gaps = [build_hN(solve_neumann(well, 0.5, N), state).limit_gap
-                for N in (50, 100, 200)]
+    def test_concentration_limit(self, well, state, spectra):
+        gaps = [build_hN(solve_neumann(well, 0.5, N), state,
+                         spectra)["hn_limit_gap"] for N in (50, 100, 200)]
         assert gaps[1] < 0.5 * gaps[0]
         assert gaps[2] < 0.5 * gaps[1]
 
-    def test_sup_below_product_bound(self, sol64, state):
-        rep = build_hN(sol64, state)
-        assert rep.sup <= rep.young_bound * (1.0 + 1e-9)
+    def test_sup_below_product_bound(self, sol64, state, spectra):
+        # Young: sup |h_N| <= int |V w| max |phi|^3
+        rep = build_hN(sol64, state, spectra)
+        bound = well_mass(sol64, np.abs) * np.max(np.abs(state.phi)) ** 3
+        assert rep["hn_sup"] <= bound * (1.0 + 1e-9)
 
-    def test_nonnegative_interaction_mass(self, sol64, state):
+    def test_nonnegative_interaction_mass(self, sol64):
         # V >= 0 and w >= 0 make the signed and absolute masses agree
-        rep = build_hN(sol64, state)
-        assert rep.int_kernel == pytest.approx(rep.kernel_l1, rel=1e-12)
+        assert well_mass(sol64, lambda vw: vw) == pytest.approx(
+            well_mass(sol64, np.abs), rel=1e-12)
 
-    def test_zero_potential_vanishes(self, zero_well, state):
-        rep = build_hN(solve_neumann(zero_well, 0.5, 64), state)
-        assert rep.l2 == 0.0
-        assert rep.sup == 0.0
+    def test_zero_potential_vanishes(self, sol_zero, state, spectra):
+        rep = build_hN(sol_zero, state, spectra)
+        assert rep["hn_l2"] == 0.0
+        assert rep["hn_sup"] == 0.0
 
 
 class TestHyperbolic:
-    def test_series_norm_recomputes(self, eta64_report, eta64):
-        hk = hyperbolic(eta64)
-        l2 = eta64_report.l2
-        k = np.arange(1, hk.series_depth + 1)
+    def test_series_norm_recomputes(self, eta64_report, work64):
+        hk = hyperbolic(eta64_report, work64, 1e-12)
+        l2 = eta64_report["eta_l2"]
+        k = np.arange(1, int(hk["series_depth"]) + 1)
         from scipy.special import factorial
         want_p = np.sum(l2 ** (2 * k + 1) / factorial(2 * k + 1))
         want_r = np.sum(l2 ** (2 * k) / factorial(2 * k))
-        assert hk.p_norm == pytest.approx(want_p, rel=1e-12)
-        assert hk.r_norm == pytest.approx(want_r, rel=1e-12)
+        assert hk["p_norm"] == pytest.approx(want_p, rel=1e-12)
+        assert hk["r_norm"] == pytest.approx(want_r, rel=1e-12)
 
-    def test_depth_shrinks_with_loose_tolerance(self, eta64):
-        tight = hyperbolic(eta64, tol=1e-14)
-        loose = hyperbolic(eta64, tol=1e-4)
-        assert loose.series_depth <= tight.series_depth
-        assert tight.tail_bound < 1e-14
+    def test_depth_shrinks_with_loose_tolerance(self, eta64_report, work64):
+        tight = hyperbolic(eta64_report, work64, 1e-14)
+        loose = hyperbolic(eta64_report, work64, 1e-4)
+        assert loose["series_depth"] <= tight["series_depth"]
+        assert tight["tail_bound"] < 1e-14
 
     def test_remainder_scaling_exceeds_base(self, sweep):
         # cubic-and-higher tails fall at least as fast as the base norm
@@ -489,23 +522,24 @@ class TestHyperbolic:
         assert slope_of(sweep, "p_norm") == pytest.approx(6.0, abs=0.2)
         assert slope_of(sweep, "r_norm") == pytest.approx(4.0, abs=0.2)
 
-    def test_gradient_chain_is_contractive(self, eta64):
-        hk = hyperbolic(eta64)
-        assert 0.0 < hk.grad_p_norm < hk.grad_eta_l2
-        assert np.isfinite(hk.lap_p_norm)
-        assert hk.lap_p_norm > 0.0
+    def test_gradient_chain_is_contractive(self, eta64_report, work64):
+        hk = hyperbolic(eta64_report, work64, 1e-12)
+        assert 0.0 < hk["grad_p_norm"] < eta64_report["eta_grad_l2"]
+        assert np.isfinite(hk["lap_p_norm"])
+        assert hk["lap_p_norm"] > 0.0
 
-    def test_divergent_series_refused(self, eta64):
+    def test_divergent_series_refused(self, eta64, spectra):
         big = dataclasses.replace(eta64, fhat=eta64.fhat * 100.0)
+        work = _BandWork(big, spectra)
         with pytest.raises(InvalidRegimeError):
-            hyperbolic(big)
+            hyperbolic(eta_norms(big, work), work, 1e-12)
 
-    def test_zero_kernel_trivial(self, zero_well, state, cuts):
-        Gz = build_G(solve_neumann(zero_well, 0.5, 64))
-        hk = hyperbolic(build_eta_H(Gz, state, cuts))
-        assert hk.p_norm == 0.0
-        assert hk.r_norm == 0.0
-        assert hk.series_depth == 0
+    def test_zero_kernel_trivial(self, eta_zero, spectra):
+        work = _BandWork(eta_zero, spectra)
+        hk = hyperbolic(eta_norms(eta_zero, work), work, 1e-12)
+        assert hk["p_norm"] == 0.0
+        assert hk["r_norm"] == 0.0
+        assert hk["series_depth"] == 0
 
 
 class TestSweep:
@@ -516,15 +550,33 @@ class TestSweep:
             qc = ell ** -4.0 / N
             assert 0.2 <= qc <= 0.3
 
-    def test_rows_carry_the_norm_inventory(self, sweep):
-        keys = {"ell", "N", "eta_l2", "eta_grad_l2", "nu_l2", "p_norm",
-                "r_norm", "gauss_l1", "gauss_l2", "hn_l2", "eta_defect",
-                "nu_defect", "series_depth"}
-        for row in sweep.rows:
-            assert keys <= set(row)
+    def test_rows_carry_the_norm_inventory(self, sweep, eta64, eta64_report,
+                                           work64, sol64, state, spectra,
+                                           eta_zero, sol_zero):
+        assert len(ROW_KEYS) == 28
+        for row in sweep:
+            assert set(row) == ROW_KEYS
+        # the sweep merges the routines' entries with **, so a key two of
+        # them shared would be overwritten without a trace; the zero
+        # kernel's entries are the same keys
+        zero_work = _BandWork(eta_zero, spectra)
+        zero_eta = eta_norms(eta_zero, zero_work)
+        sets = [
+            (set(eta64_report), set(zero_eta)),
+            (set(nu_norms(build_nu_H(eta64), work64)),
+             set(nu_norms(build_nu_H(eta_zero), zero_work))),
+            (set(hyperbolic(eta64_report, work64, 1e-12)),
+             set(hyperbolic(zero_eta, zero_work, 1e-12))),
+            (set(build_hN(sol64, state, spectra)),
+             set(build_hN(sol_zero, state, spectra)))]
+        for keys, zero_keys in sets:
+            assert keys == zero_keys
+        owners = [SWEEP_KEYS] + [keys for keys, _ in sets]
+        assert sum(map(len, owners)) == len(set().union(*owners))
+        assert set().union(*owners) == ROW_KEYS
 
     def test_certificates_hold_across_the_sweep(self, sweep):
-        for row in sweep.rows:
+        for row in sweep:
             assert row["eta_defect"] < 5e-3
             assert row["nu_defect"] < 5e-3
             assert abs(row["gauss_l1"] - 1.0) < 1e-8
