@@ -38,7 +38,6 @@ from .potentials import (
 )
 from .scattering import (
     _MIN_PTS,
-    LemmaScatteringReport,
     solve_neumann,
     solve_zero_energy,
     verify_lemma_scattering,
@@ -228,19 +227,6 @@ def parse_config(data):
 # stage executors
 # ---------------------------------------------------------------------------
 
-def _scatter_row(rep, ell, N):
-    row = dataclasses.asdict(rep)
-    row.update({"ell": float(ell), "N": float(N),
-                "big_ell": float(rep.radius)})
-    return row
-
-
-def _zero_lemma(radius=0.0):
-    """The lemma report of the zero interaction: every quantity is 0."""
-    zeros = {f.name: 0.0 for f in dataclasses.fields(LemmaScatteringReport)}
-    return LemmaScatteringReport(**{**zeros, "radius": float(radius)})
-
-
 def _number(stage, name, value):
     """value if it is a finite, non-bool number; else a ConfigError."""
     # an int beyond the float range compares above the largest float
@@ -318,31 +304,37 @@ def _check_potential(pot):
 
 def _scatter_inputs(params):
     """ScatterInputs of a scatter stage, the potential built; bad values
-    raise."""
+    raise. Every ball, ell * n and each nl, must be larger than the
+    interaction's support radius, by the comparison solve_neumann makes,
+    and the rate entry fits a slope through the sweep, so it needs 3."""
     def number(name, value):
         return _number("scatter", name, value)
 
     _check_potential(params["potential"])
+    potential = InteractionPotential.from_dict(params["potential"])
+    R = potential.support_radius
     ell = number("ell", params["ell"])
     if not 0.0 < ell < 1.0:
         raise ConfigError(f"scatter ell must lie in (0, 1), got {ell!r}")
     n = number("n", params["n"])
-    if n <= 0:
-        raise ConfigError(f"scatter n must be positive, got {n!r}")
+    if ell * n <= R:
+        raise ConfigError(f"scatter n must make the ball radius ell * n "
+                          f"larger than the interaction range {R!r}, "
+                          f"got {n!r}")
     n_pts = number("n_pts", params["n_pts"])
     if n_pts < _MIN_PTS or n_pts != int(n_pts):
         raise ConfigError(
             f"scatter n_pts must be an integer >= {_MIN_PTS}, got {n_pts!r}")
     sweep = params["sweep_nl"]
-    if not isinstance(sweep, list) or not sweep:
+    if not isinstance(sweep, list) or len(sweep) < 3:
         raise ConfigError(
-            f"scatter sweep_nl must be a non-empty list, got {sweep!r}")
+            f"scatter sweep_nl must be a list of at least 3 entries, "
+            f"got {sweep!r}")
     for v in sweep:
-        if number("sweep_nl entry", v) <= 0:
-            raise ConfigError(
-                f"scatter sweep_nl entries must be positive, got {v!r}")
-    return ScatterInputs(InteractionPotential.from_dict(params["potential"]),
-                         float(ell), float(n), int(n_pts),
+        if ell * (number("sweep_nl entry", v) / ell) <= R:
+            raise ConfigError(f"scatter sweep_nl entries must be larger than "
+                              f"the interaction range {R!r}, got {v!r}")
+    return ScatterInputs(potential, float(ell), float(n), int(n_pts),
                          tuple(float(v) for v in sweep))
 
 
@@ -378,19 +370,16 @@ def scatter_stage(inputs):
     """
     potential, ell, n, n_pts, sweep_nl = inputs
     ref = solve_zero_energy(potential, n_pts=n_pts)
-    trivial = potential.zero
     base = solve_neumann(potential, ell, n, n_pts)
 
     def one(nl):
         sol = solve_neumann(potential, ell, nl / ell, n_pts)
-        if trivial:
-            return _scatter_row(_zero_lemma(sol.radius), ell, sol.N_param)
-        rep = verify_lemma_scattering(sol, ref)
-        return _scatter_row(rep, ell, rep.radius / ell)
+        row = dataclasses.asdict(verify_lemma_scattering(sol, ref))
+        row.update({"ell": ell, "N": sol.N_param, "big_ell": sol.radius})
+        return row
 
     rows = [one(nl) for nl in sweep_nl]
-    lemma = (_zero_lemma() if trivial
-             else verify_lemma_scattering(base, ref)).to_dict()
+    lemma = verify_lemma_scattering(base, ref).to_dict()
     for key in ("a0", "lambda_ell", "radius"):
         del lemma[key]
     report = {
@@ -401,10 +390,9 @@ def scatter_stage(inputs):
         "lambda_ell": float(base.lambda_ell),
         "lemma30": lemma,
         "grids": {"ell": ell, "n": n, "n_pts": n_pts,
-                  "reference_r_max": float(ref.r_grid[-1]),
                   "ball_radius": float(base.radius)},
         "sweep": rows,
-        "trivial": trivial,
+        "trivial": potential.zero,
     }
     return report, base
 
@@ -1060,12 +1048,20 @@ def cmd_kernels(args):
         if not isinstance(report, dict) or any(k not in report for k in keys):
             raise ConfigError(f"{name} report lacks {' or '.join(keys)}")
         params = {k: report[k] for k in report if k in _STAGES[name].defaults}
-        # a scatter report keeps the n_pts it ran at under grids
+        # a scatter report keeps what it ran at: ell, n and n_pts under
+        # grids, and each ball nl as a sweep row's big_ell
         grids = report.get("grids", {}) if name == "scatter" else {}
+        rows = report.get("sweep", []) if name == "scatter" else []
         if not isinstance(grids, dict):
             raise ConfigError(f"{name} report grids must be an object")
-        if "n_pts" in grids:
-            params["n_pts"] = grids["n_pts"]
+        if not isinstance(rows, list) or not all(
+                isinstance(r, dict) and "big_ell" in r for r in rows):
+            raise ConfigError(f"{name} report sweep must be a list of rows "
+                              f"with big_ell")
+        params.update({k: grids[k] for k in ("ell", "n", "n_pts")
+                       if k in grids})
+        if rows:
+            params["sweep_nl"] = [r["big_ell"] for r in rows]
         inputs[name] = _parse_stage(name, params)
     trap, a0, tol = inputs["gp"]
     if a0 == "from:scatter":

@@ -30,7 +30,7 @@ from .errors import (InvalidParameterError, InvalidRegimeError,
 from .gp import band_matvec, kinetic_band
 from .radial import (_filon_richardson, radial_fourier,
                      radial_fourier_inverse, simpson)
-from .scattering import _transform_segments, fourier_w_ode, solve_neumann
+from .scattering import _refined_transform, fourier_w_ode, solve_neumann
 
 # Pair transforms of condensate weights are dead beyond s ~ 2 for the
 # default traps; the window [0, 6] leaves two decades of slack.
@@ -80,11 +80,7 @@ class CorrelationG:
         if np.any(hi):
             out[hi] = fourier_w_ode(self.sol, q[hi])
         if np.any(lo):
-            segs = self.sol.w_segments()
-            fine = _transform_segments(segs, q[lo])
-            coarse = _transform_segments(
-                [(w[::2], 2.0 * h, r0) for (w, h, r0) in segs], q[lo])
-            out[lo] = (4.0 * fine - coarse) / 3.0
+            out[lo] = _refined_transform(self.sol, q[lo])[0]
         out[q == 0.0] = self.sol.int_w
         return -out / self.N ** 2
 

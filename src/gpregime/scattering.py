@@ -21,7 +21,7 @@ fixed by the boundary condition f'(L) = 0. w = 1 - f is the correlation hole,
 extended by zero outside the ball.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -174,12 +174,9 @@ def _same_potential(p1, p2):
 
 @dataclass(frozen=True, eq=False)
 class ScatteringSolution:
-    """Zero-energy solution with f -> 1 at infinity and its scattering length."""
+    """Scattering length of the zero-energy problem and the integral of V f."""
 
     potential: InteractionPotential
-    r_grid: np.ndarray
-    u: np.ndarray
-    f: np.ndarray
     a0: float
     int_Vf: float
     richardson_defect: float
@@ -190,62 +187,35 @@ class ScatteringSolution:
         return self.int_Vf / (8.0 * np.pi)
 
 
-def solve_zero_energy(potential, r_max=None, n_pts=4096):
-    """Integrate u'' = (V/2) u outward and extract the scattering length.
+def solve_zero_energy(potential, n_pts=4096):
+    """Integrate u'' = (V/2) u across the well and read off a0.
 
     The well [0, R] is stepped with RK4 at two resolutions and Richardson
-    extrapolated; beyond R the solution is exactly linear, so the tail grid
-    carries no truncation error. a0 comes from a least-squares straight-line
-    fit of u on the outer 20% of the domain (exact for the linear tail), and
-    the volume integral of V f is reported for the 8 pi a0 cross-check.
+    extrapolated. Beyond R the solution is exactly u(R) + u'(R) (r - R),
+    and f -> 1 makes it r - a0 after scaling by 1/u'(R), so
+    a0 = R - u(R)/u'(R). The volume integral of V f is reported for the
+    8 pi a0 cross-check.
     """
-    R = potential.support_radius
-    if r_max is None:
-        r_max = 15.0 * R
-    if r_max < 10.0 * R:
-        raise InvalidDomainError(
-            f"domain too small: r_max = {r_max} < 10 * support radius {R}")
     if n_pts < _MIN_PTS:
         raise InvalidParameterError(f"n_pts must be >= {_MIN_PTS}")
-
     if potential.zero:
         # V vanishes identically, so f = 1 and u = r solve the problem
         # exactly; report zeros instead of integrator noise.
-        r_grid = np.linspace(0.0, r_max, max(n_pts & ~1, 512) + 1)
-        return ScatteringSolution(
-            potential=potential, r_grid=r_grid, u=r_grid.copy(),
-            f=np.ones_like(r_grid), a0=0.0, int_Vf=0.0, richardson_defect=0.0)
+        return ScatteringSolution(potential, 0.0, 0.0, 0.0)
 
+    R = potential.support_radius
     n_well = max(1024, (n_pts // 4) & ~1)
     tables = _well_tables(potential, n_well)
     h, vn, _ = tables[0]
     u_well, v_well, defect = _certified_well(tables, 0.0)
-    r_well = np.arange(n_well + 1) * h
-
-    n_tail = max(n_pts & ~1, 512)
-    h_tail = (r_max - R) / n_tail
-    r_tail = R + np.arange(1, n_tail + 1) * h_tail
-    u_tail = u_well[-1] + v_well[-1] * (r_tail - R)
-
-    r_grid = np.concatenate([r_well, r_tail])
-    u_all = np.concatenate([u_well, u_tail])
-
-    sel = r_grid >= 0.8 * r_max
-    slope, intercept = np.polyfit(r_grid[sel], u_all[sel], 1)
+    slope = v_well[-1]
     if slope <= 0:
         raise SolverFailureError(
             f"tail slope {slope:.3e} <= 0; scattering length undefined")
-    a0 = -intercept / slope
-
-    u_n = u_all / slope
-    f = np.empty_like(u_n)
-    f[1:] = u_n[1:] / r_grid[1:]
-    f[0] = 1.0 / slope  # u ~ u'(0) r at the origin
+    a0 = R - u_well[-1] / slope
+    r_well = np.arange(n_well + 1) * h
     int_Vf = 4.0 * np.pi * simpson(vn * u_well * r_well, dx=h) / slope
-
-    return ScatteringSolution(
-        potential=potential, r_grid=r_grid, u=u_n, f=f, a0=float(a0),
-        int_Vf=float(int_Vf), richardson_defect=defect)
+    return ScatteringSolution(potential, float(a0), float(int_Vf), defect)
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +246,6 @@ class NeumannSolution:
     segments: tuple = field(repr=False)
     neumann_defect: float = 0.0
     richardson_defect: float = 0.0
-
-    def w_segments(self):
-        """(values, h, r0) per uniform segment of w, for transforms."""
-        return tuple((1.0 - fvals, h, r0) for (fvals, h, r0) in self.segments)
 
     @cached_property
     def fourier(self):
@@ -338,18 +304,6 @@ def _assemble_neumann(potential, ell, N_param, n_pts, lam, u_well, v_well,
         neumann_defect=float(mism), richardson_defect=float(rich))
 
 
-def _trivial_neumann(potential, ell, N_param, n_pts):
-    R = potential.support_radius
-    L = ell * N_param
-    n_well = max(64, (n_pts // 8) & ~1)
-    h_well = R / n_well
-    r_well = np.arange(n_well + 1) * h_well
-    # f = 1, so u = r and u' = 1
-    return _assemble_neumann(potential, ell, N_param, n_pts, 0.0, r_well,
-                             np.ones(n_well + 1), h_well, potential(r_well),
-                             max(n_pts, 512), (0.0, 0.0))
-
-
 def _brentq(f, xa, xb, xtol, rtol):
     """Root of f in [xa, xb] by Brent's method: scipy's brentq.c, step for step."""
     xpre, xcur = float(xa), float(xb)
@@ -399,7 +353,8 @@ def solve_neumann(potential, ell, N_param, n_pts=4096):
     The well state at the eigenvalue is then integrated at two resolutions
     and Richardson extrapolated, under the same certificate as the
     zero-energy problem. The returned state has no interior zeros and
-    satisfies f(L) = 1 exactly.
+    satisfies f(L) = 1 exactly. The zero interaction skips the search:
+    lam = 0 and u = r on the same grids.
     """
     if not (0.0 < ell < 1.0):
         raise InvalidParameterError(f"ell must lie in (0, 1), got {ell}")
@@ -413,12 +368,16 @@ def solve_neumann(potential, ell, N_param, n_pts=4096):
         raise InvalidDomainError(
             f"ball radius {L} must exceed the interaction range {R}")
 
-    if potential.zero:
-        return _trivial_neumann(potential, ell, N_param, n_pts)
-
     n_well = max(1024, (n_pts // 4) & ~1)
     tables = _well_tables(potential, n_well)
     h, vn, vm = tables[0]
+    n_tail = max(n_pts & ~1, 512)
+    if potential.zero:
+        # f = 1 solves the problem at lam = 0, so u = r and u' = 1
+        r_well = np.arange(n_well + 1) * h
+        return _assemble_neumann(potential, ell, N_param, n_pts, 0.0, r_well,
+                                 np.ones(n_well + 1), h, vn, n_tail,
+                                 (0.0, 0.0))
 
     # Probe eigenvalues parametrized by the scattering length they would
     # imply (lam ~ 3 a / L^3, a <= R for nonnegative V), well below the next
@@ -439,7 +398,6 @@ def solve_neumann(potential, ell, N_param, n_pts=4096):
     uL, vL = _free_tail(u_well[-1], v_well[-1], np.array([lam]), L - R)
     mism_final = float(vL[0] - uL[0] / L) / max(abs(float(uL[0]) / L), 1e-300)
 
-    n_tail = max(n_pts & ~1, 512)
     return _assemble_neumann(potential, ell, N_param, n_pts, lam, u_well,
                              v_well, h, vn, n_tail, (mism_final, rich))
 
@@ -454,20 +412,28 @@ class FourierWReport:
 
     p: np.ndarray
     values: np.ndarray
-    at_zero: float
     sup_p2: float
     argmax_p: float
     refinement_defect: float
 
 
-def _transform_segments(segments, p):
-    """what(p) = (2/p) sum over segments of int w r sin(2 pi p r) dr."""
+def _refined_transform(sol, p):
+    """what(p) = (2/p) sum over the uniform segments of
+    int w r sin(2 pi p r) dr, at full and half resolution.
+
+    Returns the extrapolation (4 fine - coarse) / 3 and the relative
+    defect max |fine - coarse| / max |fine| between the two runs.
+    """
     p = np.asarray(p, dtype=float)
-    total = np.zeros_like(p)
-    for (wvals, h, r0) in segments:
-        r = r0 + np.arange(wvals.size) * h
-        total += filon_sin(wvals * r, h, 2.0 * np.pi * p, x0=r0)
-    return 2.0 / p * total
+    fine, coarse = np.zeros_like(p), np.zeros_like(p)
+    for (fvals, h, r0) in sol.segments:
+        wr = (1.0 - fvals) * (r0 + np.arange(fvals.size) * h)
+        fine += filon_sin(wr, h, 2.0 * np.pi * p, x0=r0)
+        coarse += filon_sin(wr[::2], 2.0 * h, 2.0 * np.pi * p, x0=r0)
+    fine, coarse = 2.0 / p * fine, 2.0 / p * coarse
+    defect = float(np.max(np.abs(fine - coarse))
+                   / (np.max(np.abs(fine)) + 1e-300))
+    return (4.0 * fine - coarse) / 3.0, defect
 
 
 def default_momentum_grid(sol, n=241):
@@ -495,27 +461,15 @@ def fourier_w(sol, p_grid=None):
     if p_grid.max() / p_grid.min() < 99.0:
         raise InvalidParameterError("momentum grid must span >= two decades")
 
-    segs = sol.w_segments()
-    fine = _transform_segments(segs, p_grid)
-    coarse = _transform_segments([(w[::2], 2.0 * h, r0) for (w, h, r0) in segs],
-                                 p_grid)
-    scale = np.max(np.abs(fine)) + 1e-300
-    defect = float(np.max(np.abs(fine - coarse)) / scale)
+    vals, defect = _refined_transform(sol, p_grid)
     if not np.isfinite(defect) or defect > 5e-3:
         raise SolverFailureError(
             f"oscillatory quadrature not converged: defect {defect:.3e}")
-    vals = (4.0 * fine - coarse) / 3.0
-
-    at_zero = 0.0
-    for (wvals, h, r0) in segs:
-        r = r0 + np.arange(wvals.size) * h
-        at_zero += 4.0 * np.pi * simpson(wvals * r * r, dx=h)
 
     p2 = p_grid ** 2 * np.abs(vals)
     k = int(np.argmax(p2))
-    return FourierWReport(p=p_grid, values=vals, at_zero=float(at_zero),
-                          sup_p2=float(p2[k]), argmax_p=float(p_grid[k]),
-                          refinement_defect=defect)
+    return FourierWReport(p=p_grid, values=vals, sup_p2=float(p2[k]),
+                          argmax_p=float(p_grid[k]), refinement_defect=defect)
 
 
 def ball_indicator_hat(p, L):
@@ -603,13 +557,17 @@ def verify_lemma_scattering(sol, ref):
     Both solutions must come from the same interaction. Items i and ii are
     rates in the ball radius; item iii bounds w pointwise by C/(r+1) and w'
     by C/(r^2+1) and compares the w volume to (2/5) pi a0 (N ell)^2; item iv
-    certifies the 1/p^2 envelope of what.
+    certifies the 1/p^2 envelope of what. The zero interaction has
+    a0 = 0 and w = 0, and its report is 0 in every quantity but the radius.
     """
     if not _same_potential(sol.potential, ref.potential):
         raise InvalidParameterError(
             "solutions come from different interactions")
     a0 = ref.a0
     L = sol.radius
+    if sol.potential.zero:
+        zeros = {f.name: 0.0 for f in fields(LemmaScatteringReport)}
+        return LemmaScatteringReport(**{**zeros, "radius": float(L)})
     lam = sol.lambda_ell
 
     ratio = lam * L ** 3 / (3.0 * a0)

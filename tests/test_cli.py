@@ -460,8 +460,8 @@ class TestScatterStage:
             seen.append(kwargs.get("n_pts"))
             return real(potential, **kwargs)
         monkeypatch.setattr(cli, "solve_zero_energy", reference)
-        inputs = cli._parse_stage("scatter", {"n_pts": 8192,
-                                              "sweep_nl": [25.0]})
+        inputs = cli._parse_stage("scatter", {
+            "n_pts": 8192, "sweep_nl": [25.0, 50.0, 100.0]})
         rep, _ = cli.scatter_stage(inputs)
         assert seen == [8192]
         assert rep["grids"]["n_pts"] == 8192
@@ -576,6 +576,24 @@ class TestCommandLine:
             tmp_path, **({} if grids is None else {"grids": grids}))
         assert cli.main(argv + ["--out", str(tmp_path / "k.json")]) == code
         assert swept == ([] if n_pts is None else [n_pts])
+
+    @pytest.mark.parametrize("sweep,code", [
+        ([{"big_ell": 50.0}, {"big_ell": 100.0}, {"big_ell": 200.0}], 0),
+        ([{"big_ell": 50.0}, {"big_ell": 100.0}, {"big_ell": 20.0}], 2),
+        ([{"N": 100.0}], 2), (None, 2)])
+    def test_kernels_read_the_balls_a_scatter_report_ran_at(
+            self, tmp_path, monkeypatch, default_bundle, sweep, code):
+        # R = 30 exceeds the default sweep's first ball, 25, so only the
+        # report's own balls (ell * n = 64 and each big_ell) parse
+        swept = self._record_sweeps(
+            monkeypatch, default_bundle.stage_reports["kernels"])
+        monkeypatch.setattr(cli, "minimize_gp", lambda *a, **k: None)
+        argv = self._kernels_reports(
+            tmp_path, potential=make_square_well(0.002, 30.0, 512).to_dict(),
+            grids={"ell": 0.5, "n": 128, "n_pts": 4096},
+            **({} if sweep is None else {"sweep": sweep}))
+        assert cli.main(argv + ["--out", str(tmp_path / "k.json")]) == code
+        assert swept == ([4096] if code == 0 else [])
 
     def test_run_kernels_rows_run_at_the_scatter_n_pts(
             self, monkeypatch, default_bundle):
@@ -821,8 +839,8 @@ class TestCommandLine:
     @pytest.mark.parametrize("key,value", [
         ("ell", "abc"), ("ell", True), ("ell", 1.0), ("n", float("nan")),
         ("n", -64), ("n_pts", 100), ("n_pts", 4096.5), ("sweep_nl", 0),
-        ("sweep_nl", []), ("sweep_nl", [25.0, float("inf")]),
-        ("sweep_nl", [25.0, -50.0]), ("potential", {"kind": "abc"}),
+        ("sweep_nl", []), ("sweep_nl", [25.0, 50.0, float("inf")]),
+        ("sweep_nl", [25.0, 50.0, -50.0]), ("potential", {"kind": "abc"}),
         ("potential", "square_well"),
         ("potential", {"kind": "square_well", "parameters": {"R": 1.0}}),
         ("potential", {"kind": "custom", "parameters": {}}),
@@ -836,7 +854,10 @@ class TestCommandLine:
         ("potential", {"kind": "square_well",
                        "parameters": {"V0": 2.0, "R": 1.0},
                        "grid": {"n_pts": "abc"}}),
-        *[("potential", pot) for pot in BAD_PROFILES]])
+        *[("potential", pot) for pot in BAD_PROFILES],
+        # the rate slope needs 3 balls, and each must exceed R = 1
+        ("sweep_nl", [25.0, 50.0]), ("sweep_nl", [0.5, 50.0, 100.0]),
+        ("n", 1.5)])
     def test_bad_scatter_params_exit_2_before_any_stage(
             self, tmp_path, capsys, monkeypatch, key, value):
         ran = []

@@ -467,11 +467,12 @@ class TestSweepReuse:
         real = scattering.fourier_w
         monkeypatch.setattr(scattering, "fourier_w",
                             lambda sol, *a: calls.append(sol) or real(sol, *a))
-        inputs = cli._parse_stage("scatter", {"sweep_nl": [25.0, 50.0]})
+        inputs = cli._parse_stage("scatter",
+                                  {"sweep_nl": [25.0, 50.0, 100.0]})
         _, base = cli.scatter_stage(inputs._replace(potential=well))
-        assert len(calls) == 3 and base in calls
+        assert len(calls) == 4 and base in calls
         sweep_kernels(well, state, ells=(0.5,), solved=base)
-        assert len(calls) == 3
+        assert len(calls) == 4
 
 
 class TestCubicKernel:

@@ -22,6 +22,7 @@ from gpregime.potentials import InteractionPotential, make_square_well
 from gpregime.scattering import (
     _BRACKET_RTOL,
     _brentq,
+    _certified_well,
     _integrate_well,
     _neumann_mismatch,
     _well_tables,
@@ -147,35 +148,23 @@ class TestWellIntegrator:
 
 class TestZeroEnergy:
     def test_scattering_length_closed_form(self, ref):
-        assert abs(ref.a0 - A0_EXACT) / A0_EXACT < 1e-9
+        assert abs(ref.a0 - A0_EXACT) / A0_EXACT < 1e-13
 
     def test_integral_identity_8pi_a0(self, ref):
         assert abs(ref.a0_from_integral - ref.a0) / ref.a0 < 1e-8
 
-    def test_interior_profile_closed_form(self, ref):
-        inside = ref.r_grid <= 1.0
-        r = ref.r_grid[inside]
+    def test_interior_profile_closed_form(self, well):
+        # u = sinh(r) from u'(0) = 1; over u'(R) it is the f -> 1 solution
+        u, v, _ = _certified_well(_well_tables(well, 1024), 0.0)
+        r = np.arange(u.size) / 1024.0
         exact = np.sinh(r) / np.cosh(1.0)
-        assert np.max(np.abs(ref.u[inside] - exact)) < 1e-9
-
-    def test_tail_is_linear_with_unit_slope(self, ref):
-        tail = ref.r_grid >= 5.0
-        assert np.max(np.abs(ref.u[tail] - (ref.r_grid[tail] - ref.a0))) < 1e-9
-
-    def test_f_bounded_and_monotone(self, ref):
-        assert np.all(ref.f >= -1e-12)
-        assert np.all(ref.f <= 1.0 + 1e-12)
-        assert np.all(np.diff(ref.f) >= -1e-10)
+        assert np.max(np.abs(u / v[-1] - exact)) < 1e-9
 
     def test_zero_potential_is_trivial(self):
         sol = solve_zero_energy(make_square_well(0.0, 1.0, 64))
-        assert abs(sol.a0) < 1e-12
-        assert np.allclose(sol.f, 1.0, atol=1e-12)
-        assert sol.int_Vf == 0.0
+        assert (sol.a0, sol.int_Vf, sol.richardson_defect) == (0.0, 0.0, 0.0)
 
     def test_domain_validation(self, well):
-        with pytest.raises(InvalidDomainError):
-            solve_zero_energy(well, r_max=5.0)
         with pytest.raises(InvalidParameterError):
             solve_zero_energy(well, n_pts=100)
 
@@ -186,7 +175,6 @@ class TestZeroEnergy:
         expected = radius - np.tanh(kappa * radius) / kappa
         sol = solve_zero_energy(make_square_well(v0, radius, 512), n_pts=2048)
         assert abs(sol.a0 - expected) <= 1e-8 * max(expected, 1e-6)
-        assert -1e-12 <= sol.f.min() and sol.f.max() <= 1.0 + 1e-12
         assert sol.a0 < radius
 
 
@@ -224,11 +212,19 @@ class TestNeumann:
         fin_a = solve_zero_energy(well, n_pts=8192).a0
         assert abs(fin_a - ref_a) / ref_a < 1e-6
 
-    def test_zero_potential_neumann(self):
-        sol = solve_neumann(make_square_well(0.0, 1.0, 64), 0.5, 40)
-        assert sol.lambda_ell == 0.0
-        assert np.allclose(sol.f, 1.0, atol=1e-14)
-        assert np.allclose(sol.w, 0.0, atol=1e-14)
+    def test_zero_potential_neumann(self, well):
+        # V = 0 runs on the nonzero well's grids, with lam = 0 and f = 1
+        zero = make_square_well(0.0, 1.0, 64)
+        sol = solve_neumann(zero, 0.5, 40, n_pts=4096)
+        nonzero = solve_neumann(well, 0.5, 40, n_pts=4096)
+        assert sol.r_grid.size == nonzero.r_grid.size == 5121
+        assert sol.segments[0][0].size == nonzero.segments[0][0].size == 1025
+        assert np.array_equal(sol.r_grid, nonzero.r_grid)
+        assert sol.lambda_ell == 0.0 and sol.int_w == 0.0
+        assert not np.any(sol.w) and not np.any(sol.wp)
+        rep = verify_lemma_scattering(sol, solve_zero_energy(zero))
+        assert rep.radius == sol.radius == 20.0
+        assert all(v == 0.0 for k, v in vars(rep).items() if k != "radius")
 
     def test_parameter_validation(self, well):
         with pytest.raises(InvalidParameterError):
@@ -251,7 +247,6 @@ class TestFourier:
 
     def test_report_consistency(self, neu100):
         rep = fourier_w(neu100)
-        assert rep.at_zero == pytest.approx(neu100.int_w, rel=1e-10)
         assert rep.sup_p2 > 0 and np.isfinite(rep.sup_p2)
         assert rep.refinement_defect < 1e-5
         # the transform of a nonnegative integrable w starts positive
