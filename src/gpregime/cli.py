@@ -665,8 +665,9 @@ def _fock_inputs(params):
         raise ConfigError(
             f"fock caps must be a non-empty list of integers, got {caps!r}")
     suites = params["suites"]
-    if not isinstance(suites, list):
-        raise ConfigError(f"fock suites must be a list, got {suites!r}")
+    if not isinstance(suites, list) or not suites:
+        raise ConfigError(
+            f"fock suites must be a non-empty list, got {suites!r}")
     for s in suites:
         if s not in _FOCK_SUITES:
             raise ConfigError(f"unknown fock suite {s!r}")

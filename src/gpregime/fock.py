@@ -12,6 +12,12 @@ the energy identity
 holds to roundoff for every state in the top sector. Each generator is
 exponentiated once per particle cap (dense scaling-and-squaring), and the
 growth and remainder sweeps read every power off that one exponential.
+They run on the generators' exact symmetries: B steps NUM by two, so e^B
+is taken and read per NUM-parity block, and the remainder is formed from
+its two blocks between the parities; S = (-1)^NUM gives S A S = -A and
+C = (-1)^floor(NUM/2) gives C B C = -B. Both signs commute with NUM, so a
+growth ratio depends on |power| and |t| alone and is solved once for
+each, after the sign's premise (no entry inside a sign class) is checked.
 
 The builders and the identity checks are written once, against a
 NumberSystem: FLOAT here, exact radicals in gpregime.fockexact. Each
@@ -584,12 +590,12 @@ def un_defects(alg, mode0):
 
 
 def _energy_sides(alg, coeff):
-    """P H P and U* L U, with P the top-sector projector and L the sum
-    of L0..L4. Gamma U = U (un_range_projector), so U* L U = U* Gamma L
-    Gamma U."""
+    """H, U, L and P of the energy identity P H P = U* L U, with P the
+    top-sector projector and L the sum of L0..L4. Gamma U = U
+    (un_range_projector), so U* L U = U* Gamma L Gamma U."""
     U, P = _un(alg.space, alg.ns, coeff.mode0)
     L = sum(_ln(alg, coeff).values(), alg.zero)
-    return P @ _hn(alg, coeff) @ P, U.T @ L @ U
+    return _hn(alg, coeff), U, L, P
 
 
 def generator_defects(alg, eta):
@@ -605,8 +611,8 @@ def identity_defects(alg, coeff):
     """Every identity of the algebra as (name, defect operator) pairs."""
     yield from ladder_defects(alg, coeff.nu[0], coeff.g[0], coeff.h[0])
     yield from un_defects(alg, coeff.mode0)
-    H, ULU = _energy_sides(alg, coeff)
-    yield "energy_identity", H - ULU
+    H, U, L, P = _energy_sides(alg, coeff)
+    yield "energy_identity", P @ H @ P - U.T @ L @ U
     yield from generator_defects(alg, coeff.eta)
 
 
@@ -627,16 +633,15 @@ def verify_energy_identity(coeff, space, n_states=20, seed=0):
     """Max relative defect of <psi, H psi> = <U psi, G L G U psi>, over
     random unit states of the top sector."""
     validate_coefficients(coeff, space.M)
-    H, ULU = _energy_sides(space.float_algebra, coeff)
-    defect = H - ULU
-    scale = max(_max_abs(H), 1.0)
+    H, U, L, P = _energy_sides(space.float_algebra, coeff)
+    scale = max(_max_abs(P @ H @ P), 1.0)
     sector = space.sector_indices(space.N_cap)
     rng = np.random.default_rng(seed)
     psi = np.zeros((space.dim, n_states))
     for j in range(n_states):
         x = rng.normal(size=sector.size)
         psi[sector, j] = x / np.linalg.norm(x)
-    energies = np.sum(psi * (defect @ psi), axis=0)
+    energies = np.sum(psi * (H @ psi - U.T @ (L @ (U @ psi))), axis=0)
     return float(np.max(np.abs(energies), initial=0.0)) / scale
 
 
@@ -663,7 +668,8 @@ class Workspace:
         """exp_generator of build_B(space, eta), taken once."""
         key = (space.M, space.N_cap, eta.tobytes())
         if key not in self._pair_exps:
-            self._pair_exps[key] = exp_generator(build_B(space, eta))
+            self._pair_exps[key] = exp_generator(_flipped(
+                build_B(space, eta), space._totals // 2 % 2))
         return self._pair_exps[key]
 
 
@@ -698,23 +704,26 @@ def expm(A):
 
 
 def exp_generator(mat):
-    """Unitary exponential of an antisymmetric generator: the one dense
-    exponential, taken once per (generator, cap) by the sweeps below."""
+    """Unitary exponential of an antisymmetric generator, as (states,
+    dense block) pairs: one per NUM parity if a nonzero generator keeps it."""
     if mat.space.dim > _EXPM_DIM_CAP:
         raise ResourceLimitError(
             f"exponential dimension {mat.space.dim} exceeds {_EXPM_DIM_CAP}")
-    skew = _max_abs(mat + mat.T)
+    dense, odd = mat.toarray(), mat.space._totals % 2 == 1
+    skew = np.max(np.abs(dense + dense.T))
     if skew > 1e-12:
         raise InvalidParameterError(
             f"generator is not antisymmetric: defect {skew:.2e}")
-    if _max_abs(mat) == 0.0:
-        return np.eye(mat.space.dim)
-    Q = expm(mat.toarray())
-    defect = np.max(np.abs(Q.T @ Q - np.eye(Q.shape[0])))
+    if not dense.any():
+        return ((np.arange(len(dense)), np.eye(len(dense))),)
+    index = ([np.arange(len(dense))] if dense[odd[:, None] != odd].any()
+             else [np.flatnonzero(~odd), np.flatnonzero(odd)])
+    blocks = tuple((i, expm(dense[np.ix_(i, i)])) for i in index)
+    defect = max(np.max(np.abs(q.T @ q - np.eye(len(q)))) for _, q in blocks)
     if not np.isfinite(defect) or defect > 1e-10:
         raise SolverFailureError(
             f"exponential lost unitarity: defect {defect:.2e}")
-    return Q
+    return blocks
 
 
 def _is_identity(Q):
@@ -722,18 +731,25 @@ def _is_identity(Q):
     return bool(np.all(Q.diagonal() == 1.0)) and np.count_nonzero(Q) == len(Q)
 
 
+def _flipped(gen, labels):
+    """gen, after checking that (-1)^labels conjugates it to -gen."""
+    if gen.toarray()[labels[:, None] == labels].any():
+        raise SolverFailureError("generator has an entry inside a sign class")
+    return gen
+
+
 def _growth_ratio(space, Q, n):
-    """Largest eigenvalue of the (NUM+1)^n ratio operator conjugated by Q;
-    exactly 1 when Q is the identity, the zero generator's exponential."""
+    """Largest eigenvalue of the (NUM+1)^n ratio operator conjugated by Q,
+    over its blocks; exactly 1 when Q is the identity (zero generator)."""
     if not -2 <= n <= 2:
-        raise InvalidParameterError(f"power {n} outside -2..2")
-    if _is_identity(Q):
+        raise InvalidParameterError(f"power ±{n} outside -2..2")
+    if all(_is_identity(q) for _, q in Q):
         return 1.0
-    shifted = space.number_diag() + 1.0
-    w = shifted ** (-n / 2.0)
-    ratio = w[:, None] * ((Q.T * shifted ** n) @ Q) * w
-    ratio = (ratio + ratio.T) / 2.0
-    return float(np.linalg.eigvalsh(ratio)[-1])
+
+    def top(s, q):
+        r = (s ** (-n / 2.0))[:, None] * ((q.T * s ** n) @ q) * s ** (-n / 2.0)
+        return np.linalg.eigvalsh((r + r.T) / 2.0)[-1]
+    return float(max(top(space._totals[idx] + 1.0, q) for idx, q in Q))
 
 
 @dataclass(frozen=True)
@@ -750,7 +766,7 @@ class GrowthReport:
 def verify_B_number_growth(M, eta_unit, scale, powers, caps=(2, 3, 4, 5, 6),
                            workspace=None):
     """Ratios of (NUM+1)^n under pair-generator conjugation, one report
-    per power n; every power reads the one exponential of each cap."""
+    per power n; each cap solves one per |n| on its one exponential."""
     ws = workspace or Workspace()
     eta_unit = np.asarray(eta_unit, dtype=float)
     eta = scale * eta_unit
@@ -758,7 +774,8 @@ def verify_B_number_growth(M, eta_unit, scale, powers, caps=(2, 3, 4, 5, 6),
     def at(cap):
         space = ws.space(M, cap)
         Q = ws.pair_exponential(space, eta)
-        return [_growth_ratio(space, Q, n) for n in powers]
+        solved = {m: _growth_ratio(space, Q, m) for m in set(map(abs, powers))}
+        return [solved[abs(n)] for n in powers]
     norm = float(scale * np.linalg.norm(eta_unit))
     return tuple(GrowthReport(n=n, caps=tuple(caps), ratios=row,
                               sup=float(max(row)), generator_norm=norm)
@@ -768,16 +785,21 @@ def verify_B_number_growth(M, eta_unit, scale, powers, caps=(2, 3, 4, 5, 6),
 def verify_A_number_growth(M, nu, g, powers, t_grid=(-1.0, -0.5, 0.5, 1.0),
                            caps=(2, 3, 4, 5, 6), mode0=0, workspace=None):
     """Ratios of (NUM+1)^k under t A conjugation, one report per (k, t) as
-    reports[k][t]; every power reads the one exponential of each (t, cap)."""
+    reports[k][t]; each cap solves one per (|k|, |t|), one expm per |t|."""
     ws = workspace or Workspace()
     rows = [[[] for _ in t_grid] for _ in powers]
     for cap in caps:
         space = ws.space(M, cap)
-        A = build_A(space, nu, g, mode0)
-        for j, t in enumerate(t_grid):
+        A = _flipped(build_A(space, nu, g, mode0), space._totals % 2)
+        solved = {}
+        for t in set(map(abs, t_grid)):
             Q = exp_generator(A * t)
-            for row, k in zip(rows, powers):
-                row[j].append(_growth_ratio(space, Q, k))
+            solved.update({(k, t): _growth_ratio(space, Q, k)
+                           for k in set(map(abs, powers))})
+            del Q  # one exponential alive at a time
+        for row, k in zip(rows, powers):
+            for j, t in enumerate(t_grid):
+                row[j].append(solved[abs(k), abs(t)])
     return tuple(tuple(GrowthReport(
         n=k, caps=tuple(caps), ratios=tuple(r), sup=float(max(r)),
         generator_norm=float(abs(t) * np.linalg.norm(nu) * np.linalg.norm(g)))
@@ -803,9 +825,9 @@ def compute_d_eta(space, eta, f, Q, powers=(0,)):
 
     Q = e^B comes from exp_generator (the identity leaves d exactly 0);
     cosh and sinh act on f through the spectral decomposition of the
-    symmetric matrix eta. Returns d as a dense array and, for each power
-    n, a report carrying
-    sup_xi |(NUM+1)^{n/2} d xi| / (|f| |(NUM+1)^{(n+3)/2} xi|), the
+    symmetric matrix eta. Returns d, formed from its two blocks between
+    the NUM parities, as a dense array and, for each power n, a report
+    carrying sup_xi |(NUM+1)^{n/2} d xi| / (|f| |(NUM+1)^{(n+3)/2} xi|), the
     weighted norm whose decay in the cap is the remainder bound's content.
     """
     f = np.asarray(f, dtype=float)
@@ -813,20 +835,24 @@ def compute_d_eta(space, eta, f, Q, powers=(0,)):
     if fn == 0.0:
         raise InvalidParameterError("remainder needs a nonzero mode vector")
     d = np.zeros((space.dim, space.dim))
-    if not _is_identity(Q):
+    if not all(_is_identity(q) for _, q in Q):
         alg = space.float_algebra
         w, V = np.linalg.eigh(eta)
         cosh_f = V @ (np.cosh(w) * (V.T @ f))
         sinh_f = V @ (np.sinh(w) * (V.T @ f))
-        d = (Q.T @ _combo(alg, f, alg.b).toarray() @ Q
-             - _combo(alg, cosh_f, alg.b).toarray()
-             - _combo(alg, sinh_f, alg.b_dag).toarray())
+        bf = _combo(alg, f, alg.b).toarray()
+        rest = (_combo(alg, cosh_f, alg.b)
+                + _combo(alg, sinh_f, alg.b_dag)).toarray()
+        for (r, qr), (c, qc) in zip(Q, Q[::-1]):
+            d[np.ix_(r, c)] = qr.T @ bf[np.ix_(r, c)] @ qc - rest[np.ix_(r, c)]
+    parts = [(r, c, d[np.ix_(r, c)]) for (r, _), (c, _) in zip(Q, Q[::-1])]
     shifted = space.number_diag() + 1.0
-    d_norm = float(np.linalg.norm(d, 2))
+    d_norm = float(max(np.linalg.norm(x, 2) for _, _, x in parts))
     return d, tuple(
-        RemainderReport(cap=space.N_cap, n=n, d_norm=d_norm, ratio=float(
-            np.linalg.norm((shifted ** (n / 2.0))[:, None] * d
-                           * shifted ** (-(n + 3) / 2.0) / fn, 2)))
+        RemainderReport(cap=space.N_cap, n=n, d_norm=d_norm, ratio=float(max(
+            np.linalg.norm((shifted[r] ** (n / 2.0))[:, None] * x
+                           * shifted[c] ** (-(n + 3) / 2.0) / fn, 2)
+            for r, c, x in parts)))
         for n in powers)
 
 

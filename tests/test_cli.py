@@ -10,6 +10,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import os
 
 import numpy as np
@@ -787,7 +788,7 @@ class TestCommandLine:
     @pytest.mark.parametrize("key,value", [
         ("caps", []), ("caps", [2, "3"]), ("caps", 4), ("modes", "x"),
         ("modes", True), ("modes", 0), ("ncap", -1), ("ncap", 2.5),
-        ("suites", "ccr"), ("suites", ["ccr", "warp"])])
+        ("suites", "ccr"), ("suites", ["ccr", "warp"]), ("suites", [])])
     def test_bad_fock_params_exit_2_before_any_stage(
             self, tmp_path, capsys, monkeypatch, key, value):
         ran = []
@@ -801,6 +802,15 @@ class TestCommandLine:
         assert cli.main(["run", "--config", str(cfgp)]) == 2
         err = capsys.readouterr().err
         assert "fock" in err and "Traceback" not in err
+        assert ran == []
+
+    def test_empty_fock_suite_flag_exits_2(self, capsys, monkeypatch):
+        # "--suite ," once ran no suite and exited 0 with all_pass true
+        ran = []
+        monkeypatch.setattr(cli, "fock_stage", lambda *a: ran.append("fock"))
+        assert cli.main(["fock", "--suite", ","]) == 2
+        err = capsys.readouterr().err
+        assert "fock suites" in err and "Traceback" not in err
         assert ran == []
 
     @pytest.mark.parametrize("key,value", [
@@ -1021,9 +1031,10 @@ class TestCommandLine:
         assert not (tmp_path / "out").exists()
 
     def test_one_exponential_per_generator_and_cap(self, monkeypatch):
-        # every power reads one exponential per (generator, t, cap):
-        # 5 pair + 20 cubic (four nonzero t) + 5 remainder at caps 2..6;
-        # the zero generators take none
+        # every power reads one exponential per (generator, |t|, cap): at
+        # caps 2..6, the cubic one at |t| = 0.5 and 1 on the whole space,
+        # and the pair one on its two NUM-parity blocks; the zero
+        # generators take none
         calls = []
         expm = cli.fock.expm
 
@@ -1034,8 +1045,13 @@ class TestCommandLine:
         monkeypatch.setattr(cli.fock, "expm", counted)
         cli.fock_stage(cli._parse_stage("fock", {"modes": 4, "ncap": 5}),
                        cli._DEFAULT_THRESHOLDS, 7)
-        # the remainder sweep reads the pair sweep's five exponentials
-        assert len(calls) == 25
+        # the remainder sweep reads the pair sweep's exponentials
+        def states(parity, cap):  # C(n + 3, 3) states with NUM = n
+            return sum(math.comb(n + 3, 3) for n in range(parity, cap + 1, 2))
+        assert len(calls) == 20
+        assert sorted(calls) == sorted(
+            [math.comb(4 + c, 4) for c in range(2, 7)] * 2
+            + [states(p, c) for c in range(2, 7) for p in (0, 1)])
 
     def test_one_float_algebra_per_space(self, monkeypatch):
         # ccr, un and ln at (4, 5); ln also at (2, 3), (3, 3) and (3, 4);

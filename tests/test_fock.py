@@ -61,6 +61,15 @@ def dense(mat):
                       if isinstance(mat, fock.DisplacementMatrix) else mat)
 
 
+def dense_exp(blocks):
+    """The dense matrix of exp_generator's (states, block) pairs."""
+    dim = sum(len(i) for i, _ in blocks)
+    out = np.zeros((dim, dim))
+    for i, q in blocks:
+        out[np.ix_(i, i)] = q
+    return out
+
+
 class TestSpace:
     def test_dimension_is_binomial(self):
         from math import comb
@@ -319,19 +328,20 @@ class TestPairGenerator:
         assert steps == {2}
 
     def test_exponential_is_unitary(self, sp34, eta3):
-        Q = fock.exp_generator(fock.build_B(sp34, 0.4 * eta3))
+        Q = dense_exp(fock.exp_generator(fock.build_B(sp34, 0.4 * eta3)))
         assert np.max(np.abs(Q.T @ Q - np.eye(sp34.dim))) < 1e-12
 
     def test_zero_eta_exact_identity(self, sp34):
         Q = fock.exp_generator(fock.build_B(sp34, np.zeros((3, 3))))
-        assert np.array_equal(Q, np.eye(sp34.dim))
+        assert np.array_equal(dense_exp(Q), np.eye(sp34.dim))
 
     def test_identity_test_agrees_with_dense_comparison(self, sp34, eta3):
         # the allocation-free test gives np.array_equal(Q, I)'s verdict,
         # also on signed zeros, NaN and rounding-level entries
         cases = [np.eye(4), np.eye(4)[::-1], np.zeros((4, 4)),
                  np.diag([1.0, 1.0, 1.0, 1.0 + 2 ** -52]),
-                 fock.exp_generator(fock.build_B(sp34, 0.3 * eta3))]
+                 dense_exp(fock.exp_generator(
+                     fock.build_B(sp34, 0.3 * eta3)))]
         for i, j, value in [(1, 0, -0.0), (0, 3, 5e-324), (0, 3, np.nan),
                             (2, 2, np.nan), (2, 2, -1.0)]:
             Q = np.eye(4)
@@ -345,7 +355,7 @@ class TestPairGenerator:
         # algebra's weak proxy, so it outlives a temporary space
         B = fock.build_B(fock.build_fock_space(3, 2), 0.3 * eta3)
         gc.collect()
-        assert fock.exp_generator(B).shape == (10, 10)
+        assert dense_exp(fock.exp_generator(B)).shape == (10, 10)
 
     def test_asymmetric_eta_rejected(self, sp34):
         bad = np.zeros((3, 3))
@@ -356,7 +366,7 @@ class TestPairGenerator:
     def test_conjugation_preserves_spectrum(self, sp34, eta3):
         coeff = fock.make_random_coefficients(3, seed=6)
         H = dense(fock.build_HN(coeff, sp34))
-        Q = fock.exp_generator(fock.build_B(sp34, 0.3 * eta3))
+        Q = dense_exp(fock.exp_generator(fock.build_B(sp34, 0.3 * eta3)))
         before = np.linalg.eigvalsh(H)
         after = np.linalg.eigvalsh(Q.T @ H @ Q)
         np.testing.assert_allclose(after, before, atol=1e-10)
@@ -419,10 +429,11 @@ class TestCubicGenerator:
     def test_zero_nu_trivial(self, sp34):
         A = fock.build_A(sp34, np.zeros((3, 3)), np.ones((3, 3)))
         assert A.weights == {}
-        assert np.array_equal(fock.exp_generator(A), np.eye(sp34.dim))
+        assert np.array_equal(dense_exp(fock.exp_generator(A)),
+                              np.eye(sp34.dim))
 
     def test_exponential_is_unitary(self, sp34, nug):
-        Q = fock.exp_generator(fock.build_A(sp34, *nug))
+        Q = dense_exp(fock.exp_generator(fock.build_A(sp34, *nug)))
         assert np.max(np.abs(Q.T @ Q - np.eye(sp34.dim))) < 1e-12
 
     @pytest.mark.parametrize("k", [1, 2])
@@ -562,6 +573,183 @@ def dense_ladders(space):
     return [*a, *a.transpose(0, 2, 1), *b, *b.transpose(0, 2, 1)]
 
 
+
+def stage_draws(M, seed):
+    """eta_unit, nu, g and f, drawn from the seed as cli.fock_stage draws
+    them."""
+    rng = np.random.default_rng(seed)
+    e = rng.normal(size=(M, M))
+    eta_unit = (e + e.T) / 2.0
+    eta_unit /= np.linalg.norm(eta_unit)
+    nu = cli._GENERATOR_SCALE * rng.normal(size=(M, M))
+    g = 0.5 * rng.normal(size=(M, M))
+    return eta_unit, nu, g, rng.normal(size=M)
+
+
+def dense_ratio(space, Q, n):
+    """The (NUM+1)^n growth ratio of a dense Q on the whole space."""
+    s = space.number_diag() + 1.0
+    w = s ** (-n / 2.0)
+    r = w[:, None] * ((Q.T * s ** n) @ Q) * w
+    return np.linalg.eigvalsh((r + r.T) / 2.0)[-1]
+
+
+def dense_remainder(space, eta, f, Q):
+    """d = Q^T b(f) Q - b(cosh(eta) f) - b*(sinh(eta) f), dense."""
+    from scipy.linalg import coshm, sinhm
+    M, lads = space.M, dense_ladders(space)
+
+    def bvec(v, first):
+        return sum(v[i] * lads[first + i] for i in range(M))
+    return (Q.T @ bvec(f, 2 * M) @ Q - bvec(coshm(eta) @ f, 2 * M)
+            - bvec(sinhm(eta) @ f, 3 * M))
+
+
+class TestGeneratorSymmetries:
+    """The exact structure the sweeps run on: A steps NUM by one and B by
+    two, so (-1)^NUM flips A, B keeps the NUM parity, (-1)^floor(NUM/2)
+    flips B, and the remainder maps each parity to the other."""
+
+    @pytest.mark.parametrize("M", [3, 4])
+    def test_exact_zeros(self, M):
+        eta_unit, nu, g, f = stage_draws(M, 7)
+        for cap in range(2, 7):
+            sp = fock.build_fock_space(M, cap)
+            num = sp.number_diag()
+            parity, half = num % 2, num // 2 % 2
+            same = parity[:, None] == parity
+            A = fock.build_A(sp, nu, g).toarray()
+            B = fock.build_B(sp, 0.3 * eta_unit).toarray()
+            d = dense_remainder(sp, 0.3 * eta_unit, f, expm(B))
+            assert A.any() and B.any() and d.any()
+            assert not A[same].any()
+            assert not B[~same].any()
+            assert not B[half[:, None] == half].any()
+            assert not d[same].any()
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_stage_matches_dense_reference(self, seed):
+        # the parent route on the whole space: one expm per (t, cap),
+        # eigvalsh for every signed power, full-matrix norms of d
+        M, caps = 4, (2, 3, 4, 5, 6)
+        rep = cli.fock_stage(cli._parse_stage("fock", {
+            "modes": M, "ncap": 2, "suites": ["bgrowth", "agrowth", "deta"]}),
+            cli._DEFAULT_THRESHOLDS, seed)
+        pair, cubic, rem = (rep["growth"][key]["table"]
+                            for key in ("pair", "cubic", "remainder"))
+        eta_unit, nu, g, f = stage_draws(M, seed)
+        eta = cli._GENERATOR_SCALE * eta_unit
+        reports = fock.sweep_d_eta(M, eta_unit, cli._GENERATOR_SCALE, f,
+                                   (0,), caps=caps)[0]
+        for j, cap in enumerate(caps):
+            sp = fock.build_fock_space(M, cap)
+            s = sp.number_diag() + 1.0
+            QB = expm(fock.build_B(sp, eta).toarray())
+            for n in (-2, -1, 0, 1, 2):
+                assert pair[f"n={n}"]["ratios"][j] == pytest.approx(
+                    dense_ratio(sp, QB, n), rel=1e-13, abs=0)
+            A = fock.build_A(sp, nu, g).toarray()
+            for i, t in enumerate((-1.0, -0.5, 0.5, 1.0)):
+                QA = expm(t * A)
+                for k in (-2, -1, 1, 2):
+                    assert cubic[f"k={k}"][i]["ratios"][j] == pytest.approx(
+                        dense_ratio(sp, QA, k), rel=1e-13, abs=0)
+            d = dense_remainder(sp, eta, f, QB)
+            assert reports[j].d_norm == pytest.approx(
+                np.linalg.norm(d, 2), rel=1e-13, abs=0)
+            for n in (-1, 0, 1):
+                weighted = (s ** (n / 2.0))[:, None] * d * s ** (-(n + 3) / 2)
+                ratio = np.linalg.norm(weighted / np.linalg.norm(f), 2)
+                assert rem[f"n={n}"]["ratio_times_cap"][j] == pytest.approx(
+                    ratio * cap, rel=1e-13, abs=0)
+
+    def test_each_distinct_ratio_solved_once(self, nug, eta3, monkeypatch):
+        # per cap: A at three distinct |t| (0 among them) times two
+        # distinct |k|; B at three distinct |n|
+        solved = []
+        real = fock._growth_ratio
+
+        def recorded(space, Q, n):
+            solved.append((space.N_cap, n))
+            return real(space, Q, n)
+
+        monkeypatch.setattr(fock, "_growth_ratio", recorded)
+        fock.verify_A_number_growth(3, *nug, (-2, -1, 1, 2),
+                                    t_grid=(-1.0, -0.5, 0.5, 1.0, 0.0),
+                                    caps=(2, 3))
+        assert sorted(solved) == sorted(
+            (c, k) for c in (2, 3) for _ in range(3) for k in (2, 1))
+        solved.clear()
+        fock.verify_B_number_growth(3, eta3, 0.3, (-2, -1, 0, 1, 2),
+                                    caps=(2, 3))
+        assert sorted(solved) == [(c, n) for c in (2, 3) for n in (0, 1, 2)]
+
+    # (builder, suite, NUM of the two states the spoiling entry joins):
+    # one case per sign class, and each entry keeps the NUM parity
+    SPOILED = [("build_A", "agrowth", 2), ("build_A", "agrowth", 1),
+               ("build_B", "bgrowth", 1), ("build_B", "bgrowth", 2),
+               ("build_B", "deta", 1)]
+
+    @staticmethod
+    def _spoil(monkeypatch, builder, total):
+        """builder plus x at (i, j) and -x at (j, i), for the first two
+        states i, j with NUM = total."""
+        real = getattr(fock, builder)
+
+        def spoiled(space, *args, **kwargs):
+            i, j = space.sector_indices(total)[:2]
+            extra = fock.DisplacementMatrix.build([0.25, -0.25], [i, j],
+                                                  [j, i], space)
+            return real(space, *args, **kwargs) + extra
+
+        monkeypatch.setattr(fock, builder, spoiled)
+
+    @pytest.mark.parametrize("builder,suite,total", SPOILED)
+    def test_entry_inside_a_sign_class_fails_the_sweep(
+            self, nug, eta3, fvec, monkeypatch, builder, suite, total):
+        self._spoil(monkeypatch, builder, total)
+        sweep = {"agrowth": lambda: fock.verify_A_number_growth(
+                     3, *nug, (1,), caps=(2, 3)),
+                 "bgrowth": lambda: fock.verify_B_number_growth(
+                     3, eta3, 0.3, (1,), caps=(2, 3)),
+                 "deta": lambda: fock.sweep_d_eta(
+                     3, eta3, 0.3, fvec, caps=(2, 3))}[suite]
+        with pytest.raises(SolverFailureError, match="sign class"):
+            sweep()
+
+    @pytest.mark.parametrize("builder,suite,total", SPOILED)
+    def test_entry_inside_a_sign_class_exits_2(
+            self, tmp_path, capsys, monkeypatch, builder, suite, total):
+        import json
+        self._spoil(monkeypatch, builder, total)
+        raw = cli.default_config()
+        raw["pipeline"] = ["fock"]
+        raw["stages"]["fock"] = {"modes": 3, "ncap": 3, "caps": [2, 3],
+                                 "suites": [suite]}
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(raw))
+        assert cli.main(["run", "--config", str(cfgp),
+                         "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "sign class" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("spoil", [0, 1])
+    def test_non_orthogonal_block_fails_the_certificate(
+            self, sp34, eta3, monkeypatch, spoil):
+        # B's exponential is two blocks, and the certificate holds each
+        calls = []
+        real = fock.expm
+
+        def spoiled(A):
+            calls.append(len(A))
+            Q = real(A)
+            return Q * (1.0 + 1e-6) if len(calls) == spoil + 1 else Q
+
+        monkeypatch.setattr(fock, "expm", spoiled)
+        with pytest.raises(SolverFailureError, match="unitarity"):
+            fock.exp_generator(fock.build_B(sp34, 0.3 * eta3))
+        assert sorted(calls) == [13, 22]
+
 class TestDisplacementMatrix:
     @given(M=st.integers(1, 3), cap=st.integers(1, 4),
            start=st.integers(0, 99), seed=st.integers(0, 2**16),
@@ -624,7 +812,7 @@ class TestDisplacementMatrix:
 
 class TestExpmAgainstScipy:
     def test_stage_generators(self, monkeypatch):
-        # the 25 exponentials of a (4, 5) stage, dimensions 15 to 210
+        # the 20 exponentials of a (4, 5) stage, dimensions 4 to 210
         gens = []
         real = fock.expm
 
@@ -635,7 +823,7 @@ class TestExpmAgainstScipy:
         monkeypatch.setattr(fock, "expm", recorded)
         cli.fock_stage(cli._parse_stage("fock", {"modes": 4, "ncap": 5}),
                        cli._DEFAULT_THRESHOLDS, 7)
-        assert len(gens) == 25
+        assert len(gens) == 20
         for A in gens:
             assert np.abs(real(A) - expm(A)).max() <= 1e-13
 
