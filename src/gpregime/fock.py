@@ -680,23 +680,38 @@ _THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
           13: 5.371920351148152e0}
 
 
+def _pade(A, m):
+    """Odd part U and even part V of exp(A)'s degree-m Pade numerator;
+    the approximant is (V - U)^-1 (V + U). Degree 13 forms only A^2, A^4
+    and A^6 and takes its top three terms as A^6 times their sum: 6
+    matrix products with A U, as in the paper, where one power per term
+    takes 7. The powers are freed on return, before the solve."""
+    b = [factorial(2 * m - j) / (factorial(j) * factorial(m - j))
+         for j in range(m + 1)]
+    P = A2 = A @ A
+    U, V = (b[k] * np.eye(len(A)) + b[k + 2] * A2 for k in (1, 0))
+    if m == 13:
+        A4 = A2 @ A2
+        P = A4 @ A2
+        U += P @ (b[9] * A2 + b[11] * A4 + b[13] * P)
+        V += P @ (b[8] * A2 + b[10] * A4 + b[12] * P)
+        U += b[5] * A4 + b[7] * P
+        V += b[4] * A4 + b[6] * P
+    else:
+        for j in range(2, m // 2 + 1):  # P = A^2j, up to A^(m-1)
+            P = P @ A2
+            U += b[2 * j + 1] * P
+            V += b[2 * j] * P
+    return A @ U, V
+
+
 def expm(A):
     """exp(A) by Higham's Pade scaling and squaring: the least degree m
     with ||A||_1 <= theta_m, else m = 13 on A / 2^s, squared s times."""
     norm = float(np.abs(A).sum(axis=0).max())
     m = next((m for m, theta in _THETA.items() if norm <= theta), 13)
     s = ceil(log2(norm / _THETA[13])) if _THETA[m] < norm < np.inf else 0
-    b = [factorial(2 * m - j) / (factorial(j) * factorial(m - j))
-         for j in range(m + 1)]
-    A = A / 2.0 ** s
-    P = A2 = A @ A
-    ident = np.eye(len(A))
-    U, V = b[1] * ident + b[3] * A2, b[0] * ident + b[2] * A2
-    for j in range(2, m // 2 + 1):  # P = A^2j, up to A^(m-1)
-        P = P @ A2
-        U += b[2 * j + 1] * P
-        V += b[2 * j] * P
-    U = A @ U
+    U, V = _pade(A / 2.0 ** s, m)
     R = np.linalg.solve(V - U, V + U)
     for _ in range(s):
         R = R @ R

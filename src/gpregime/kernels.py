@@ -242,6 +242,21 @@ def _moment_lookup(p_nodes, table, x):
     return _horner(table[:, k + 1], x - (p_nodes[0] + k * h))
 
 
+def _distinct(x):
+    """np.unique(x, return_inverse=True) for a 1-D array, by one sort.
+
+    numpy's unique imports numpy.ma on its first call, which nothing here
+    reads; this returns the same sorted values and inverse indices.
+    """
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    new = np.ones(xs.size, dtype=bool)
+    new[1:] = xs[1:] != xs[:-1]
+    inv = np.empty(x.size, dtype=np.intp)
+    inv[order] = np.cumsum(new) - 1
+    return xs[new], inv
+
+
 def _simpson_weights(n, dx):
     """w with w @ y equal to radial.simpson(y, dx) for n >= 2 samples."""
     if n == 2:
@@ -270,13 +285,13 @@ def _node_rule(p_nodes, pairs, s, m):
     """
     h = p_nodes[1] - p_nodes[0]
     n = p_nodes.size - 1
-    w = {mk: _simpson_weights(n + 1 - mk, h) for mk in np.unique(m)}
+    w = {mk: _simpson_weights(n + 1 - mk, h) for mk in _distinct(m)[0]}
     wg = {(q, mk): w[mk] * g[mk:] for mk in w
           for q, (g, _) in enumerate(pairs)}
     out = np.zeros((len(pairs), s.size))
     for sign, o in ((1.0, s), (-1.0, -s)):
         shift = np.floor(o / h).astype(int)
-        keys, inv = np.unique(shift * (n + 1) + m, return_inverse=True)
+        keys, inv = _distinct(shift * (n + 1) + m)
         k, m_keys = np.divmod(keys, n + 1)
         lo = k + 1 + m_keys  # first window column, k + j + 1 at j = m
         left, right = max(0, -lo.min()), max(0, (lo - m_keys).max() - 1)
@@ -348,7 +363,7 @@ def _band_convolve(p_nodes, a_vals, b_vals, s_grid, kind):
             f"for separation {s.max():g}")
     pairs = [(p_nodes ** e * a_vals, tables[power]) for e, power in terms]
     conv = combine(s, _node_rule(p_nodes, pairs, s, m))
-    for mk in np.unique(m):
+    for mk in _distinct(m)[0]:
         rows = m == mk
         n_fine = max(64, 8 * int(mk))
         t_f = np.linspace(p0, p0 + mk * h, n_fine + 1)

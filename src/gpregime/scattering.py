@@ -12,7 +12,8 @@ matrix and crossing the well is their ordered product, evaluated as a tree
 reduction; the sampled trajectory is the prefix scan of the same matrices.
 Both run as a few vectorized passes rather than a loop over steps, which
 makes a single mismatch evaluation cheap enough for the Neumann eigenvalue
-to be found by Brent's method (`_brentq`).
+to be bracketed by bisection on a fixed probe grid, where min-max allows
+one sign change, and found by Brent's method (`_brentq`).
 
 Normalizations: the zero-energy solution has f -> 1 at infinity, so its tail
 is u = r - a0 and a0 is the scattering length. The Neumann minimizer on the
@@ -346,10 +347,12 @@ def _brentq(f, xa, xb, xtol, rtol):
 def solve_neumann(potential, ell, N_param, n_pts=4096):
     """Lowest Neumann state on the ball of radius N * ell, via shooting.
 
-    A batched probe of 56 eigenvalues brackets the first sign change of
-    the boundary mismatch u'(L) - u(L)/L, and Brent's method narrows that
-    bracket to 1e-12 relative width; every mismatch evaluation integrates
-    only the well and crosses the free region with the exact propagator.
+    The boundary mismatch u'(L) - u(L)/L changes sign once on a grid of
+    56 probe eigenvalues below the second Neumann mode (min-max, V >= 0),
+    so bisection on the grid index brackets it in 8 single-lam
+    evaluations, and Brent's method narrows that bracket to 1e-12 relative
+    width; every mismatch evaluation integrates only the well and crosses
+    the free region with the exact propagator.
     The well state at the eigenvalue is then integrated at two resolutions
     and Richardson extrapolated, under the same certificate as the
     zero-energy problem. The returned state has no interior zeros and
@@ -380,19 +383,25 @@ def solve_neumann(potential, ell, N_param, n_pts=4096):
                                  (0.0, 0.0))
 
     # Probe eigenvalues parametrized by the scattering length they would
-    # imply (lam ~ 3 a / L^3, a <= R for nonnegative V), well below the next
-    # boundary mode near (4.49 / L)^2.
+    # imply (lam ~ 3 a / L^3, a <= R for nonnegative V), below the second
+    # Neumann mode, at or above (4.49 / L)^2 by min-max.
     a_probe = R * np.geomspace(1e-8, 1.5, 56)
     lam_probe = 3.0 * a_probe / L ** 3
-    mism = _neumann_mismatch(vn, vm, h, lam_probe, R, L)
-    sign_flip = np.nonzero((mism[:-1] > 0) & (mism[1:] <= 0))[0]
-    if sign_flip.size == 0:
+
+    def mismatch(x):
+        return _neumann_mismatch(vn, vm, h, x, R, L)[0]
+
+    ends = np.array([mismatch(lam_probe[0]), mismatch(lam_probe[-1])])
+    if not ends[0] > 0.0 >= ends[1]:
         raise SolverFailureError(
             "no sign change of the Neumann mismatch in the probe range; "
-            f"residual range [{mism.min():.3e}, {mism.max():.3e}]")
-    i = sign_flip[0]
-    lam = _brentq(lambda x: _neumann_mismatch(vn, vm, h, x, R, L)[0],
-                  lam_probe[i], lam_probe[i + 1], 1e-300, _BRACKET_RTOL)
+            f"residual range [{ends.min():.3e}, {ends.max():.3e}]")
+    lo, hi = 0, lam_probe.size - 1  # mismatch(lo) > 0 >= mismatch(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mismatch(lam_probe[mid]) > 0.0 else (lo, mid)
+    lam = _brentq(mismatch, lam_probe[lo], lam_probe[hi], 1e-300,
+                  _BRACKET_RTOL)
 
     u_well, v_well, rich = _certified_well(tables, lam)
     uL, vL = _free_tail(u_well[-1], v_well[-1], np.array([lam]), L - R)

@@ -435,6 +435,20 @@ class TestZeroPotential:
         assert self._scatter(tmp_path, [50.0] + [0.0] * 15)[0] == 2
         assert "boundary defect" in capsys.readouterr().err
 
+    def test_a_tiny_interaction_is_a_solver_failure(self, tmp_path, capsys):
+        # V0 = 1e-20 is not zero, but its a0 lies below every scattering
+        # length the Neumann probe grid implies, so lam has no bracket
+        raw = cli.default_config()
+        raw["pipeline"] = ["scatter"]
+        raw["stages"]["scatter"]["potential"]["parameters"]["V0"] = 1e-20
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(raw))
+        code = cli.main(["run", "--config", str(cfgp),
+                         "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
+        assert "no sign change of the Neumann mismatch" in err
+
 
 # ---------------------------------------------------------------------------
 # stage-level checks against the solver modules

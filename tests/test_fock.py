@@ -850,6 +850,42 @@ class TestExpmAgainstScipy:
         assert np.abs(Q - expm(A)).max() <= 1e-13 * max(1.0, hi)
         assert np.abs(Q.T @ Q - np.eye(dim)).max() <= 1e-13 * max(1.0, hi)
 
+    # the degree-13 branch on A, then on A / 2^s with s = 1 or 2
+    @pytest.mark.parametrize("band", [(fock._THETA[9], fock._THETA[13]),
+                                      (fock._THETA[13], 4 * fock._THETA[13])],
+                             ids=["unscaled", "scaled"])
+    @given(dim=st.integers(1, 40), frac=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_degree_13_on_general_matrices(self, band, dim, frac, seed):
+        # no symmetry, so no unitarity: the bound is relative to the
+        # largest entry (600 draws per band reached 1.6e-12)
+        lo, hi = band
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((dim, dim))
+        A *= lo * (hi / lo) ** frac / np.abs(A).sum(axis=0).max()
+        want = expm(A)
+        assert np.abs(fock.expm(A) - want).max() <= 1e-11 * np.abs(want).max()
+
+    @pytest.mark.parametrize("norm, products", [
+        (2.0, 5),    # degree 9: A^2, A^4, A^6, A^8 and A U
+        (4.0, 6),    # degree 13: A^2, A^4, A^6, two by A^6 and A U
+        (20.0, 8)])  # degree 13 on A / 4, squared twice
+    def test_matrix_products_per_degree(self, norm, products):
+        count = []
+
+        class Counted(np.ndarray):
+            def __matmul__(self, other):
+                count.append(1)
+                return super().__matmul__(other)
+
+        A = np.random.default_rng(1).standard_normal((6, 6))
+        A -= A.T
+        A *= norm / np.abs(A).sum(axis=0).max()
+        Q = fock.expm(A.view(Counted))
+        assert len(count) == products
+        assert np.abs(np.asarray(Q) - expm(A)).max() <= 1e-13
+
 
 class TestExponentialGuards:
     def test_dimension_cap(self):

@@ -584,3 +584,31 @@ class TestSweep:
 
     def test_lowpass_l2_scaling(self, sweep):
         assert slope_of(sweep, "gauss_l2") == pytest.approx(-3.0, abs=0.05)
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=st.lists(st.integers(-2 ** 40, 2 ** 40), max_size=60))
+@example(x=[])
+@example(x=[3, 1, 3, 3, -2, 1])
+def test_distinct_matches_numpy_unique(x):
+    x = np.array(x, dtype=np.int64)
+    keys, inv = kernels._distinct(x)
+    want_keys, want_inv = np.unique(x, return_inverse=True)
+    assert keys.dtype == want_keys.dtype and inv.dtype == want_inv.dtype
+    assert np.array_equal(keys, want_keys) and np.array_equal(inv, want_inv)
+
+
+def test_kernel_sweep_leaves_numpy_ma_unloaded():
+    # numpy's unique imports numpy.ma on its first call, 1.7 MB of peak
+    # RSS in a fresh process; nothing in the package reads masked arrays
+    import os
+    import subprocess
+    import sys
+    src = os.path.dirname(os.path.dirname(kernels.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys; from gpregime import cli; "
+            "raw = cli.default_config(); "
+            "raw['pipeline'] = ['scatter', 'gp', 'kernels']; "
+            "assert cli.run(raw).all_pass; "
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma'")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -370,3 +370,74 @@ def test_brent_failure_is_a_solver_failure():
         _brentq(step, -1.0, 2.0, 1e-300, _BRACKET_RTOL)
     with pytest.raises(SolverFailureError, match="no sign change"):
         _brentq(step, 1.0, 2.0, 1e-300, _BRACKET_RTOL)
+
+
+# ---------------------------------------------------------------------------
+# the Neumann bracket: bisection on the probe grid
+# ---------------------------------------------------------------------------
+
+# the interactions the bracket is checked on, and every ball the workloads
+# solve: the base ball and the sweep at ell = 0.5 (big_ell 25 to 1600) and
+# the kernel rows (0.25, 1024) and (0.125, 16384)
+POTENTIALS = {"square_well_0.05": lambda: make_square_well(0.05, 1.0, 512),
+              "square_well_2": lambda: make_square_well(2.0, 1.0, 512),
+              "square_well_100": lambda: make_square_well(100.0, 1.0, 512),
+              "smooth": _smooth_well}
+BALLS = [(0.5, N) for N in (50, 64, 100, 200, 400, 800, 1600, 3200)] + [
+    (0.25, 1024), (0.125, 16384)]
+
+
+def batched_probe(potential, ell, N, n_pts=4096):
+    """The 56-lam probe as one batch, and the first index where the
+    mismatch flips from > 0 to <= 0: the bracket solve_neumann took before
+    it bisected on the grid."""
+    R, L = potential.support_radius, ell * N
+    h, vn, vm = _well_tables(potential, max(1024, (n_pts // 4) & ~1))[0]
+    a_probe = R * np.geomspace(1e-8, 1.5, 56)
+    lam_probe = 3.0 * a_probe / L ** 3
+    mism = _neumann_mismatch(vn, vm, h, lam_probe, R, L)
+    flips = np.flatnonzero((mism[:-1] > 0) & (mism[1:] <= 0))
+    return lam_probe, mism, flips[0], (h, vn, vm)
+
+
+@pytest.mark.parametrize("ell, N", BALLS)
+@pytest.mark.parametrize("name", POTENTIALS)
+def test_bisection_keeps_the_batched_bracket(name, ell, N):
+    potential = POTENTIALS[name]()
+    R, L = potential.support_radius, ell * N
+    lam_probe, mism, i, (h, vn, vm) = batched_probe(potential, ell, N)
+    # the premise of the bisection: one sign change, from > 0 to <= 0
+    assert mism[0] > 0.0 and np.count_nonzero(np.diff(mism > 0.0)) == 1
+    want = _brentq(lambda x: _neumann_mismatch(vn, vm, h, x, R, L)[0],
+                   lam_probe[i], lam_probe[i + 1], 1e-300, _BRACKET_RTOL)
+    assert solve_neumann(potential, ell, N).lambda_ell == want
+
+
+@pytest.mark.parametrize("name", ["square_well_2", "smooth"])
+def test_bracket_takes_eight_single_lambda_crossings(monkeypatch, name):
+    # the two probe ends, then at most ceil(log2 55) = 6 bisection steps,
+    # each one lam wide; Brent and the certified well follow
+    sizes, before_brent = [], []
+    integrate, brent = scattering._integrate_well, scattering._brentq
+
+    def counted(v_nodes, v_mids, h, lam, store=False):
+        sizes.append(np.size(lam))
+        return integrate(v_nodes, v_mids, h, lam, store)
+
+    def marked(*args):
+        before_brent.append(len(sizes))
+        return brent(*args)
+
+    monkeypatch.setattr(scattering, "_integrate_well", counted)
+    monkeypatch.setattr(scattering, "_brentq", marked)
+    solve_neumann(POTENTIALS[name](), 0.5, 64)
+    assert max(sizes) == 1
+    assert len(before_brent) == 1 and before_brent[0] <= 8
+
+
+def test_tiny_interaction_has_no_bracket():
+    # a0 ~ V0 R^3 / 6 lies far below the smallest scattering length the
+    # probe grid implies, R * 1e-8, so no probe eigenvalue brackets lam
+    with pytest.raises(SolverFailureError, match="no sign change of the "
+                       "Neumann mismatch in the probe range"):
+        solve_neumann(make_square_well(1e-20, 1.0, 512), 0.5, 64)
