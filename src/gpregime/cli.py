@@ -487,7 +487,7 @@ def _gp_inputs(params):
 def gp_stage(inputs, thr):
     trap, a0, tol = inputs
     state = minimize_gp(trap, float(a0), tol=tol)
-    spec = hgp_spectrum(state, k=2)
+    spec = hgp_spectrum(state)
     decay = {}
     for nu in thr["decay_orders"]:
         rep = verify_decay(state, float(nu))
@@ -718,7 +718,7 @@ def fock_stage(inputs, thr, seed):
     exact_ok = None
     if space.dim <= fockexact._EXACT_DIM_CAP and any(
             suite in _EXACT_KEYS for suite in suites):
-        exact_ok = fockexact.verify_exact_identities(M, cap, seed=seed)
+        exact_ok = fockexact.verify_exact_identities(space, seed)
 
     identities = []
     growth = {}
@@ -740,13 +740,13 @@ def fock_stage(inputs, thr, seed):
             thr["fock_float_tol"])
         add_exact("ccr")
     if "un" in suites:
-        add("excitation-map-conjugations-float", fock.verify_un(space, 0),
+        add("excitation-map-conjugations-float", fock.verify_un(space),
             thr["fock_float_tol"])
         add_exact("un")
     if "ln" in suites:
         worst = max(fock.verify_energy_identity(
             fock.make_random_coefficients(m, seed=seed),
-            ws.space(m, c), n_states=20, seed=seed)
+            ws.space(m, c), seed=seed)
             for m, c in dict.fromkeys([(2, 3), (3, 3), (3, 4), (M, cap)]))
         add("excitation-energy-identity", worst, thr["energy_identity_tol"])
         add_exact("ln")

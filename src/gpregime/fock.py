@@ -3,9 +3,9 @@
 Works on the space of occupation vectors (n_1 .. n_M) with total at most
 N_cap. The modified ladder operators b = sqrt((N - NUM)/N) a stay inside
 the truncation, the condensate-relabeling map U sends the top sector
-onto the zero-condensate sub-basis, and the quadratic-form decomposition
-of the two-body Hamiltonian is assembled by exact operator algebra, so
-the energy identity
+onto the zero-condensate sub-basis (the condensate is mode 0), and the
+quadratic-form decomposition of the two-body Hamiltonian is assembled by
+exact operator algebra, so the energy identity
 
     <psi, H psi> = <U psi, Gamma L Gamma U psi>
 
@@ -331,11 +331,11 @@ def _two_body(alg, v):
         alg, alg.a_dag, pairs, vi.reshape(len(vi), -1) / 2))
 
 
-def _excited(c, m0):
-    """c with every entry that has an index m0 set to zero."""
+def _excited(c):
+    """c with every entry that has an index 0 (the condensate) set to zero."""
     c = c.copy()
     for axis in range(c.ndim):
-        np.moveaxis(c, axis, 0)[m0] = 0
+        np.moveaxis(c, axis, 0)[0] = 0
     return c
 
 
@@ -360,35 +360,32 @@ def _comm(X, Y):
 # the condensate relabeling map
 # ---------------------------------------------------------------------------
 
-def _un(space, ns, mode0):
+def _un(space, ns):
     """The relabeling map U, square on the space (each top-sector state
-    to that state with its condensate emptied, every other state to 0),
-    and the top-sector projector P = U* U."""
-    if not 0 <= mode0 < space.M:
-        raise InvalidParameterError(f"condensate mode {mode0} out of range")
+    to that state with its condensate, mode 0, emptied, every other state
+    to 0), and the top-sector projector P = U* U."""
     if space.N_cap < 1:
         raise InvalidParameterError("relabeling needs at least one particle")
     sector = space.sector_indices(space.N_cap)
-    rows = [space.index[n[:mode0] + (0,) + n[mode0 + 1:]]
-            for n in (space.basis[k] for k in sector)]
+    rows = [space.index[(0,) + space.basis[k][1:]] for k in sector]
     ones = [1] * len(rows)
     return (ns.matrix(ones, rows, sector, space),
             ns.matrix(ones, sector, sector, space))
 
 
-def _gamma(space, ns, mode0):
-    return _diag(space, ns, [int(n[mode0] == 0) for n in space.basis])
+def _gamma(space, ns):
+    return _diag(space, ns, [int(n[0] == 0) for n in space.basis])
 
 
-def build_UN(space, mode0=0):
+def build_UN(space):
     """The relabeling map U: a partial isometry from the top sector onto
     the zero-condensate sub-basis."""
-    return _un(space, FLOAT, mode0)[0]
+    return _un(space, FLOAT)[0]
 
 
-def gamma_projector(space, mode0=0):
+def gamma_projector(space):
     """Second-quantized projection onto states with an empty condensate."""
-    return _gamma(space, FLOAT, mode0)
+    return _gamma(space, FLOAT)
 
 
 # ---------------------------------------------------------------------------
@@ -402,11 +399,10 @@ class CoefficientSet:
     h is the one-body matrix, v the two-body tensor with bosonic
     symmetries v_ijkl = v_jikl = v_ijlk = v_klij (real case), eta the
     symmetric pair-kernel matrix, nu and g the field-kernel and lowpass
-    coefficient matrices. mode0 names the condensate mode. Entries are
-    floats, or Fractions in object arrays for exact arithmetic.
+    coefficient matrices. Mode 0 is the condensate. Entries are floats,
+    or Fractions in object arrays for exact arithmetic.
     """
 
-    mode0: int
     h: np.ndarray = field(repr=False)
     v: np.ndarray = field(repr=False)
     eta: np.ndarray = field(repr=False)
@@ -430,20 +426,20 @@ def validate_coefficients(coeff, M):
         raise InvalidParameterError("pair-kernel matrix must be symmetric")
 
 
-def make_random_coefficients(M, seed=0, mode0=0, scale=1.0):
+def make_random_coefficients(M, seed=0):
     """Random real coefficient tensors with the symmetries built in."""
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(M, M))
-    h = scale * (x + x.T) / 2.0
+    h = (x + x.T) / 2.0
     t = rng.normal(size=(M, M, M, M))
     t = (t + t.transpose(1, 0, 2, 3)) / 2.0
     t = (t + t.transpose(0, 1, 3, 2)) / 2.0
-    v = scale * (t + t.transpose(2, 3, 0, 1)) / 2.0
+    v = (t + t.transpose(2, 3, 0, 1)) / 2.0
     e = rng.normal(size=(M, M))
-    eta = scale * (e + e.T) / 2.0
-    nu = scale * rng.normal(size=(M, M))
-    g = scale * rng.normal(size=(M, M))
-    return CoefficientSet(mode0=mode0, h=h, v=v, eta=eta, nu=nu, g=g)
+    eta = (e + e.T) / 2.0
+    nu = rng.normal(size=(M, M))
+    g = rng.normal(size=(M, M))
+    return CoefficientSet(h=h, v=v, eta=eta, nu=nu, g=g)
 
 
 def _hn(alg, coeff):
@@ -459,22 +455,20 @@ def _ln(alg, coeff):
     an identity rather than an expansion. Sums over the excited modes
     are sums over coefficients with their condensate entries zeroed.
     """
-    N, m0, h, v = alg.space.N_cap, coeff.mode0, coeff.h, coeff.v
+    N, h, v = alg.space.N_cap, coeff.h, coeff.v
     N0 = alg.eye * N - alg.num
     N0m1 = N0 - alg.eye
-    L0 = N0 * h[m0, m0] + (N0 @ N0m1) * (v[m0, m0, m0, m0] / 2)
-    X1 = (_combo(alg, _excited(h[:, m0], m0), alg.b_dag)
-          + _combo(alg, _excited(v[:, m0, m0, m0], m0), alg.b_dag) @ N0m1
+    L0 = N0 * h[0, 0] + (N0 @ N0m1) * (v[0, 0, 0, 0] / 2)
+    X1 = (_combo(alg, _excited(h[:, 0]), alg.b_dag)
+          + _combo(alg, _excited(v[:, 0, 0, 0]), alg.b_dag) @ N0m1
           ) * alg.ns.sqrt(N)
-    L2 = (_bilinear(alg, alg.a_dag, alg.a,
-                    _excited(h - 2 * v[:, m0, :, m0], m0))
-          + _bilinear(alg, alg.b_dag, alg.b,
-                      _excited(2 * N * v[:, m0, :, m0], m0)))
+    L2 = (_bilinear(alg, alg.a_dag, alg.a, _excited(h - 2 * v[:, 0, :, 0]))
+          + _bilinear(alg, alg.b_dag, alg.b, _excited(2 * N * v[:, 0, :, 0])))
     pair = _bilinear(alg, alg.b_dag, alg.b_dag,
-                     _excited(N * v[:, :, m0, m0] / 2, m0))
-    X3 = _cubic(alg, _excited(v[:, :, :, m0], m0)) * alg.ns.sqrt(N)
+                     _excited(N * v[:, :, 0, 0] / 2))
+    X3 = _cubic(alg, _excited(v[:, :, :, 0])) * alg.ns.sqrt(N)
     return {"L0": L0, "L1": X1 + X1.T, "L2": L2 + pair + pair.T,
-            "L3": X3 + X3.T, "L4": _two_body(alg, _excited(v, m0))}
+            "L3": X3 + X3.T, "L4": _two_body(alg, _excited(v))}
 
 
 def build_HN(coeff, space):
@@ -508,7 +502,7 @@ def build_B(space, eta):
                                         np.asarray(eta, dtype=float)))
 
 
-def build_A(space, nu, g, mode0=0):
+def build_A(space, nu, g):
     """Cubic generator (1/sqrt N) sum nu_xy g_xz (b*_x a*_y a_z - h.c.)."""
     nu = np.asarray(nu, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -552,8 +546,8 @@ def ladder_defects(alg, f, g, h):
                             - _combo(alg, h, b) * (f @ g))
 
 
-def un_defects(alg, mode0):
-    """Defects of Gamma and of the relabeling map U.
+def un_defects(alg):
+    """Defects of Gamma and of the relabeling map U, condensate mode 0.
 
     U vanishes off the top sector, so U X U* reads X off it. Each
     conjugation compares U X U* for a condensate bilinear X against its
@@ -561,8 +555,8 @@ def un_defects(alg, mode0):
     relabels to the bare vacuum.
     """
     space, ns, N = alg.space, alg.ns, alg.space.N_cap
-    U, P = _un(space, ns, mode0)
-    G = _gamma(space, ns, mode0)
+    U, P = _un(space, ns)
+    G = _gamma(space, ns)
     yield "gamma_idempotent", G @ G - G
     yield "gamma_number_commute", _comm(G, alg.num)
     yield "un_isometry", U.T @ U - P
@@ -571,20 +565,17 @@ def un_defects(alg, mode0):
     def conj(op):
         return U @ op @ U.T
 
-    a0, a0d = alg.a[mode0], alg.a_dag[mode0]
+    a0, a0d = alg.a[0], alg.a_dag[0]
     yield "un_conjugations", (conj(a0d @ a0)
                               - G @ (alg.eye * N - alg.num) @ G)
-    for p in range(space.M):
-        if p == mode0:
-            continue
+    for p in range(1, space.M):
         for X, Y in ((alg.a_dag[p] @ a0, alg.b_dag[p]),
                      (a0d @ alg.a[p], alg.b[p])):
             yield "un_conjugations", conj(X) - (G @ Y @ G) * ns.sqrt(N)
-        for q in range(space.M):
-            if q != mode0:
-                hop = alg.a_dag[p] @ alg.a[q]
-                yield "un_conjugations", conj(hop) - G @ hop @ G
-    pure = space.index[tuple(N if i == mode0 else 0 for i in range(space.M))]
+        for q in range(1, space.M):
+            hop = alg.a_dag[p] @ alg.a[q]
+            yield "un_conjugations", conj(hop) - G @ hop @ G
+    pure = space.index[(N,) + (0,) * (space.M - 1)]
     yield "un_conjugations", (U @ ns.matrix([1], [pure], [pure], space)
                               - ns.matrix([1], [0], [pure], space))
 
@@ -593,7 +584,7 @@ def _energy_sides(alg, coeff):
     """H, U, L and P of the energy identity P H P = U* L U, with P the
     top-sector projector and L the sum of L0..L4. Gamma U = U
     (un_range_projector), so U* L U = U* Gamma L Gamma U."""
-    U, P = _un(alg.space, alg.ns, coeff.mode0)
+    U, P = _un(alg.space, alg.ns)
     L = sum(_ln(alg, coeff).values(), alg.zero)
     return _hn(alg, coeff), U, L, P
 
@@ -610,7 +601,7 @@ def generator_defects(alg, eta):
 def identity_defects(alg, coeff):
     """Every identity of the algebra as (name, defect operator) pairs."""
     yield from ladder_defects(alg, coeff.nu[0], coeff.g[0], coeff.h[0])
-    yield from un_defects(alg, coeff.mode0)
+    yield from un_defects(alg)
     H, U, L, P = _energy_sides(alg, coeff)
     yield "energy_identity", P @ H @ P - U.T @ L @ U
     yield from generator_defects(alg, coeff.eta)
@@ -623,22 +614,21 @@ def verify_b_commutators(space, seed=0):
                for _, d in ladder_defects(space.float_algebra, f, g, h))
 
 
-def verify_un(space, mode0=0):
+def verify_un(space):
     """Max deviation over un_defects: unitarity and the conjugations."""
-    return max(_max_abs(d)
-               for _, d in un_defects(space.float_algebra, mode0))
+    return max(_max_abs(d) for _, d in un_defects(space.float_algebra))
 
 
-def verify_energy_identity(coeff, space, n_states=20, seed=0):
+def verify_energy_identity(coeff, space, seed=0):
     """Max relative defect of <psi, H psi> = <U psi, G L G U psi>, over
-    random unit states of the top sector."""
+    20 random unit states of the top sector."""
     validate_coefficients(coeff, space.M)
     H, U, L, P = _energy_sides(space.float_algebra, coeff)
     scale = max(_max_abs(P @ H @ P), 1.0)
     sector = space.sector_indices(space.N_cap)
     rng = np.random.default_rng(seed)
-    psi = np.zeros((space.dim, n_states))
-    for j in range(n_states):
+    psi = np.zeros((space.dim, 20))
+    for j in range(20):
         x = rng.normal(size=sector.size)
         psi[sector, j] = x / np.linalg.norm(x)
     energies = np.sum(psi * (H @ psi - U.T @ (L @ (U @ psi))), axis=0)
@@ -798,14 +788,14 @@ def verify_B_number_growth(M, eta_unit, scale, powers, caps=(2, 3, 4, 5, 6),
 
 
 def verify_A_number_growth(M, nu, g, powers, t_grid=(-1.0, -0.5, 0.5, 1.0),
-                           caps=(2, 3, 4, 5, 6), mode0=0, workspace=None):
+                           caps=(2, 3, 4, 5, 6), workspace=None):
     """Ratios of (NUM+1)^k under t A conjugation, one report per (k, t) as
     reports[k][t]; each cap solves one per (|k|, |t|), one expm per |t|."""
     ws = workspace or Workspace()
     rows = [[[] for _ in t_grid] for _ in powers]
     for cap in caps:
         space = ws.space(M, cap)
-        A = _flipped(build_A(space, nu, g, mode0), space._totals % 2)
+        A = _flipped(build_A(space, nu, g), space._totals % 2)
         solved = {}
         for t in set(map(abs, t_grid)):
             Q = exp_generator(A * t)

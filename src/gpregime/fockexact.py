@@ -15,7 +15,7 @@ from collections import defaultdict
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from numbers import Rational
 
 import numpy as np
@@ -24,7 +24,6 @@ from .errors import InvalidParameterError, ResourceLimitError
 from .fock import (
     NumberSystem,
     algebra,
-    build_fock_space,
     identity_defects,
     make_random_coefficients,
 )
@@ -153,36 +152,33 @@ class RadMatrix:
 EXACT = NumberSystem(sqrt=Rad.sqrt, matrix=RadMatrix.build)
 
 
-def exact_space(M, N_cap):
-    dim = comb(M + N_cap, M)
-    if dim > _EXACT_DIM_CAP:
-        raise ResourceLimitError(
-            f"exact mode capped at dimension {_EXACT_DIM_CAP}, got {dim}")
-    return build_fock_space(M, N_cap)
-
-
-def make_exact_coefficients(M, seed=0, mode0=0):
+def make_exact_coefficients(M, seed=0):
     """make_random_coefficients rounded to Fractions of denominator <= 6.
 
     Equal floats round to equal Fractions, so the symmetries, which the
     float set has exactly, carry over.
     """
-    coeff = make_random_coefficients(M, seed=seed, mode0=mode0)
+    coeff = make_random_coefficients(M, seed=seed)
     rational = np.vectorize(lambda x: Fraction(x).limit_denominator(6),
                             otypes=[object])
     return replace(coeff, **{k: rational(getattr(coeff, k))
                              for k in ("h", "v", "eta", "nu", "g")})
 
 
-def verify_exact_identities(M, N_cap, seed=0, mode0=0):
-    """Run every identity of fock.identity_defects in exact arithmetic.
+def verify_exact_identities(space, seed):
+    """Run every identity of fock.identity_defects in exact arithmetic on
+    a FockSpace of dimension at most _EXACT_DIM_CAP.
 
     Returns a dict of identity name -> bool, True meaning every defect
     of that name is exactly zero in the radical ring.
     """
-    alg = algebra(exact_space(M, N_cap), EXACT)
+    if space.dim > _EXACT_DIM_CAP:
+        raise ResourceLimitError(
+            f"exact mode capped at dimension {_EXACT_DIM_CAP}, "
+            f"got {space.dim}")
+    alg = algebra(space, EXACT)
     results = {}
-    coeff = make_exact_coefficients(M, seed=seed, mode0=mode0)
+    coeff = make_exact_coefficients(space.M, seed=seed)
     for name, defect in identity_defects(alg, coeff):
         results[name] = results.get(name, True) and defect.is_zero
     return results

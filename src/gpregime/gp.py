@@ -28,8 +28,11 @@ _DEFAULT_GRIDS = {"harmonic": (8.0, 800), "quartic": (5.0, 500)}
 # (h + s)^-1; ||h x - lambda x|| <= _RITZ_RESIDUAL_TOL * ||h||_1 certifies
 _LANCZOS_TOL, _RITZ_RESIDUAL_TOL = 1e-14, 1e-10
 # a flow whose residual has not fallen by _STALL_FACTOR over its last
-# _STALL_WINDOW accepted steps has stalled; converging flows fall far faster
-_STALL_WINDOW, _STALL_FACTOR = 100, 1.25
+# _STALL_WINDOW accepted steps has stalled; converging flows fall far faster;
+# one still running after _MAX_ITER steps fails
+_STALL_WINDOW, _STALL_FACTOR, _MAX_ITER = 100, 1.25, 5000
+# hgp_spectrum's eigenpairs: the zero mode and the gap above it
+_N_PAIRS = 2
 
 
 # ---------------------------------------------------------------------------
@@ -159,16 +162,16 @@ def _energy_parts(u, v_nodes, r_int, h, a0):
 # minimization
 # ---------------------------------------------------------------------------
 
-def minimize_gp(trap, a0, r_max=None, n_pts=None, tol=1e-11, max_iter=5000,
-                init_phi=None):
+def minimize_gp(trap, a0, r_max=None, n_pts=None, tol=1e-11):
     """Ground state by a normalized semi-implicit gradient flow.
 
-    Each step solves (I + tau (K + V + 8 pi a0 u^2/r^2)) u* = u with the
-    cubic term frozen at the current iterate, then renormalizes; the fixed
-    point of that map satisfies the discrete Euler-Lagrange equation exactly.
+    The flow starts from the Gaussian r exp(-r^2/2). Each step solves
+    (I + tau (K + V + 8 pi a0 u^2/r^2)) u* = u with the cubic term frozen
+    at the current iterate, then renormalizes; the fixed point of that map
+    satisfies the discrete Euler-Lagrange equation exactly.
     Steps that fail to decrease the energy are retried with a smaller tau.
     Convergence is declared on the Euler-Lagrange residual in L^2(d^3x);
-    a flow whose residual stalls, or runs past max_iter steps, fails.
+    a flow whose residual stalls, or runs past _MAX_ITER steps, fails.
     """
     if a0 < 0:
         raise InvalidParameterError(f"scattering length must be >= 0, got {a0}")
@@ -187,10 +190,7 @@ def minimize_gp(trap, a0, r_max=None, n_pts=None, tol=1e-11, max_iter=5000,
     c = 8.0 * np.pi * a0
     w_norm = 4.0 * np.pi * h
 
-    if init_phi is not None:
-        u = np.asarray(init_phi, dtype=float)[1:-1] * r_int
-    else:
-        u = r_int * np.exp(-r_int ** 2 / 2.0)
+    u = r_int * np.exp(-r_int ** 2 / 2.0)
     u = u / np.sqrt(w_norm * np.sum(u * u))
 
     # roundoff floor of the residual: applying the stencil loses ~1/h^2 ulps
@@ -208,13 +208,13 @@ def minimize_gp(trap, a0, r_max=None, n_pts=None, tol=1e-11, max_iter=5000,
     tau = 0.05
     iterations = 0
     residuals = []
-    for iterations in range(max_iter + 1):
+    for iterations in range(_MAX_ITER + 1):
         eps, res = el_pieces(u)
         if res <= eff_tol:
             break
-        if iterations == max_iter:
+        if iterations == _MAX_ITER:
             raise SolverFailureError(
-                f"no convergence after {max_iter} steps; residual {res:.3e}")
+                f"no convergence after {_MAX_ITER} steps; residual {res:.3e}")
         residuals.append(res)
         if iterations >= _STALL_WINDOW \
                 and res * _STALL_FACTOR > residuals[-1 - _STALL_WINDOW]:
@@ -259,14 +259,12 @@ class HgpSpectrum:
     """Lowest eigenpairs of h = -Delta + V + 8 pi a0 phi^2 - eps (s-wave)."""
 
     values: np.ndarray
-    vectors_u: np.ndarray     # columns, on interior nodes
     gap: float
     ground_overlap: float
-    grid: np.ndarray
 
 
-def hgp_spectrum(state, k=6):
-    """Lowest k s-wave eigenpairs of the linearization around the minimizer.
+def hgp_spectrum(state):
+    """Lowest two s-wave eigenpairs of the linearization around the minimizer.
 
     The operator reuses the minimizer's stencil and grid, so the minimizer
     itself is its zero mode up to the solver residual: lambda_0 is small
@@ -277,10 +275,7 @@ def hgp_spectrum(state, k=6):
     not from u, which would hold the higher modes only through rounding.
     Values are Rayleigh quotients on h, each certified by its residual.
     """
-    n = state.u.size
-    if not 2 <= k <= n:
-        raise InvalidParameterError(
-            f"need 2 to {n} (the interior nodes) eigenvalues, got {k}")
+    n, k = state.u.size, _N_PAIRS
     band = kinetic_band(n, state.h)
     w = state.v_nodes + 8.0 * np.pi * state.a0 * state.u ** 2 \
         / state.grid[1:-1] ** 2 - state.eps_gp
@@ -312,9 +307,8 @@ def hgp_spectrum(state, k=6):
         raise SolverFailureError(f"Lanczos eigenpair residuals {res} exceed "
                                  f"{_RITZ_RESIDUAL_TOL * h_norm:.2e}")
     overlap = abs(float(x[:, 0] @ state.u)) / np.linalg.norm(state.u)
-    return HgpSpectrum(values=vals, vectors_u=x,
-                       gap=float(vals[1] - vals[0]),
-                       ground_overlap=float(overlap), grid=state.grid)
+    return HgpSpectrum(values=vals, gap=float(vals[1] - vals[0]),
+                       ground_overlap=float(overlap))
 
 
 # ---------------------------------------------------------------------------
@@ -325,28 +319,24 @@ def hgp_spectrum(state, k=6):
 class DecayReport:
     """sup |g| e^{nu r} over the resolvable grid for g = phi, phi', lap phi."""
 
-    nu: float
     c_phi: float
     c_dphi: float
     c_lap: float
     divergent: bool
-    window_maxima: tuple
 
 
-def _window_growth(weighted, n_win=6):
-    """True when the tail-window maxima keep growing toward the edge."""
-    m = weighted.size
-    if m < 4 * n_win:
-        return False, tuple()
-    tail = weighted[m // 2:]
-    blocks = np.array_split(tail, n_win)
+def _window_growth(weighted):
+    """True when the maxima of six tail windows keep growing toward the
+    edge."""
+    if weighted.size < 24:
+        return False
+    blocks = np.array_split(weighted[weighted.size // 2:], 6)
     maxima = np.array([b.max() for b in blocks])
-    growing = bool(np.all(np.diff(maxima) > 0)
-                   and maxima[-1] > 1.05 * maxima[0])
-    return growing, tuple(float(x) for x in maxima)
+    return bool(np.all(np.diff(maxima) > 0)
+                and maxima[-1] > 1.05 * maxima[0])
 
 
-def verify_decay(state, nu, phi=None):
+def verify_decay(state, nu):
     """Exponential-envelope constants for phi and its first two derivatives.
 
     Nodes where |phi| has fallen below 1e-13 of its peak are excluded: there
@@ -357,16 +347,11 @@ def verify_decay(state, nu, phi=None):
     """
     if nu <= 0:
         raise InvalidParameterError("decay rate nu must be positive")
-    r = state.grid
-    h = state.h
-    if phi is None:
-        phi_vals = state.phi
-    else:
-        phi_vals = np.asarray(phi, dtype=float)
-    u = phi_vals[1:-1] * r[1:-1]
+    r, h, phi = state.grid, state.h, state.phi
+    u = phi[1:-1] * r[1:-1]
     r_int = r[1:-1]
 
-    keep = np.abs(phi_vals) >= 1e-13 * np.max(np.abs(phi_vals))
+    keep = np.abs(phi) >= 1e-13 * np.max(np.abs(phi))
     keep_int = keep[1:-1]
 
     kin = kinetic_band(u.size, h)
@@ -378,14 +363,13 @@ def verify_decay(state, nu, phi=None):
     dphi = (du * r_int[2:-2] - u[2:-2]) / r_int[2:-2] ** 2
     keep_d = keep_int[2:-2]
 
-    wphi = np.abs(phi_vals[keep]) * np.exp(nu * r[keep])
+    wphi = np.abs(phi[keep]) * np.exp(nu * r[keep])
     wdphi = np.abs(dphi[keep_d]) * np.exp(nu * r_int[2:-2][keep_d])
     wlap = np.abs(lap_phi[keep_int]) * np.exp(nu * r_int[keep_int])
 
-    growing, maxima = _window_growth(wphi)
     return DecayReport(
-        nu=float(nu), c_phi=float(np.max(wphi)), c_dphi=float(np.max(wdphi)),
-        c_lap=float(np.max(wlap)), divergent=growing, window_maxima=maxima)
+        c_phi=float(np.max(wphi)), c_dphi=float(np.max(wdphi)),
+        c_lap=float(np.max(wlap)), divergent=_window_growth(wphi))
 
 
 @dataclass(frozen=True, eq=False)
@@ -396,37 +380,19 @@ class FourierDecayReport:
     phat: np.ndarray
     sup_weighted: float
     argmax_p: float
-    slope_resolved: float
-    floor: float
 
 
-def fourier_decay(state, p_grid=None):
-    """Transform of phi and its quartic-weighted sup.
+def fourier_decay(state):
+    """Transform of phi on 241 geometric momenta in [0.02, 6] and its
+    quartic-weighted sup.
 
     The sup of (1+p)^4 |phat| sits at moderate p where the transform is far
-    above roundoff, so it is refinement-stable. The log-log slope is fitted
-    only on the resolvable band (values above 1e3 times the roundoff floor);
-    beyond it the transform of a smooth state underflows into noise and
-    fitting there would be meaningless.
+    above roundoff, so it is refinement-stable.
     """
-    if p_grid is None:
-        p_grid = np.geomspace(0.02, 6.0, 241)
+    p_grid = np.geomspace(0.02, 6.0, 241)
     phat = radial_fourier(state.phi, state.h, p_grid)
     weighted = (1.0 + p_grid) ** 4 * np.abs(phat)
     k = int(np.argmax(weighted))
-
-    mag = np.abs(phat)
-    floor = max(mag.min(), 1e-300)
-    resolved = mag > 1e3 * floor
-    slope = 0.0
-    if np.count_nonzero(resolved) >= 8:
-        sel = np.nonzero(resolved)[0]
-        # fit on the outer resolvable decade where the decay law is visible
-        hi = p_grid[sel[-1]]
-        band = resolved & (p_grid > hi / 10.0)
-        if np.count_nonzero(band) >= 4:
-            slope = float(np.polyfit(np.log(p_grid[band]),
-                                     np.log(mag[band] + 1e-300), 1)[0])
     return FourierDecayReport(
         p=p_grid, phat=phat, sup_weighted=float(weighted[k]),
-        argmax_p=float(p_grid[k]), slope_resolved=slope, floor=float(floor))
+        argmax_p=float(p_grid[k]))

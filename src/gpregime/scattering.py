@@ -245,8 +245,6 @@ class NeumannSolution:
     int_Vf: float
     int_w: float
     segments: tuple = field(repr=False)
-    neumann_defect: float = 0.0
-    richardson_defect: float = 0.0
 
     @cached_property
     def fourier(self):
@@ -256,7 +254,7 @@ class NeumannSolution:
 
 
 def _assemble_neumann(potential, ell, N_param, n_pts, lam, u_well, v_well,
-                      h_well, vn, n_tail, defect_pair):
+                      h_well, vn, n_tail):
     R = potential.support_radius
     L = ell * N_param
     h_tail = (L - R) / n_tail
@@ -296,19 +294,18 @@ def _assemble_neumann(potential, ell, N_param, n_pts, lam, u_well, v_well,
         (f[:n_well + 1].copy(), h_well, 0.0),
         (np.concatenate([[f[n_well]], f[n_well + 1:]]), h_tail, float(R)),
     )
-    mism, rich = defect_pair
     return NeumannSolution(
         potential=potential, ell=float(ell), N_param=float(N_param),
         n_pts=int(n_pts), radius=float(L), lambda_ell=float(lam),
         r_grid=r_grid, f=f, w=w, wp=wp,
-        int_Vf=float(int_Vf), int_w=float(int_w), segments=segments,
-        neumann_defect=float(mism), richardson_defect=float(rich))
+        int_Vf=float(int_Vf), int_w=float(int_w), segments=segments)
 
 
-def _brentq(f, xa, xb, xtol, rtol):
-    """Root of f in [xa, xb] by Brent's method: scipy's brentq.c, step for step."""
+def _brentq(f, xa, xb, fa, fb, xtol, rtol):
+    """Root of f in [xa, xb] by Brent's method: scipy's brentq.c, step for
+    step. fa and fb are f(xa) and f(xb), which the caller already has."""
     xpre, xcur = float(xa), float(xb)
-    fpre, fcur = float(f(xpre)), float(f(xcur))
+    fpre, fcur = float(fa), float(fb)
     if fpre == 0.0 or fcur == 0.0:
         return xpre if fpre == 0.0 else xcur
     if (fpre < 0) == (fcur < 0):
@@ -379,8 +376,7 @@ def solve_neumann(potential, ell, N_param, n_pts=4096):
         # f = 1 solves the problem at lam = 0, so u = r and u' = 1
         r_well = np.arange(n_well + 1) * h
         return _assemble_neumann(potential, ell, N_param, n_pts, 0.0, r_well,
-                                 np.ones(n_well + 1), h, vn, n_tail,
-                                 (0.0, 0.0))
+                                 np.ones(n_well + 1), h, vn, n_tail)
 
     # Probe eigenvalues parametrized by the scattering length they would
     # imply (lam ~ 3 a / L^3, a <= R for nonnegative V), below the second
@@ -391,24 +387,26 @@ def solve_neumann(potential, ell, N_param, n_pts=4096):
     def mismatch(x):
         return _neumann_mismatch(vn, vm, h, x, R, L)[0]
 
-    ends = np.array([mismatch(lam_probe[0]), mismatch(lam_probe[-1])])
-    if not ends[0] > 0.0 >= ends[1]:
+    lo, hi = 0, lam_probe.size - 1
+    f_lo, f_hi = mismatch(lam_probe[lo]), mismatch(lam_probe[hi])
+    if not f_lo > 0.0 >= f_hi:
         raise SolverFailureError(
             "no sign change of the Neumann mismatch in the probe range; "
-            f"residual range [{ends.min():.3e}, {ends.max():.3e}]")
-    lo, hi = 0, lam_probe.size - 1  # mismatch(lo) > 0 >= mismatch(hi)
-    while hi - lo > 1:
+            f"residual range [{np.min((f_lo, f_hi)):.3e}, "
+            f"{np.max((f_lo, f_hi)):.3e}]")
+    while hi - lo > 1:  # f_lo = mismatch(lam_probe[lo]) > 0 >= f_hi
         mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if mismatch(lam_probe[mid]) > 0.0 else (lo, mid)
-    lam = _brentq(mismatch, lam_probe[lo], lam_probe[hi], 1e-300,
+        f_mid = mismatch(lam_probe[mid])
+        if f_mid > 0.0:
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
+    lam = _brentq(mismatch, lam_probe[lo], lam_probe[hi], f_lo, f_hi, 1e-300,
                   _BRACKET_RTOL)
 
-    u_well, v_well, rich = _certified_well(tables, lam)
-    uL, vL = _free_tail(u_well[-1], v_well[-1], np.array([lam]), L - R)
-    mism_final = float(vL[0] - uL[0] / L) / max(abs(float(uL[0]) / L), 1e-300)
-
+    u_well, v_well, _ = _certified_well(tables, lam)
     return _assemble_neumann(potential, ell, N_param, n_pts, lam, u_well,
-                             v_well, h, vn, n_tail, (mism_final, rich))
+                             v_well, h, vn, n_tail)
 
 
 # ---------------------------------------------------------------------------
@@ -445,31 +443,24 @@ def _refined_transform(sol, p):
     return (4.0 * fine - coarse) / 3.0, defect
 
 
-def default_momentum_grid(sol, n=241):
-    """Geometric grid spanning at least two decades across the well scale."""
+def default_momentum_grid(sol):
+    """241 geometric momenta spanning at least two decades across the well
+    scale."""
     L = sol.radius
     R = sol.potential.support_radius
     p_lo = 2.0 / L
     p_hi = max(12.0 / R, 150.0 * p_lo)
-    return np.geomspace(p_lo, p_hi, n)
+    return np.geomspace(p_lo, p_hi, 241)
 
 
-def fourier_w(sol, p_grid=None):
-    """Transform of the extended-by-zero w on a decade-spanning grid.
+def fourier_w(sol):
+    """Transform of the extended-by-zero w on default_momentum_grid.
 
     Uses oscillation-safe piecewise-linear quadrature per uniform segment,
     with a half-resolution rerun as convergence certificate: the two runs
     must agree or the call fails rather than returning garbage.
     """
-    if p_grid is None:
-        p_grid = default_momentum_grid(sol)
-    p_grid = np.asarray(p_grid, dtype=float)
-    if (p_grid.ndim != 1 or p_grid.size < 8
-            or not np.all((p_grid > 0) & (p_grid < np.inf))):
-        raise InvalidParameterError("need a 1D grid of finite positive momenta")
-    if p_grid.max() / p_grid.min() < 99.0:
-        raise InvalidParameterError("momentum grid must span >= two decades")
-
+    p_grid = default_momentum_grid(sol)
     vals, defect = _refined_transform(sol, p_grid)
     if not np.isfinite(defect) or defect > 5e-3:
         raise SolverFailureError(

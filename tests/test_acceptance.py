@@ -216,7 +216,7 @@ def test_criterion_08_fock_exact_identities():
         worst = max(worst, np.max(np.abs((P @ P - P).toarray())))
     exact_all = True
     for m, cap in ((2, 3), (3, 3), (3, 4)):
-        res = fockexact.verify_exact_identities(m, cap, seed=0)
+        res = fockexact.verify_exact_identities(fk.build_fock_space(m, cap), 0)
         exact_all = exact_all and all(res.values())
     ok = worst <= 1e-12 and exact_all
     _verdict(8, ok, f"float-mode max deviation {worst:.2e} (<= 1e-12), "
@@ -228,8 +228,7 @@ def test_criterion_09_excitation_energy_identity():
     for m, cap in ((2, 3), (3, 3), (3, 4)):
         space = fk.build_fock_space(m, cap)
         coeff = fk.make_random_coefficients(m, seed=0)
-        worst = max(worst, fk.verify_energy_identity(coeff, space,
-                                                     n_states=20, seed=0))
+        worst = max(worst, fk.verify_energy_identity(coeff, space, seed=0))
     ok = worst <= 1e-10
     _verdict(9, ok, f"max relative defect {worst:.2e} over 20 states "
                     f"at (2,3), (3,3), (3,4)")

@@ -1084,6 +1084,21 @@ class TestCommandLine:
         assert sorted(built) == sorted(
             [(4, c) for c in range(2, 7)] + [(2, 3), (3, 3), (3, 4)])
 
+    def test_one_stage_builds_each_space_once(self, monkeypatch):
+        # the exact mode runs on the stage's own (M, cap) space
+        built = []
+        space = cli.fock.FockSpace
+
+        def counted(**fields):
+            built.append((fields["M"], fields["N_cap"]))
+            return space(**fields)
+
+        monkeypatch.setattr(cli.fock, "FockSpace", counted)
+        rep = cli.fock_stage(cli._parse_stage("fock", {"modes": 3, "ncap": 4}),
+                             cli._DEFAULT_THRESHOLDS, 7)
+        assert rep["exact_mode"] and (3, 4) in built
+        assert len(built) == len(set(built))
+
     def test_exact_mode_only_for_suites_that_read_it(self, monkeypatch):
         calls = []
         monkeypatch.setattr(cli.fockexact, "verify_exact_identities",

@@ -9,6 +9,12 @@ are matched by spelling, not by binding: a name used anywhere in the
 package keeps every definition of that name, except that a classmethod is
 kept only by the spelling ClassName.method. Module-level dunders (PEP
 562's __getattr__) are called by the interpreter and are skipped.
+
+The same holds for parameter defaults: a default that no call in the
+package overrides, by keyword or by position, is a constant spelled as a
+parameter, and the code that serves its other values is reached only by
+tests. Calls are matched by spelling too; a call of a class, or of cls
+inside it, is a call of its __init__.
 """
 
 import ast
@@ -27,6 +33,20 @@ ALLOWED = {
         "it (test_criterion_08_fock_exact_identities)",
     "cli.LemmaReportBundle.entry":
         "the lookup by id on the bundle that the exported run() returns",
+}
+
+# module.function.parameter -> why its default stays though no call in the
+# package overrides it
+DEFAULTS_ALLOWED = {
+    "cli.main.argv": "the console entry point calls main() with no argv",
+    "main.main.argv": "the console entry point calls main() with no argv",
+    "radial.filon_cos.x0":
+        "filon_cos stays only as the benchmark tracer's pin; nothing in the "
+        "package calls it (CHANGES.md, the FOUND line on filon_cos)",
+    "gp.minimize_gp.r_max":
+        "ROADMAP item 5: the gp stage is to pass the trap's own grid",
+    "gp.minimize_gp.n_pts":
+        "ROADMAP item 5: the gp stage is to pass the trap's own grid",
 }
 
 
@@ -85,6 +105,58 @@ def unreached(allowed=ALLOWED):
     return out
 
 
+def _defaulted(prefix, node, cls=None):
+    """(qualified name, the spelling a call reaches it by, parameter,
+    position or None) per parameter with a default, in functions and
+    methods at any depth; a position skips self and cls, and __init__ is
+    reached by its class's name."""
+    for sub in ast.iter_child_nodes(node):
+        if isinstance(sub, ast.ClassDef):
+            yield from _defaulted(f"{prefix}.{sub.name}", sub, sub.name)
+        if not isinstance(sub, _FUNCS):
+            continue
+        static = any(getattr(d, "id", None) == "staticmethod"
+                     for d in sub.decorator_list)
+        skip = 0 if cls is None or static else 1
+        spelled = cls if sub.name == "__init__" else sub.name
+        qual, args = f"{prefix}.{sub.name}", sub.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        for i, arg in enumerate(positional[first:], first):
+            yield f"{qual}.{arg.arg}", spelled, arg.arg, i - skip
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield f"{qual}.{arg.arg}", spelled, arg.arg, None
+        yield from _defaulted(qual, sub)
+
+
+def _calls(node, cls=None):
+    """(spelling, positional arguments before any *, keywords) per call;
+    cls(...) inside a class is spelled as the class."""
+    for sub in ast.iter_child_nodes(node):
+        if isinstance(sub, ast.Call):
+            name = getattr(sub.func, "id", getattr(sub.func, "attr", None))
+            stars = [isinstance(a, ast.Starred) for a in sub.args] + [True]
+            yield (cls if name == "cls" and cls else name, stars.index(True),
+                   {k.arg for k in sub.keywords})
+        yield from _calls(sub, sub.name if isinstance(sub, ast.ClassDef)
+                          else cls)
+
+
+def unset_defaults(allowed=DEFAULTS_ALLOWED, trees=None):
+    """module.function.parameter of each default that no call in the
+    package (or in trees, module name -> syntax tree) overrides."""
+    trees = trees or {path.stem: ast.parse(path.read_text())
+                      for path in sorted(SRC.glob("*.py"))}
+    calls = [c for tree in trees.values() for c in _calls(tree)]
+    return [qual for module, tree in trees.items()
+            for qual, name, param, pos in _defaulted(module, tree)
+            if qual not in allowed
+            and not any(n == name and (param in keywords
+                                       or pos is not None and n_pos > pos)
+                        for n, n_pos, keywords in calls)]
+
+
 def test_every_definition_is_reached_by_the_package():
     assert unreached() == []
 
@@ -93,6 +165,24 @@ def test_every_allowed_name_is_still_unreached():
     # an allowlist entry that the package now names, or that is gone, is
     # stale and must go
     assert sorted(unreached(allowed={})) == sorted(ALLOWED)
+
+
+def test_every_default_is_overridden_by_the_package():
+    assert unset_defaults() == []
+
+
+def test_every_allowed_default_is_still_unset():
+    # an allowlist entry that some call now overrides, or that is gone,
+    # is stale and must go
+    assert sorted(unset_defaults(allowed={})) == sorted(DEFAULTS_ALLOWED)
+
+
+def test_a_class_call_sets_its_init_defaults():
+    tree = ast.parse("class A:\n    def __init__(self, x, y=1): pass\n"
+                     "    @classmethod\n    def make(cls): return cls(0, 2)\n"
+                     "def f(a, b=0, *, c=1): pass\n"
+                     "f(1, c=2)\n")
+    assert unset_defaults(allowed={}, trees={"m": tree}) == ["m.f.b"]
 
 
 def test_a_classmethod_is_reached_only_through_its_class():
