@@ -18,6 +18,7 @@ its two blocks between the parities; S = (-1)^NUM gives S A S = -A and
 C = (-1)^floor(NUM/2) gives C B C = -B. Both signs commute with NUM, so a
 growth ratio depends on |power| and |t| alone and is solved once for
 each, after the sign's premise (no entry inside a sign class) is checked.
+The sweeps return their tables as the dicts the fock report writes.
 
 The builders and the identity checks are written once, against a
 NumberSystem: FLOAT here, exact radicals in gpregime.fockexact. Each
@@ -757,40 +758,29 @@ def _growth_ratio(space, Q, n):
     return float(max(top(space._totals[idx] + 1.0, q) for idx, q in Q))
 
 
-@dataclass(frozen=True)
-class GrowthReport:
-    """Ratio table for a number-growth lemma across particle caps."""
-
-    n: int
-    caps: tuple
-    ratios: tuple
-    sup: float
-    generator_norm: float
-
-
 def verify_B_number_growth(M, eta_unit, scale, powers, caps=(2, 3, 4, 5, 6),
                            workspace=None):
-    """Ratios of (NUM+1)^n under pair-generator conjugation, one report
-    per power n; each cap solves one per |n| on its one exponential."""
+    """Ratios of (NUM+1)^n under pair-generator conjugation across the
+    caps, as {"n=<n>": {caps, ratios, sup}} per power n; each cap solves
+    one per |n| on its one exponential."""
     ws = workspace or Workspace()
-    eta_unit = np.asarray(eta_unit, dtype=float)
-    eta = scale * eta_unit
+    eta = scale * np.asarray(eta_unit, dtype=float)
 
     def at(cap):
         space = ws.space(M, cap)
         Q = ws.pair_exponential(space, eta)
         solved = {m: _growth_ratio(space, Q, m) for m in set(map(abs, powers))}
         return [solved[abs(n)] for n in powers]
-    norm = float(scale * np.linalg.norm(eta_unit))
-    return tuple(GrowthReport(n=n, caps=tuple(caps), ratios=row,
-                              sup=float(max(row)), generator_norm=norm)
-                 for n, row in zip(powers, zip(*map(at, caps))))
+    return {f"n={n}": {"caps": list(caps), "ratios": list(row),
+                       "sup": float(max(row))}
+            for n, row in zip(powers, zip(*map(at, caps)))}
 
 
 def verify_A_number_growth(M, nu, g, powers, t_grid=(-1.0, -0.5, 0.5, 1.0),
                            caps=(2, 3, 4, 5, 6), workspace=None):
-    """Ratios of (NUM+1)^k under t A conjugation, one report per (k, t) as
-    reports[k][t]; each cap solves one per (|k|, |t|), one expm per |t|."""
+    """Ratios of (NUM+1)^k under t A conjugation across the caps, as
+    {"k=<k>": [{t_norm, ratios, sup} per t]}, t_norm = |t| |nu| |g|; each
+    cap solves one per (|k|, |t|), one expm per |t|."""
     ws = workspace or Workspace()
     rows = [[[] for _ in t_grid] for _ in powers]
     for cap in caps:
@@ -805,25 +795,15 @@ def verify_A_number_growth(M, nu, g, powers, t_grid=(-1.0, -0.5, 0.5, 1.0),
         for row, k in zip(rows, powers):
             for j, t in enumerate(t_grid):
                 row[j].append(solved[abs(k), abs(t)])
-    return tuple(tuple(GrowthReport(
-        n=k, caps=tuple(caps), ratios=tuple(r), sup=float(max(r)),
-        generator_norm=float(abs(t) * np.linalg.norm(nu) * np.linalg.norm(g)))
-        for r, t in zip(row, t_grid)) for k, row in zip(powers, rows))
+    return {f"k={k}": [{
+        "t_norm": float(abs(t) * np.linalg.norm(nu) * np.linalg.norm(g)),
+        "ratios": r, "sup": float(max(r))} for r, t in zip(row, t_grid)]
+        for k, row in zip(powers, rows)}
 
 
 # ---------------------------------------------------------------------------
 # the conjugation remainder
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RemainderReport:
-    """Weighted operator-norm data for the conjugation remainder."""
-
-    cap: int
-    n: int
-    ratio: float
-    d_norm: float
-
 
 def compute_d_eta(space, eta, f, Q, powers=(0,)):
     """Remainder d of e^{-B} b(f) e^B = b(cosh f) + b*(sinh f) + d.
@@ -831,8 +811,8 @@ def compute_d_eta(space, eta, f, Q, powers=(0,)):
     Q = e^B comes from exp_generator (the identity leaves d exactly 0);
     cosh and sinh act on f through the spectral decomposition of the
     symmetric matrix eta. Returns d, formed from its two blocks between
-    the NUM parities, as a dense array and, for each power n, a report
-    carrying sup_xi |(NUM+1)^{n/2} d xi| / (|f| |(NUM+1)^{(n+3)/2} xi|), the
+    the NUM parities, as a dense array and, for each power n, the ratio
+    sup_xi |(NUM+1)^{n/2} d xi| / (|f| |(NUM+1)^{(n+3)/2} xi|), the
     weighted norm whose decay in the cap is the remainder bound's content.
     """
     f = np.asarray(f, dtype=float)
@@ -852,25 +832,24 @@ def compute_d_eta(space, eta, f, Q, powers=(0,)):
             d[np.ix_(r, c)] = qr.T @ bf[np.ix_(r, c)] @ qc - rest[np.ix_(r, c)]
     parts = [(r, c, d[np.ix_(r, c)]) for (r, _), (c, _) in zip(Q, Q[::-1])]
     shifted = space.number_diag() + 1.0
-    d_norm = float(max(np.linalg.norm(x, 2) for _, _, x in parts))
-    return d, tuple(
-        RemainderReport(cap=space.N_cap, n=n, d_norm=d_norm, ratio=float(max(
-            np.linalg.norm((shifted[r] ** (n / 2.0))[:, None] * x
-                           * shifted[c] ** (-(n + 3) / 2.0) / fn, 2)
-            for r, c, x in parts)))
-        for n in powers)
+    return d, tuple(float(max(
+        np.linalg.norm((shifted[r] ** (n / 2.0))[:, None] * x
+                       * shifted[c] ** (-(n + 3) / 2.0) / fn, 2)
+        for r, c, x in parts)) for n in powers)
 
 
 def sweep_d_eta(M, eta_unit, scale, f, powers=(0,), caps=(2, 3, 4, 5, 6),
                 workspace=None):
-    """Remainder reports across particle caps at fixed eta, one tuple per
-    power n; every power reads the pair exponential of each cap, which a
-    shared workspace takes once for this sweep and the B-growth sweep."""
+    """Remainder ratios across particle caps at fixed eta, as
+    {"n=<n>": {caps, ratio_times_cap}} per power n; every power reads the
+    pair exponential of each cap, which a shared workspace takes once for
+    this sweep and the B-growth sweep."""
     ws = workspace or Workspace()
     eta = scale * np.asarray(eta_unit, dtype=float)
 
     def at(cap):
         space = ws.space(M, cap)
         Q = ws.pair_exponential(space, eta)
-        return compute_d_eta(space, eta, f, Q, powers)[1]
-    return tuple(zip(*map(at, caps)))
+        return [r * cap for r in compute_d_eta(space, eta, f, Q, powers)[1]]
+    return {f"n={n}": {"caps": list(caps), "ratio_times_cap": list(row)}
+            for n, row in zip(powers, zip(*map(at, caps)))}

@@ -152,15 +152,22 @@ class RadMatrix:
 EXACT = NumberSystem(sqrt=Rad.sqrt, matrix=RadMatrix.build)
 
 
+def _rational(x):
+    """x as a Fraction of denominator <= 6; a nonzero x that rounds to 0
+    becomes +-1/6, so no coupling drops out of the exact identities."""
+    q = Fraction(x).limit_denominator(6)
+    return q if q or not x else Fraction(1 if x > 0 else -1, 6)
+
+
 def make_exact_coefficients(M, seed=0):
-    """make_random_coefficients rounded to Fractions of denominator <= 6.
+    """make_random_coefficients rounded by _rational: zero exactly where
+    the float is.
 
     Equal floats round to equal Fractions, so the symmetries, which the
     float set has exactly, carry over.
     """
     coeff = make_random_coefficients(M, seed=seed)
-    rational = np.vectorize(lambda x: Fraction(x).limit_denominator(6),
-                            otypes=[object])
+    rational = np.vectorize(_rational, otypes=[object])
     return replace(coeff, **{k: rational(getattr(coeff, k))
                              for k in ("h", "v", "eta", "nu", "g")})
 

@@ -14,6 +14,9 @@ Conventions: minimization of E[phi] = int |grad phi|^2 + V phi^2
 -Delta phi + V phi + 8 pi a0 phi^3 = eps phi with eps = E + 4 pi a0 ||phi||_4^4,
 and the linearized operator is h = -Delta + V + 8 pi a0 phi^2 - eps, which
 annihilates phi exactly.
+
+hgp_spectrum, verify_decay and fourier_decay return the dicts of plain
+numbers that the gp report writes as they are.
 """
 
 from dataclasses import dataclass
@@ -254,21 +257,14 @@ def minimize_gp(trap, a0, r_max=None, n_pts=None, tol=1e-11):
 # linearization spectrum
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class HgpSpectrum:
-    """Lowest eigenpairs of h = -Delta + V + 8 pi a0 phi^2 - eps (s-wave)."""
-
-    values: np.ndarray
-    gap: float
-    ground_overlap: float
-
-
 def hgp_spectrum(state):
-    """Lowest two s-wave eigenpairs of the linearization around the minimizer.
+    """Lowest two s-wave eigenvalues of the linearization around the
+    minimizer, h = -Delta + V + 8 pi a0 phi^2 - eps.
 
-    The operator reuses the minimizer's stencil and grid, so the minimizer
-    itself is its zero mode up to the solver residual: lambda_0 is small
-    compared to lambda_1 and the ground eigenvector overlaps u to roundoff.
+    Returns lambda0, lambda1, their gap and the ground eigenvector's
+    overlap with u. The operator reuses the minimizer's stencil and grid,
+    so the minimizer itself is its zero mode up to the solver residual:
+    lambda0 is small compared to lambda1 and the overlap is 1 to roundoff.
 
     Shift-invert Lanczos, fully reorthogonalized, on h + s >= K + 1 (s =
     1 - min(0, min w), w the diagonal added to K). It starts from a constant,
@@ -307,23 +303,13 @@ def hgp_spectrum(state):
         raise SolverFailureError(f"Lanczos eigenpair residuals {res} exceed "
                                  f"{_RITZ_RESIDUAL_TOL * h_norm:.2e}")
     overlap = abs(float(x[:, 0] @ state.u)) / np.linalg.norm(state.u)
-    return HgpSpectrum(values=vals, gap=float(vals[1] - vals[0]),
-                       ground_overlap=float(overlap))
+    return {"lambda0": float(vals[0]), "lambda1": float(vals[1]),
+            "gap": float(vals[1] - vals[0]), "ground_overlap": float(overlap)}
 
 
 # ---------------------------------------------------------------------------
 # decay certificates
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class DecayReport:
-    """sup |g| e^{nu r} over the resolvable grid for g = phi, phi', lap phi."""
-
-    c_phi: float
-    c_dphi: float
-    c_lap: float
-    divergent: bool
-
 
 def _window_growth(weighted):
     """True when the maxima of six tail windows keep growing toward the
@@ -337,7 +323,9 @@ def _window_growth(weighted):
 
 
 def verify_decay(state, nu):
-    """Exponential-envelope constants for phi and its first two derivatives.
+    """Exponential-envelope constants for phi and its first two derivatives:
+    c_phi, c_dphi and c_lap, each sup |g| e^{nu r} over the resolvable grid
+    for g = phi, phi', lap phi, and whether the weighted phi is divergent.
 
     Nodes where |phi| has fallen below 1e-13 of its peak are excluded: there
     the second difference is roundoff noise amplified by 1/h^2 and would
@@ -367,32 +355,19 @@ def verify_decay(state, nu):
     wdphi = np.abs(dphi[keep_d]) * np.exp(nu * r_int[2:-2][keep_d])
     wlap = np.abs(lap_phi[keep_int]) * np.exp(nu * r_int[keep_int])
 
-    return DecayReport(
-        c_phi=float(np.max(wphi)), c_dphi=float(np.max(wdphi)),
-        c_lap=float(np.max(wlap)), divergent=_window_growth(wphi))
-
-
-@dataclass(frozen=True, eq=False)
-class FourierDecayReport:
-    """Transform samples with the (1+p)^4-weighted envelope certificate."""
-
-    p: np.ndarray
-    phat: np.ndarray
-    sup_weighted: float
-    argmax_p: float
+    return {"c_phi": float(np.max(wphi)), "c_dphi": float(np.max(wdphi)),
+            "c_lap": float(np.max(wlap)), "divergent": _window_growth(wphi)}
 
 
 def fourier_decay(state):
-    """Transform of phi on 241 geometric momenta in [0.02, 6] and its
-    quartic-weighted sup.
+    """Transform of phi on 241 geometric momenta in [0.02, 6]: the sup of
+    (1+p)^4 |phat| (sup_weighted) and the momentum where it sits (argmax_p).
 
-    The sup of (1+p)^4 |phat| sits at moderate p where the transform is far
-    above roundoff, so it is refinement-stable.
+    The sup sits at moderate p where the transform is far above roundoff,
+    so it is refinement-stable.
     """
     p_grid = np.geomspace(0.02, 6.0, 241)
     phat = radial_fourier(state.phi, state.h, p_grid)
     weighted = (1.0 + p_grid) ** 4 * np.abs(phat)
     k = int(np.argmax(weighted))
-    return FourierDecayReport(
-        p=p_grid, phat=phat, sup_weighted=float(weighted[k]),
-        argmax_p=float(p_grid[k]))
+    return {"sup_weighted": float(weighted[k]), "argmax_p": float(p_grid[k])}

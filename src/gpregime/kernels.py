@@ -20,7 +20,7 @@ profiles, with (-Delta)^ = 4 pi^2 p^2.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -54,7 +54,7 @@ class CorrelationG:
     """Pair kernel G(x) = -N w_ell(N|x|) with its transform.
 
     Ghat(p) = -what_ell(p / N) / N^2, so the decay certificate
-    sup_p p^2 |Ghat(p)| equals sup_q q^2 |what(q)| (sol.fourier.sup_p2)
+    sup_p p^2 |Ghat(p)| equals sup_q q^2 |what(q)| (sol.sup_p2)
     independently of N.
     """
 
@@ -137,7 +137,6 @@ class FactorizedKernel:
     so the sharp indicator is applied exactly in momentum space.
     """
 
-    name: str
     N: float
     p_nodes: np.ndarray = field(repr=False)
     fhat: np.ndarray = field(repr=False)
@@ -177,14 +176,13 @@ def build_eta_H(G, cutoff):
     with chi_H the indicator of |p| >= cutoff; the band's first node is
     the sharp cutoff, so chi_H is 1 on it."""
     p_nodes = _band_nodes(G, cutoff)
-    return FactorizedKernel(name="eta_H", N=float(G.N), p_nodes=p_nodes,
-                            fhat=G.hat(p_nodes))
+    return FactorizedKernel(N=float(G.N), p_nodes=p_nodes, fhat=G.hat(p_nodes))
 
 
 def build_nu_H(eta):
     """High-momentum field kernel F(x-y) phi(y): eta_H's band, which the
     condensate weight phi enters only on the right."""
-    return replace(eta, name="nu_H")
+    return eta
 
 
 # ---------------------------------------------------------------------------
@@ -715,7 +713,7 @@ def sweep_kernels(potential, state, alpha=4.0, beta=2.0,
         rows.append({
             "ell": float(ell), "N": float(N), "big_ell": float(ell * N),
             "alpha": float(alpha), "beta": float(beta),
-            "cutoff_momentum": cutoff, "g_sup_p2": sol.fourier.sup_p2,
+            "cutoff_momentum": cutoff, "g_sup_p2": sol.sup_p2,
             "g_hat_zero": float(-sol.int_w / sol.N_param ** 2),
             "gauss_l1": gauss_l1, "gauss_l2": gauss_l2,
             **en, **nu_norms(build_nu_H(eta), work),

@@ -20,9 +20,13 @@ is u = r - a0 and a0 is the scattering length. The Neumann minimizer on the
 ball of radius L = N * ell is normalized to f(L) = 1, with eigenvalue lam
 fixed by the boundary condition f'(L) = 0. w = 1 - f is the correlation hole,
 extended by zero outside the ball.
+
+The checks return what the scatter report writes: verify_lemma_scattering
+one sweep row of plain floats, and fourier_w the number sup p^2 |what(p)|,
+which each solution computes once as NeumannSolution.sup_p2.
 """
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -229,7 +233,7 @@ class NeumannSolution:
 
     The sampled data lives on two uniform segments: a fine one across the
     interaction well [0, R] and an exactly propagated tail (R, L]. r_grid,
-    f, w and wp assemble both; outside the ball f is 1 and w is 0.
+    w and wp assemble both; outside the ball w is 0.
     """
 
     potential: InteractionPotential
@@ -239,7 +243,6 @@ class NeumannSolution:
     radius: float
     lambda_ell: float
     r_grid: np.ndarray
-    f: np.ndarray
     w: np.ndarray
     wp: np.ndarray
     int_Vf: float
@@ -247,9 +250,9 @@ class NeumannSolution:
     segments: tuple = field(repr=False)
 
     @cached_property
-    def fourier(self):
-        """fourier_w on the default momentum grid, computed on first use
-        and shared by every reader of this solution."""
+    def sup_p2(self):
+        """fourier_w of this solution, computed on first use and shared by
+        every reader."""
         return fourier_w(self)
 
 
@@ -297,7 +300,7 @@ def _assemble_neumann(potential, ell, N_param, n_pts, lam, u_well, v_well,
     return NeumannSolution(
         potential=potential, ell=float(ell), N_param=float(N_param),
         n_pts=int(n_pts), radius=float(L), lambda_ell=float(lam),
-        r_grid=r_grid, f=f, w=w, wp=wp,
+        r_grid=r_grid, w=w, wp=wp,
         int_Vf=float(int_Vf), int_w=float(int_w), segments=segments)
 
 
@@ -413,17 +416,6 @@ def solve_neumann(potential, ell, N_param, n_pts=4096):
 # Fourier side
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class FourierWReport:
-    """Sampled transform of w with its uniform-decay certificate."""
-
-    p: np.ndarray
-    values: np.ndarray
-    sup_p2: float
-    argmax_p: float
-    refinement_defect: float
-
-
 def _refined_transform(sol, p):
     """what(p) = (2/p) sum over the uniform segments of
     int w r sin(2 pi p r) dr, at full and half resolution.
@@ -454,7 +446,8 @@ def default_momentum_grid(sol):
 
 
 def fourier_w(sol):
-    """Transform of the extended-by-zero w on default_momentum_grid.
+    """sup_p p^2 |what(p)| of the extended-by-zero w on
+    default_momentum_grid.
 
     Uses oscillation-safe piecewise-linear quadrature per uniform segment,
     with a half-resolution rerun as convergence certificate: the two runs
@@ -466,10 +459,7 @@ def fourier_w(sol):
         raise SolverFailureError(
             f"oscillatory quadrature not converged: defect {defect:.3e}")
 
-    p2 = p_grid ** 2 * np.abs(vals)
-    k = int(np.argmax(p2))
-    return FourierWReport(p=p_grid, values=vals, sup_p2=float(p2[k]),
-                          argmax_p=float(p_grid[k]), refinement_defect=defect)
+    return float(np.max(p_grid ** 2 * np.abs(vals)))
 
 
 def ball_indicator_hat(p, L):
@@ -512,53 +502,22 @@ def fourier_w_ode(sol, p):
 # the verification bundle
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LemmaScatteringReport:
-    """Quantitative checks tying the ball problem to the scattering length.
-
-    i   : eigenvalue rate        lam (N ell)^3 / (3 a0) -> 1
-    ii  : potential integral     (N ell) |int V f - 8 pi a0| / a0 bounded
-    iii : pointwise decay of w, its derivative, and the w volume
-    iv  : uniform p^2 decay of what
-    """
-
-    a0: float
-    lambda_ell: float
-    radius: float
-    i_ratio: float
-    i_deviation: float
-    ii_weighted: float
-    iii_sup_w: float
-    iii_sup_wp: float
-    iii_moment: float
-    iii_moment_weighted: float
-    iv_sup_p2: float
-    int_Vf: float
-    int_w: float
-
-    def to_dict(self):
-        return {
-            "a0": self.a0,
-            "lambda_ell": self.lambda_ell,
-            "radius": self.radius,
-            "i": {"ratio": self.i_ratio, "deviation": self.i_deviation},
-            "ii": {"weighted_defect": self.ii_weighted},
-            "iii": {"sup_w_weighted": self.iii_sup_w,
-                    "sup_wp_weighted": self.iii_sup_wp,
-                    "volume_moment": self.iii_moment,
-                    "volume_moment_weighted": self.iii_moment_weighted},
-            "iv": {"sup_p2_what": self.iv_sup_p2},
-        }
-
-
 def verify_lemma_scattering(sol, ref):
     """Check the Neumann state against its zero-energy reference.
 
-    Both solutions must come from the same interaction. Items i and ii are
-    rates in the ball radius; item iii bounds w pointwise by C/(r+1) and w'
-    by C/(r^2+1) and compares the w volume to (2/5) pi a0 (N ell)^2; item iv
-    certifies the 1/p^2 envelope of what. The zero interaction has
-    a0 = 0 and w = 0, and its report is 0 in every quantity but the radius.
+    Both solutions must come from the same interaction. Returns the sweep
+    row of the scattering lemma:
+
+    i   : eigenvalue rate        i_ratio = lam (N ell)^3 / (3 a0) -> 1,
+                                 i_deviation = |i_ratio - 1|
+    ii  : potential integral     ii_weighted = (N ell) |int V f - 8 pi a0| / a0
+    iii : iii_sup_w and iii_sup_wp bound w by C/(r+1) and w' by C/(r^2+1);
+          iii_moment is the w volume over (N ell)^2, compared with
+          (2/5) pi a0 in iii_moment_weighted
+    iv  : iv_sup_p2 certifies the 1/p^2 envelope of what
+
+    with a0, lambda_ell, radius, int_Vf and int_w. The zero interaction has
+    a0 = 0 and w = 0, and its row is 0 in every entry but the radius.
     """
     if not _same_potential(sol.potential, ref.potential):
         raise InvalidParameterError(
@@ -566,8 +525,10 @@ def verify_lemma_scattering(sol, ref):
     a0 = ref.a0
     L = sol.radius
     if sol.potential.zero:
-        zeros = {f.name: 0.0 for f in fields(LemmaScatteringReport)}
-        return LemmaScatteringReport(**{**zeros, "radius": float(L)})
+        return {**dict.fromkeys(
+            ("a0", "lambda_ell", "i_ratio", "i_deviation", "ii_weighted",
+             "iii_sup_w", "iii_sup_wp", "iii_moment", "iii_moment_weighted",
+             "iv_sup_p2", "int_Vf", "int_w"), 0.0), "radius": float(L)}
     lam = sol.lambda_ell
 
     ratio = lam * L ** 3 / (3.0 * a0)
@@ -579,12 +540,9 @@ def verify_lemma_scattering(sol, ref):
     moment = sol.int_w / L ** 2
     moment_w = abs(moment - 0.4 * np.pi * a0) * L / a0 ** 2
 
-    rep = sol.fourier
-
-    return LemmaScatteringReport(
-        a0=float(a0), lambda_ell=float(lam), radius=float(L),
-        i_ratio=float(ratio), i_deviation=float(abs(ratio - 1.0)),
-        ii_weighted=float(ii), iii_sup_w=sup_w, iii_sup_wp=sup_wp,
-        iii_moment=float(moment), iii_moment_weighted=float(moment_w),
-        iv_sup_p2=float(rep.sup_p2), int_Vf=float(sol.int_Vf),
-        int_w=float(sol.int_w))
+    return {"a0": float(a0), "lambda_ell": float(lam), "radius": float(L),
+            "i_ratio": float(ratio), "i_deviation": float(abs(ratio - 1.0)),
+            "ii_weighted": float(ii), "iii_sup_w": sup_w,
+            "iii_sup_wp": sup_wp, "iii_moment": float(moment),
+            "iii_moment_weighted": float(moment_w), "iv_sup_p2": sol.sup_p2,
+            "int_Vf": float(sol.int_Vf), "int_w": float(sol.int_w)}

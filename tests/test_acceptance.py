@@ -103,15 +103,15 @@ def test_criterion_02_eigenvalue_rate(ref, neumann_sweep):
 
 def test_criterion_03_uniformity_dip_and_fourier(well, ref, neumann_sweep):
     sols, reps, _ = neumann_sweep
-    weighted = [r.ii_weighted for r in reps]
+    weighted = [r["ii_weighted"] for r in reps]
     ratio = max(weighted) / min(weighted)
     dip_ok = all(
         abs(s.int_w / s.radius ** 2 - 0.4 * np.pi * ref.a0)
         <= 5.0 * ref.a0 ** 2 / s.radius for s in sols)
     mid = solve_neumann(well, ELL, 100.0 / ELL, n_pts=4096)
     fine = solve_neumann(well, ELL, 100.0 / ELL, n_pts=8192)
-    s_mid = fourier_w(mid).sup_p2
-    s_fine = fourier_w(fine).sup_p2
+    s_mid = fourier_w(mid)
+    s_fine = fourier_w(fine)
     stab = abs(s_fine / s_mid - 1.0)
     ok = ratio < 3.0 and dip_ok and stab <= 0.10
     _verdict(3, ok,
@@ -140,15 +140,15 @@ def test_criterion_04_gp_oracle(gp_states):
 def test_criterion_05_spectral_gap(gp_states):
     free, inter, _ = gp_states
     spec = hgp_spectrum(inter)
-    zero_ok = abs(spec.values[0]) <= 1e-6 * spec.values[1]
-    overlap_ok = spec.ground_overlap >= 1.0 - 1e-8
-    gap_ok = spec.values[1] > 0.0
-    free_gap = hgp_spectrum(free).gap
+    zero_ok = abs(spec["lambda0"]) <= 1e-6 * spec["lambda1"]
+    overlap_ok = spec["ground_overlap"] >= 1.0 - 1e-8
+    gap_ok = spec["lambda1"] > 0.0
+    free_gap = hgp_spectrum(free)["gap"]
     osc_ok = abs(free_gap - 4.0) <= 1e-3
     ok = zero_ok and overlap_ok and gap_ok and osc_ok
     _verdict(5, ok,
-             f"zero mode {spec.values[0]:.2e} vs gap {spec.values[1]:.4f}, "
-             f"overlap defect {1.0 - spec.ground_overlap:.2e}, "
+             f"zero mode {spec['lambda0']:.2e} vs gap {spec['lambda1']:.4f}, "
+             f"overlap defect {1.0 - spec['ground_overlap']:.2e}, "
              f"free s-wave gap {free_gap:.5f} (want 4 +- 1e-3)")
 
 
@@ -157,16 +157,15 @@ def test_criterion_06_decay_constants(gp_states):
     finite = True
     for nu in (1.0, 2.0, 4.0):
         rep = verify_decay(inter, nu)
-        finite = finite and not rep.divergent and all(
-            np.isfinite(c) for c in (rep.c_phi, rep.c_dphi, rep.c_lap))
-    fd = fourier_decay(inter)
+        finite = finite and not rep["divergent"] and all(
+            np.isfinite(rep[c]) for c in ("c_phi", "c_dphi", "c_lap"))
+    fd = fourier_decay(inter)["sup_weighted"]
     fine = minimize_gp(make_trap("harmonic", 1600, 8.0), A0_EXACT)
-    fd_fine = fourier_decay(fine)
-    stab = abs(fd_fine.sup_weighted / fd.sup_weighted - 1.0)
-    ok = finite and np.isfinite(fd.sup_weighted) and stab <= 0.10
+    stab = abs(fourier_decay(fine)["sup_weighted"] / fd - 1.0)
+    ok = finite and np.isfinite(fd) and stab <= 0.10
     _verdict(6, ok,
              f"decay constants finite for nu in (1, 2, 4): {finite}, "
-             f"sup |phi_hat|(1+|p|)^4 = {fd.sup_weighted:.4f}, refinement "
+             f"sup |phi_hat|(1+|p|)^4 = {fd:.4f}, refinement "
              f"shift {stab:.2%} (<= 10%)")
 
 
@@ -243,24 +242,23 @@ def test_criterion_10_growth_and_remainder():
     g = 0.5 * rng.normal(size=(3, 3))
     fvec = np.array([0.7, -0.4, 0.2])
 
-    pair_sup = max(max(rep.ratios) for rep in fk.verify_B_number_growth(
-        3, eta_unit, 0.3, (-2, -1, 0, 1, 2)))
-    cubic_sup = max(max(rep.ratios)
-                    for row in fk.verify_A_number_growth(3, nu, g, (1, 2))
-                    for rep in row)
+    pair_sup = max(rep["sup"] for rep in fk.verify_B_number_growth(
+        3, eta_unit, 0.3, (-2, -1, 0, 1, 2)).values())
+    cubic_sup = max(rep["sup"] for row in fk.verify_A_number_growth(
+        3, nu, g, (1, 2)).values() for rep in row)
     common_ok = pair_sup <= 2.5 and cubic_sup <= 2.5
 
-    scaled = [rep.ratio * rep.cap
-              for row in fk.sweep_d_eta(3, eta_unit, 0.3, fvec, (-1, 0, 1))
-              for rep in row]
+    scaled = [x for row in fk.sweep_d_eta(
+        3, eta_unit, 0.3, fvec, (-1, 0, 1)).values()
+        for x in row["ratio_times_cap"]]
     rem_ok = max(scaled) <= 1.0
 
-    (zero_growth,) = fk.verify_B_number_growth(3, np.zeros((3, 3)), 1.0, (2,))
+    zero_growth = fk.verify_B_number_growth(3, np.zeros((3, 3)), 1.0, (2,))
     space = fk.build_fock_space(3, 4)
     zero_Q = fk.exp_generator(fk.build_B(space, np.zeros((3, 3))))
-    d, (d_rep,) = fk.compute_d_eta(space, np.zeros((3, 3)), fvec, zero_Q)
-    trivial_ok = (zero_growth.ratios == (1.0,) * 5
-                  and not d.any() and d_rep.ratio == 0.0)
+    d, (d_ratio,) = fk.compute_d_eta(space, np.zeros((3, 3)), fvec, zero_Q)
+    trivial_ok = (zero_growth["n=2"]["ratios"] == [1.0] * 5
+                  and not d.any() and d_ratio == 0.0)
 
     ok = common_ok and rem_ok and trivial_ok
     _verdict(10, ok,

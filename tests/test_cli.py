@@ -105,6 +105,85 @@ def _key_paths(node, path=()):
         yield from _key_paths(child, path + (key,))
 
 
+def _leaf_paths(node, path=""):
+    """Dotted path of every leaf inside a JSON value; a list entry is []."""
+    if isinstance(node, dict):
+        return {p for k, v in node.items()
+                for p in _leaf_paths(v, f"{path}.{k}" if path else k)}
+    if isinstance(node, list):
+        return {p for v in node for p in _leaf_paths(v, path + "[]")}
+    return {path}
+
+
+# the leaf paths of each stage artifact of the default config; the
+# computing modules fill these tables, so a change to one shows here
+REPORT_LAYOUT = {
+    "scatter": """
+        a0 a0_integral_route grids.ball_radius grids.ell grids.n
+        grids.n_pts lambda_ell lemma30.i.deviation lemma30.i.ratio
+        lemma30.ii.weighted_defect lemma30.iii.sup_w_weighted
+        lemma30.iii.sup_wp_weighted lemma30.iii.volume_moment
+        lemma30.iii.volume_moment_weighted lemma30.iv.sup_p2_what
+        potential.grid.n_pts potential.kind potential.parameters.R
+        potential.parameters.V0 richardson_defect sweep[].N sweep[].a0
+        sweep[].big_ell sweep[].ell sweep[].i_deviation
+        sweep[].i_ratio sweep[].ii_weighted sweep[].iii_moment
+        sweep[].iii_moment_weighted sweep[].iii_sup_w
+        sweep[].iii_sup_wp sweep[].int_Vf sweep[].int_w
+        sweep[].iv_sup_p2 sweep[].lambda_ell sweep[].radius trivial""".split(),
+    "gp": """
+        a0 decay_constants.nu=1.c_dphi decay_constants.nu=1.c_lap
+        decay_constants.nu=1.c_phi decay_constants.nu=1.divergent
+        decay_constants.nu=2.c_dphi decay_constants.nu=2.c_lap
+        decay_constants.nu=2.c_phi decay_constants.nu=2.divergent
+        decay_constants.nu=4.c_dphi decay_constants.nu=4.c_lap
+        decay_constants.nu=4.c_phi decay_constants.nu=4.divergent
+        energies.interaction energies.kinetic energies.total
+        energies.trap eps_gp fourier.argmax_p fourier.sup_weighted
+        iterations multiplier_defect residual spectrum.gap
+        spectrum.ground_overlap spectrum.lambda0 spectrum.lambda1 tol
+        tol_applied trap.grid.n_pts trap.kind trap.parameters.r_max""".split(),
+    "kernels": """
+        alpha beta rows[].N rows[].alpha rows[].beta rows[].big_ell
+        rows[].cutoff_momentum rows[].ell rows[].eta_defect
+        rows[].eta_grad_l2 rows[].eta_l2 rows[].eta_pointwise_ratio
+        rows[].eta_row_sup rows[].g_hat_zero rows[].g_sup_p2
+        rows[].gauss_l1 rows[].gauss_l2 rows[].grad_p_norm
+        rows[].hn_l2 rows[].hn_limit_gap rows[].hn_sup
+        rows[].lap_p_norm rows[].nu_defect rows[].nu_l2
+        rows[].nu_row_sup rows[].nu_sup_p2 rows[].p_norm rows[].r_norm
+        rows[].series_depth rows[].tail_bound tuples[][]""".split(),
+    "fock": """
+        caps[] exact_mode growth.cubic.table.k=-1[].ratios[]
+        growth.cubic.table.k=-1[].sup growth.cubic.table.k=-1[].t_norm
+        growth.cubic.table.k=-2[].ratios[]
+        growth.cubic.table.k=-2[].sup growth.cubic.table.k=-2[].t_norm
+        growth.cubic.table.k=1[].ratios[] growth.cubic.table.k=1[].sup
+        growth.cubic.table.k=1[].t_norm
+        growth.cubic.table.k=2[].ratios[] growth.cubic.table.k=2[].sup
+        growth.cubic.table.k=2[].t_norm growth.cubic.trivial_ratios[]
+        growth.pair.generator_norm growth.pair.table.n=-1.caps[]
+        growth.pair.table.n=-1.ratios[] growth.pair.table.n=-1.sup
+        growth.pair.table.n=-2.caps[] growth.pair.table.n=-2.ratios[]
+        growth.pair.table.n=-2.sup growth.pair.table.n=0.caps[]
+        growth.pair.table.n=0.ratios[] growth.pair.table.n=0.sup
+        growth.pair.table.n=1.caps[] growth.pair.table.n=1.ratios[]
+        growth.pair.table.n=1.sup growth.pair.table.n=2.caps[]
+        growth.pair.table.n=2.ratios[] growth.pair.table.n=2.sup
+        growth.pair.trivial_ratios[]
+        growth.remainder.table.n=-1.caps[]
+        growth.remainder.table.n=-1.ratio_times_cap[]
+        growth.remainder.table.n=0.caps[]
+        growth.remainder.table.n=0.ratio_times_cap[]
+        growth.remainder.table.n=1.caps[]
+        growth.remainder.table.n=1.ratio_times_cap[]
+        growth.remainder.trivial_ratio identities[].id
+        identities[].max_deviation identities[].pass
+        identities[].tolerance identities[].trivial seed space.dim
+        space.modes space.ncap suites[]""".split(),
+}
+
+
 # the default config, and one shaped like the scatter_smooth workload: a
 # custom profile of 64 samples and a quartic trap
 MUTATED_CONFIGS = {
@@ -326,6 +405,11 @@ class TestBundle:
     def test_stage_reports_follow_pipeline(self, default_bundle):
         assert sorted(default_bundle.stage_reports) == [
             "fock", "gp", "kernels", "scatter"]
+
+    def test_stage_report_layout(self, default_bundle):
+        for name, layout in REPORT_LAYOUT.items():
+            report = json.loads(json.dumps(default_bundle.stage_reports[name]))
+            assert sorted(_leaf_paths(report)) == layout, name
 
     def test_json_serializable(self, default_bundle):
         text = json.dumps(default_bundle.to_dict(), sort_keys=True)

@@ -367,17 +367,18 @@ class TestPairGenerator:
 
     @pytest.mark.parametrize("n", [-2, -1, 0, 1, 2])
     def test_growth_bounded_over_caps(self, eta3, n):
-        (rep,) = fock.verify_B_number_growth(3, eta3, 0.3, (n,),
-                                             caps=(2, 3, 4, 5, 6))
-        assert rep.sup <= np.exp(4 * 0.3)
-        assert max(rep.ratios) / min(rep.ratios) < 1.5
+        rep = fock.verify_B_number_growth(3, eta3, 0.3, (n,),
+                                          caps=(2, 3, 4, 5, 6))[f"n={n}"]
+        assert rep["caps"] == [2, 3, 4, 5, 6]
+        assert rep["sup"] == max(rep["ratios"]) <= np.exp(4 * 0.3)
+        assert max(rep["ratios"]) / min(rep["ratios"]) < 1.5
         if n == 0:
             # unitarity probe: the conjugated identity stays the identity
-            assert rep.ratios == pytest.approx((1.0,) * 5, abs=1e-12)
+            assert rep["ratios"] == pytest.approx([1.0] * 5, abs=1e-12)
 
     def test_growth_trivial_at_zero_eta(self):
-        (rep,) = fock.verify_B_number_growth(3, np.zeros((3, 3)), 1.0, (2,))
-        assert rep.ratios == (1.0,) * 5
+        rep = fock.verify_B_number_growth(3, np.zeros((3, 3)), 1.0, (2,))
+        assert rep["n=2"]["ratios"] == [1.0] * 5
 
     def test_growth_power_range(self, eta3):
         with pytest.raises(InvalidParameterError):
@@ -397,22 +398,21 @@ class TestPairGenerator:
         monkeypatch.setattr(fock, "build_B", counted)
         reps = fock.verify_B_number_growth(3, eta3, 0.3, powers, caps=caps)
         assert calls == list(caps)
-        assert [rep.n for rep in reps] == list(powers)
-        for rep in reps:
-            ref = [fock.verify_B_number_growth(3, eta3, 0.3, (rep.n,),
-                                               caps=(c,))[0].ratios[0]
-                   for c in caps]
-            assert rep.ratios == tuple(ref)
+        assert list(reps) == [f"n={n}" for n in powers]
+        for n in powers:
+            ref = [fock.verify_B_number_growth(3, eta3, 0.3, (n,), caps=(c,))
+                   [f"n={n}"]["ratios"][0] for c in caps]
+            assert reps[f"n={n}"]["ratios"] == ref
 
     @given(scales=st.tuples(st.floats(0.05, 0.5), st.floats(0.05, 0.5)))
     @settings(max_examples=10, deadline=None)
     def test_growth_monotone_in_generator_norm(self, eta3, scales):
         lo, hi = sorted(scales)
-        (rep_lo,) = fock.verify_B_number_growth(3, eta3, lo, (2,),
-                                                caps=(2, 3, 4))
-        (rep_hi,) = fock.verify_B_number_growth(3, eta3, hi, (2,),
-                                                caps=(2, 3, 4))
-        assert rep_hi.sup >= rep_lo.sup - 1e-12
+        rep_lo = fock.verify_B_number_growth(3, eta3, lo, (2,),
+                                             caps=(2, 3, 4))["n=2"]
+        rep_hi = fock.verify_B_number_growth(3, eta3, hi, (2,),
+                                             caps=(2, 3, 4))["n=2"]
+        assert rep_hi["sup"] >= rep_lo["sup"] - 1e-12
 
 
 class TestCubicGenerator:
@@ -433,10 +433,10 @@ class TestCubicGenerator:
     @pytest.mark.parametrize("k", [1, 2])
     def test_growth_bounded_over_caps(self, nug, k):
         (reps,) = fock.verify_A_number_growth(3, *nug, (k,),
-                                              t_grid=(-1.0, 0.5, 1.0))
+                                              t_grid=(-1.0, 0.5, 1.0)).values()
         for rep in reps:
-            assert np.isfinite(rep.sup)
-            assert max(rep.ratios) / min(rep.ratios) < 1.6
+            assert np.isfinite(rep["sup"])
+            assert max(rep["ratios"]) / min(rep["ratios"]) < 1.6
 
     def test_generator_built_once_per_cap(self, nug, monkeypatch):
         # A depends on neither t nor k: one build per cap, and each
@@ -454,27 +454,32 @@ class TestCubicGenerator:
         reps = fock.verify_A_number_growth(3, *nug, powers, t_grid=t_grid,
                                            caps=caps)
         assert calls == list(caps)
-        for k, row in zip(powers, reps):
+        assert list(reps) == [f"k={k}" for k in powers]
+        norm = np.linalg.norm(nug[0]) * np.linalg.norm(nug[1])
+        for k in powers:
+            row = reps[f"k={k}"]
             for rep, t in zip(row, t_grid):
                 ref = [fock.verify_A_number_growth(
-                    3, *nug, (k,), t_grid=(t,), caps=(c,))[0][0].ratios[0]
-                    for c in caps]
-                assert rep.n == k and rep.ratios == tuple(ref)
-            assert row[1].ratios == (1.0, 1.0)
+                    3, *nug, (k,), t_grid=(t,), caps=(c,))[f"k={k}"][0]
+                    ["ratios"][0] for c in caps]
+                assert rep["ratios"] == ref
+                assert rep["t_norm"] == pytest.approx(abs(t) * norm)
+            assert row[1]["ratios"] == [1.0, 1.0]
 
     def test_growth_trivial_at_zero_scaling(self, nug):
-        ((rep,),) = fock.verify_A_number_growth(3, *nug, (1,), t_grid=(0.0,))
-        assert rep.ratios == (1.0,) * 5
+        ((rep,),) = fock.verify_A_number_growth(3, *nug, (1,),
+                                                t_grid=(0.0,)).values()
+        assert rep["ratios"] == [1.0] * 5 and rep["t_norm"] == 0.0
 
     def test_growth_grows_with_t(self, nug):
         ((half, full),) = fock.verify_A_number_growth(
-            3, *nug, (1,), t_grid=(0.5, 1.0), caps=(2, 3, 4))
-        assert half.sup <= full.sup + 1e-12
+            3, *nug, (1,), t_grid=(0.5, 1.0), caps=(2, 3, 4)).values()
+        assert half["sup"] <= full["sup"] + 1e-12
 
     def test_negative_powers(self, nug):
         (reps,) = fock.verify_A_number_growth(3, *nug, (-1,), t_grid=(1.0,),
-                                              caps=(2, 3))
-        assert all(np.isfinite(r.sup) for r in reps)
+                                              caps=(2, 3)).values()
+        assert all(np.isfinite(r["sup"]) for r in reps)
         with pytest.raises(InvalidParameterError):
             fock.verify_A_number_growth(3, *nug, (1, 3))
 
@@ -487,9 +492,9 @@ class TestRemainder:
     def test_zero_eta_exact_zero(self, fvec):
         sp = fock.build_fock_space(3, 3)
         Q = fock.exp_generator(fock.build_B(sp, np.zeros((3, 3))))
-        d, (rep,) = fock.compute_d_eta(sp, np.zeros((3, 3)), fvec, Q)
-        assert not d.any()
-        assert rep.ratio == 0.0 and rep.d_norm == 0.0
+        d, (ratio,) = fock.compute_d_eta(sp, np.zeros((3, 3)), fvec, Q)
+        assert not d.any() and np.linalg.norm(d, 2) == 0.0
+        assert ratio == 0.0
 
     def test_second_order_agreement(self, sp34, eta3, fvec):
         # remainder minus its two-term expansion decays cubically
@@ -516,9 +521,10 @@ class TestRemainder:
 
     @pytest.mark.parametrize("n", [-1, 0, 1])
     def test_ratio_times_cap_bounded(self, eta3, fvec, n):
-        (reps,) = fock.sweep_d_eta(3, eta3, 0.3, fvec, (n,),
-                                   caps=(2, 3, 4, 5, 6))
-        vals = [r.ratio * r.cap for r in reps]
+        rep = fock.sweep_d_eta(3, eta3, 0.3, fvec, (n,),
+                               caps=(2, 3, 4, 5, 6))[f"n={n}"]
+        assert rep["caps"] == [2, 3, 4, 5, 6]
+        vals = rep["ratio_times_cap"]
         assert all(np.isfinite(v) and v > 0 for v in vals)
         assert max(vals) / min(vals) < 3.0
 
@@ -531,7 +537,7 @@ class TestRemainder:
         Q = fock.exp_generator(fock.build_B(sp34, 0.3 * eta3))
         _, (r1,) = fock.compute_d_eta(sp34, 0.3 * eta3, fvec, Q)
         _, (r2,) = fock.compute_d_eta(sp34, 0.3 * eta3, 2.0 * fvec, Q)
-        assert r1.ratio == pytest.approx(r2.ratio, rel=1e-12)
+        assert r1 == pytest.approx(r2, rel=1e-12)
 
     def test_powers_share_one_exponential(self, eta3, fvec, monkeypatch):
         # one exponential per cap, read by every power; each (n, cap)
@@ -547,10 +553,11 @@ class TestRemainder:
         monkeypatch.setattr(fock, "exp_generator", counted)
         reps = fock.sweep_d_eta(3, eta3, 0.3, fvec, powers, caps=caps)
         assert calls == list(caps)
-        for n, row in zip(powers, reps):
-            assert row == tuple(
-                fock.sweep_d_eta(3, eta3, 0.3, fvec, (n,), caps=(c,))[0][0]
-                for c in caps)
+        assert list(reps) == [f"n={n}" for n in powers]
+        for n in powers:
+            assert reps[f"n={n}"]["ratio_times_cap"] == [
+                fock.sweep_d_eta(3, eta3, 0.3, fvec, (n,), caps=(c,))
+                [f"n={n}"]["ratio_times_cap"][0] for c in caps]
 
 
 def dense_ladders(space):
@@ -633,8 +640,6 @@ class TestGeneratorSymmetries:
                             for key in ("pair", "cubic", "remainder"))
         eta_unit, nu, g, f = stage_draws(M, seed)
         eta = cli._GENERATOR_SCALE * eta_unit
-        reports = fock.sweep_d_eta(M, eta_unit, cli._GENERATOR_SCALE, f,
-                                   (0,), caps=caps)[0]
         for j, cap in enumerate(caps):
             sp = fock.build_fock_space(M, cap)
             s = sp.number_diag() + 1.0
@@ -649,7 +654,9 @@ class TestGeneratorSymmetries:
                     assert cubic[f"k={k}"][i]["ratios"][j] == pytest.approx(
                         dense_ratio(sp, QA, k), rel=1e-13, abs=0)
             d = dense_remainder(sp, eta, f, QB)
-            assert reports[j].d_norm == pytest.approx(
+            d_blocks, _ = fock.compute_d_eta(
+                sp, eta, f, fock.exp_generator(fock.build_B(sp, eta)))
+            assert np.linalg.norm(d_blocks, 2) == pytest.approx(
                 np.linalg.norm(d, 2), rel=1e-13, abs=0)
             for n in (-1, 0, 1):
                 weighted = (s ** (n / 2.0))[:, None] * d * s ** (-(n + 3) / 2)
@@ -1063,8 +1070,7 @@ class TestExactArithmetic:
     @pytest.mark.parametrize("M,cap", [(2, 2), (3, 3)])
     def test_builders_match_per_entry_reference(self, M, cap):
         space = fock.build_fock_space(M, cap)
-        # at seed 4 every coupling to the condensate, mode 0, survives the
-        # rounding, so no piece is empty
+        # no coupling rounds to zero, so no piece is empty
         coeff = fockexact.make_exact_coefficients(M, seed=4)
         exact = fock.algebra(space, fockexact.EXACT)
         ref = fock.algebra(space, REF)
@@ -1073,6 +1079,22 @@ class TestExactArithmetic:
         for name in want:
             assert want[name].entries, name
             assert rad_terms(got[name]) == rad_terms(want[name]), name
+
+    def test_small_coupling_keeps_its_piece(self):
+        # at M = 2, seed 3, the only cubic coupling v[1,1,1,0] lies below
+        # 1/12, which limit_denominator(6) alone rounds to 0
+        coeff = fockexact.make_exact_coefficients(2, seed=3)
+        alg = fock.algebra(fock.build_fock_space(2, 2), fockexact.EXACT)
+        assert not fock._ln(alg, coeff)["L3"].is_zero
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_exact_coefficient_zero_where_float_is(self, seed):
+        floats = fock.make_random_coefficients(4, seed=seed)
+        exact = fockexact.make_exact_coefficients(4, seed=seed)
+        for name in ("h", "v", "eta", "nu", "g"):
+            x, q = getattr(floats, name), getattr(exact, name)
+            assert np.array_equal(x == 0, q == 0), name
+            assert np.array_equal(np.sign(x), np.sign(q.astype(float))), name
 
     def test_non_identities_are_not_zero(self):
         space = fock.build_fock_space(2, 3)

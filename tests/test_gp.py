@@ -25,6 +25,7 @@ from gpregime.gp import (
     verify_decay,
 )
 from gpregime.potentials import make_trap
+from gpregime.radial import radial_fourier
 
 A0 = 1.0 - np.tanh(1.0)
 
@@ -66,9 +67,9 @@ class TestNoninteracting:
 
     def test_spectrum_ladder(self, free_state):
         spec = hgp_spectrum(free_state)
-        assert abs(spec.values[0]) < 1e-9
-        assert abs(spec.gap - 4.0) < 1e-3
-        assert spec.ground_overlap > 1.0 - 1e-8
+        assert abs(spec["lambda0"]) < 1e-9
+        assert abs(spec["gap"] - 4.0) < 1e-3
+        assert spec["ground_overlap"] > 1.0 - 1e-8
 
 
 class TestInteracting:
@@ -98,9 +99,9 @@ class TestInteracting:
 
     def test_linearization_zero_mode(self, int_state):
         spec = hgp_spectrum(int_state)
-        assert spec.values[1] > 0
-        assert abs(spec.values[0]) <= 1e-6 * spec.values[1]
-        assert spec.ground_overlap > 1.0 - 1e-8
+        assert spec["lambda1"] > 0
+        assert abs(spec["lambda0"]) <= 1e-6 * spec["lambda1"]
+        assert spec["ground_overlap"] > 1.0 - 1e-8
 
     def test_negative_a0_rejected(self, trap):
         with pytest.raises(InvalidParameterError):
@@ -131,23 +132,23 @@ class TestQuartic:
         state = minimize_gp(trap, 0.1)
         assert state.residual < 1e-10
         spec = hgp_spectrum(state)
-        assert abs(spec.values[0]) <= 1e-6 * spec.values[1]
-        assert spec.gap > 0
+        assert abs(spec["lambda0"]) <= 1e-6 * spec["lambda1"]
+        assert spec["gap"] > 0
 
 
 class TestDecay:
     @pytest.mark.parametrize("nu", [1.0, 2.0, 4.0])
     def test_envelopes_finite(self, int_state, nu):
         rep = verify_decay(int_state, nu)
-        assert np.isfinite(rep.c_phi) and rep.c_phi > 0
-        assert np.isfinite(rep.c_dphi) and np.isfinite(rep.c_lap)
-        assert not rep.divergent
+        assert np.isfinite(rep["c_phi"]) and rep["c_phi"] > 0
+        assert np.isfinite(rep["c_dphi"]) and np.isfinite(rep["c_lap"])
+        assert rep["divergent"] is False
 
     def test_constant_injection_flagged(self, int_state):
         flat = dataclasses.replace(int_state,
                                    phi=np.full(int_state.grid.size, 0.5))
         rep = verify_decay(flat, 2.0)
-        assert rep.divergent
+        assert rep["divergent"] is True
 
     def test_bad_rate_rejected(self, int_state):
         with pytest.raises(InvalidParameterError):
@@ -156,21 +157,23 @@ class TestDecay:
 
 class TestFourierDecay:
     def test_transform_matches_gaussian_closed_form(self, free_state):
-        rep = fourier_decay(free_state)
-        band = (rep.p > 0.05) & (rep.p < 0.8)
+        # the transform fourier_decay weighs, on its band of momenta
+        p = np.geomspace(0.02, 6.0, 241)
+        p = p[(p > 0.05) & (p < 0.8)]
+        phat = radial_fourier(free_state.phi, free_state.h, p)
         exact = np.pi ** -0.75 * (2.0 * np.pi) ** 1.5 \
-            * np.exp(-2.0 * np.pi ** 2 * rep.p[band] ** 2)
-        assert np.max(np.abs(rep.phat[band] - exact) / exact) < 1e-6
+            * np.exp(-2.0 * np.pi ** 2 * p ** 2)
+        assert np.max(np.abs(phat - exact) / exact) < 1e-6
 
     def test_weighted_sup_well_resolved(self, free_state):
         rep = fourier_decay(free_state)
-        assert 0.02 < rep.argmax_p < 1.0
-        assert rep.sup_weighted > 0
+        assert 0.02 < rep["argmax_p"] < 1.0
+        assert rep["sup_weighted"] > 0
 
     def test_weighted_sup_refinement_stable(self, trap, free_state):
         finer = minimize_gp(trap, 0.0, r_max=10.0, n_pts=1600)
-        a = fourier_decay(free_state).sup_weighted
-        b = fourier_decay(finer).sup_weighted
+        a = fourier_decay(free_state)["sup_weighted"]
+        b = fourier_decay(finer)["sup_weighted"]
         assert abs(a - b) / b < 0.01
 
 
@@ -238,10 +241,10 @@ class TestLanczosSpectrum:
     def test_matches_eig_banded(self, state_and_reference):
         state, vals, overlap = state_and_reference
         spec = hgp_spectrum(state)
-        assert spec.values.shape == (2,)
-        assert np.abs(spec.values - vals).max() <= 1e-9
-        assert abs(spec.ground_overlap - overlap) <= 1e-12
-        assert spec.gap == spec.values[1] - spec.values[0]
+        assert set(spec) == {"lambda0", "lambda1", "gap", "ground_overlap"}
+        assert np.abs([spec["lambda0"], spec["lambda1"]] - vals).max() <= 1e-9
+        assert abs(spec["ground_overlap"] - overlap) <= 1e-12
+        assert spec["gap"] == spec["lambda1"] - spec["lambda0"]
 
     def test_uncertified_pair_exits_2(self, monkeypatch, tmp_path, capsys):
         # stopped after k steps, the Ritz pairs fail their residual bound

@@ -178,11 +178,11 @@ class TestCorrelationG:
 
     def test_quadratic_sup_is_scale_free(self, well, sol64):
         other = solve_neumann(well, 0.5, 128)
-        assert other.fourier.sup_p2 == pytest.approx(sol64.fourier.sup_p2,
-                                                     rel=0.01)
+        assert other.sup_p2 == pytest.approx(sol64.sup_p2, rel=0.01)
 
     def test_transform_certificate(self, sol64):
-        assert sol64.fourier.refinement_defect < 5e-3
+        p = scattering.default_momentum_grid(sol64)
+        assert scattering._refined_transform(sol64, p)[1] < 5e-3
 
     def test_zero_potential_vanishes(self, sol_zero):
         Gz = build_G(sol_zero)

@@ -15,6 +15,12 @@ package overrides, by keyword or by position, is a constant spelled as a
 parameter, and the code that serves its other values is reached only by
 tests. Calls are matched by spelling too; a call of a class, or of cls
 inside it, is a call of its __init__.
+
+And for fields: an annotated field of a dataclass or NamedTuple class
+that no attribute read in the package spells (owner.field, the owner a
+name or an attribute) is a result nothing reads, computed and stored
+only for tests. Reads are matched by spelling too, so every attribute of
+that name counts; a local variable of that name does not.
 """
 
 import ast
@@ -47,6 +53,13 @@ DEFAULTS_ALLOWED = {
         "ROADMAP item 5: the gp stage is to pass the trap's own grid",
     "gp.minimize_gp.n_pts":
         "ROADMAP item 5: the gp stage is to pass the trap's own grid",
+}
+
+# module.class.field -> why it stays though nothing in the package reads it
+FIELDS_ALLOWED = {
+    "gp.GpState.energy_trace":
+        "tests/test_gp.py checks the flow's energy descent through it "
+        "(test_energy_monotone_along_flow)",
 }
 
 
@@ -157,6 +170,35 @@ def unset_defaults(allowed=DEFAULTS_ALLOWED, trees=None):
                         for n, n_pos, keywords in calls)]
 
 
+def _record_classes(tree):
+    """(class name, annotated field names) per dataclass or NamedTuple
+    class at any depth."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        marks = [getattr(d, "func", d) for d in node.decorator_list]
+        marks += node.bases
+        if not any(getattr(m, "id", getattr(m, "attr", None))
+                   in ("dataclass", "NamedTuple") for m in marks):
+            continue
+        yield node.name, [item.target.id for item in node.body
+                          if isinstance(item, ast.AnnAssign)
+                          and isinstance(item.target, ast.Name)]
+
+
+def unread_fields(allowed=FIELDS_ALLOWED, trees=None):
+    """module.class.field of each record field that no owner.attribute
+    spelling in the package (or in trees, module name -> syntax tree)
+    reads."""
+    trees = trees or {path.stem: ast.parse(path.read_text())
+                      for path in sorted(SRC.glob("*.py"))}
+    read = {name.rsplit(".", 1)[1] for tree in trees.values()
+            for name, _ in _uses(tree) if "." in name}
+    return [f"{module}.{cls}.{name}" for module, tree in trees.items()
+            for cls, names in _record_classes(tree) for name in names
+            if name not in read and f"{module}.{cls}.{name}" not in allowed]
+
+
 def test_every_definition_is_reached_by_the_package():
     assert unreached() == []
 
@@ -175,6 +217,27 @@ def test_every_allowed_default_is_still_unset():
     # an allowlist entry that some call now overrides, or that is gone,
     # is stale and must go
     assert sorted(unset_defaults(allowed={})) == sorted(DEFAULTS_ALLOWED)
+
+
+def test_every_field_is_read_by_the_package():
+    assert unread_fields() == []
+
+
+def test_every_allowed_field_is_still_unread():
+    # an allowlist entry that the package now reads, or that is gone, is
+    # stale and must go
+    assert sorted(unread_fields(allowed={})) == sorted(FIELDS_ALLOWED)
+
+
+def test_a_field_is_read_only_by_an_attribute():
+    tree = ast.parse("from dataclasses import dataclass\n"
+                     "from typing import NamedTuple\n"
+                     "@dataclass(frozen=True)\nclass A:\n    x: int\n"
+                     "    z: int = 0\n"
+                     "class B(NamedTuple):\n    u: int\n    v: int\n"
+                     "class C:\n    w: int\n"
+                     "def f(a, b, x, v):\n    return a.z + b.u\n")
+    assert unread_fields(allowed={}, trees={"m": tree}) == ["m.A.x", "m.B.v"]
 
 
 def test_a_class_call_sets_its_init_defaults():

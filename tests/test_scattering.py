@@ -7,6 +7,8 @@ transcendental equation. Those closed forms are the oracles here; nothing
 below trusts the solver to certify itself.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -199,7 +201,7 @@ class TestNeumann:
         assert lams[0] > lams[1] > lams[2] > 0
 
     def test_ground_state_profile(self, neu100):
-        f = neu100.f
+        f = 1.0 - neu100.w
         assert f[-1] == 1.0
         assert np.all(f >= -1e-12) and np.all(f <= 1.0 + 1e-12)
         assert np.all(np.diff(f) >= -1e-10)
@@ -223,8 +225,10 @@ class TestNeumann:
         assert sol.lambda_ell == 0.0 and sol.int_w == 0.0
         assert not np.any(sol.w) and not np.any(sol.wp)
         rep = verify_lemma_scattering(sol, solve_zero_energy(zero))
-        assert rep.radius == sol.radius == 20.0
-        assert all(v == 0.0 for k, v in vars(rep).items() if k != "radius")
+        assert set(rep) == set(verify_lemma_scattering(nonzero,
+                                                       solve_zero_energy(well)))
+        assert rep["radius"] == sol.radius == 20.0
+        assert all(v == 0.0 for k, v in rep.items() if k != "radius")
 
     def test_parameter_validation(self, well):
         with pytest.raises(InvalidParameterError):
@@ -246,11 +250,15 @@ class TestFourier:
         assert np.allclose(ball_indicator_hat(p, L), expected, rtol=1e-13)
 
     def test_report_consistency(self, neu100):
-        rep = fourier_w(neu100)
-        assert rep.sup_p2 > 0 and np.isfinite(rep.sup_p2)
-        assert rep.refinement_defect < 1e-5
+        sup_p2 = fourier_w(neu100)
+        assert sup_p2 > 0 and np.isfinite(sup_p2)
+        assert neu100.sup_p2 == sup_p2
+        p = scattering.default_momentum_grid(neu100)
+        values, defect = scattering._refined_transform(neu100, p)
+        assert sup_p2 == np.max(p ** 2 * np.abs(values))
+        assert defect < 1e-5
         # the transform of a nonnegative integrable w starts positive
-        assert rep.values[0] > 0
+        assert values[0] > 0
 
     def test_direct_and_equation_routes_agree(self, neu100):
         p = np.geomspace(0.05, 5.0, 48)
@@ -267,12 +275,12 @@ class TestFourier:
 class TestLemmaReport:
     def test_items_within_expected_ranges(self, ref, neu_sweep):
         rep = verify_lemma_scattering(neu_sweep[100], ref)
-        assert rep.i_deviation < 0.02
-        assert 0.0 < rep.ii_weighted < 50.0
-        assert rep.iii_sup_w < 2.0
-        assert rep.iii_sup_wp < 2.0
-        assert rep.iii_moment_weighted < 5.0
-        assert np.isfinite(rep.iv_sup_p2) and rep.iv_sup_p2 > 0
+        assert rep["i_deviation"] < 0.02
+        assert 0.0 < rep["ii_weighted"] < 50.0
+        assert rep["iii_sup_w"] < 2.0
+        assert rep["iii_sup_wp"] < 2.0
+        assert rep["iii_moment_weighted"] < 5.0
+        assert np.isfinite(rep["iv_sup_p2"]) and rep["iv_sup_p2"] > 0
 
     def test_volume_moment_approaches_limit(self, ref, neu_sweep):
         vals = [abs(neu_sweep[N].int_w / neu_sweep[N].radius ** 2
@@ -280,7 +288,7 @@ class TestLemmaReport:
         assert vals[1] < vals[0] / 2.0
 
     def test_weighted_potential_integral_is_stable(self, ref, neu_sweep):
-        vals = [verify_lemma_scattering(neu_sweep[N], ref).ii_weighted
+        vals = [verify_lemma_scattering(neu_sweep[N], ref)["ii_weighted"]
                 for N in (50, 100, 200)]
         assert max(vals) / min(vals) < 3.0
 
@@ -290,9 +298,14 @@ class TestLemmaReport:
             verify_lemma_scattering(other, ref)
 
     def test_report_serializes(self, ref, neu100):
-        d = verify_lemma_scattering(neu100, ref).to_dict()
-        assert set(d) >= {"a0", "lambda_ell", "i", "ii", "iii", "iv"}
-        assert "ratio" in d["i"] and "sup_p2_what" in d["iv"]
+        # the row is the scatter artifact's sweep entry: plain floats
+        row = verify_lemma_scattering(neu100, ref)
+        assert sorted(row) == sorted((
+            "a0", "lambda_ell", "radius", "i_ratio", "i_deviation",
+            "ii_weighted", "iii_sup_w", "iii_sup_wp", "iii_moment",
+            "iii_moment_weighted", "iv_sup_p2", "int_Vf", "int_w"))
+        assert all(type(v) is float for v in row.values())
+        assert json.loads(json.dumps(row)) == row
 
 
 def _smooth_well():
