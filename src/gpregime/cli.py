@@ -708,9 +708,9 @@ def fock_stage(inputs, thr, seed):
     g = 0.5 * rng.normal(size=(M, M))
     fvec = rng.normal(size=M)
     exact_ok = None
-    if space.dim <= fockexact._EXACT_DIM_CAP and any(
-            suite in _EXACT_KEYS for suite in suites):
-        exact_ok = fockexact.verify_exact_identities(space, seed)
+    exact = [k for s in suites if s in _EXACT_KEYS for k in _EXACT_KEYS[s][1]]
+    if space.dim <= fockexact._EXACT_DIM_CAP and exact:
+        exact_ok = fockexact.verify_exact_identities(space, seed, exact)
 
     identities = []
     growth = {}

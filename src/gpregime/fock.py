@@ -326,10 +326,17 @@ def _cubic(alg, c):
 
 
 def _two_body(alg, v):
-    """(1/2) sum v_ijkl a*_i a*_j a_l a_k, via pairs[k M + l] = a_l a_k."""
-    pairs = [a_l @ a_k for a_k in alg.a for a_l in alg.a]
-    return _nest(alg, alg.a_dag, v, lambda vi: _bilinear(
-        alg, alg.a_dag, pairs, vi.reshape(len(vi), -1) / 2))
+    """(1/2) sum v_ijkl a*_i a*_j a_l a_k = sum_pq c_pq A_p.T A_q over the
+    unordered pairs p = (i, j), q = (k, l), with A_(k,l) = a_l a_k for
+    k <= l and c_pq the sum of v over the orderings of p and q, halved.
+    Exact for any v: the a of distinct modes commute."""
+    pairs = list(combinations_with_replacement(range(len(alg.a)), 2))
+    A = [alg.a[l] @ alg.a[k] for k, l in pairs]
+    w = v + v.transpose(1, 0, 2, 3)
+    w = w + w.transpose(0, 1, 3, 2)
+    c = np.array([[w[i, j, k, l] / (2 * (1 + (i == j)) * (1 + (k == l)))
+                   for k, l in pairs] for i, j in pairs])
+    return _bilinear(alg, [X.T for X in A], A, c)
 
 
 def _excited(c):
@@ -599,13 +606,25 @@ def generator_defects(alg, eta):
                                          - B * 4)
 
 
-def identity_defects(alg, coeff):
-    """Every identity of the algebra as (name, defect operator) pairs."""
-    yield from ladder_defects(alg, coeff.nu[0], coeff.g[0], coeff.h[0])
-    yield from un_defects(alg)
+def _energy_defects(alg, coeff):
     H, U, L, P = _energy_sides(alg, coeff)
     yield "energy_identity", P @ H @ P - U.T @ L @ U
-    yield from generator_defects(alg, coeff.eta)
+
+
+def identity_defects(alg, coeff, names=None):
+    """Every identity of the algebra as (name, defect operator) pairs; given
+    names, only the groups that yield one of them: the ladder, U_N and
+    Gamma, energy and generator identities. A group not run forms nothing."""
+    groups = ((("ccr_low_sector", "b_commutators"),
+               ladder_defects(alg, coeff.nu[0], coeff.g[0], coeff.h[0])),
+              (("gamma_idempotent", "gamma_number_commute", "un_isometry",
+                "un_range_projector", "un_conjugations"), un_defects(alg)),
+              (("energy_identity",), _energy_defects(alg, coeff)),
+              (("pair_generator_antisymmetric", "pair_generator_number_step"),
+               generator_defects(alg, coeff.eta)))
+    for group, defects in groups:
+        if names is None or not set(names).isdisjoint(group):
+            yield from defects
 
 
 def verify_b_commutators(space, seed=0):

@@ -2,20 +2,20 @@
 
 This module owns a number system: matrix entries live in the ring of
 rational combinations of square roots of square-free integers, a matrix
-being one rational scale times int numerators keyed by (row, col,
-radicand). Products of the modified ladder operators stay inside that
-ring, so the builders and identity list of gpregime.fock, run in this
-number system, turn each identity into a literal zero test (the zero
-matrix stores no entry). Rad holds the terms of one entry or scalar;
-all arithmetic is RadMatrix's. Pure Python ints; dimension capped at
-200.
+being one rational scale, an int pair num / den, times int numerators
+keyed by (row, col, radicand). Products of the modified ladder operators
+stay inside that ring, so the builders and identity list of
+gpregime.fock, run in this number system, turn each identity into a
+literal zero test (the zero matrix stores no entry). Rad holds the terms
+of one entry or scalar; all arithmetic is RadMatrix's, in pure Python
+ints, with no factoring in a product. Dimension capped at 200.
 """
 
 from collections import defaultdict
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from numbers import Rational
 
 import numpy as np
@@ -34,17 +34,8 @@ _EXACT_DIM_CAP = 200
 @lru_cache(maxsize=None)
 def _split_square(n):
     """Write n = s*s*d with d square-free; return (s, d)."""
-    s, d, k = 1, 1, 2
-    while k * k <= n:
-        e = 0
-        while n % k == 0:
-            n //= k
-            e += 1
-        s *= k ** (e // 2)
-        if e % 2:
-            d *= k
-        k += 1
-    return s, d * n
+    s = max(k for k in range(1, isqrt(n) + 1) if n % (k * k) == 0)
+    return s, n // (s * s)
 
 
 class Rad:
@@ -80,18 +71,22 @@ class Rad:
 # ---------------------------------------------------------------------------
 
 class RadMatrix:
-    """scale * entries[row, col, d] sqrt(d): nonzero int numerators of gcd
-    1 (folded into scale), so the zero matrix is the one with no entries."""
+    """(num / den) * entries[row, col, d] sqrt(d): nonzero int numerators
+    of gcd 1 and a scale in lowest terms with den > 0, so the zero matrix
+    is the one with no entries. A product takes sqrt(d1) sqrt(d2) =
+    g sqrt((d1/g)(d2/g)) with g = gcd(d1, d2), square-free again."""
 
-    __slots__ = ("entries", "scale")
+    __slots__ = ("entries", "num", "den")
 
-    def __init__(self, entries, scale=1):
-        if not scale or 0 in entries.values():
-            entries = {k: v for k, v in entries.items() if v and scale}
+    def __init__(self, entries, num=1, den=1):
+        if not num or 0 in entries.values():
+            entries = {k: v for k, v in entries.items() if v and num}
         g = gcd(*entries.values())
-        self.entries = ({k: v // g for k, v in entries.items()} if g > 1
-                        else entries)
-        self.scale = Fraction(scale) * g if entries else Fraction(0)
+        if g > 1:
+            entries = {k: v // g for k, v in entries.items()}
+        num *= g
+        h = gcd(num, den)
+        self.entries, self.num, self.den = entries, num // h, den // h
 
     @classmethod
     def build(cls, vals, rows, cols, space):
@@ -100,7 +95,7 @@ class RadMatrix:
                  in (v if isinstance(v, Rad) else Rad.of(v)).terms.items()}
         den = lcm(*(q.denominator for q in fracs.values()))
         return cls({k: q.numerator * (den // q.denominator)
-                    for k, q in fracs.items()}, Fraction(1, den))
+                    for k, q in fracs.items()}, 1, den)
 
     @property
     def is_zero(self):
@@ -109,19 +104,19 @@ class RadMatrix:
     @property
     def T(self):
         return RadMatrix({(c, r, d): v for (r, c, d), v
-                          in self.entries.items()}, self.scale)
+                          in self.entries.items()}, self.num, self.den)
 
     def __add__(self, other):
         if not (self.entries and other.entries):
             return self if self.entries else other
-        p, q = self.scale, other.scale
-        scale = Fraction(gcd(p.numerator, q.numerator),
-                         lcm(p.denominator, q.denominator))
-        fp, fq = int(p / scale), int(q / scale)
-        out = {k: v * fp for k, v in self.entries.items()}
+        num, den = gcd(self.num, other.num), lcm(self.den, other.den)
+        fp = self.num // num * (den // self.den)
+        fq = other.num // num * (den // other.den)
+        out = (dict(self.entries) if fp == 1
+               else {k: v * fp for k, v in self.entries.items()})
         for k, v in other.entries.items():
             out[k] = out.get(k, 0) + v * fq
-        return RadMatrix(out, scale)
+        return RadMatrix(out, num, den)
 
     def __sub__(self, other):
         return self + other * -1
@@ -132,7 +127,8 @@ class RadMatrix:
             return self @ RadMatrix.build([c] * len(cols), cols, cols, None)
         if not isinstance(c, Rational):
             raise TypeError(f"cannot scale an exact matrix by {c!r}")
-        return RadMatrix(self.entries, self.scale * c)
+        return RadMatrix(self.entries, self.num * c.numerator,
+                         self.den * c.denominator)
 
     def __truediv__(self, q):
         return self * (1 / Fraction(q))
@@ -144,9 +140,9 @@ class RadMatrix:
         out = defaultdict(int)
         for (r, k, d1), va in self.entries.items():
             for c, d2, vb in rows.get(k, ()):
-                s, d = _split_square(d1 * d2)
-                out[r, c, d] += va * vb * s
-        return RadMatrix(out, self.scale * other.scale)
+                g = gcd(d1, d2)
+                out[r, c, d1 * d2 // (g * g)] += va * vb * g
+        return RadMatrix(out, self.num * other.num, self.den * other.den)
 
 
 EXACT = NumberSystem(sqrt=Rad.sqrt, matrix=RadMatrix.build)
@@ -172,12 +168,12 @@ def make_exact_coefficients(M, seed=0):
                              for k in ("h", "v", "eta", "nu", "g")})
 
 
-def verify_exact_identities(space, seed):
-    """Run every identity of fock.identity_defects in exact arithmetic on
-    a FockSpace of dimension at most _EXACT_DIM_CAP.
+def verify_exact_identities(space, seed, names):
+    """Run the identities of fock.identity_defects that names selects in
+    exact arithmetic, on a FockSpace of dimension at most _EXACT_DIM_CAP.
 
-    Returns a dict of identity name -> bool, True meaning every defect
-    of that name is exactly zero in the radical ring.
+    Returns a dict of identity name -> bool over the groups run, True
+    meaning every defect of that name is exactly zero in the radical ring.
     """
     if space.dim > _EXACT_DIM_CAP:
         raise ResourceLimitError(
@@ -186,6 +182,6 @@ def verify_exact_identities(space, seed):
     alg = algebra(space, EXACT)
     results = {}
     coeff = make_exact_coefficients(space.M, seed=seed)
-    for name, defect in identity_defects(alg, coeff):
+    for name, defect in identity_defects(alg, coeff, names):
         results[name] = results.get(name, True) and defect.is_zero
     return results

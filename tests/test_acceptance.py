@@ -215,7 +215,9 @@ def test_criterion_08_fock_exact_identities():
         worst = max(worst, np.max(np.abs((P @ P - P).toarray())))
     exact_all = True
     for m, cap in ((2, 3), (3, 3), (3, 4)):
-        res = fockexact.verify_exact_identities(fk.build_fock_space(m, cap), 0)
+        res = fockexact.verify_exact_identities(
+            fk.build_fock_space(m, cap), 0,
+            [n for _, keys in cli._EXACT_KEYS.values() for n in keys])
         exact_all = exact_all and all(res.values())
     ok = worst <= 1e-12 and exact_all
     _verdict(8, ok, f"float-mode max deviation {worst:.2e} (<= 1e-12), "

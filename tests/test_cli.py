@@ -1192,6 +1192,30 @@ class TestCommandLine:
             cli._DEFAULT_THRESHOLDS, 7)
         assert calls == [] and rep["exact_mode"] is False
 
+    def test_un_suite_forms_no_two_body_operator(self, tmp_path, monkeypatch):
+        # --suite un reads the U_N and Gamma identities alone, so exact
+        # mode skips the energy identity and with it H's two-body part;
+        # the un entries match a run that also builds ln's
+        calls = []
+        two_body = cli.fock._two_body
+        monkeypatch.setattr(cli.fock, "_two_body",
+                            lambda *a: calls.append(a) or two_body(*a))
+
+        def identities(suite):
+            out = tmp_path / f"{suite}.json"
+            assert cli.main(["fock", "--modes", "4", "--ncap", "5",
+                             "--suite", suite, "--out", str(out)]) == 0
+            return json.loads(out.read_text())["identities"]
+
+        un = identities("un")
+        assert calls == []
+        assert [(i["id"], i["pass"]) for i in un] == [
+            ("excitation-map-conjugations-float", True),
+            ("excitation-map-conjugations-exact", True)]
+        both = identities("un,ln")
+        assert calls
+        assert un == [i for i in both if i["id"].startswith("excitation-map")]
+
     def test_cubic_growth_spread_decides_cubic_growth(self):
         # a spread max/min is >= 1, so a bound of 1 fails every sweep
         def cubic_pass(bound):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 from math import gcd
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
 from gpregime import cli, fock, fockexact
@@ -980,7 +980,7 @@ def rad_terms(mat):
     if isinstance(mat, RefMatrix):
         return {(r, c, d): q for (r, c), v in mat.entries.items()
                 for d, q in v.terms.items()}
-    return {k: mat.scale * v for k, v in mat.entries.items()}
+    return {k: Fraction(mat.num, mat.den) * v for k, v in mat.entries.items()}
 
 
 def rad_entries(mat):
@@ -990,6 +990,9 @@ def rad_entries(mat):
         out[r, c] = out.get((r, c), RefRad()) + RefRad({d: q})
     return out
 
+
+# every identity name the fock stage reads, over all its exact suites
+EXACT_NAMES = [n for _, keys in cli._EXACT_KEYS.values() for n in keys]
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 
@@ -1028,18 +1031,23 @@ class TestExactArithmetic:
                     got[r, c] = float(v)
                 np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
 
-    @given(M=st.integers(1, 2), cap=st.integers(1, 3),
+    @given(M=st.integers(1, 2), cap=st.integers(1, 5),
            start=st.integers(0, 9),
            ops=st.lists(st.tuples(
                st.sampled_from(["@", "+", "-", "T", "q", "r"]),
                st.integers(0, 9), small_fractions,
                st.fractions(min_value=0, max_value=8, max_denominator=5),
                small_fractions), min_size=1, max_size=7))
+    # b_0 b_0 at cap 5 multiplies sqrt(10) by sqrt(5), radicands with a
+    # common factor
+    @example(M=2, cap=5, start=4, ops=[("@", 4, Fraction(1), Fraction(1),
+                                        Fraction(0))])
     @settings(max_examples=60, deadline=None)
     def test_ring_matches_per_entry_reference(self, M, cap, start, ops):
         """@, +, -, .T and * by a Fraction or a Rad on random ladder
         words agree exactly with the per-entry Fraction/Rad reference,
-        and every result is in normal form."""
+        and every result is in normal form. At cap 5, b has the radicands
+        5, 10, 15 and 30, so products meet a common factor."""
         space = fock.build_fock_space(M, cap)
         atoms = []
         for ns in (fockexact.EXACT, REF):
@@ -1066,6 +1074,8 @@ class TestExactArithmetic:
             assert x.is_zero == (not ref.entries)
             assert all(type(v) is int and v for v in x.entries.values())
             assert gcd(*x.entries.values()) == (1 if x.entries else 0)
+            assert x.den > 0 and gcd(x.num, x.den) == 1
+            assert x.num or not x.entries
 
     @pytest.mark.parametrize("M,cap", [(2, 2), (3, 3)])
     def test_builders_match_per_entry_reference(self, M, cap):
@@ -1105,7 +1115,7 @@ class TestExactArithmetic:
         assert (lhs - alg.b[0]).is_zero
         for key, v in lhs.entries.items():
             bumped = fockexact.RadMatrix({**lhs.entries, key: v + 1},
-                                         lhs.scale)
+                                         lhs.num, lhs.den)
             assert not (bumped - alg.b[0]).is_zero, key
 
     def test_float_scalars_rejected(self):
@@ -1131,9 +1141,56 @@ class TestExactArithmetic:
 
     @pytest.mark.parametrize("M,cap", [(1, 1), (2, 3), (3, 3), (3, 4)])
     def test_all_identities_exactly_zero(self, M, cap):
-        res = fockexact.verify_exact_identities(fock.build_fock_space(M, cap), 7)
-        assert res and all(res.values()), res
+        res = fockexact.verify_exact_identities(
+            fock.build_fock_space(M, cap), 7, EXACT_NAMES)
+        assert sorted(res) == sorted(EXACT_NAMES) and all(res.values()), res
 
     def test_dimension_cap(self):
         with pytest.raises(ResourceLimitError):
-            fockexact.verify_exact_identities(fock.build_fock_space(6, 6), 0)
+            fockexact.verify_exact_identities(
+                fock.build_fock_space(6, 6), 0, EXACT_NAMES)
+
+    def test_names_select_whole_groups(self):
+        # each exact suite's names are one group of identity_defects: any
+        # of them runs the whole group and no other
+        space = fock.build_fock_space(2, 3)
+        alg = fock.algebra(space, fock.FLOAT)
+        coeff = fock.make_random_coefficients(2, seed=0)
+        for _, keys in cli._EXACT_KEYS.values():
+            for names in (keys, keys[-1:]):
+                got = {n for n, _ in fock.identity_defects(alg, coeff, names)}
+                assert sorted(got) == sorted(keys)
+        assert fockexact.verify_exact_identities(
+            space, 7, ["energy_identity"]) == {"energy_identity": True}
+
+    @pytest.mark.parametrize("M", [2, 3, 4])
+    def test_two_body_over_unordered_pairs(self, M, monkeypatch):
+        """For a v with no symmetry, _two_body equals the ordered sum
+        (1/2) sum v_ijkl a*_i a*_j a_l a_k: exactly in the radical ring,
+        to 1e-13 in floats, from M(M+1)/2 annihilation-pair products."""
+        space = fock.build_fock_space(M, 3 if M < 4 else 2)
+        ints = np.random.default_rng(M).integers(-6, 7, size=(M,) * 4)
+        v = np.vectorize(lambda n: Fraction(int(n), 5), otypes=[object])(ints)
+        ref = fock.algebra(space, REF)
+        want = sum(((ref.a_dag[i] @ ref.a_dag[j] @ ref.a[l] @ ref.a[k])
+                    * (v[i, j, k, l] / 2)
+                    for i, j, k, l in np.ndindex(v.shape)), ref.zero)
+        alg = fock.algebra(space, fockexact.EXACT)
+        annihilators, pairs = {id(x) for x in alg.a}, []
+        matmul = fockexact.RadMatrix.__matmul__
+
+        def counted(x, y):
+            if id(x) in annihilators and id(y) in annihilators:
+                pairs.append((x, y))
+            return matmul(x, y)
+
+        monkeypatch.setattr(fockexact.RadMatrix, "__matmul__", counted)
+        assert rad_terms(fock._two_body(alg, v)) == rad_terms(want)
+        assert len(pairs) == M * (M + 1) // 2
+        a = [dense(fock.build_ladder(space, i).a) for i in range(M)]
+        dense_ref = sum(float(v[i, j, k, l]) / 2
+                        * (a[i].T @ a[j].T @ a[l] @ a[k])
+                        for i, j, k, l in np.ndindex(v.shape))
+        got = dense(fock._two_body(space.float_algebra, v.astype(float)))
+        assert np.max(np.abs(got - dense_ref)) <= 1e-13 * np.max(
+            np.abs(dense_ref))
