@@ -43,7 +43,27 @@ from .scattering import (
 )
 
 _SCHEMA_VERSION = 1
-_FOCK_SUITES = ("ccr", "un", "ln", "bgrowth", "agrowth", "deta")
+
+# Each fock suite -> its bundle entry and the fock.json identities that
+# entry merges. An id ending in -exact is the suite's exact-mode zero
+# test; those suites are the keys of fock.identity_defects.
+_FOCK_SUITES = {
+    "ccr": ("modified-commutators",
+            ("modified-commutators-float", "modified-commutators-exact")),
+    "un": ("excitation-map-conjugations",
+           ("excitation-map-conjugations-float",
+            "excitation-map-conjugations-exact")),
+    "ln": ("excitation-energy-identity",
+           ("excitation-energy-identity", "excitation-energy-identity-exact")),
+    "bgrowth": ("quadratic-growth",
+                ("quadratic-growth", "quadratic-growth-trivial",
+                 "quadratic-growth-exact")),
+    "agrowth": ("cubic-growth", ("cubic-growth", "cubic-growth-trivial")),
+    "deta": ("field-remainder-scaling",
+             ("field-remainder-scaling", "field-remainder-trivial")),
+}
+_EXACT_IDS = {suite: i for suite, (_, ids) in _FOCK_SUITES.items()
+              for i in ids if i.endswith("-exact")}
 
 # Documented defaults; every threshold can be overridden in the config.
 _DEFAULT_THRESHOLDS = {
@@ -88,7 +108,7 @@ FockInputs = namedtuple("FockInputs", "modes ncap caps suites")
 
 
 # ---------------------------------------------------------------------------
-# slope fitting
+# slope fits and bundle entries
 # ---------------------------------------------------------------------------
 
 def fit_slope(series, expected, tol):
@@ -115,6 +135,16 @@ def fit_slope(series, expected, tol):
     slope = float(np.polyfit(np.log(x), np.log(y), 1)[0])
     return {"slope": slope, "pass": bool(abs(slope - expected) <= tol),
             "trivial": False}
+
+
+def _entry(entry_id, quantities, ok, trivial=False, slopes=None):
+    """One bundle entry: its quantities, the slope fits that decided it,
+    if any, and pass and trivial as bools."""
+    out = {"id": entry_id, "quantities": quantities, "pass": bool(ok),
+           "trivial": bool(trivial)}
+    if slopes is not None:
+        out["slopes"] = slopes
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -401,64 +431,44 @@ def scatter_stage(inputs):
 
 
 def scatter_entries(report, thr):
-    a0 = report["a0"]
-    trivial = report.get("trivial", False)
+    a0, trivial = report["a0"], report["trivial"]
     defect = abs(a0 - report["a0_integral_route"])
     rel = defect / abs(a0) if a0 != 0.0 else defect
-    entries = [{
-        "id": "scattering-length-oracle",
-        "quantities": {"a0": a0,
-                       "a0_integral_route": report["a0_integral_route"],
-                       "identity_rel_defect": rel},
-        "pass": bool(rel <= thr["a0_identity_rtol"]),
-        "trivial": trivial,
-    }]
     rows = report["sweep"]
     big = [r["big_ell"] for r in rows]
     fit = fit_slope(zip(big, [r["i_deviation"] for r in rows]),
                     thr["eigenvalue_rate_slope"], thr["eigenvalue_rate_tol"])
-    entries.append({
-        "id": "neumann-eigenvalue-rate",
-        "quantities": {"deviations": [r["i_deviation"] for r in rows],
-                       "big_ell": big},
-        "slopes": {"deviation": fit},
-        "pass": fit["pass"],
-        "trivial": trivial,
-    })
     weighted = [r["ii_weighted"] for r in rows]
     uni_ratio = 0.0 if trivial else max(weighted) / min(weighted)
-    entries.append({
-        "id": "potential-integral-uniformity",
-        "quantities": {"weighted_defects": weighted,
-                       "max_over_min": uni_ratio},
-        "pass": bool(trivial
-                     or uni_ratio < thr["integral_uniformity_ratio"]),
-        "trivial": trivial,
-    })
     moments = [r["iii_moment_weighted"] for r in rows]
     sups = [max(r["iii_sup_w"], r["iii_sup_wp"]) for r in rows]
-    entries.append({
-        "id": "dip-volume-and-decay",
-        "quantities": {"volume_moment_weighted": moments,
-                       "pointwise_sups": sups},
-        "pass": bool(max(moments) <= thr["dip_volume_margin"]
-                     and all(np.isfinite(s) for s in sups)),
-        "trivial": trivial,
-    })
     tails = [r["iv_sup_p2"] for r in rows[-2:]]
     if 0.0 in tails:
         stab, stab_pass = 0.0, all(t == 0.0 for t in tails)
     else:
         stab = abs(tails[-1] / tails[0] - 1.0)
         stab_pass = stab <= thr["fourier_stability"]
-    entries.append({
-        "id": "dip-fourier-p2-bound",
-        "quantities": {"sup_p2": [r["iv_sup_p2"] for r in rows],
-                       "stability": stab},
-        "pass": bool(stab_pass),
-        "trivial": trivial,
-    })
-    return entries
+    return [
+        _entry("scattering-length-oracle",
+               {"a0": a0, "a0_integral_route": report["a0_integral_route"],
+                "identity_rel_defect": rel},
+               rel <= thr["a0_identity_rtol"], trivial),
+        _entry("neumann-eigenvalue-rate",
+               {"deviations": [r["i_deviation"] for r in rows],
+                "big_ell": big},
+               fit["pass"], trivial, slopes={"deviation": fit}),
+        _entry("potential-integral-uniformity",
+               {"weighted_defects": weighted, "max_over_min": uni_ratio},
+               trivial or uni_ratio < thr["integral_uniformity_ratio"],
+               trivial),
+        _entry("dip-volume-and-decay",
+               {"volume_moment_weighted": moments, "pointwise_sups": sups},
+               max(moments) <= thr["dip_volume_margin"]
+               and all(np.isfinite(s) for s in sups), trivial),
+        _entry("dip-fourier-p2-bound",
+               {"sup_p2": [r["iv_sup_p2"] for r in rows], "stability": stab},
+               stab_pass, trivial),
+    ]
 
 
 def _gp_inputs(params):
@@ -512,45 +522,31 @@ def gp_stage(inputs, thr):
 
 
 def gp_entries(report, thr):
-    entries = [{
-        "id": "gp-energy-oracle",
-        "quantities": {"energies": report["energies"],
-                       "residual": report["residual"],
-                       "iterations": report["iterations"]},
-        "pass": bool(report["residual"] <= thr["gp_residual"]),
-        "trivial": False,
-    }, {
-        "id": "gp-multiplier-identity",
-        "quantities": {"eps_gp": report["eps_gp"],
-                       "defect": report["multiplier_defect"]},
-        "pass": bool(report["multiplier_defect"]
-                     <= thr["multiplier_identity"]),
-        "trivial": False,
-    }]
     spec = report["spectrum"]
-    entries.append({
-        "id": "linearization-spectral-gap",
-        "quantities": spec,
-        "pass": bool(abs(spec["lambda0"])
-                     <= thr["gap_zero_mode"] * abs(spec["lambda1"])
-                     and spec["lambda1"] > 0.0
-                     and spec["ground_overlap"]
-                     >= 1.0 - thr["gap_overlap_defect"]),
-        "trivial": False,
-    })
     finite = all(
         not d["divergent"] and np.isfinite(d["c_phi"])
         and np.isfinite(d["c_dphi"]) and np.isfinite(d["c_lap"])
         for d in report["decay_constants"].values())
-    entries.append({
-        "id": "minimizer-decay-constants",
-        "quantities": {"decay_constants": report["decay_constants"],
-                       "fourier_sup": report["fourier"]["sup_weighted"]},
-        "pass": bool(finite
-                     and np.isfinite(report["fourier"]["sup_weighted"])),
-        "trivial": False,
-    })
-    return entries
+    return [
+        _entry("gp-energy-oracle",
+               {"energies": report["energies"],
+                "residual": report["residual"],
+                "iterations": report["iterations"]},
+               report["residual"] <= thr["gp_residual"]),
+        _entry("gp-multiplier-identity",
+               {"eps_gp": report["eps_gp"],
+                "defect": report["multiplier_defect"]},
+               report["multiplier_defect"] <= thr["multiplier_identity"]),
+        _entry("linearization-spectral-gap", spec,
+               abs(spec["lambda0"])
+               <= thr["gap_zero_mode"] * abs(spec["lambda1"])
+               and spec["lambda1"] > 0.0
+               and spec["ground_overlap"] >= 1.0 - thr["gap_overlap_defect"]),
+        _entry("minimizer-decay-constants",
+               {"decay_constants": report["decay_constants"],
+                "fourier_sup": report["fourier"]["sup_weighted"]},
+               finite and np.isfinite(report["fourier"]["sup_weighted"])),
+    ]
 
 
 def _kernels_inputs(params):
@@ -602,46 +598,34 @@ def kernels_entries(report, thr):
     else:
         grad_spread = max(grads) / min(grads) - 1.0
         grad_pass = grad_spread <= thr["grad_stability"]
-    entries = [{
-        "id": "pair-kernel-scaling",
-        "quantities": {"eta_l2": series("eta_l2"),
-                       "grad_over_sqrt_n": grads,
-                       "grad_spread": grad_spread,
-                       "row_sup": series("eta_row_sup")},
-        "slopes": {"eta_l2": eta_fit},
-        "pass": bool(eta_fit["pass"] and grad_pass),
-        "trivial": eta_fit["trivial"],
-    }]
     nu_fit = fit_slope(zip(ells, series("nu_l2")), alpha / 2.0,
                        thr["pair_slope_tol"])
     l1_defects = [abs(v - 1.0) for v in series("gauss_l1")]
     l2_fit = fit_slope(zip(ells, series("gauss_l2")), -1.5 * beta,
                        thr["lowpass_l2_slope_tol"])
-    entries.append({
-        "id": "cubic-kernel-scaling",
-        "quantities": {"nu_l2": series("nu_l2"),
-                       "gauss_l1_defects": l1_defects,
-                       "gauss_l2": series("gauss_l2")},
-        "slopes": {"nu_l2": nu_fit, "gauss_l2": l2_fit},
-        "pass": bool(nu_fit["pass"] and l2_fit["pass"]
-                     and max(l1_defects) <= thr["lowpass_l1_tol"]),
-        "trivial": nu_fit["trivial"],
-    })
     p_fit = fit_slope(zip(ells, series("p_norm")), alpha, float("inf"))
     r_fit = fit_slope(zip(ells, series("r_norm")), alpha, float("inf"))
     floor = alpha - thr["remainder_slope_slack"]
-    rem_pass = ((p_fit["trivial"] or p_fit["slope"] >= floor)
-                and (r_fit["trivial"] or r_fit["slope"] >= floor))
-    entries.append({
-        "id": "hyperbolic-remainder-scaling",
-        "quantities": {"p_norm": series("p_norm"),
-                       "r_norm": series("r_norm"),
-                       "slope_floor": floor},
-        "slopes": {"p_norm": p_fit, "r_norm": r_fit},
-        "pass": bool(rem_pass),
-        "trivial": p_fit["trivial"],
-    })
-    return entries
+    return [
+        _entry("pair-kernel-scaling",
+               {"eta_l2": series("eta_l2"), "grad_over_sqrt_n": grads,
+                "grad_spread": grad_spread, "row_sup": series("eta_row_sup")},
+               eta_fit["pass"] and grad_pass, eta_fit["trivial"],
+               slopes={"eta_l2": eta_fit}),
+        _entry("cubic-kernel-scaling",
+               {"nu_l2": series("nu_l2"), "gauss_l1_defects": l1_defects,
+                "gauss_l2": series("gauss_l2")},
+               nu_fit["pass"] and l2_fit["pass"]
+               and max(l1_defects) <= thr["lowpass_l1_tol"],
+               nu_fit["trivial"],
+               slopes={"nu_l2": nu_fit, "gauss_l2": l2_fit}),
+        _entry("hyperbolic-remainder-scaling",
+               {"p_norm": series("p_norm"), "r_norm": series("r_norm"),
+                "slope_floor": floor},
+               (p_fit["trivial"] or p_fit["slope"] >= floor)
+               and (r_fit["trivial"] or r_fit["slope"] >= floor),
+               p_fit["trivial"], slopes={"p_norm": p_fit, "r_norm": r_fit}),
+    ]
 
 
 def _fock_inputs(params):
@@ -661,7 +645,7 @@ def _fock_inputs(params):
         raise ConfigError(
             f"fock suites must be a non-empty list, got {suites!r}")
     for s in suites:
-        if s not in _FOCK_SUITES:
+        if not isinstance(s, str) or s not in _FOCK_SUITES:
             raise ConfigError(f"unknown fock suite {s!r}")
     M = positive("modes", params["modes"])
     ncap = positive("ncap", params["ncap"])
@@ -682,19 +666,6 @@ def _fock_inputs(params):
     return FockInputs(M, ncap, caps, tuple(suites))
 
 
-# Each suite's exact-mode identity, and the results of
-# fockexact.verify_exact_identities that must all hold for it to pass.
-_EXACT_KEYS = {
-    "ccr": ("modified-commutators-exact", ("ccr_low_sector", "b_commutators")),
-    "un": ("excitation-map-conjugations-exact",
-           ("un_isometry", "un_range_projector", "un_conjugations",
-            "gamma_idempotent", "gamma_number_commute")),
-    "ln": ("excitation-energy-identity-exact", ("energy_identity",)),
-    "bgrowth": ("quadratic-growth-exact",
-                ("pair_generator_antisymmetric", "pair_generator_number_step")),
-}
-
-
 def fock_stage(inputs, thr, seed):
     """Identity and growth suites on the truncated space."""
     M, cap, caps, suites = inputs
@@ -708,7 +679,7 @@ def fock_stage(inputs, thr, seed):
     g = 0.5 * rng.normal(size=(M, M))
     fvec = rng.normal(size=M)
     exact_ok = None
-    exact = [k for s in suites if s in _EXACT_KEYS for k in _EXACT_KEYS[s][1]]
+    exact = [s for s in suites if s in _EXACT_IDS]
     if space.dim <= fockexact._EXACT_DIM_CAP and exact:
         exact_ok = fockexact.verify_exact_identities(space, seed, exact)
 
@@ -723,8 +694,7 @@ def fock_stage(inputs, thr, seed):
 
     def add_exact(suite):
         if exact_ok is not None:
-            name, keys = _EXACT_KEYS[suite]
-            add(name, 0.0 if all(exact_ok[k] for k in keys) else 1.0, 0.0)
+            add(_EXACT_IDS[suite], 0.0 if exact_ok[suite] else 1.0, 0.0)
 
     if "ccr" in suites:
         add("modified-commutators-float",
@@ -789,32 +759,17 @@ def fock_stage(inputs, thr, seed):
 
 
 def fock_entries(report, thr):
+    """One entry per suite that ran, merging its identities."""
     by_id = {i["id"]: i for i in report["identities"]}
-
-    def merged(name, *ids):
+    entries = []
+    for entry_id, ids in _FOCK_SUITES.values():
         present = [by_id[i] for i in ids if i in by_id]
-        if not present:
-            return None
-        return {
-            "id": name,
-            "quantities": {i["id"]: i["max_deviation"] for i in present},
-            "pass": bool(all(i["pass"] for i in present)),
-            "trivial": bool(all(i["trivial"] for i in present)),
-        }
-
-    out = [merged("modified-commutators", "modified-commutators-float",
-                  "modified-commutators-exact"),
-           merged("excitation-map-conjugations",
-                  "excitation-map-conjugations-float",
-                  "excitation-map-conjugations-exact"),
-           merged("excitation-energy-identity", "excitation-energy-identity",
-                  "excitation-energy-identity-exact"),
-           merged("quadratic-growth", "quadratic-growth",
-                  "quadratic-growth-trivial", "quadratic-growth-exact"),
-           merged("cubic-growth", "cubic-growth", "cubic-growth-trivial"),
-           merged("field-remainder-scaling", "field-remainder-scaling",
-                  "field-remainder-trivial")]
-    return [e for e in out if e is not None]
+        if present:
+            entries.append(_entry(
+                entry_id, {i["id"]: i["max_deviation"] for i in present},
+                all(i["pass"] for i in present),
+                all(i["trivial"] for i in present)))
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -1085,12 +1040,10 @@ def cmd_run(args):
                   table and table(rep))
     _emit(bundle.to_dict(timestamp=stamp),
           out_dir and os.path.join(out_dir, "bundle.json"),
-          ([{"id": e["id"], "pass": e["pass"],
-             "trivial": e.get("trivial", False)} for e in bundle.entries],
-           ["id", "pass", "trivial"]))
+          (bundle.entries, ["id", "pass", "trivial"]))
     for e in bundle.entries:
         flag = "PASS" if e["pass"] else "FAIL"
-        extra = " (trivial)" if e.get("trivial") else ""
+        extra = " (trivial)" if e["trivial"] else ""
         print(f"{flag} {e['id']}{extra}")
     return 0 if bundle.all_pass else 1
 

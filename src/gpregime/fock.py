@@ -22,9 +22,9 @@ The sweeps return their tables as the dicts the fock report writes.
 
 The builders and the identity checks are written once, against a
 NumberSystem: FLOAT here, exact radicals in gpregime.fockexact. Each
-identity is a named defect operator that is zero in exact arithmetic;
-the float checks reduce it by its largest entry, the exact check by a
-zero test.
+identity is a defect operator that is zero in exact arithmetic, grouped
+under the fock suite that reads it; the float checks reduce it by its
+largest entry, the exact check by a zero test.
 
 A FLOAT matrix maps each displacement delta = n_row - n_col in Z^M to a
 weight vector over columns (DIA storage, offset in occupation space).
@@ -328,15 +328,18 @@ def _cubic(alg, c):
 def _two_body(alg, v):
     """(1/2) sum v_ijkl a*_i a*_j a_l a_k = sum_pq c_pq A_p.T A_q over the
     unordered pairs p = (i, j), q = (k, l), with A_(k,l) = a_l a_k for
-    k <= l and c_pq the sum of v over the orderings of p and q, halved.
+    k <= l and c_pq the sum of v over the orderings of p and q, halved;
+    only the pairs that a nonzero row or column of c reads are formed.
     Exact for any v: the a of distinct modes commute."""
     pairs = list(combinations_with_replacement(range(len(alg.a)), 2))
-    A = [alg.a[l] @ alg.a[k] for k, l in pairs]
     w = v + v.transpose(1, 0, 2, 3)
     w = w + w.transpose(0, 1, 3, 2)
     c = np.array([[w[i, j, k, l] / (2 * (1 + (i == j)) * (1 + (k == l)))
                    for k, l in pairs] for i, j in pairs])
-    return _bilinear(alg, [X.T for X in A], A, c)
+    nonzero = c != 0
+    used = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+    A = [alg.a[pairs[p][1]] @ alg.a[pairs[p][0]] for p in used]
+    return _bilinear(alg, [X.T for X in A], A, c[np.ix_(used, used)])
 
 
 def _excited(c):
@@ -521,14 +524,12 @@ def build_A(space, nu, g):
 
 
 # ---------------------------------------------------------------------------
-# the identities, each a named defect operator
+# the identities, as defect operators grouped by the suite that reads them
 # ---------------------------------------------------------------------------
 
 def ladder_defects(alg, f, g, h):
-    """Defects of the ladder commutators, as (name, operator) pairs.
-
-    ccr_low_sector: [a_i, a*_j] = delta_ij on states below the cap.
-    b_commutators: [b_i, b*_j] = (1 - NUM/N) delta_ij - a*_j a_i / N,
+    """Defects of the ladder commutators: [a_i, a*_j] = delta_ij on
+    states below the cap, [b_i, b*_j] = (1 - NUM/N) delta_ij - a*_j a_i / N,
     [b_i, b_j] = 0, [b_i, a*_j a_k] = delta_ij b_k, [b_i, NUM] = b_i,
     and the contraction [b(f), a*(g) a(h)] = <f, g> b(h).
     """
@@ -542,16 +543,15 @@ def ladder_defects(alg, f, g, h):
             if i == j:
                 ccr = ccr - alg.eye
                 rhs = rhs + (alg.eye - alg.num / N)
-            yield "ccr_low_sector", ccr @ below
-            yield "b_commutators", _comm(b[i], b_dag[j]) - rhs
-            yield "b_commutators", _comm(b[i], b[j])
+            yield ccr @ below
+            yield _comm(b[i], b_dag[j]) - rhs
+            yield _comm(b[i], b[j])
             for k in range(space.M):
                 d = _comm(b[i], a_dag[j] @ a[k])
-                yield "b_commutators", d - b[k] if i == j else d
-        yield "b_commutators", _comm(b[i], alg.num) - b[i]
+                yield d - b[k] if i == j else d
+        yield _comm(b[i], alg.num) - b[i]
     hop = _combo(alg, g, a_dag) @ _combo(alg, h, a)
-    yield "b_commutators", (_comm(_combo(alg, f, b), hop)
-                            - _combo(alg, h, b) * (f @ g))
+    yield _comm(_combo(alg, f, b), hop) - _combo(alg, h, b) * (f @ g)
 
 
 def un_defects(alg):
@@ -565,33 +565,32 @@ def un_defects(alg):
     space, ns, N = alg.space, alg.ns, alg.space.N_cap
     U, P = _un(space, ns)
     G = _gamma(space, ns)
-    yield "gamma_idempotent", G @ G - G
-    yield "gamma_number_commute", _comm(G, alg.num)
-    yield "un_isometry", U.T @ U - P
-    yield "un_range_projector", U @ U.T - G
+    yield G @ G - G
+    yield _comm(G, alg.num)
+    yield U.T @ U - P
+    yield U @ U.T - G
 
     def conj(op):
         return U @ op @ U.T
 
     a0, a0d = alg.a[0], alg.a_dag[0]
-    yield "un_conjugations", (conj(a0d @ a0)
-                              - G @ (alg.eye * N - alg.num) @ G)
+    yield conj(a0d @ a0) - G @ (alg.eye * N - alg.num) @ G
     for p in range(1, space.M):
         for X, Y in ((alg.a_dag[p] @ a0, alg.b_dag[p]),
                      (a0d @ alg.a[p], alg.b[p])):
-            yield "un_conjugations", conj(X) - (G @ Y @ G) * ns.sqrt(N)
+            yield conj(X) - (G @ Y @ G) * ns.sqrt(N)
         for q in range(1, space.M):
             hop = alg.a_dag[p] @ alg.a[q]
-            yield "un_conjugations", conj(hop) - G @ hop @ G
+            yield conj(hop) - G @ hop @ G
     pure = space.index[(N,) + (0,) * (space.M - 1)]
-    yield "un_conjugations", (U @ ns.matrix([1], [pure], [pure], space)
-                              - ns.matrix([1], [0], [pure], space))
+    yield (U @ ns.matrix([1], [pure], [pure], space)
+           - ns.matrix([1], [0], [pure], space))
 
 
 def _energy_sides(alg, coeff):
     """H, U, L and P of the energy identity P H P = U* L U, with P the
-    top-sector projector and L the sum of L0..L4. Gamma U = U
-    (un_range_projector), so U* L U = U* Gamma L Gamma U."""
+    top-sector projector and L the sum of L0..L4. Gamma U = U (a
+    defect of un_defects), so U* L U = U* Gamma L Gamma U."""
     U, P = _un(alg.space, alg.ns)
     L = sum(_ln(alg, coeff).values(), alg.zero)
     return _hn(alg, coeff), U, L, P
@@ -601,42 +600,36 @@ def generator_defects(alg, eta):
     """B from both halves is antisymmetric and steps NUM by two."""
     B = (_bilinear(alg, alg.b_dag, alg.b_dag, eta / 2)
          - _bilinear(alg, alg.b, alg.b, eta / 2))
-    yield "pair_generator_antisymmetric", B + B.T
-    yield "pair_generator_number_step", (_comm(alg.num, _comm(alg.num, B))
-                                         - B * 4)
+    yield B + B.T
+    yield _comm(alg.num, _comm(alg.num, B)) - B * 4
 
 
 def _energy_defects(alg, coeff):
     H, U, L, P = _energy_sides(alg, coeff)
-    yield "energy_identity", P @ H @ P - U.T @ L @ U
+    yield P @ H @ P - U.T @ L @ U
 
 
-def identity_defects(alg, coeff, names=None):
-    """Every identity of the algebra as (name, defect operator) pairs; given
-    names, only the groups that yield one of them: the ladder, U_N and
-    Gamma, energy and generator identities. A group not run forms nothing."""
-    groups = ((("ccr_low_sector", "b_commutators"),
-               ladder_defects(alg, coeff.nu[0], coeff.g[0], coeff.h[0])),
-              (("gamma_idempotent", "gamma_number_commute", "un_isometry",
-                "un_range_projector", "un_conjugations"), un_defects(alg)),
-              (("energy_identity",), _energy_defects(alg, coeff)),
-              (("pair_generator_antisymmetric", "pair_generator_number_step"),
-               generator_defects(alg, coeff.eta)))
-    for group, defects in groups:
-        if names is None or not set(names).isdisjoint(group):
-            yield from defects
+def identity_defects(alg, coeff):
+    """Every identity of the algebra, as {suite: generator of its defect
+    operators} for the fock suites that read them: the ladder commutators
+    (ccr), U_N and Gamma (un), the energy identity (ln) and the pair
+    generator (bgrowth). A suite's defects are formed only as its
+    generator is read."""
+    return {"ccr": ladder_defects(alg, coeff.nu[0], coeff.g[0], coeff.h[0]),
+            "un": un_defects(alg),
+            "ln": _energy_defects(alg, coeff),
+            "bgrowth": generator_defects(alg, coeff.eta)}
 
 
 def verify_b_commutators(space, seed=0):
     """Max deviation over ladder_defects, contracted with random vectors."""
     f, g, h = np.random.default_rng(seed).normal(size=(3, space.M))
-    return max(_max_abs(d)
-               for _, d in ladder_defects(space.float_algebra, f, g, h))
+    return max(map(_max_abs, ladder_defects(space.float_algebra, f, g, h)))
 
 
 def verify_un(space):
     """Max deviation over un_defects: unitarity and the conjugations."""
-    return max(_max_abs(d) for _, d in un_defects(space.float_algebra))
+    return max(map(_max_abs, un_defects(space.float_algebra)))
 
 
 def verify_energy_identity(coeff, space, seed=0):

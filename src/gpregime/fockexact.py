@@ -4,7 +4,7 @@ This module owns a number system: matrix entries live in the ring of
 rational combinations of square roots of square-free integers, a matrix
 being one rational scale, an int pair num / den, times int numerators
 keyed by (row, col, radicand). Products of the modified ladder operators
-stay inside that ring, so the builders and identity list of
+stay inside that ring, so the builders and the per-suite identities of
 gpregime.fock, run in this number system, turn each identity into a
 literal zero test (the zero matrix stores no entry). Rad holds the terms
 of one entry or scalar; all arithmetic is RadMatrix's, in pure Python
@@ -168,20 +168,18 @@ def make_exact_coefficients(M, seed=0):
                              for k in ("h", "v", "eta", "nu", "g")})
 
 
-def verify_exact_identities(space, seed, names):
-    """Run the identities of fock.identity_defects that names selects in
-    exact arithmetic, on a FockSpace of dimension at most _EXACT_DIM_CAP.
+def verify_exact_identities(space, seed, suites):
+    """Run the identities of the given suites, keys of
+    fock.identity_defects, in exact arithmetic on a FockSpace of dimension
+    at most _EXACT_DIM_CAP.
 
-    Returns a dict of identity name -> bool over the groups run, True
-    meaning every defect of that name is exactly zero in the radical ring.
+    Returns {suite: bool}, True meaning every defect of that suite is
+    exactly zero in the radical ring; the other suites form nothing.
     """
     if space.dim > _EXACT_DIM_CAP:
         raise ResourceLimitError(
             f"exact mode capped at dimension {_EXACT_DIM_CAP}, "
             f"got {space.dim}")
-    alg = algebra(space, EXACT)
-    results = {}
-    coeff = make_exact_coefficients(space.M, seed=seed)
-    for name, defect in identity_defects(alg, coeff, names):
-        results[name] = results.get(name, True) and defect.is_zero
-    return results
+    defects = identity_defects(algebra(space, EXACT),
+                               make_exact_coefficients(space.M, seed=seed))
+    return {s: all(d.is_zero for d in defects[s]) for s in suites}

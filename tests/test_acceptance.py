@@ -216,8 +216,7 @@ def test_criterion_08_fock_exact_identities():
     exact_all = True
     for m, cap in ((2, 3), (3, 3), (3, 4)):
         res = fockexact.verify_exact_identities(
-            fk.build_fock_space(m, cap), 0,
-            [n for _, keys in cli._EXACT_KEYS.values() for n in keys])
+            fk.build_fock_space(m, cap), 0, list(cli._EXACT_IDS))
         exact_all = exact_all and all(res.values())
     ok = worst <= 1e-12 and exact_all
     _verdict(8, ok, f"float-mode max deviation {worst:.2e} (<= 1e-12), "

@@ -183,6 +183,85 @@ REPORT_LAYOUT = {
         space.modes space.ncap suites[]""".split(),
 }
 
+# the leaf paths of each bundle entry of the default config, by id, apart
+# from id, pass and trivial, which every entry has, pass and trivial as
+# bools; the entry functions fill these, so a change to one shows here
+ENTRY_LAYOUT = {
+    "scattering-length-oracle": """
+        quantities.a0 quantities.a0_integral_route
+        quantities.identity_rel_defect""".split(),
+    "neumann-eigenvalue-rate": """
+        quantities.big_ell[] quantities.deviations[]
+        slopes.deviation.pass slopes.deviation.slope
+        slopes.deviation.trivial""".split(),
+    "potential-integral-uniformity": """
+        quantities.max_over_min quantities.weighted_defects[]""".split(),
+    "dip-volume-and-decay": """
+        quantities.pointwise_sups[]
+        quantities.volume_moment_weighted[]""".split(),
+    "dip-fourier-p2-bound": """
+        quantities.stability quantities.sup_p2[]""".split(),
+    "gp-energy-oracle": """
+        quantities.energies.interaction
+        quantities.energies.kinetic quantities.energies.total
+        quantities.energies.trap quantities.iterations
+        quantities.residual""".split(),
+    "gp-multiplier-identity": """
+        quantities.defect quantities.eps_gp""".split(),
+    "linearization-spectral-gap": """
+        quantities.gap quantities.ground_overlap
+        quantities.lambda0 quantities.lambda1""".split(),
+    "minimizer-decay-constants": """
+        quantities.decay_constants.nu=1.c_dphi
+        quantities.decay_constants.nu=1.c_lap
+        quantities.decay_constants.nu=1.c_phi
+        quantities.decay_constants.nu=1.divergent
+        quantities.decay_constants.nu=2.c_dphi
+        quantities.decay_constants.nu=2.c_lap
+        quantities.decay_constants.nu=2.c_phi
+        quantities.decay_constants.nu=2.divergent
+        quantities.decay_constants.nu=4.c_dphi
+        quantities.decay_constants.nu=4.c_lap
+        quantities.decay_constants.nu=4.c_phi
+        quantities.decay_constants.nu=4.divergent
+        quantities.fourier_sup""".split(),
+    "pair-kernel-scaling": """
+        quantities.eta_l2[] quantities.grad_over_sqrt_n[]
+        quantities.grad_spread quantities.row_sup[]
+        slopes.eta_l2.pass slopes.eta_l2.slope
+        slopes.eta_l2.trivial""".split(),
+    "cubic-kernel-scaling": """
+        quantities.gauss_l1_defects[] quantities.gauss_l2[]
+        quantities.nu_l2[] slopes.gauss_l2.pass
+        slopes.gauss_l2.slope slopes.gauss_l2.trivial
+        slopes.nu_l2.pass slopes.nu_l2.slope
+        slopes.nu_l2.trivial""".split(),
+    "hyperbolic-remainder-scaling": """
+        quantities.p_norm[] quantities.r_norm[]
+        quantities.slope_floor slopes.p_norm.pass
+        slopes.p_norm.slope slopes.p_norm.trivial
+        slopes.r_norm.pass slopes.r_norm.slope
+        slopes.r_norm.trivial""".split(),
+    "modified-commutators": """
+        quantities.modified-commutators-exact
+        quantities.modified-commutators-float""".split(),
+    "excitation-map-conjugations": """
+        quantities.excitation-map-conjugations-exact
+        quantities.excitation-map-conjugations-float""".split(),
+    "excitation-energy-identity": """
+        quantities.excitation-energy-identity
+        quantities.excitation-energy-identity-exact""".split(),
+    "quadratic-growth": """
+        quantities.quadratic-growth
+        quantities.quadratic-growth-exact
+        quantities.quadratic-growth-trivial""".split(),
+    "cubic-growth": """
+        quantities.cubic-growth quantities.cubic-growth-trivial""".split(),
+    "field-remainder-scaling": """
+        quantities.field-remainder-scaling
+        quantities.field-remainder-trivial""".split(),
+}
+
 
 # the default config, and one shaped like the scatter_smooth workload: a
 # custom profile of 64 samples and a quartic trap
@@ -410,6 +489,15 @@ class TestBundle:
         for name, layout in REPORT_LAYOUT.items():
             report = json.loads(json.dumps(default_bundle.stage_reports[name]))
             assert sorted(_leaf_paths(report)) == layout, name
+
+    def test_bundle_entry_layout(self, default_bundle):
+        entries = json.loads(json.dumps(default_bundle.to_dict()))["entries"]
+        assert [e["id"] for e in entries] == list(ENTRY_LAYOUT)
+        for entry in entries:
+            assert sorted(_leaf_paths(entry)) == sorted(
+                ["id", "pass", "trivial", *ENTRY_LAYOUT[entry["id"]]])
+            assert type(entry["pass"]) is bool, entry["id"]
+            assert type(entry["trivial"]) is bool, entry["id"]
 
     def test_json_serializable(self, default_bundle):
         text = json.dumps(default_bundle.to_dict(), sort_keys=True)
@@ -1280,16 +1368,25 @@ class TestCommandLine:
         assert rep["exact_mode"] and returned
         assert read == returned
 
-    def test_failing_exact_number_step_fails_fock(self, monkeypatch):
+    @pytest.mark.parametrize("suite,entry_id", [
+        ("ccr", "modified-commutators"),
+        ("un", "excitation-map-conjugations"),
+        ("ln", "excitation-energy-identity"),
+        ("bgrowth", "quadratic-growth")])
+    def test_failing_exact_suite_fails_its_entry(self, tmp_path, monkeypatch,
+                                                 suite, entry_id):
         real = cli.fockexact.verify_exact_identities
 
         def broken(*args, **kwargs):
-            return dict(real(*args, **kwargs),
-                        pair_generator_number_step=False)
+            return dict(real(*args, **kwargs), **{suite: False})
 
         monkeypatch.setattr(cli.fockexact, "verify_exact_identities", broken)
-        assert cli.main(["fock", "--modes", "2", "--ncap", "2",
-                         "--suite", "bgrowth"]) == 1
+        out = tmp_path / "fock.json"
+        assert cli.main(["fock", "--modes", "2", "--ncap", "2", "--suite",
+                         "ccr,un,ln,bgrowth", "--out", str(out)]) == 1
+        entries = json.loads(out.read_text())["entries"]
+        assert len(entries) == 4
+        assert [e["id"] for e in entries if not e["pass"]] == [entry_id]
 
     def test_import_loads_no_scipy(self):
         # start-up budget: the package's Simpson, Brent, FFT, banded solve,

@@ -991,8 +991,8 @@ def rad_entries(mat):
     return out
 
 
-# every identity name the fock stage reads, over all its exact suites
-EXACT_NAMES = [n for _, keys in cli._EXACT_KEYS.values() for n in keys]
+# every fock suite with an exact-mode zero test
+EXACT_SUITES = list(cli._EXACT_IDS)
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 
@@ -1127,41 +1127,74 @@ class TestExactArithmetic:
     @settings(max_examples=25, deadline=None)
     def test_one_identity_list_for_both_number_systems(self, M, cap, seed):
         space = fock.build_fock_space(M, cap)
-        floats = list(fock.identity_defects(
+        floats = fock.identity_defects(
             fock.algebra(space, fock.FLOAT),
-            fock.make_random_coefficients(M, seed=seed)))
-        exacts = list(fock.identity_defects(
+            fock.make_random_coefficients(M, seed=seed))
+        exacts = fock.identity_defects(
             fock.algebra(space, fockexact.EXACT),
-            fockexact.make_exact_coefficients(M, seed=seed)))
-        assert [n for n, _ in floats] == [n for n, _ in exacts]
-        for name, d in floats:
-            assert fock._max_abs(d) <= 1e-12, name
-        for name, d in exacts:
-            assert d.is_zero, name
+            fockexact.make_exact_coefficients(M, seed=seed))
+        assert list(floats) == list(exacts)
+        for suite in floats:
+            float_defects, exact_defects = (list(floats[suite]),
+                                            list(exacts[suite]))
+            assert len(float_defects) == len(exact_defects), suite
+            for d in float_defects:
+                assert fock._max_abs(d) <= 1e-12, suite
+            for d in exact_defects:
+                assert d.is_zero, suite
 
     @pytest.mark.parametrize("M,cap", [(1, 1), (2, 3), (3, 3), (3, 4)])
     def test_all_identities_exactly_zero(self, M, cap):
         res = fockexact.verify_exact_identities(
-            fock.build_fock_space(M, cap), 7, EXACT_NAMES)
-        assert sorted(res) == sorted(EXACT_NAMES) and all(res.values()), res
+            fock.build_fock_space(M, cap), 7, EXACT_SUITES)
+        assert res == dict.fromkeys(EXACT_SUITES, True), res
 
     def test_dimension_cap(self):
         with pytest.raises(ResourceLimitError):
             fockexact.verify_exact_identities(
-                fock.build_fock_space(6, 6), 0, EXACT_NAMES)
+                fock.build_fock_space(6, 6), 0, EXACT_SUITES)
 
-    def test_names_select_whole_groups(self):
-        # each exact suite's names are one group of identity_defects: any
-        # of them runs the whole group and no other
+    def test_exact_suites_are_the_identity_suites(self):
+        # the fock stage runs exact mode for the suites whose entry has an
+        # -exact identity, and those are the suites identity_defects keys
+        alg = fock.algebra(fock.build_fock_space(1, 1), fock.FLOAT)
+        suites = fock.identity_defects(alg, fock.make_random_coefficients(1))
+        assert EXACT_SUITES == list(suites)
+
+    def test_each_suite_runs_its_group_alone(self, monkeypatch):
+        # a suite's defect generator starts only when read, so exact mode
+        # on one suite forms that suite's defects and no other's
+        groups = {"ccr": "ladder_defects", "un": "un_defects",
+                  "ln": "_energy_defects", "bgrowth": "generator_defects"}
+        ran = []
+        for name in groups.values():
+            def recording(*args, real=getattr(fock, name), name=name):
+                ran.append(name)
+                yield from real(*args)
+            monkeypatch.setattr(fock, name, recording)
         space = fock.build_fock_space(2, 3)
-        alg = fock.algebra(space, fock.FLOAT)
-        coeff = fock.make_random_coefficients(2, seed=0)
-        for _, keys in cli._EXACT_KEYS.values():
-            for names in (keys, keys[-1:]):
-                got = {n for n, _ in fock.identity_defects(alg, coeff, names)}
-                assert sorted(got) == sorted(keys)
-        assert fockexact.verify_exact_identities(
-            space, 7, ["energy_identity"]) == {"energy_identity": True}
+        for suite, name in groups.items():
+            ran.clear()
+            assert fockexact.verify_exact_identities(space, 7, [suite]) == {
+                suite: True}
+            assert ran == [name], suite
+
+    def test_l4_forms_only_the_pairs_it_reads(self, monkeypatch):
+        """L4's v has its condensate entries zeroed, so no coefficient
+        reads the 4 annihilation pairs that hold mode 0: at 4 modes _ln
+        forms 6 of the 10 pair products."""
+        alg = fock.algebra(fock.build_fock_space(4, 2), fock.FLOAT)
+        annihilators, pairs = {id(x) for x in alg.a}, []
+        matmul = fock.DisplacementMatrix.__matmul__
+
+        def counted(x, y):
+            if id(x) in annihilators and id(y) in annihilators:
+                pairs.append((x, y))
+            return matmul(x, y)
+
+        monkeypatch.setattr(fock.DisplacementMatrix, "__matmul__", counted)
+        fock._ln(alg, fock.make_random_coefficients(4, seed=7))
+        assert len(pairs) == 6
 
     @pytest.mark.parametrize("M", [2, 3, 4])
     def test_two_body_over_unordered_pairs(self, M, monkeypatch):
