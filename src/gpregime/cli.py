@@ -43,6 +43,7 @@ from .scattering import (
 )
 
 _SCHEMA_VERSION = 1
+_SCALARS = json.JSONEncoder(sort_keys=True)  # the C encoder, for _dumps
 
 # Each fock suite -> its bundle entry and the fock.json identities that
 # entry merges. An id ending in -exact is the suite's exact-mode zero
@@ -902,12 +903,38 @@ def run(config):
 # artifact writing
 # ---------------------------------------------------------------------------
 
+class _Json(str):
+    """JSON text that _dumps writes as it is, indented to its place."""
+
+
+def _dumps(obj, pad="\n"):
+    """json.dumps(obj, indent=2, sort_keys=True) with pad starting each line,
+    byte for byte: scalars and keys by the C encoder, a list of finite floats
+    by one join of float.__repr__, _Json text re-indented (JSON holds no raw
+    newline), and empty containers and non-string keys by json.dumps."""
+    inner = pad + "  "
+    if isinstance(obj, _Json):
+        return obj.replace("\n", pad)
+    if isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
+        return "{" + inner + ("," + inner).join(
+            _SCALARS.encode(k) + ": " + _dumps(obj[k], inner)
+            for k in sorted(obj)) + pad + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        floats = all(type(v) is float for v in obj) and math.isfinite(sum(obj))
+        return "[" + inner + ("," + inner).join(
+            map(float.__repr__, obj) if floats
+            else (_dumps(v, inner) for v in obj)) + pad + "]"
+    if isinstance(obj, (dict, list, tuple)):
+        return json.dumps(obj, indent=2, sort_keys=True).replace("\n", pad)
+    return _SCALARS.encode(obj)
+
+
 def _emit(report, out, table):
-    """Write the JSON report to out and its (rows, columns) table, if it
-    has rows, to the .csv sibling, columns defaulting to the first row's
-    keys sorted and floats written by repr; with no out, print the
-    report."""
-    text = json.dumps(report, indent=2, sort_keys=True)
+    """Write the report's JSON text (_dumps) to out and its (rows, columns)
+    table, if it has rows, to the .csv sibling, columns defaulting to the
+    first row's keys sorted and floats written by repr; with no out, print
+    the text."""
+    text = _dumps(report)
     if out is None:
         print(text)
         return
@@ -931,11 +958,11 @@ def _emit(report, out, table):
 
 def _load_json(path, what):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"{what} file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise ConfigError(f"{what} file {path} is not valid JSON: {exc}")
 
 
@@ -1032,13 +1059,15 @@ def cmd_run(args):
     bundle = run(cfg)
     stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     out_dir = args.out or None
+    stages = {name: _Json(_dumps(rep))  # encoded once, for both files
+              for name, rep in bundle.stage_reports.items()}
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         for name, rep in bundle.stage_reports.items():
             table = _STAGES[name].table
-            _emit(rep, os.path.join(out_dir, f"{name}.json"),
+            _emit(stages[name], os.path.join(out_dir, f"{name}.json"),
                   table and table(rep))
-    _emit(bundle.to_dict(timestamp=stamp),
+    _emit({**bundle.to_dict(timestamp=stamp), "stages": stages},
           out_dir and os.path.join(out_dir, "bundle.json"),
           (bundle.entries, ["id", "pass", "trivial"]))
     for e in bundle.entries:
@@ -1095,6 +1124,6 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GPRegimeError as exc:
+    except (GPRegimeError, OSError) as exc:  # OSError: unreadable, unwritable
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,13 +6,14 @@ uniform radial grids, so this module concentrates the shared machinery:
 - a Filon-type quadrature for integrals of the form  int f(r) sin(w r) dr
   and  int f(r) cos(w r) dr  whose cost and accuracy are independent of the
   oscillation frequency w (the integrand's smooth factor is interpolated
-  piecewise linearly; the oscillation is integrated exactly). The shape of
-  the frequency grid picks how the sums over nodes are evaluated:
-  frequencies in arithmetic progression (three or more) go through a
-  Bluestein chirp-z transform on numpy.fft, O((n + m) log(n + m)); any
-  other grid, and a progression's run of phases below one radian, through
-  an exact split of each node's exponential into block and in-block
-  factors, O(m sqrt(n)); both reduce phases in cycles in long double,
+  piecewise linearly; the oscillation is integrated exactly). The runs at
+  h and 2h of a Richardson pair share one pass of the sums over nodes, and
+  the frequency grid picks how they are evaluated: an arithmetic
+  progression (three or more) by a Bluestein chirp-z transform on
+  numpy.fft, O((n + m) log(n + m)); any other grid, and a progression's
+  run of phases below one radian, by an exact split of each node's
+  exponential into block and in-block factors, O(m sqrt(n)); both reduce
+  phases in cycles in long double,
 - the unitary radial Fourier transform  F[w](p) = (2/p) int w(r) r sin(2 pi p r) dr
   with the convention  (-Delta) <-> 4 pi^2 p^2,  which is its own inverse,
 - the composite Simpson rule.
@@ -163,31 +164,25 @@ def _split_sums(c, h, x0, omega):
     x2 = 2 * np.pi * _cycles(nu * h, np.arange(B, dtype=float))
     e1 = np.stack([np.cos(x1), np.sin(x1)], axis=2)
     e2 = np.stack([np.cos(x2), np.sin(x2)], axis=1)
-    inner = (e2.reshape(-1, B) @ blocks).reshape(-1, 2 * rows, Q)
     # p[j, a, r, b] = sum_q (Re, Im)[a] of E2 @ C_r^T times (cos, sin)[b] of E1
-    p = (inner @ e1).reshape(-1, 2, rows, 2)
+    p = np.concatenate([  # two rows at a time: four would double the peak
+        (e2.reshape(-1, B) @ blocks[:, r * Q:(r + 2) * Q]).reshape(
+            -1, 2, 2, Q) @ e1[:, None] for r in range(0, rows, 2)], axis=2)
     return (p[:, 0, :, 0] - p[:, 1, :, 1] + 1j * (p[:, 0, :, 1] + p[:, 1, :, 0])).T
 
 
-def _filon_core(f, h, omega, kind, x0=0.0):
-    """Shared evaluation for filon_sin / filon_cos.
+def _sums(c, h, x0, omega):
+    """Z[r, j] = sum_i c[r, i] exp(i w_j (x0 + (i + 1/2) h)).
 
-    An arithmetic progression of frequencies goes through the chirp-z sums
-    in O((n + m) log(n + m)); any other grid through the exact split sums.
-    These also take the frequencies of a progression whose phase stays
-    below one radian over the whole window: there a sine sum is far
-    smaller than sum |f| h, and only a sum of the phases' own exponentials
-    keeps it to relative accuracy (callers divide it by the frequency).
-    """
-    f = np.asarray(f, dtype=float)
-    if f.ndim != 1 or f.size < 3:
-        raise InvalidDomainError("samples must be a 1D array on >= 2 intervals")
+    An arithmetic progression of frequencies goes through the chirp-z sums;
+    any other grid through the exact split sums. These also take the
+    frequencies of a progression whose phase stays below one radian over
+    the whole window: there a sine sum is far smaller than sum |f| h, and
+    only a sum of the phases' own exponentials keeps it to relative
+    accuracy (callers divide it by the frequency)."""
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    n = f.size - 1
-    c = np.stack([0.5 * (f[:-1] + f[1:]), (f[1:] - f[:-1]) / h])
-    a, b = _filon_weights(omega, h)
-
-    z = np.empty((2, omega.size), dtype=complex)
+    n = c.shape[-1]
+    z = np.empty((c.shape[0], omega.size), dtype=complex)
     todo = np.arange(omega.size)  # the frequencies for the split sums
     prog = _progression(omega)
     if prog is not None:
@@ -198,6 +193,21 @@ def _filon_core(f, h, omega, kind, x0=0.0):
     step = max(1, _CHUNK_ELEMS // (8 * math.isqrt(n) + 8))
     for sel in (todo[lo:lo + step] for lo in range(0, todo.size, step)):
         z[:, sel] = _split_sums(c, h, x0, omega[sel])
+    return z
+
+
+def _coefficients(f, h):
+    """Midpoint values and slopes of the samples f, on >= 2 intervals."""
+    f = np.asarray(f, dtype=float)
+    if f.ndim != 1 or f.size < 3:
+        raise InvalidDomainError("samples must be a 1D array on >= 2 intervals")
+    return np.stack([0.5 * (f[:-1] + f[1:]), (f[1:] - f[:-1]) / h])
+
+
+def _filon_core(f, h, omega, kind, x0=0.0):
+    """Shared evaluation for filon_sin / filon_cos."""
+    z = _sums(_coefficients(f, h), h, x0, omega)
+    a, b = _filon_weights(omega, h)
     if kind == "sin":
         return a * z[0].imag + b * z[1].real
     return a * z[0].real - b * z[1].imag
@@ -217,15 +227,23 @@ def filon_cos(f, h, omega, x0=0.0):
     return _filon_core(f, h, omega, "cos", x0=x0)
 
 
-def _filon_richardson(f, h, omega, x0=0.0):
-    """filon_sin at h and 2h, Richardson extrapolated; f spans an even
-    number of intervals, so the coarse run takes every other sample.
+def _filon_pair(f, h, omega, x0=0.0):
+    """filon_sin at h and at 2h on every other sample, from one pass of
+    sums: the coarse midpoints x0 + (2k + 1) h are the fine ones at even
+    nodes shifted by h/2, so the coarse sums take the phase exp(i w h/2)."""
+    coarse = _coefficients(f[::2], 2.0 * h)
+    c = np.zeros((4, np.size(f) - 1))
+    c[:2], c[2:, :2 * coarse.shape[1]:2] = _coefficients(f, h), coarse
+    z = _sums(c, h, x0, omega)
+    z[2:] *= _expi(_cycles(np.longdouble(omega) * h / _TWO_PI / 2, 1))
+    (a, b), (a2, b2) = _filon_weights(omega, h), _filon_weights(omega, 2 * h)
+    return a * z[0].imag + b * z[1].real, a2 * z[2].imag + b2 * z[3].real
 
-    Midpoint-form linear interpolation has an even error expansion, so one
-    halving step upgrades O(h^2) to O(h^4).
-    """
-    fine = _filon_core(f, h, omega, "sin", x0=x0)
-    coarse = _filon_core(f[::2], 2.0 * h, omega, "sin", x0=x0)
+
+def _filon_richardson(f, h, omega, x0=0.0):
+    """_filon_pair Richardson extrapolated: midpoint-form interpolation has
+    an even error expansion, so one halving upgrades O(h^2) to O(h^4)."""
+    fine, coarse = _filon_pair(f, h, omega, x0)
     return (4.0 * fine - coarse) / 3.0
 
 

@@ -37,7 +37,7 @@ from .errors import (
     SolverFailureError,
 )
 from .potentials import InteractionPotential
-from .radial import _filon_richardson, filon_sin, simpson
+from .radial import _filon_pair, _filon_richardson, simpson
 
 _MIN_PTS = 512
 _RICHARDSON_TOL = 1e-9
@@ -417,19 +417,17 @@ def solve_neumann(potential, ell, N_param, n_pts=4096):
 # ---------------------------------------------------------------------------
 
 def _refined_transform(sol, p):
-    """what(p) = (2/p) sum over the uniform segments of
-    int w r sin(2 pi p r) dr, at full and half resolution.
+    """what(p) = (2/p) sum over the uniform segments of int w r
+    sin(2 pi p r) dr, at full and half resolution by one _filon_pair each.
 
     Returns the extrapolation (4 fine - coarse) / 3 and the relative
     defect max |fine - coarse| / max |fine| between the two runs.
     """
     p = np.asarray(p, dtype=float)
-    fine, coarse = np.zeros_like(p), np.zeros_like(p)
-    for (fvals, h, r0) in sol.segments:
-        wr = (1.0 - fvals) * (r0 + np.arange(fvals.size) * h)
-        fine += filon_sin(wr, h, 2.0 * np.pi * p, x0=r0)
-        coarse += filon_sin(wr[::2], 2.0 * h, 2.0 * np.pi * p, x0=r0)
-    fine, coarse = 2.0 / p * fine, 2.0 / p * coarse
+    fine, coarse = 2.0 / p * sum(
+        np.array(_filon_pair((1.0 - f) * (r0 + np.arange(f.size) * h), h,
+                             2.0 * np.pi * p, x0=r0))
+        for f, h, r0 in sol.segments)
     defect = float(np.max(np.abs(fine - coarse))
                    / (np.max(np.abs(fine)) + 1e-300))
     return (4.0 * fine - coarse) / 3.0, defect

@@ -828,6 +828,47 @@ class TestCommandLine:
         assert code == 2
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--config", "--potential", "--trap",
+                                      "--scatter", "--gp"])
+    @pytest.mark.parametrize("bad", ["directory", "latin-1"])
+    def test_unreadable_input_file_exits_2(self, tmp_path, capsys,
+                                           monkeypatch, flag, bad):
+        path = tmp_path / "input.json"
+        if bad == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes('{"a0": "café"}'.encode("latin-1"))
+        ran = []
+        monkeypatch.setattr(cli, "_run_stage", lambda *a: ran.append(a))
+        monkeypatch.setattr(cli, "run", lambda *a: ran.append(a))
+        argv = {"--config": ["run"], "--potential": ["scatter"],
+                "--trap": ["gp", "--a0", "0.2"]}.get(flag)
+        # a repeated flag takes its last value
+        argv = argv or self._kernels_reports(tmp_path)
+        assert cli.main(argv + [flag, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
+        assert ran == []
+
+    @pytest.mark.parametrize("command", ["fock", "run"])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, command):
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({
+            "schema_version": 1, "seed": 7, "pipeline": ["fock"],
+            "stages": {"fock": {"modes": 2, "ncap": 3, "suites": ["ccr"]}}}))
+        # a directory that is missing, and one that is a file
+        out = {"fock": tmp_path / "missing" / "x.json",
+               "run": tmp_path / "file"}[command]
+        (tmp_path / "file").write_text("")
+        argv = {"fock": ["fock", "--modes", "2", "--ncap", "3", "--suite",
+                         "ccr"],
+                "run": ["run", "--config", str(cfgp)]}[command]
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(out) in err
+
     def test_config_error_names_gap(self, tmp_path, capsys):
         cfgp = tmp_path / "cfg.json"
         raw = cli.default_config()
@@ -1456,3 +1497,44 @@ class TestCommandLine:
         header = lines[0].split(",")
         a0_col = header.index("a0")
         assert float(lines[1].split(",")[a0_col]) == rep["sweep"][0]["a0"]
+
+
+# JSON values of every kind a report can hold, floats at the edges of
+# their range, strings with the characters JSON escapes
+_FLOATS = st.floats() | st.sampled_from(
+    [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1.8e308])
+_TEXT = st.text(alphabet=st.characters() | st.sampled_from('\n"\\'))
+_SCALARS = st.none() | st.booleans() | st.integers() | _FLOATS | _TEXT
+_VALUES = st.recursive(
+    _SCALARS | st.lists(_FLOATS),
+    lambda kids: (st.lists(kids) | st.tuples(kids, kids)
+                  | st.dictionaries(_TEXT, kids)),
+    max_leaves=40)
+
+
+class TestArtifactText:
+    @settings(max_examples=300, deadline=None)
+    @given(obj=_VALUES)
+    @example(obj={"a\n\"": [1.0, -0.0, 5e-324, 1.8e308], "b": [], "c": {},
+                  "d": (True, None, -3), "e": [1.8e308, 1.8e308]})
+    @example(obj=[math.nan, math.inf, -math.inf, 0.5])
+    def test_dumps_is_json_dumps(self, obj):
+        want = json.dumps(obj, indent=2, sort_keys=True)
+        assert cli._dumps(obj) == want
+        # encoded text set into a document is written as the value it holds
+        assert cli._dumps({"k": [cli._Json(cli._dumps(obj))]}) == json.dumps(
+            {"k": [obj]}, indent=2, sort_keys=True)
+
+    def test_bundle_stages_are_the_stage_files(self, tmp_path):
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({
+            "schema_version": 1, "seed": 7, "pipeline": ["fock"],
+            "stages": {"fock": {"modes": 2, "ncap": 3, "suites": ["ccr"]}}}))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["run", "--config", str(cfgp), "--out",
+                             str(tmp_path)]) == 0
+        bundle = (tmp_path / "bundle.json").read_text()
+        doc = json.loads(bundle)
+        assert bundle == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert doc["stages"]["fock"] == json.loads(
+            (tmp_path / "fock.json").read_text())

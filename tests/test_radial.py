@@ -266,19 +266,44 @@ def test_geometric_grid_against_long_double(n):
     omega=st.lists(st.floats(min_value=0.0, max_value=16.0),
                    min_size=1, max_size=30),
     seed=st.integers(min_value=0, max_value=2 ** 16),
+    rows=st.sampled_from([2, 4]),  # one run, or a Richardson pair
 )
-@example(n=2, x0=0.0, omega=[3.0, 0.0, 1.5], seed=0)
-@example(n=3, x0=0.5, omega=[16.0, 2.0], seed=1)  # B = 2, padded block
-@example(n=64, x0=0.2, omega=[9.0, 1.0, 5.0], seed=2)  # n = B^2
-@example(n=97, x0=1.0, omega=[0.1, 12.0, 7.7, 3.3], seed=3)  # n % B != 0
-def test_split_sums_match_direct_sums(n, x0, omega, seed):
+@example(n=2, x0=0.0, omega=[3.0, 0.0, 1.5], seed=0, rows=2)
+@example(n=3, x0=0.5, omega=[16.0, 2.0], seed=1, rows=4)  # B = 2, padded
+@example(n=64, x0=0.2, omega=[9.0, 1.0, 5.0], seed=2, rows=2)  # n = B^2
+@example(n=97, x0=1.0, omega=[0.1, 12.0, 7.7, 3.3], seed=3,
+         rows=4)  # n % B != 0
+def test_split_sums_match_direct_sums(n, x0, omega, seed, rows):
     h = 3.0 / n
     omega = np.array(omega)
-    c = np.random.default_rng(seed).normal(size=(2, n))
+    c = np.random.default_rng(seed).normal(size=(rows, n))
     got = radial._split_sums(c, h, x0, omega)
     mid = x0 + (np.arange(n) + 0.5) * h
     want = c @ np.exp(1j * mid[:, None] * omega[None, :])
     assert np.max(np.abs(got - want)) <= 1e-14 * np.sum(np.abs(c))
+
+
+@pytest.mark.parametrize("x0", [0.0, 0.7])
+@pytest.mark.parametrize("grid", ["progression", "geometric", "low-phase"])
+def test_filon_pair_matches_two_filon_sin_runs(grid, x0):
+    # the fine half is filon_sin at h, the coarse half filon_sin on every
+    # other sample at 2h; the low-phase grid is a progression whose first
+    # 10 to 13 frequencies stay below one radian of phase, where f > 0 keeps
+    # each sine sum to relative accuracy
+    n = 512
+    h = 2.0 / n
+    r = x0 + np.arange(n + 1) * h
+    f = np.exp(-r) * (1.0 + r)
+    omega = {"progression": np.linspace(0.0, 60.0, 57),
+             "geometric": np.geomspace(0.01, 75.0, 241),
+             "low-phase": np.linspace(1e-3, 8.0, 200)}[grid]
+    fine, coarse = radial._filon_pair(f, h, omega, x0)
+    for got, want in ((fine, filon_sin(f, h, omega, x0=x0)),
+                      (coarse, filon_sin(f[::2], 2 * h, omega, x0=x0))):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        low = (omega > 0) & (omega * r[-1] < 1.0)
+        assert np.all(np.abs(got[low] - want[low])
+                      <= 1e-13 * np.abs(want[low]))
 
 
 def test_geometric_grid_peak_memory():

@@ -49,6 +49,9 @@ DEFAULTS_ALLOWED = {
     "radial.filon_cos.x0":
         "filon_cos stays only as the benchmark tracer's pin; nothing in the "
         "package calls it (CHANGES.md, the FOUND line on filon_cos)",
+    "radial.filon_sin.x0":
+        "filon_sin stays only as the benchmark tracer's pin; nothing in the "
+        "package calls it (CHANGES.md, the FOUND line on filon_sin)",
     "gp.minimize_gp.r_max":
         "ROADMAP item 5: the gp stage is to pass the trap's own grid",
     "gp.minimize_gp.n_pts":

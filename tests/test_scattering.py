@@ -7,6 +7,7 @@ transcendental equation. Those closed forms are the oracles here; nothing
 below trusts the solver to certify itself.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -266,6 +267,21 @@ class TestFourier:
         via_ode = fourier_w_ode(neu100, p)
         scale = np.max(np.abs(direct))
         assert np.max(np.abs(direct - via_ode)) < 1e-6 * scale
+
+    @pytest.mark.parametrize("amp, fails", [(0.01, False), (0.1, True)])
+    def test_under_sampled_segment_fails_the_certificate(self, neu100, amp,
+                                                         fails):
+        # a component at the well grid's Nyquist frequency: the fine run
+        # integrates it, while the half-resolution run, on every other
+        # sample, sees a constant shift; the runs part by about 0.086 amp
+        (f, h, r0), tail = neu100.segments
+        alt = amp * (-1.0) ** np.arange(f.size)
+        bad = dataclasses.replace(neu100, segments=((f + alt, h, r0), tail))
+        if fails:
+            with pytest.raises(SolverFailureError, match="not converged"):
+                fourier_w(bad)
+        else:
+            assert np.isfinite(fourier_w(bad))
 
     def test_momentum_grid_validation(self, neu100):
         with pytest.raises(InvalidParameterError):
