@@ -115,15 +115,16 @@ FockInputs = namedtuple("FockInputs", "modes ncap caps suites")
 def fit_slope(series, expected, tol):
     """Least-squares slope of log y on log x with a trivial-pass escape.
 
-    series is an iterable of (x, y) pairs with positive x. A series
-    whose y values are identically zero cannot carry a scaling law, so
-    it returns the expected slope with pass and a trivial flag instead
-    of failing on log(0).
+    series is an iterable of (x, y) pairs with positive x, at least 3
+    of them distinct. A series whose y values are identically zero
+    cannot carry a scaling law, so it returns the expected slope with
+    pass and a trivial flag instead of failing on log(0).
     """
     pts = [(float(x), float(y)) for x, y in series]
-    if len(pts) < 3:
+    if len({x for x, _ in pts}) < 3:
         raise InvalidParameterError(
-            f"slope fit needs at least 3 points, got {len(pts)}")
+            f"slope fit needs at least 3 distinct abscissae, got "
+            f"{[x for x, _ in pts]}")
     x = np.array([p[0] for p in pts])
     y = np.abs(np.array([p[1] for p in pts]))
     if np.any(x <= 0.0):
@@ -336,7 +337,8 @@ def _scatter_inputs(params):
     """ScatterInputs of a scatter stage, the potential built; bad values
     raise. Every ball, ell * n and each nl, must be larger than the
     interaction's support radius, by the comparison solve_neumann makes,
-    and the rate entry fits a slope through the sweep, so it needs 3."""
+    and the rate entry fits a slope through the sweep, so it needs 3
+    distinct entries."""
     def number(name, value):
         return _number("scatter", name, value)
 
@@ -356,14 +358,15 @@ def _scatter_inputs(params):
         raise ConfigError(
             f"scatter n_pts must be an integer >= {_MIN_PTS}, got {n_pts!r}")
     sweep = params["sweep_nl"]
-    if not isinstance(sweep, list) or len(sweep) < 3:
-        raise ConfigError(
-            f"scatter sweep_nl must be a list of at least 3 entries, "
-            f"got {sweep!r}")
+    if not isinstance(sweep, list):
+        raise ConfigError(f"scatter sweep_nl must be a list, got {sweep!r}")
     for v in sweep:
         if ell * (number("sweep_nl entry", v) / ell) <= R:
             raise ConfigError(f"scatter sweep_nl entries must be larger than "
                               f"the interaction range {R!r}, got {v!r}")
+    if len(set(sweep)) < 3:
+        raise ConfigError(f"scatter sweep_nl must hold at least 3 distinct "
+                          f"entries, got {sweep!r}")
     return ScatterInputs(potential, float(ell), float(n), int(n_pts),
                          tuple(float(v) for v in sweep))
 
@@ -562,12 +565,14 @@ def _kernels_inputs(params):
     if tol <= 0.0:
         raise ConfigError(f"kernels tol must be positive, got {tol!r}")
     # each kernels entry fits a slope through the ells, so at least three
+    # distinct ones
     ells = params["ells"]
-    if not isinstance(ells, list) or len(ells) < 3 or not all(
-            0.0 < _number("kernels", "ells entry", v) < 1.0 for v in ells):
+    if not isinstance(ells, list) or not all(
+            0.0 < _number("kernels", "ells entry", v) < 1.0 for v in ells) \
+            or len(set(ells)) < 3:
         raise ConfigError(
-            f"kernels ells must be a list of at least 3 numbers in (0, 1), "
-            f"got {ells!r}")
+            f"kernels ells must be a list of at least 3 distinct numbers in "
+            f"(0, 1), got {ells!r}")
     return KernelsInputs(float(alpha), float(beta),
                          tuple(float(v) for v in ells), float(tol))
 
@@ -981,7 +986,10 @@ def _stage_command(name, params, out, seed=0, profile=None, objects=dict):
     """Run one stage on params, its unset (None) ones dropped, and emit
     its report with the entries added; objects() gives what the stage
     takes from earlier stages, once params have parsed, and profile(ctx)
-    the CSV of a stage without a table."""
+    the CSV of a stage without a table. An --out whose directory is
+    missing is refused before anything runs."""
+    if out and not os.path.isdir(os.path.dirname(out) or "."):
+        raise ConfigError(f"output directory of {out} does not exist")
     inputs = _parse_stage(name, {k: v for k, v in params.items()
                                  if v is not None})
     ctx = _context(_DEFAULT_THRESHOLDS, seed, **objects())
@@ -1056,13 +1064,14 @@ def cmd_run(args):
     data = _load_json(args.config, "config") if args.config \
         else default_config()
     cfg = parse_config(data)
+    out_dir = args.out or None
+    if out_dir:  # an unwritable --out fails before any stage runs
+        os.makedirs(out_dir, exist_ok=True)
     bundle = run(cfg)
     stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    out_dir = args.out or None
     stages = {name: _Json(_dumps(rep))  # encoded once, for both files
               for name, rep in bundle.stage_reports.items()}
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
         for name, rep in bundle.stage_reports.items():
             table = _STAGES[name].table
             _emit(stages[name], os.path.join(out_dir, f"{name}.json"),

@@ -10,10 +10,10 @@ integrals through the identity
 
     int A(x) K(x - y) B(y) dx dy = 4 pi int Ahat(s) Khat(s) Bhat(s) s^2 ds,
 
-where Khat is a weighted self-convolution of the band profile. Those
-convolutions are computed from cumulative moment tables that start exactly
-at the cutoff node, so the sharp indicator never crosses a quadrature
-panel.
+where Khat is a weighted self-convolution of the band profile. One pass
+per band profile and resolution gives all three weights, K0, K2 and K4,
+from cumulative moment tables that start exactly at the cutoff node, so
+the sharp indicator never crosses a quadrature panel.
 
 Convention: fhat(p) = int f(x) exp(-2 pi i p.x) dx, self-inverse on radial
 profiles, with (-Delta)^ = 4 pi^2 p^2.
@@ -306,32 +306,33 @@ def _node_rule(p_nodes, pairs, s, m):
     return out
 
 
-# kind -> terms (e, power), each int t^e a(t) [M(s + t) - M(|s - t|)] dt
-# with M the power-th moment of b; how they combine at s > 0; the
-# weight of the s = 0 value
-_CONV_KINDS = {
-    "plain": (((1, 1),), lambda s, d: d[0], lambda p: 1.0),
-    "grad": (((1, 1), (3, 1), (1, 3)),
-             lambda s, d: -2.0 * np.pi ** 2 * (s ** 2 * d[0] - d[1] - d[2]),
-             lambda p: 4.0 * np.pi ** 2 * p ** 2),
-    "lap": (((3, 3),), lambda s, d: 16.0 * np.pi ** 4 * d[0],
-            lambda p: 16.0 * np.pi ** 4 * p ** 4),
-}
+# the terms (e, power) of K0, K2 and K4, each sum
+# int t^e f(t) [M(s + t) - M(|s - t|)] dt with M the power-th moment of f
+_TERMS = ((1, 1), (3, 1), (1, 3), (3, 3))
+# per kernel: how the term sums d combine at s > 0; the weight of the
+# s = 0 value
+_KERNELS = (
+    (lambda s, d: d[0], lambda p: 1.0),
+    (lambda s, d: -2.0 * np.pi ** 2 * (s ** 2 * d[0] - d[1] - d[2]),
+     lambda p: 4.0 * np.pi ** 2 * p ** 2),
+    (lambda s, d: 16.0 * np.pi ** 4 * d[3],
+     lambda p: 16.0 * np.pi ** 4 * p ** 4),
+)
 
 
-def _band_convolve(p_nodes, a_vals, b_vals, s_grid, kind):
-    """Weighted radial convolution (a * b)(s) of band profiles.
+def _band_convolve(p_nodes, f, s_grid):
+    """Weighted radial self-convolutions (K0, K2, K4) of one band profile.
 
-    kind "plain" gives the transform of F_a F_b, "grad" of
-    grad F_a . grad F_b, and "lap" of (Delta F_a)(Delta F_b). All three
-    come from the two-center reduction
+    K0 is the transform of F^2, K2 of |grad F|^2 and K4 of (Delta F)^2.
+    All three come from the two-center reduction
 
-        (a * b)(s) = (2 pi / s) int t a(t) [int_{|s-t|}^{s+t} u b(u)
+        (f * f)(s) = (2 pi / s) int t f(t) [int_{|s-t|}^{s+t} u f(u)
                       W(s, t, u) du] dt
 
-    with W = 1, -4 pi^2 (s^2 - t^2 - u^2)/2, and 16 pi^4 t^2 u^2, so the
-    integrand is a sum of terms t^e a(t) [M(s + t) - M(|s - t|)] with M
-    an exact cumulative moment of b (_moment_table).
+    with W = 1, -4 pi^2 (s^2 - t^2 - u^2)/2, and 16 pi^4 t^2 u^2, so each
+    integrand combines the four _TERMS t^e f(t) [M(s + t) - M(|s - t|)]
+    with M an exact cumulative moment of f (_moment_table). One pass sums
+    the four terms once, and each kernel is read off the shared sums.
 
     The integrand has kinks where the inner window |s - t| meets zero or
     the band's first node p0, all at t <= p0 + s; node quadrature smears
@@ -343,13 +344,8 @@ def _band_convolve(p_nodes, a_vals, b_vals, s_grid, kind):
     too short to leave two intervals beyond the refined layer of every s
     is refused.
     """
-    if kind not in _CONV_KINDS:
-        raise InvalidParameterError(f"unknown convolution weight {kind!r}")
-    terms, combine, weight0 = _CONV_KINDS[kind]
     h = p_nodes[1] - p_nodes[0]
-    p0 = p_nodes[0]
-    tables = {power: _moment_table(p_nodes, b_vals, power)
-              for _, power in terms}
+    tables = {power: _moment_table(p_nodes, f, power) for power in (1, 3)}
     s_flat = np.asarray(s_grid, dtype=float)
     pos = s_flat > 0.0
     s = s_flat[pos]
@@ -359,25 +355,29 @@ def _band_convolve(p_nodes, a_vals, b_vals, s_grid, kind):
         raise InvalidParameterError(
             f"band of {p_nodes.size - 1} intervals of {h:g} is too short "
             f"for separation {s.max():g}")
-    pairs = [(p_nodes ** e * a_vals, tables[power]) for e, power in terms]
-    conv = combine(s, _node_rule(p_nodes, pairs, s, m))
+    d = _node_rule(p_nodes, [(p_nodes ** e * f, tables[power])
+                             for e, power in _TERMS], s, m)
+    convs = [combine(s, d) for combine, _ in _KERNELS]
     for mk in _distinct(m)[0]:
         rows = m == mk
         n_fine = max(64, 8 * int(mk))
-        t_f = np.linspace(p0, p0 + mk * h, n_fine + 1)
-        a_f = np.interp(t_f, p_nodes, a_vals)
+        t_f = np.linspace(p_nodes[0], p_nodes[0] + mk * h, n_fine + 1)
+        f_f = np.interp(t_f, p_nodes, f)
         s_rows = s[rows][:, None]
         diff = {power: _moment_lookup(p_nodes, table, s_rows + t_f)
                 - _moment_lookup(p_nodes, table, np.abs(s_rows - t_f))
                 for power, table in tables.items()}
-        conv[rows] += simpson(combine(s_rows, [t_f ** e * a_f * diff[power]
-                                               for e, power in terms]),
-                              dx=mk * h / n_fine, axis=1)
+        # the terms combine pointwise, before the Simpson sum
+        d_f = [t_f ** e * f_f * diff[power] for e, power in _TERMS]
+        for conv, (combine, _) in zip(convs, _KERNELS):
+            conv[rows] += simpson(combine(s_rows, d_f), dx=mk * h / n_fine,
+                                  axis=1)
 
-    at_zero = 4.0 * np.pi * simpson(
-        p_nodes ** 2 * a_vals * b_vals * weight0(p_nodes), dx=h)
-    out = np.full(s_flat.shape, at_zero)
-    out[pos] = 2.0 * np.pi / s * conv
+    out = tuple(np.full(s_flat.shape, 4.0 * np.pi * simpson(
+        p_nodes ** 2 * f * f * weight0(p_nodes), dx=h))
+        for _, weight0 in _KERNELS)
+    for k, conv in zip(out, convs):
+        k[pos] = 2.0 * np.pi / s * conv
     return out
 
 
@@ -432,10 +432,10 @@ class _Spectra:
 class _BandWork:
     """Objects of one band profile on the s grid, each built on first use.
 
-    These are the self-convolutions K0, K2, K4 ("plain", "grad", "lap")
-    at full and half resolution, and the row supremum. eta_H and nu_H of
-    one sweep row share their band, so one instance serves eta_norms,
-    nu_norms and hyperbolic of that row.
+    These are the self-convolutions (K0, K2, K4) at full and half
+    resolution, and the row supremum. eta_H and nu_H of one sweep row
+    share their band, so one instance serves eta_norms, nu_norms and
+    hyperbolic of that row.
     """
 
     def __init__(self, k, spectra):
@@ -443,20 +443,19 @@ class _BandWork:
         self.spectra = spectra
         self._convs = {}
 
-    def conv(self, kind, half=False):
-        """Band self-convolution; half takes every other band and s node."""
-        if (kind, half) not in self._convs:
+    def convs(self, half=False):
+        """(K0, K2, K4); half takes every other band and s node."""
+        if half not in self._convs:
             sl = slice(None, None, 2 if half else 1)
-            f = self.fhat[sl]
-            self._convs[kind, half] = _band_convolve(
-                self.p_nodes[sl], f, f, self.spectra.s_grid[sl], kind)
-        return self._convs[kind, half]
+            self._convs[half] = _band_convolve(
+                self.p_nodes[sl], self.fhat[sl], self.spectra.s_grid[sl])
+        return self._convs[half]
 
     @cached_property
     def row_sup(self):
         """sup_x of the row norm sqrt((F^2 conv phi^2)(x))."""
         sp = self.spectra
-        conv = radial_fourier_inverse(self.conv("plain") * sp.phi2hat,
+        conv = radial_fourier_inverse(self.convs()[0] * sp.phi2hat,
                                       sp.s_grid[1] - sp.s_grid[0],
                                       sp.state.grid)
         return float(np.sqrt(np.clip(conv, 0.0, None).max()))
@@ -479,8 +478,7 @@ def _eta_quadratures(work, half):
     sl = slice(None, None, 2 if half else 1)
     sp = work.spectra
     s_grid, phi2hat, g2hat = sp.s_grid[sl], sp.phi2hat[sl], sp.g2hat[sl]
-    K0 = work.conv("plain", half)
-    K2 = work.conv("grad", half)
+    K0, K2, _ = work.convs(half)
     l2sq = _pairing(K0, phi2hat, phi2hat, s_grid)
     t_a = _pairing(K0, g2hat, phi2hat, s_grid)
     t_b = 0.5 * _pairing(4.0 * np.pi ** 2 * s_grid ** 2 * K0,
@@ -602,10 +600,10 @@ def _lap_eta_bound(work):
     term is dominated by the product of moduli.
     """
     sp = work.spectra
-    t_weight = _pairing(work.conv("plain"), sp.lap2hat, sp.phi2hat, sp.s_grid)
-    t_cross = 4.0 * _pairing(work.conv("grad"), sp.g2hat, sp.phi2hat,
-                             sp.s_grid)
-    t_factor = _pairing(work.conv("lap"), sp.phi2hat, sp.phi2hat, sp.s_grid)
+    K0, K2, K4 = work.convs()
+    t_weight = _pairing(K0, sp.lap2hat, sp.phi2hat, sp.s_grid)
+    t_cross = 4.0 * _pairing(K2, sp.g2hat, sp.phi2hat, sp.s_grid)
+    t_factor = _pairing(K4, sp.phi2hat, sp.phi2hat, sp.s_grid)
     return sum(float(np.sqrt(max(t, 0.0)))
                for t in (t_weight, t_cross, t_factor))
 

@@ -323,6 +323,13 @@ class TestFitSlope:
         with pytest.raises(InvalidParameterError):
             cli.fit_slope([(1.0, 1.0), (2.0, 4.0)], 2.0, 0.1)
 
+    @pytest.mark.parametrize("xs", [[25.0] * 3, [1.0, 2.0, 1.0, 2.0]])
+    def test_repeated_abscissae_refused(self, xs):
+        # a fit through fewer than 3 distinct x once passed, on numpy's
+        # RankWarning
+        with pytest.raises(InvalidParameterError, match="distinct"):
+            cli.fit_slope([(x, 1e-3) for x in xs], -1.0, 0.15)
+
     def test_nonpositive_abscissa(self):
         with pytest.raises(InvalidParameterError):
             cli.fit_slope([(1.0, 1.0), (-2.0, 4.0), (4.0, 16.0)], 2.0, 0.1)
@@ -728,7 +735,7 @@ class TestCommandLine:
 
     @pytest.mark.parametrize("flags", [
         ["--alpha", "1", "--beta", "2"], ["--sweep", "ell=0.5,0.25"],
-        ["--sweep", "nl=1,2,3"]])
+        ["--sweep", "nl=1,2,3"], ["--sweep", "ell=0.5,0.5,0.5"]])
     def test_kernels_flags_are_checked_before_the_gp_solve(
             self, tmp_path, capsys, monkeypatch, flags):
         ran = []
@@ -767,7 +774,7 @@ class TestCommandLine:
     @pytest.mark.parametrize("sweep,code", [
         ([{"big_ell": 50.0}, {"big_ell": 100.0}, {"big_ell": 200.0}], 0),
         ([{"big_ell": 50.0}, {"big_ell": 100.0}, {"big_ell": 20.0}], 2),
-        ([{"N": 100.0}], 2), (None, 2)])
+        ([{"N": 100.0}], 2), (None, 2), ([{"big_ell": 50.0}] * 3, 2)])
     def test_kernels_read_the_balls_a_scatter_report_ran_at(
             self, tmp_path, monkeypatch, default_bundle, sweep, code):
         # R = 30 exceeds the default sweep's first ball, 25, so only the
@@ -851,23 +858,42 @@ class TestCommandLine:
         assert str(path) in err
         assert ran == []
 
-    @pytest.mark.parametrize("command", ["fock", "run"])
-    def test_unwritable_out_exits_2(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command",
+                             ["fock", "run", "scatter", "gp", "kernels"])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, monkeypatch,
+                                    command):
+        # refused before any stage runs; the stage once ran in full
+        # before its output failed to open
+        ran = []
+        for name in ("scatter_stage", "gp_stage", "kernels_stage",
+                     "fock_stage", "minimize_gp"):
+            monkeypatch.setattr(cli, name,
+                                lambda *a, name=name, **k: ran.append(name))
         cfgp = tmp_path / "cfg.json"
         cfgp.write_text(json.dumps({
             "schema_version": 1, "seed": 7, "pipeline": ["fock"],
             "stages": {"fock": {"modes": 2, "ncap": 3, "suites": ["ccr"]}}}))
-        # a directory that is missing, and one that is a file
-        out = {"fock": tmp_path / "missing" / "x.json",
-               "run": tmp_path / "file"}[command]
+        # run's --out a file, a subcommand's in a missing directory
+        out = tmp_path / ("file" if command == "run" else "missing/x.json")
         (tmp_path / "file").write_text("")
         argv = {"fock": ["fock", "--modes", "2", "--ncap", "3", "--suite",
                          "ccr"],
-                "run": ["run", "--config", str(cfgp)]}[command]
-        assert cli.main(argv + ["--out", str(out)]) == 2
+                "run": ["run", "--config", str(cfgp)],
+                "gp": ["gp", "--a0", "0.2"],
+                "kernels": self._kernels_reports(tmp_path)}.get(command)
+        assert cli.main((argv or [command]) + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(out) in err
+        assert ran == []
+
+    def test_repeated_sweep_exits_2_before_the_stage(self, capsys,
+                                                     monkeypatch):
+        ran = []
+        monkeypatch.setattr(cli, "scatter_stage", lambda *a: ran.append(a))
+        assert cli.main(["scatter", "--sweep", "nl=25,50,25"]) == 2
+        assert "distinct" in capsys.readouterr().err
+        assert ran == []
 
     def test_config_error_names_gap(self, tmp_path, capsys):
         cfgp = tmp_path / "cfg.json"
@@ -1094,7 +1120,10 @@ class TestCommandLine:
         *[("potential", pot) for pot in BAD_PROFILES],
         # the rate slope needs 3 balls, and each must exceed R = 1
         ("sweep_nl", [25.0, 50.0]), ("sweep_nl", [0.5, 50.0, 100.0]),
-        ("n", 1.5)])
+        ("n", 1.5),
+        # and 3 distinct balls
+        ("sweep_nl", [25.0, 25.0, 25.0]),
+        ("sweep_nl", [25.0, 50.0, 25.0, 50.0])])
     def test_bad_scatter_params_exit_2_before_any_stage(
             self, tmp_path, capsys, monkeypatch, key, value):
         ran = []
@@ -1182,7 +1211,8 @@ class TestCommandLine:
         ("ells", "abc"), ("ells", []), ("ells", [0.5, 0.25]),
         ("ells", [0.5, 0.25, 2.0]), ("ells", [0.5, 0.25, "x"]),
         ("alpha", float("nan")), ("alpha", True), ("beta", 5.0),
-        ("beta", 0.0), ("tol", 0.0), ("tol", "abc")])
+        ("beta", 0.0), ("tol", 0.0), ("tol", "abc"),
+        ("ells", [0.5, 0.5, 0.5]), ("ells", [0.5, 0.25, 0.5, 0.25])])
     def test_bad_kernels_params_exit_2_before_any_stage(
             self, tmp_path, capsys, monkeypatch, key, value):
         ran = []

@@ -199,34 +199,26 @@ class TestBandConvolve:
         s = np.linspace(0.0, 5.0, 201)
         g = (np.pi / 2.0) ** 1.5 * np.exp(-s ** 2 / 2.0)
         refs = {
-            "plain": g,
-            "grad": np.pi ** 2 * (3.0 - s ** 2) * g,
-            "lap": np.pi ** 4 * (s ** 4 + 2.0 * s ** 2 + 15.0) * g,
+            "K0": g,
+            "K2": np.pi ** 2 * (3.0 - s ** 2) * g,
+            "K4": np.pi ** 4 * (s ** 4 + 2.0 * s ** 2 + 15.0) * g,
         }
-        for kind, ref in refs.items():
-            got = _band_convolve(p, a, a, s, kind)
+        for (name, ref), got in zip(refs.items(), _band_convolve(p, a, s)):
             err = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
-            assert err < 1e-4, f"{kind}: {err:.2e}"
+            assert err < 1e-4, f"{name}: {err:.2e}"
 
     def test_sharp_band_is_continuous_at_zero_separation(self, eta64):
         # the clipped edge layer once produced an O(h) jump here
         s = np.array([0.0, 1e-3, 2e-3, 5e-3])
-        vals = _band_convolve(eta64.p_nodes, eta64.fhat, eta64.fhat, s,
-                              "plain")
+        vals = _band_convolve(eta64.p_nodes, eta64.fhat, s)[0]
         assert np.max(np.abs(vals[1:] - vals[0])) < 2e-3 * abs(vals[0])
-
-    def test_unknown_weight_rejected(self, eta64):
-        with pytest.raises(InvalidParameterError):
-            _band_convolve(eta64.p_nodes, eta64.fhat, eta64.fhat,
-                           np.array([0.5]), "cubic")
 
     def test_band_too_short_for_the_separation_refused(self):
         # s = 1 puts 22 of the 20 intervals' outer nodes in the refined
         # layer, leaving none to the node rule
         p = np.linspace(0.0, 1.0, 21)
         with pytest.raises(InvalidParameterError, match="too short"):
-            _band_convolve(p, np.exp(-p), np.exp(-p), np.array([0.5, 1.0]),
-                           "plain")
+            _band_convolve(p, np.exp(-p), np.array([0.5, 1.0]))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -443,6 +435,28 @@ class TestSharedBand:
         assert [(r["ell"], r["N"]) for r in rows] == [(0.5, 64.0),
                                                       (0.7, 17.0)]
         assert calls == {name: 2 for name in names}
+
+    def test_each_band_object_is_formed_once(self, eta64, state,
+                                             monkeypatch):
+        # one convolution per resolution, each with one moment table per
+        # power and one node-rule pass, whatever the routines read
+        names = ("_band_convolve", "_moment_table", "_node_rule")
+        calls = {name: 0 for name in names}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+        for name in names:
+            monkeypatch.setattr(kernels, name,
+                                counted(name, getattr(kernels, name)))
+        work = _BandWork(eta64, _Spectra(state))
+        en = eta_norms(eta64, work)
+        nu_norms(build_nu_H(eta64), work)
+        hyperbolic(en, work, 1e-12)
+        assert calls == {"_band_convolve": 2, "_moment_table": 4,
+                         "_node_rule": 2}
 
 
 class TestSweepReuse:
